@@ -71,6 +71,13 @@ func TestCLIEndToEnd(t *testing.T) {
 	if err := json.Unmarshal([]byte(random), &parsed); err != nil || len(parsed) < 2 {
 		t.Fatalf("mcs-gen output not a task-set JSON array: %v\n%s", err, random)
 	}
+	// A target below what the seed HI+LO pair alone contributes is
+	// unreachable: mcs-gen must exit non-zero naming it, not redraw
+	// forever.
+	if out, errOut, err := runCLI(t, bin("mcs-gen"), nil, "-u", "0.005"); err == nil ||
+		out != "" || !strings.Contains(errOut, "utilization 0.005 not reached") {
+		t.Errorf("mcs-gen -u 0.005: err %v, stdout %q, stderr %q", err, out, errOut)
+	}
 
 	// mcs-analyze on the example: must report the exact paper numbers.
 	analysis, _, err := runCLI(t, bin("mcs-analyze"), []byte(example), "-speed", "2", "-")

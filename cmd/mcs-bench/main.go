@@ -490,6 +490,26 @@ func main() {
 		}),
 	}
 
+	// GenSetSweep: the generator half of the Fig. 6/7 sweep — one op
+	// draws the sweep's twelve-set mix (utilization bounds 0.4…0.9, each
+	// with γ ∈ [1, 3] and with γ = 10) with MustSet and degrades each set
+	// by y = 2. The stream is reseeded per op, so allocs/op is exact.
+	{
+		fig6, fig7 := mcspeedup.DefaultGenerator(), mcspeedup.DefaultGenerator()
+		fig7.GammaMin, fig7.GammaMax = 10, 10
+		rnd := rand.New(rand.NewSource(1))
+		doc.Benchmarks = append(doc.Benchmarks, measure("GenSetSweep", func() {
+			rnd.Seed(1)
+			for _, g := range []mcspeedup.Generator{fig6, fig7} {
+				for _, u := range []float64{0.4, 0.5, 0.6, 0.7, 0.8, 0.9} {
+					if _, err := g.MustSet(rnd, u).DegradeLO(mcspeedup.RatTwo); err != nil {
+						log.Fatal(err)
+					}
+				}
+			}
+		}))
+	}
+
 	// SimRunFMS: one full simulator run of the FMS set over a 20-period
 	// synchronous workload with every-fifth-job overruns, through the
 	// compiled zero-allocation entry point (compile and workload built

@@ -54,7 +54,10 @@ func main() {
 		}
 		p := mcspeedup.DefaultGenerator()
 		p.GammaMin, p.GammaMax = *gammaMin, *gammaMax
-		set = p.MustSet(rand.New(rand.NewSource(*seed)), *uBound)
+		var err error
+		if set, err = p.DrawSet(rand.New(rand.NewSource(*seed)), *uBound); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	data, err := set.MarshalIndent()

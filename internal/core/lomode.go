@@ -32,23 +32,15 @@ func SchedulableLO(s task.Set) (bool, error) {
 	if err := s.Validate(); err != nil {
 		return false, err
 	}
-	// The utilization sum and the horizon are computed in big.Rat: large
-	// sets with coprime periods overflow fixed-width rationals.
-	u := new(big.Rat)
-	for i := range s {
-		u.Add(u, big.NewRat(int64(s[i].WCET[task.LO]), int64(s[i].Period[task.LO])))
-	}
-	return schedulableLOWithSums(s, u, nil), nil
+	return schedulableLOWithSums(s, loUtil(s), loDemandSum(s)), nil
 }
 
-// schedulableLOWithSums is the shared decision body of SchedulableLO and
-// schedulableLOState: the utilization trichotomy plus the QPA run, given
-// the exact LO-utilization sum and (optionally) the precomputed QPA
-// horizon numerator Σ(T−D)·C/T. Neither big.Rat is mutated. sum may be
-// nil, in which case it is derived from s.
-func schedulableLOWithSums(s task.Set, u, sum *big.Rat) bool {
-	one := big.NewRat(1, 1)
-	switch u.Cmp(one) {
+// schedulableLOWithSums is the shared decision body of SchedulableLO,
+// MinimalX's probes and schedulableLOState: the utilization trichotomy
+// plus the QPA run, given the exact LO utilization U and the QPA horizon
+// numerator Σ(T−D)·C/T of s.
+func schedulableLOWithSums(s task.Set, u, sum rat.Sum) bool {
+	switch u.Cmp(rat.One) {
 	case 1:
 		return false
 	case 0:
@@ -66,10 +58,7 @@ func schedulableLOWithSums(s task.Set, u, sum *big.Rat) bool {
 
 	// Any Δ violating the PDC satisfies Δ < Σ(T_i−D_i)·U_i/(1−U); run
 	// the QPA downward iteration (see qpa.go) over that horizon.
-	if sum == nil {
-		sum = loDemandSumBig(s)
-	}
-	return qpaLO(s, loHorizonFrom(s, sum, u))
+	return qpaLO(s, loHorizon(s, sum, u))
 }
 
 // schedulableLOState is SchedulableLO over an incrementally maintained
@@ -83,7 +72,7 @@ func schedulableLOState(st *dbf.SetState) bool {
 	if v, ok := st.LOSchedCache(); ok {
 		return v
 	}
-	v := schedulableLOWithSums(st.Tasks(), st.LOUtil(), st.LODemandSum())
+	v := schedulableLOWithSums(st.Tasks(), rat.BigSum(st.LOUtil()), rat.BigSum(st.LODemandSum()))
 	st.StoreLOSched(v)
 	return v
 }
@@ -103,7 +92,13 @@ func MinimalX(s task.Set) (rat.Rat, task.Set, error) {
 	if err := s.Validate(); err != nil {
 		return rat.Rat{}, nil, err
 	}
-	if len(s.ByCrit(task.HI)) == 0 {
+	var dMax task.Time
+	for i := range s {
+		if s[i].Crit == task.HI && s[i].Deadline[task.HI] > dMax {
+			dMax = s[i].Deadline[task.HI]
+		}
+	}
+	if dMax == 0 {
 		// No HI task: nothing to shorten; x is irrelevant.
 		ok, err := SchedulableLO(s)
 		if err != nil {
@@ -115,43 +110,42 @@ func MinimalX(s task.Set) (rat.Rat, task.Set, error) {
 		return rat.One, s.Clone(), nil
 	}
 
-	var dMax task.Time
-	for i := range s {
-		if s[i].Crit == task.HI && s[i].Deadline[task.HI] > dMax {
-			dMax = s[i].Deadline[task.HI]
-		}
-	}
-
-	feasible := func(k int64) (bool, task.Set) {
-		x := rat.New(k, int64(dMax))
-		out, err := s.ShortenHIDeadlines(x)
+	// Eq. (13) only shortens deadlines, so U(LO) is the same for every
+	// x. A probe's set needs no validation: s is valid, and
+	// ShortenHIDeadlines keeps C(LO) ≤ D(LO) < D(HI) or fails.
+	//
+	// Probes write into spare; a feasible probe's set becomes best and
+	// best's old buffer the next spare, so the search allocates two sets
+	// however many probes it takes.
+	u := loUtil(s)
+	var best, spare task.Set
+	feasible := func(k int64) bool {
+		out, err := s.ShortenHIDeadlinesInto(spare, rat.New(k, int64(dMax)))
 		if err != nil {
-			return false, nil
+			return false
 		}
-		ok, err := SchedulableLO(out)
-		if err != nil {
-			return false, nil
+		spare = out
+		if !schedulableLOWithSums(out, u, loDemandSum(out)) {
+			return false
 		}
-		return ok, out
+		best, spare = out, best
+		return true
 	}
 
 	// The largest candidate (k = dMax−1, i.e. x just below 1) is the
 	// easiest configuration; if even that fails the set is hopeless.
 	hi := int64(dMax) - 1
-	okHi, setHi := feasible(hi)
-	if !okHi {
+	if !feasible(hi) {
 		return rat.Rat{}, nil, fmt.Errorf("core: no x in (0,1) makes the set LO-mode schedulable")
 	}
 	lo := int64(0) // k = 0 is x = 0, invalid by construction → infeasible sentinel
-	bestSet := setHi
-	bestK := hi
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
-		if ok, out := feasible(mid); ok {
-			hi, bestK, bestSet = mid, mid, out
+		if feasible(mid) {
+			hi = mid
 		} else {
 			lo = mid
 		}
 	}
-	return rat.New(bestK, int64(dMax)), bestSet, nil
+	return rat.New(hi, int64(dMax)), best, nil
 }

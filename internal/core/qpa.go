@@ -3,6 +3,7 @@ package core
 import (
 	"math/big"
 
+	"mcspeedup/internal/rat"
 	"mcspeedup/internal/task"
 )
 
@@ -110,35 +111,55 @@ func demandWalkLO(s task.Set, limit int64) bool {
 	return true
 }
 
-// loHorizon computes the pseudo-polynomial PDC horizon
-// max(max_i D_i(LO), Σ_i (T_i−D_i)·U_i/(1−U)) in big.Rat (utilization
-// sums of large sets overflow fixed-width rationals). Precondition:
-// U < 1 (u is the precomputed utilization sum).
-func loHorizon(s task.Set, u *big.Rat) int64 {
-	return loHorizonFrom(s, loDemandSumBig(s), u)
+// loUtil sums U(LO) = Σ C(LO)/T(LO) exactly, in fixed width while the
+// partial sums fit and in big.Rat after (large sets with coprime periods
+// overflow fixed-width rationals).
+func loUtil(s task.Set) rat.Sum {
+	var u rat.Sum
+	for i := range s {
+		u = u.Plus(rat.New(int64(s[i].WCET[task.LO]), int64(s[i].Period[task.LO])))
+	}
+	return u
 }
 
-// loDemandSumBig sums the horizon numerator Σ(T−D)·C/T over the LO-mode
-// parameters. dbf.SetState maintains the same sum incrementally; the two
-// must stay term-for-term identical for the delta path's bit-identity.
-func loDemandSumBig(s task.Set) *big.Rat {
-	sum := new(big.Rat)
+// loDemandSum sums the horizon numerator Σ(T−D)·C/T over the LO-mode
+// parameters exactly, like loUtil. dbf.SetState maintains the same exact
+// sum incrementally for the delta path.
+func loDemandSum(s task.Set) rat.Sum {
+	var sum rat.Sum
 	for i := range s {
-		ti, di := s[i].Period[task.LO], s[i].Deadline[task.LO]
-		term := new(big.Rat).Mul(
-			big.NewRat(int64(ti-di), 1),
-			big.NewRat(int64(s[i].WCET[task.LO]), int64(ti)))
-		sum.Add(sum, term)
+		ti, di, c := s[i].Period[task.LO], s[i].Deadline[task.LO], s[i].WCET[task.LO]
+		term, ok := rat.New(int64(c), int64(ti)).MulChecked(rat.FromInt64(int64(ti - di)))
+		if !ok {
+			// A term beyond fixed width: fold it, and the rest of the
+			// sum, in big.Rat.
+			b := new(big.Rat).Mul(big.NewRat(int64(ti-di), 1), big.NewRat(int64(c), int64(ti)))
+			sum = rat.BigSum(b.Add(b, sum.Big()))
+			continue
+		}
+		sum = sum.Plus(term)
 	}
 	return sum
 }
 
-// loHorizonFrom finishes the horizon from a precomputed numerator.
-// Neither big.Rat argument is mutated (state callers retain theirs).
-func loHorizonFrom(s task.Set, sum, u *big.Rat) int64 {
-	one := big.NewRat(1, 1)
-	horizon := new(big.Rat).Quo(sum, new(big.Rat).Sub(one, u))
-	limit := ceilBig(horizon)
+// loHorizon computes the pseudo-polynomial PDC horizon
+// max(max_i D_i(LO), ⌈Σ_i (T_i−D_i)·U_i/(1−U)⌉) from the horizon
+// numerator and U. Precondition: U < 1. The quotient is exact: in fixed
+// width when it fits, in big.Rat otherwise.
+func loHorizon(s task.Set, sum, u rat.Sum) int64 {
+	limit, ok := int64(0), false
+	if sv, ok1 := sum.Rat(); ok1 {
+		if uv, ok2 := u.Rat(); ok2 {
+			// 1 − U cannot overflow for 0 ≤ U < 1.
+			var h rat.Rat
+			if h, ok = sv.MulChecked(rat.One.Sub(uv).Inv()); ok {
+				limit = h.Ceil()
+			}
+		}
+	}
+	if !ok {
+		limit = ceilBig(new(big.Rat).Quo(sum.Big(), new(big.Rat).Sub(big.NewRat(1, 1), u.Big())))
+	}
 	var maxD task.Time
 	for i := range s {
 		if d := s[i].Deadline[task.LO]; d > maxD {

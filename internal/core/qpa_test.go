@@ -10,6 +10,11 @@ import (
 	"mcspeedup/internal/task"
 )
 
+// horizonBig is loHorizon for an exact big.Rat U(LO).
+func horizonBig(s task.Set, u *big.Rat) int64 {
+	return loHorizon(s, loDemandSum(s), rat.BigSum(u))
+}
+
 // TestQPAAgainstDemandWalk: the QPA iteration and the full testing-point
 // walk must agree on every random set with U < 1.
 func TestQPAAgainstDemandWalk(t *testing.T) {
@@ -24,7 +29,7 @@ func TestQPAAgainstDemandWalk(t *testing.T) {
 		if u.Cmp(big.NewRat(1, 1)) >= 0 {
 			continue
 		}
-		limit := loHorizon(s, u)
+		limit := horizonBig(s, u)
 		got := qpaLO(s, limit)
 		want := demandWalkLO(s, limit)
 		if got != want {
@@ -62,7 +67,7 @@ func TestQPAOnGeneratorSets(t *testing.T) {
 		if u.Cmp(big.NewRat(1, 1)) >= 0 {
 			continue
 		}
-		limit := loHorizon(s, u)
+		limit := horizonBig(s, u)
 		if got, want := qpaLO(s, limit), demandWalkLO(s, limit); got != want {
 			t.Fatalf("QPA = %v, walk = %v for generator set:\n%s", got, want, s.Table())
 		}
@@ -73,13 +78,13 @@ func TestQPAKnownCases(t *testing.T) {
 	// Colliding tight deadlines: h(5) = 6 > 5.
 	tight := task.Set{task.NewLO("a", 20, 5, 3), task.NewLO("b", 20, 5, 3)}
 	u := big.NewRat(3, 10)
-	if qpaLO(tight, loHorizon(tight, u)) {
+	if qpaLO(tight, horizonBig(tight, u)) {
 		t.Error("QPA accepted an overloaded instant")
 	}
 	// A single implicit task is always schedulable.
 	one := task.Set{task.NewLO("a", 10, 10, 9)}
 	u = big.NewRat(9, 10)
-	if !qpaLO(one, loHorizon(one, u)) {
+	if !qpaLO(one, horizonBig(one, u)) {
 		t.Error("QPA rejected a trivially schedulable set")
 	}
 }
@@ -107,7 +112,7 @@ func BenchmarkQPAVsWalk(b *testing.B) {
 			break
 		}
 	}
-	limit = loHorizon(s, u)
+	limit = horizonBig(s, u)
 	b.Run("qpa", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			qpaLO(s, limit)

@@ -255,7 +255,7 @@ func loUtilTerm(t *task.Task) *big.Rat {
 
 // utilTerm is one task's C(m)/T(m) contribution to the mode-m
 // utilization, nil when T(m) is unbounded (terminated tasks contribute
-// zero in HI mode, exactly as task.Set.utilBig skips them).
+// zero in HI mode, exactly as task.Set.utilSum skips them).
 func utilTerm(t *task.Task, m task.Crit) *big.Rat {
 	if t.Period[m].IsUnbounded() {
 		return nil
@@ -300,7 +300,7 @@ func (st *SetState) utilSumFor(m task.Crit) *big.Rat {
 }
 
 // loDemandTerm is one task's (T−D)·C/T contribution to the QPA horizon
-// numerator, built exactly as core's cold loop builds it.
+// numerator: the exact value core's cold loop sums.
 func loDemandTerm(t *task.Task) *big.Rat {
 	ti, di := t.Period[task.LO], t.Deadline[task.LO]
 	return new(big.Rat).Mul(

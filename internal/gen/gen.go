@@ -20,10 +20,12 @@
 package gen
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
 
+	"mcspeedup/internal/rat"
 	"mcspeedup/internal/task"
 )
 
@@ -45,7 +47,7 @@ type Params struct {
 	ProbHI float64
 	// Tol is the acceptance half-window under U_bound (default 0.02).
 	Tol float64
-	// MaxAttempts bounds redraws per added task (default 64).
+	// MaxAttempts bounds redraws per added task (default 256).
 	MaxAttempts int
 }
 
@@ -106,13 +108,43 @@ func (p Params) drawTask(rnd *rand.Rand, crit task.Crit) task.Task {
 	return task.NewImplicitHI("", period, cLO, cHI)
 }
 
-// uAvg is the growth metric of [4]'s experiments: the average system
-// utilization (U_LO(LO) + U_HI(HI))/2 — LO tasks at their LO-criticality
-// WCETs, HI tasks at their HI-criticality WCETs.
-func uAvg(s task.Set) float64 {
-	return (s.UtilCrit(task.LO, task.LO).Float64() +
-		s.UtilCrit(task.HI, task.HI).Float64()) / 2
+// grower is a task set under construction with exact running sums of
+// [4]'s two utilizations, indexed by criticality: u[LO] = U_LO(LO) over
+// the LO tasks at their LO-criticality WCETs, u[HI] = U_HI(HI) over the
+// HI tasks at their HI-criticality WCETs. Pricing a candidate task costs
+// one rational add instead of a re-sum of the whole set, and because
+// exact sums do not depend on the order of their terms, every value
+// equals the task.Set.UtilCrit re-sum of the same set.
+type grower struct {
+	set task.Set
+	u   [2]rat.Sum
 }
+
+// with returns the sums of the set grown by tk, without growing it.
+func (g *grower) with(tk *task.Task) [2]rat.Sum {
+	u, c := g.u, tk.Crit
+	u[c] = u[c].Plus(rat.New(int64(tk.WCET[c]), int64(tk.Period[c])))
+	return u
+}
+
+// add appends tk, named by its position, with the sums with returned for
+// it.
+func (g *grower) add(tk task.Task, u [2]rat.Sum) {
+	tk.Name = taskName(len(g.set))
+	g.set = append(g.set, tk)
+	g.u = u
+}
+
+// push appends tk, named by its position.
+func (g *grower) push(tk task.Task) { g.add(tk, g.with(&tk)) }
+
+// util is the float a utilization target is checked against: the exact
+// sum rounded up exactly as task.Set.UtilCrit rounds it.
+func util(u rat.Sum) float64 { return u.Round(true).Float64() }
+
+// uAvg is the growth metric of [4]'s experiments: the average system
+// utilization (U_LO(LO) + U_HI(HI))/2.
+func uAvg(u [2]rat.Sum) float64 { return (util(u[task.LO]) + util(u[task.HI])) / 2 }
 
 // Set grows a random task set until its average utilization reaches
 // uBound (within tolerance). ok is false when the target could not be hit
@@ -120,50 +152,61 @@ func uAvg(s task.Set) float64 {
 // The result always contains at least one HI and one LO task so the
 // mixed-criticality transforms are meaningful.
 func (p Params) Set(rnd *rand.Rand, uBound float64) (task.Set, bool) {
-	var s task.Set
-	name := 0
-	add := func(tk task.Task) {
-		tk.Name = taskName(name)
-		name++
-		s = append(s, tk)
-	}
+	var g grower
 	// Seed with one task of each criticality.
-	add(p.drawTask(rnd, task.HI))
-	add(p.drawTask(rnd, task.LO))
-	for attempts := 0; uAvg(s) < uBound-p.tol(); {
+	g.push(p.drawTask(rnd, task.HI))
+	g.push(p.drawTask(rnd, task.LO))
+	for attempts := 0; uAvg(g.u) < uBound-p.tol(); {
 		crit := task.LO
 		if rnd.Float64() < p.ProbHI {
 			crit = task.HI
 		}
 		cand := p.drawTask(rnd, crit)
-		grown := append(s.Clone(), cand)
-		if uAvg(grown) > uBound {
+		u := g.with(&cand)
+		if uAvg(u) > uBound {
 			attempts++
 			if attempts > p.maxAttempts() {
 				return nil, false
 			}
 			continue
 		}
-		cand.Name = taskName(name)
-		name++
-		s = append(s, cand)
+		g.add(cand, u)
 	}
-	if uAvg(s) > uBound {
+	if uAvg(g.u) > uBound {
 		return nil, false
 	}
-	if err := s.Validate(); err != nil {
+	if err := g.set.Validate(); err != nil {
 		return nil, false
 	}
-	return s, true
+	return g.set, true
 }
 
-// MustSet retries Set with fresh randomness until it succeeds.
-func (p Params) MustSet(rnd *rand.Rand, uBound float64) task.Set {
-	for {
+// maxDraws bounds DrawSet's calls to Set. Targets the generator can hit
+// succeed within a few draws; one it cannot hit (an average utilization
+// below what the seed HI+LO pair alone contributes, say) fails every
+// draw, and must end in an error rather than an endless loop.
+const maxDraws = 10000
+
+// DrawSet retries Set with fresh randomness until it succeeds, and fails
+// after maxDraws draws with an error naming the target.
+func (p Params) DrawSet(rnd *rand.Rand, uBound float64) (task.Set, error) {
+	for i := 0; i < maxDraws; i++ {
 		if s, ok := p.Set(rnd, uBound); ok {
-			return s
+			return s, nil
 		}
 	}
+	return nil, fmt.Errorf("gen: target average utilization %g not reached (window [%g, %g]) in %d draws",
+		uBound, uBound-p.tol(), uBound, maxDraws)
+}
+
+// MustSet is DrawSet for targets known to be reachable: it panics with
+// DrawSet's error when the target cannot be hit.
+func (p Params) MustSet(rnd *rand.Rand, uBound float64) task.Set {
+	s, err := p.DrawSet(rnd, uBound)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 // SetWithTargets grows a set to hit the Fig. 7 targets independently:
@@ -172,17 +215,11 @@ func (p Params) MustSet(rnd *rand.Rand, uBound float64) task.Set {
 // task of each criticality uses the longest period in range so its
 // utilization can be tuned to land inside the window.
 func (p Params) SetWithTargets(rnd *rand.Rand, uHI, uLO, tol float64) (task.Set, bool) {
-	var s task.Set
-	name := 0
-	add := func(tk task.Task) {
-		tk.Name = taskName(name)
-		name++
-		s = append(s, tk)
-	}
-	grow := func(crit task.Crit, current func() float64, target float64, maxStep float64) bool {
+	var g grower
+	grow := func(crit task.Crit, target float64, maxStep float64) bool {
 		attempts := 0
-		for current() < target-tol {
-			remaining := target - current()
+		for util(g.u[crit]) < target-tol {
+			remaining := target - util(g.u[crit])
 			if remaining <= maxStep {
 				// Tailor a closing task on the longest period, where
 				// the utilization granularity 1/PeriodMax is finest.
@@ -200,48 +237,42 @@ func (p Params) SetWithTargets(rnd *rand.Rand, uHI, uLO, tol float64) (task.Set,
 					if cLO > cHI {
 						cLO = cHI
 					}
-					add(task.NewImplicitHI("", period, cLO, cHI))
+					g.push(task.NewImplicitHI("", period, cLO, cHI))
 				} else {
 					cLO := task.Time(math.Round(remaining * float64(period)))
 					if cLO < 1 {
 						cLO = 1
 					}
-					add(task.NewImplicitLO("", period, cLO))
+					g.push(task.NewImplicitLO("", period, cLO))
 				}
 				continue
 			}
 			cand := p.drawTask(rnd, crit)
-			grown := append(s.Clone(), cand)
-			var u float64
-			if crit == task.HI {
-				u = grown.UtilCrit(task.HI, task.HI).Float64()
-			} else {
-				u = grown.UtilCrit(task.LO, task.LO).Float64()
-			}
-			if u > target+tol {
+			u := g.with(&cand)
+			if util(u[crit]) > target+tol {
 				attempts++
 				if attempts > p.maxAttempts() {
 					return false
 				}
 				continue
 			}
-			add(cand)
+			g.add(cand, u)
 		}
-		return current() <= target+tol
+		return util(g.u[crit]) <= target+tol
 	}
 	maxStepHI := p.UtilMax * p.GammaMax
 	if maxStepHI > 1 {
 		maxStepHI = 1 // C(HI) is capped at the implicit deadline
 	}
-	okHI := grow(task.HI, func() float64 { return s.UtilCrit(task.HI, task.HI).Float64() }, uHI, maxStepHI)
-	okLO := grow(task.LO, func() float64 { return s.UtilCrit(task.LO, task.LO).Float64() }, uLO, p.UtilMax)
-	if !okHI || !okLO || len(s) == 0 {
+	okHI := grow(task.HI, uHI, maxStepHI)
+	okLO := grow(task.LO, uLO, p.UtilMax)
+	if !okHI || !okLO || len(g.set) == 0 {
 		return nil, false
 	}
-	if err := s.Validate(); err != nil {
+	if err := g.set.Validate(); err != nil {
 		return nil, false
 	}
-	return s, true
+	return g.set, true
 }
 
 func taskName(i int) string {

@@ -394,6 +394,23 @@ func (r Rat) Mul(s Rat) Rat {
 	return New(num, den)
 }
 
+// MulChecked returns r * s and true when both are finite and the exact
+// product is representable, and Zero and false otherwise — Mul's
+// non-panicking counterpart for callers with a big.Rat fallback.
+func (r Rat) MulChecked(s Rat) (Rat, bool) {
+	if r.den == 0 || s.den == 0 {
+		return Zero, false
+	}
+	g1 := int64(gcd64(absU(r.num), uint64(s.den)))
+	g2 := int64(gcd64(absU(s.num), uint64(r.den)))
+	num, ok1 := tryMul64(r.num/g1, s.num/g2)
+	den, ok2 := tryMul64(r.den/g2, s.den/g1)
+	if !ok1 || !ok2 {
+		return Zero, false
+	}
+	return New(num, den), true
+}
+
 // Inv returns 1/r. Inv of ±Inf is 0; Inv of 0 is +Inf (the analysis only
 // ever inverts non-negative quantities, and 1/0 = +Inf matches the paper's
 // convention that zero-length intervals with positive demand force

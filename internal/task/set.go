@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math/big"
 	"strings"
 
 	"mcspeedup/internal/rat"
@@ -69,18 +68,22 @@ func (s Set) ByCrit(c Crit) Set {
 	return out
 }
 
-// utilBig sums C_i(m)/T_i(m) exactly in big.Rat over tasks matching the
-// filter.
-func (s Set) utilBig(m Crit, match func(*Task) bool) *big.Rat {
-	sum := new(big.Rat)
+// utilSum sums C_i(m)/T_i(m) exactly over tasks matching the filter:
+// allocation-free while every partial sum fits int64/int64 — the common
+// case, and the one the analysis hot paths hit on every call — and in
+// big.Rat after the first overflow (see rat.Sum).
+func (s Set) utilSum(m Crit, match func(*Task) bool) rat.Sum {
+	var sum rat.Sum
 	for i := range s {
 		if !match(&s[i]) || s[i].Period[m].IsUnbounded() {
 			continue
 		}
-		sum.Add(sum, big.NewRat(int64(s[i].WCET[m]), int64(s[i].Period[m])))
+		sum = sum.Plus(rat.New(int64(s[i].WCET[m]), int64(s[i].Period[m])))
 	}
 	return sum
 }
+
+func anyTask(*Task) bool { return true }
 
 // Util returns the total utilization Σ_i C_i(m)/T_i(m) of all tasks in
 // mode m. Terminated tasks contribute zero in HI mode. The value is exact
@@ -89,39 +92,15 @@ func (s Set) utilBig(m Crit, match func(*Task) bool) *big.Rat {
 // at most 2^-20, so it remains a sound upper bound — use UtilBounds when
 // both directions matter.
 func (s Set) Util(m Crit) rat.Rat {
-	return rat.FromBig(s.utilBig(m, func(*Task) bool { return true }), true)
+	return s.utilSum(m, anyTask).Round(true)
 }
 
 // UtilBounds returns exact-or-directed-rounded lower and upper bounds on
-// Util(m); lo equals hi exactly when the sum is representable.
-//
-// The sum is first accumulated in fixed-width rationals, which is exact
-// and allocation-free whenever every partial sum fits int64/int64 — the
-// common case, and the one the analysis hot paths (MinSpeedup, ResetTime)
-// hit on every call. Only when a partial sum overflows does the big.Rat
-// path run and directed rounding apply.
+// Util(m); lo equals hi exactly when the sum is representable. Both are
+// rat.FromBig of the exact sum, rounded down and up.
 func (s Set) UtilBounds(m Crit) (lo, hi rat.Rat) {
-	sum := rat.Zero
-	exact := true
-	for i := range s {
-		if s[i].Period[m].IsUnbounded() {
-			continue
-		}
-		var ok bool
-		sum, ok = sum.AddChecked(rat.New(int64(s[i].WCET[m]), int64(s[i].Period[m])))
-		if !ok {
-			exact = false
-			break
-		}
-	}
-	if exact {
-		// Same directed rounding FromBig applies, so the fast path is
-		// bit-identical to the big.Rat path while keeping the bounds'
-		// denominators small enough for downstream exact arithmetic.
-		return sum.Round(false), sum.Round(true)
-	}
-	big := s.utilBig(m, func(*Task) bool { return true })
-	return rat.FromBig(big, false), rat.FromBig(big, true)
+	sum := s.utilSum(m, anyTask)
+	return sum.Round(false), sum.Round(true)
 }
 
 // UtilCrit returns U_χ(m) = Σ_{χ_i = c} C_i(m)/T_i(m): the mode-m
@@ -129,7 +108,7 @@ func (s Set) UtilBounds(m Crit) (lo, hi rat.Rat) {
 // paper's Figs. 6–7. Like Util it is exact when representable and
 // otherwise rounded up by at most 2^-20.
 func (s Set) UtilCrit(c Crit, m Crit) rat.Rat {
-	return rat.FromBig(s.utilBig(m, func(t *Task) bool { return t.Crit == c }), true)
+	return s.utilSum(m, func(t *Task) bool { return t.Crit == c }).Round(true)
 }
 
 // TotalCHI returns Σ_i C_i(HI), the numerator of the closed-form
@@ -197,10 +176,18 @@ func (s Set) cloneInto(dst Set) Set {
 // values of x that would make some virtual deadline smaller than C(LO)
 // are clamped per task (a shorter deadline would be trivially infeasible).
 func (s Set) ShortenHIDeadlines(x rat.Rat) (Set, error) {
+	return s.ShortenHIDeadlinesInto(nil, x)
+}
+
+// ShortenHIDeadlinesInto is ShortenHIDeadlines writing into dst's backing
+// array when its capacity suffices (allocating otherwise), for searches
+// that probe many factors and want to reuse one buffer. s is never
+// modified; the returned slice aliases dst, not s.
+func (s Set) ShortenHIDeadlinesInto(dst Set, x rat.Rat) (Set, error) {
 	if x.Sign() <= 0 || x.Cmp(rat.One) >= 0 {
 		return nil, fmt.Errorf("task: deadline-shortening factor x = %v outside (0,1)", x)
 	}
-	out := s.Clone()
+	out := s.cloneInto(dst)
 	for i := range out {
 		if out[i].Crit != HI {
 			continue

@@ -64,10 +64,15 @@ go test -fuzz FuzzPlanEquivalence -fuzztime 10s -run '^$' ./internal/core/
 # workloads, and configs.
 go test -fuzz FuzzSimEquivalence -fuzztime 10s -run '^$' ./internal/sim/
 
-# Bench smoke: every core and sim benchmark must still compile and
-# complete one iteration (allocation regressions are pinned by the
-# zero-allocation tests; this guards the benchmarks themselves).
-go test -bench=. -benchtime=1x -run='^$' ./internal/core/... ./internal/sim/
+# Bench smoke: every core, sim and generator benchmark must still
+# compile and complete one iteration (allocation regressions are pinned
+# by the zero-allocation tests; this guards the benchmarks themselves).
+go test -bench=. -benchtime=1x -run='^$' ./internal/core/... ./internal/sim/ ./internal/gen/
+
+# The repository benchmark is a nested module that `go test ./...` at the
+# root does not reach: run its own tests, which check its correctness
+# oracles against the engine.
+(cd perfbench && go test -race ./...)
 
 # --- mcs-serve smoke test -------------------------------------------------
 tmp=$(mktemp -d)
