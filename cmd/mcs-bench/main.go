@@ -28,8 +28,8 @@
 // walkthrough.
 //
 // -trajectory appends one dated entry — git revision, per-benchmark
-// numbers, and the pruned-vs-unpruned event counters of the FMS walks —
-// to a JSON-array history file, so performance can be compared across
+// numbers, and the event counters of the FMS walks — to a JSON-array
+// history file, so performance can be compared across
 // commits (CI uploads the file as a build artifact). The event counters
 // are machine-independent: they count examined demand events, the
 // algorithmic work the pruning of docs/PERF.md removes.
@@ -117,60 +117,45 @@ type trajectoryEntry struct {
 }
 
 // eventsEntry records how many demand events each exact FMS analysis
-// examined with pruning on (the default walk, plus its bulk-skip count)
-// and with pruning off.
+// examined, plus its bulk-skip count. The event-by-event walks' counts
+// (2436, 27 and 303) are constants, pinned by internal/core's
+// TestFMSPruningStrictlyFewerEvents; entries written before this change
+// also carry them as speedupUnpruned, resetUnpruned and
+// speedForResetUnpruned.
 type eventsEntry struct {
 	SpeedupExamined  int `json:"speedupExamined"`
 	SpeedupJumps     int `json:"speedupJumps"`
-	SpeedupUnpruned  int `json:"speedupUnpruned"`
 	ResetExamined    int `json:"resetExamined"`
 	ResetJumps       int `json:"resetJumps"`
-	ResetUnpruned    int `json:"resetUnpruned"`
 	SpeedForExamined int `json:"speedForResetExamined"`
 	SpeedForJumps    int `json:"speedForResetJumps"`
-	SpeedForUnpruned int `json:"speedForResetUnpruned"`
 }
 
-// fmsEventCounts runs the three exact FMS analyses pruned and unpruned
-// and collects their event counters.
+// fmsEventCounts runs the three exact FMS analyses and collects their
+// event counters.
 func fmsEventCounts(fms mcspeedup.Set) eventsEntry {
 	var e eventsEntry
-	cold := mcspeedup.AnalysisOptions{NoPrune: true}
-
 	sp, err := mcspeedup.MinSpeedup(fms)
 	if err != nil {
 		log.Fatal(err)
 	}
-	spCold, err := mcspeedup.MinSpeedupOpts(fms, cold)
-	if err != nil {
-		log.Fatal(err)
-	}
-	e.SpeedupExamined, e.SpeedupJumps, e.SpeedupUnpruned = sp.Events, sp.Jumps, spCold.Events
+	e.SpeedupExamined, e.SpeedupJumps = sp.Events, sp.Jumps
 
-	rr, err := mcspeedup.ResetTimeOpts(fms, mcspeedup.RatTwo, mcspeedup.AnalysisOptions{})
+	rr, err := mcspeedup.ResetTime(fms, mcspeedup.RatTwo)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rrCold, err := mcspeedup.ResetTimeOpts(fms, mcspeedup.RatTwo, cold)
-	if err != nil {
-		log.Fatal(err)
-	}
-	e.ResetExamined, e.ResetJumps, e.ResetUnpruned = rr.Events, rr.Jumps, rrCold.Events
+	e.ResetExamined, e.ResetJumps = rr.Events, rr.Jumps
 
-	sr, err := mcspeedup.MinSpeedForResetOpts(fms, 50_000, mcspeedup.AnalysisOptions{})
+	sr, err := mcspeedup.MinSpeedForReset(fms, 50_000)
 	if err != nil {
 		log.Fatal(err)
 	}
-	srCold, err := mcspeedup.MinSpeedForResetOpts(fms, 50_000, cold)
-	if err != nil {
-		log.Fatal(err)
-	}
-	e.SpeedForExamined, e.SpeedForJumps, e.SpeedForUnpruned = sr.Events, sr.Jumps, srCold.Events
+	e.SpeedForExamined, e.SpeedForJumps = sr.Events, sr.Jumps
 
-	log.Printf("FMS events examined (pruned/unpruned): speedup %d/%d (%d jumps), reset %d/%d (%d jumps), speed-for-reset %d/%d (%d jumps)",
-		e.SpeedupExamined, e.SpeedupUnpruned, e.SpeedupJumps,
-		e.ResetExamined, e.ResetUnpruned, e.ResetJumps,
-		e.SpeedForExamined, e.SpeedForUnpruned, e.SpeedForJumps)
+	log.Printf("FMS events examined: speedup %d (%d jumps), reset %d (%d jumps), speed-for-reset %d (%d jumps)",
+		e.SpeedupExamined, e.SpeedupJumps, e.ResetExamined, e.ResetJumps,
+		e.SpeedForExamined, e.SpeedForJumps)
 	return e
 }
 

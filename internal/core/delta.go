@@ -14,7 +14,7 @@ import (
 // instead of a fresh pseudo-polynomial walk.
 //
 // The cold analysis records the canonical Theorem-2 event stream — every
-// slope-change position the unpruned walk visits up to the hyperperiod
+// slope-change position of the summed curve up to the hyperperiod
 // stopping event, with the summed DBF_HI value at each — and precomputes
 // per-block maxima of the demand/length ratio. A C(HI) edit changes only
 // the VALUES of that stream, never its positions (per-task events sit at
@@ -66,7 +66,7 @@ const (
 	// event, large enough that block certificates dominate.
 	curveBlock = 32
 	// curveRecordCap bounds the recorded stream (and so the memory per
-	// session: two task.Time slices). Sets whose unpruned walk does not
+	// session: two task.Time slices). Sets whose event stream does not
 	// reach the hyperperiod event within the cap fall back to the plain
 	// warm walk.
 	curveRecordCap = 1 << 16
@@ -101,11 +101,12 @@ type speedupCurve struct {
 
 	// curPlan/basePlan are the edited tasks' demand columns (current and
 	// recorded parameters), compiled per delta walk; blockCur/blockBase
-	// hold one block's bulk-evaluated values. Together they turn the
-	// per-event per-task deltaAt pointer chase into one column-major
-	// BulkEval per examined block. Unused under Options.NoPlan.
-	curPlan, basePlan   dbf.Plan
-	blockCur, blockBase [curveBlock]task.Time
+	// hold one block's bulk-evaluated values. Together they evaluate the
+	// exact value correction with one column-major BulkEval per examined
+	// block. fullPlan is the whole current set's columns, for the seed
+	// probes.
+	curPlan, basePlan, fullPlan dbf.Plan
+	blockCur, blockBase         [curveBlock]task.Time
 }
 
 // noteEdit classifies one applied edit's impact on the recorded curve:
@@ -145,16 +146,6 @@ func (c *speedupCurve) compactEdited(cur task.Set) []int {
 	return kept
 }
 
-// deltaAt returns Σ_i δ_i(p) over the edited tasks: the exact value
-// correction turning the recorded base curve into the current one.
-func (c *speedupCurve) deltaAt(cur task.Set, edited []int, p task.Time) task.Time {
-	var d task.Time
-	for _, i := range edited {
-		d += dbf.HIMode(&cur[i], p) - dbf.HIMode(&c.base[i], p)
-	}
-	return d
-}
-
 // ratioGreater reports a/b > x/y for non-negative a, x and positive b, y
 // via 128-bit cross multiplication (positions and values fit in 2^40·2^40
 // products, beyond int64).
@@ -165,7 +156,7 @@ func ratioGreater(a, b, x, y task.Time) bool {
 }
 
 // record captures the canonical event stream: positions and values from
-// an unpruned walk over s, up to and including the first event at or
+// an event-by-event walk over s, up to and including the first event at or
 // beyond the hyperperiod (stopping rule 2's event). Returns false —
 // leaving the curve invalid — when the stream does not terminate within
 // curveRecordCap events.
@@ -273,12 +264,10 @@ func (c *speedupCurve) walk(st *dbf.SetState, o Options) (SpeedupResult, bool) {
 	// Lower the edited tasks' demand columns once per walk: examined
 	// blocks are then bulk-evaluated column-major (curve value plus the
 	// exact per-position delta curPlan − basePlan) instead of chasing
-	// task structs per event. Options.NoPlan keeps the scalar deltaAt.
-	usePlan := !o.NoPlan && len(edited) > 0
-	if usePlan {
-		c.curPlan.CompileSubset(cur, edited, dbf.KindDBF)
-		c.basePlan.CompileSubset(c.base, edited, dbf.KindDBF)
-	}
+	// task structs per event.
+	c.curPlan.CompileSubset(cur, edited, dbf.KindDBF)
+	c.basePlan.CompileSubset(c.base, edited, dbf.KindDBF)
+	c.fullPlan.Compile(cur, dbf.KindDBF)
 	bufBlock := -1
 
 	// bound is a proven lower bound on the new supremum: the seed probes
@@ -287,10 +276,7 @@ func (c *speedupCurve) walk(st *dbf.SetState, o Options) (SpeedupResult, bool) {
 	// block test compares against it with certMargin slack, so float
 	// rounding in either direction can never skip a block the exact
 	// inequality would keep.
-	bound := rat.Zero
-	if !o.NoPrune {
-		bound = seedBound(cur, nil, o.WarmWitness, hyper, hyperOK)
-	}
+	bound := seedBound(&c.fullPlan, o.WarmWitness, hyper, hyperOK)
 	bF := bound.Float64()
 	var bestV task.Time
 	bestP := task.Time(1)
@@ -298,7 +284,7 @@ func (c *speedupCurve) walk(st *dbf.SetState, o Options) (SpeedupResult, bool) {
 	events, jumps := 0, 0
 	n := len(c.pos)
 	for j := 0; j < n; {
-		if j%curveBlock == 0 && j+curveBlock < n && corrOK && bF > 0 && !o.NoPrune {
+		if j%curveBlock == 0 && j+curveBlock < n && corrOK && bF > 0 {
 			// Full block, not containing the final (rule-2) event.
 			mi := c.blockMaxIdx[j/curveBlock]
 			rmF := float64(c.val[mi]) / float64(c.pos[mi])
@@ -312,7 +298,7 @@ func (c *speedupCurve) walk(st *dbf.SetState, o Options) (SpeedupResult, bool) {
 		}
 		p := c.pos[j]
 		var dv task.Time
-		if usePlan {
+		if len(edited) > 0 {
 			if blk := j / curveBlock; blk != bufBlock {
 				lo := blk * curveBlock
 				hi := lo + curveBlock
@@ -325,8 +311,6 @@ func (c *speedupCurve) walk(st *dbf.SetState, o Options) (SpeedupResult, bool) {
 			}
 			r := j - bufBlock*curveBlock
 			dv = c.blockCur[r] - c.blockBase[r]
-		} else if len(edited) > 0 {
-			dv = c.deltaAt(cur, edited, p)
 		}
 		v := c.val[j] + dv
 		events++

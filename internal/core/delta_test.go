@@ -299,12 +299,12 @@ func TestSetStateAggregatesMatchCold(t *testing.T) {
 // of the Corollary-5 inverse: any WarmResetWitness — the previous
 // decisive Δ, a random position, or the budget itself — must leave the
 // entire payload (Speed, Attained, WitnessDelta) bit-identical to the
-// cold walk, and never make the walk examine more events.
+// reference walk, and never make the walk examine more events than it.
 func TestMinSpeedForResetWarmWitnessInvariance(t *testing.T) {
 	budgets := []task.Time{7, 64, 500}
 	for si, s := range deltaSets(t) {
 		for _, b := range budgets {
-			cold, errC := MinSpeedForResetOpts(s, b, Options{NoPrune: true})
+			cold, errC := referenceMinSpeedForReset(s, b, Options{})
 			if _, errB := MinSpeedForResetOpts(s, b, Options{}); (errC == nil) != (errB == nil) {
 				t.Fatalf("set %d budget %d: error mismatch %v vs %v", si, b, errC, errB)
 			}
@@ -319,8 +319,7 @@ func TestMinSpeedForResetWarmWitnessInvariance(t *testing.T) {
 				if err != nil {
 					t.Fatalf("set %d budget %d witness %d: %v", si, b, w, err)
 				}
-				if !warm.Speed.Eq(cold.Speed) || warm.Attained != cold.Attained ||
-					warm.WitnessDelta != cold.WitnessDelta {
+				if !sameSpeedForResetPayload(warm, cold) {
 					t.Fatalf("set %d budget %d witness %d: warm %+v != cold %+v\n%s",
 						si, b, w, warm, cold, s.Table())
 				}

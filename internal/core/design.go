@@ -36,11 +36,10 @@ type SpeedForResetResult struct {
 	// adjacent configuration's walk.
 	WitnessDelta task.Time
 	// Events is the number of slope-change events examined one by one.
-	// With pruning on (the default) it is never higher — and usually far
-	// lower — than with Options.NoPrune.
+	// It is never higher — and usually far lower — than the plain walk
+	// that visits every event below the budget.
 	Events int
-	// Jumps is the number of incumbent bulk skips the pruned walk took.
-	// Always 0 under Options.NoPrune.
+	// Jumps is the number of incumbent bulk skips the walk took.
 	Jumps int
 }
 
@@ -70,15 +69,15 @@ func MinSpeedForReset(s task.Set, budget task.Time) (SpeedForResetResult, error)
 // pool) it is allocation-free, so sweeping many budgets over one set
 // costs no heap traffic beyond the first query.
 //
-// Unless Options.NoPrune is set, the walk bulk-skips runs of events the
-// running infimum proves irrelevant: the curve is non-decreasing, so with
-// v = ΣADB_HI(pos) every position Δ in (pos, b] has ratio
-// value(Δ)/Δ ≥ v/Δ ≥ v/b — and the same holds for the left limits, whose
-// values are also ≥ v. When b is chosen so that b·cutoff < v (the largest
-// such integer, rat.MaxIntBelowRatio), every skipped ratio and left limit
-// is therefore strictly above the cutoff: with cutoff = best none can
-// lower the infimum or flip Attained (which only changes on ratios
-// ≤ best), so the result is bit-identical to the unpruned walk. An
+// The walk bulk-skips runs of events the running infimum proves
+// irrelevant: the curve is non-decreasing, so with v = ΣADB_HI(pos)
+// every position Δ in (pos, b] has ratio value(Δ)/Δ ≥ v/Δ ≥ v/b — and
+// the same holds for the left limits, whose values are also ≥ v. When b
+// is chosen so that b·cutoff < v (the largest such integer,
+// rat.MaxIntBelowRatio), every skipped ratio and left limit is therefore
+// strictly above the cutoff: with cutoff = best none can lower the
+// infimum or flip Attained (which only changes on ratios ≤ best), so the
+// result is bit-identical to a walk visiting every event. An
 // Options.WarmResetWitness tightens the cutoff to min(best, seed) before
 // the running infimum has caught up; the seed is itself a ratio of the
 // current curve at one position, hence ≥ the true infimum, and the skip
@@ -118,7 +117,7 @@ func MinSpeedForResetOpts(s task.Set, budget task.Time, o Options) (SpeedForRese
 	// Warm seed: the ratio at the prior decisive Δ (clamped to the
 	// budget) primes the skip cutoff; see the function comment.
 	cutoffSeed := rat.PosInf
-	if !o.NoPrune && o.WarmResetWitness > 0 {
+	if o.WarmResetWitness > 0 {
 		p := o.WarmResetWitness
 		if p > budget {
 			p = budget
@@ -131,15 +130,13 @@ func MinSpeedForResetOpts(s task.Set, budget task.Time, o Options) (SpeedForRese
 			break
 		}
 		// Incumbent bulk skip (see the function comment for the proof).
-		if !o.NoPrune {
-			if cutoff := rat.Min(best, cutoffSeed); cutoff.Sign() > 0 && !cutoff.IsInf() {
-				if v := w.Value(); v > 0 {
-					b := task.Time(rat.MaxIntBelowRatio(int64(v), cutoff, int64(budget)))
-					if b > next {
-						w.SkipTo(b)
-						jumps++
-						continue
-					}
+		if cutoff := rat.Min(best, cutoffSeed); cutoff.Sign() > 0 && !cutoff.IsInf() {
+			if v := w.Value(); v > 0 {
+				b := task.Time(rat.MaxIntBelowRatio(int64(v), cutoff, int64(budget)))
+				if b > next {
+					w.SkipTo(b)
+					jumps++
+					continue
 				}
 			}
 		}
@@ -195,28 +192,20 @@ func newCapProbe(o Options) *capProbe {
 	return &capProbe{opts: o}
 }
 
-// witnessValue evaluates the summed DBF at the probe's witness Δ through
-// the cross-candidate memo: the Scratch-owned dbf.PointMemo caches each
+// atLeast reports whether the certificate proves s_min ≥ bound for the
+// state's current set (strict > when strict is set). An inconclusive
+// certificate reports false — it never decides acceptance, only
+// rejection. The summed DBF at the witness Δ is evaluated through the
+// cross-candidate memo: the Scratch-owned dbf.PointMemo caches each
 // task's curve value keyed by its parameter tuple, so the stream of
 // closely related candidates a design search probes recomputes only the
 // tasks the last edit touched — O(changed) instead of O(n) — with a sum
-// exactly equal to the direct evaluation. Options.NoPlan bypasses the
-// memo (the differential tests' escape hatch, same as the columnar plan).
-func (p *capProbe) witnessValue(set task.Set) task.Time {
-	if p.opts.NoPlan {
-		return dbf.SetValue(set, dbf.KindDBF, p.witness)
-	}
-	return p.opts.Scratch.memo.Value(set, dbf.KindDBF, p.witness)
-}
-
-// atLeast reports whether the certificate proves s_min(set) ≥ bound
-// (strict > when strict is set). An inconclusive certificate reports
-// false — it never decides acceptance, only rejection.
-func (p *capProbe) atLeast(set task.Set, bound rat.Rat, strict bool) bool {
-	if p.opts.NoWarmStart || p.witness <= 0 {
+// exactly equal to the direct evaluation.
+func (p *capProbe) atLeast(st *dbf.SetState, bound rat.Rat, strict bool) bool {
+	if p.witness <= 0 {
 		return false
 	}
-	v := p.witnessValue(set)
+	v := p.opts.Scratch.memo.Value(st.Tasks(), dbf.KindDBF, p.witness)
 	c := bound.CmpRatio(int64(v), int64(p.witness))
 	if c < 0 || (c == 0 && !strict) {
 		p.pruned++
@@ -225,77 +214,23 @@ func (p *capProbe) atLeast(set task.Set, bound rat.Rat, strict bool) bool {
 	return false
 }
 
-// speedup runs the full Theorem-2 walk and refreshes the witness. The
-// previous walk's witness also warm-starts the new walk's incumbent
-// pruning (Options.WarmWitness): adjacent candidates share their decisive
-// Δ, so even the walks the rejection certificate could not avoid start
-// with a near-supremum skip cutoff. Sound for any witness — the ratio at
-// one Δ of *this* set lower-bounds this set's own supremum — and the
-// result is bit-identical regardless (see Options.WarmWitness).
-func (p *capProbe) speedup(set task.Set) (SpeedupResult, error) {
+// speedup runs the full Theorem-2 walk over the searched state and
+// refreshes the witness. The previous walk's witness also warm-starts
+// the new walk's incumbent pruning (Options.WarmWitness): adjacent
+// candidates share their decisive Δ, so even the walks the rejection
+// certificate could not avoid start with a near-supremum skip cutoff.
+// Sound for any witness — the ratio at one Δ of *this* set lower-bounds
+// this set's own supremum — and the result is bit-identical regardless
+// (see Options.WarmWitness).
+//
+// The searches keep one incrementally maintained SetState and edit it in
+// place from candidate to candidate, so the walk runs minSpeedupState
+// over the state's cached aggregates, bit-identical to a cold
+// MinSpeedup of the same set values.
+func (p *capProbe) speedup(st *dbf.SetState) (SpeedupResult, error) {
 	p.walks++
 	opts := p.opts
-	if !opts.NoWarmStart {
-		opts.WarmWitness = p.witness
-	}
-	res, err := MinSpeedupOpts(set, opts)
-	if err == nil && res.WitnessDelta > 0 {
-		p.witness = res.WitnessDelta
-	}
-	return res, err
-}
-
-// meets decides s_min(set) ≤ cap, warm-starting at the witness. The walk
-// carries cap as its CapHint: it stops as soon as it has bracketed the
-// supremum against the cap (see Options.CapHint), and the bracket's safe
-// upper bound decides the comparison exactly as the full supremum would.
-func (p *capProbe) meets(set task.Set, cap rat.Rat) (bool, error) {
-	if p.atLeast(set, cap, true) {
-		return false, nil
-	}
-	p.walks++
-	opts := p.opts
-	opts.CapHint = cap
-	if !opts.NoWarmStart {
-		opts.WarmWitness = p.witness
-	}
-	res, err := MinSpeedupOpts(set, opts)
-	if err != nil {
-		return false, err
-	}
-	if res.WitnessDelta > 0 {
-		p.witness = res.WitnessDelta
-	}
-	return res.Speedup.Cmp(cap) <= 0, nil
-}
-
-// atLeastState, speedupState and meetsState are the probe over an
-// incrementally maintained SetState instead of a materialized candidate
-// set: the searches that edit one parameter per candidate (TuneDeadlines,
-// FeasibleXWindow, MinimalY) keep a single state and probe it in place.
-// The certificate evaluates the same summed DBF at the same witness, and
-// the full walk runs minSpeedupState over the same set values, so
-// decisions are bit-identical to the materialized path.
-
-func (p *capProbe) atLeastState(st *dbf.SetState, bound rat.Rat, strict bool) bool {
-	if p.opts.NoWarmStart || p.witness <= 0 {
-		return false
-	}
-	v := p.witnessValue(st.Tasks())
-	c := bound.CmpRatio(int64(v), int64(p.witness))
-	if c < 0 || (c == 0 && !strict) {
-		p.pruned++
-		return true
-	}
-	return false
-}
-
-func (p *capProbe) speedupState(st *dbf.SetState) (SpeedupResult, error) {
-	p.walks++
-	opts := p.opts
-	if !opts.NoWarmStart {
-		opts.WarmWitness = p.witness
-	}
+	opts.WarmWitness = p.witness
 	res, err := minSpeedupState(st, opts)
 	if err == nil && res.WitnessDelta > 0 {
 		p.witness = res.WitnessDelta
@@ -303,16 +238,19 @@ func (p *capProbe) speedupState(st *dbf.SetState) (SpeedupResult, error) {
 	return res, err
 }
 
-func (p *capProbe) meetsState(st *dbf.SetState, cap rat.Rat) (bool, error) {
-	if p.atLeastState(st, cap, true) {
+// meets decides s_min ≤ cap for the state's current set, warm-starting at
+// the witness. The walk carries cap as its CapHint: it stops as soon as
+// it has bracketed the supremum against the cap (see Options.CapHint),
+// and the bracket's safe upper bound decides the comparison exactly as
+// the full supremum would.
+func (p *capProbe) meets(st *dbf.SetState, cap rat.Rat) (bool, error) {
+	if p.atLeast(st, cap, true) {
 		return false, nil
 	}
 	p.walks++
 	opts := p.opts
 	opts.CapHint = cap
-	if !opts.NoWarmStart {
-		opts.WarmWitness = p.witness
-	}
+	opts.WarmWitness = p.witness
 	res, err := minSpeedupState(st, opts)
 	if err != nil {
 		return false, err
@@ -373,8 +311,12 @@ func MinimalYOpts(s task.Set, speedCap rat.Rat, o Options) (rat.Rat, task.Set, e
 			los = append(los, loTask{s[i].Name, s[i].Deadline[task.LO], s[i].Period[task.LO]})
 		}
 	}
+	st, err := dbf.NewSetState(s)
+	if err != nil {
+		return rat.Rat{}, nil, err
+	}
 	if len(los) == 0 {
-		ok, err := probe.meets(s, speedCap)
+		ok, err := probe.meets(st, speedCap)
 		if err != nil {
 			return rat.Rat{}, nil, err
 		}
@@ -382,11 +324,6 @@ func MinimalYOpts(s task.Set, speedCap rat.Rat, o Options) (rat.Rat, task.Set, e
 			return rat.Rat{}, nil, fmt.Errorf("core: no LO tasks to degrade and s_min exceeds %v", speedCap)
 		}
 		return rat.One, s.Clone(), nil
-	}
-
-	st, err := dbf.NewSetState(s)
-	if err != nil {
-		return rat.Rat{}, nil, err
 	}
 	// One preallocated two-parameter edit, reused for every transition:
 	// D(HI) and T(HI) move together atomically (their intermediate
@@ -405,7 +342,7 @@ func MinimalYOpts(s task.Set, speedCap rat.Rat, o Options) (rat.Rat, task.Set, e
 			return rat.Rat{}, nil, err
 		}
 	}
-	if ok, err := probe.meetsState(st, speedCap); err != nil {
+	if ok, err := probe.meets(st, speedCap); err != nil {
 		return rat.Rat{}, nil, err
 	} else if !ok {
 		return rat.Rat{}, nil, fmt.Errorf("core: even terminating LO tasks needs more than %v speedup", speedCap)
@@ -439,7 +376,7 @@ func MinimalYOpts(s task.Set, speedCap rat.Rat, o Options) (rat.Rat, task.Set, e
 		if err := degradeK(k); err != nil {
 			return false, err
 		}
-		return probe.meetsState(st, speedCap)
+		return probe.meets(st, speedCap)
 	}
 
 	// y = 1 might already suffice.
@@ -579,7 +516,7 @@ func FeasibleXWindowOpts(s task.Set, speedCap rat.Rat, o Options) (xLo, xHi rat.
 				return false, err
 			}
 		}
-		return probe.meetsState(st, speedCap)
+		return probe.meets(st, speedCap)
 	}
 
 	// Increasing x raises the HI-mode demand pointwise, so the set of

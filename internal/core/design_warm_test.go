@@ -11,11 +11,11 @@ import (
 )
 
 // Property tests pinning the witness-warm-start certificate: every
-// design-space search must return byte-identical results with pruning on
-// (default) and off (NoWarmStart), across generator task sets. The
-// certificate is only allowed to skip walks whose comparison outcome it
-// has proved, so any divergence here is a soundness bug, not a tuning
-// regression.
+// design-space search must return byte-identical results to its cold,
+// materialize-every-candidate reference (ref_test.go), across generator
+// task sets and caps straddling feasibility. The certificate is only
+// allowed to skip walks whose comparison outcome it has proved, so any
+// divergence here is a soundness bug, not a tuning regression.
 
 // renderSet gives a byte-exact fingerprint of a set for equality checks.
 func renderSet(s task.Set) string {
@@ -38,12 +38,13 @@ func genSets(t *testing.T, n int) []task.Set {
 }
 
 func TestMinimalYWarmColdIdentical(t *testing.T) {
-	cold := Options{NoWarmStart: true}
-	for i, s := range genSets(t, 25) {
+	// prunedSets adds the MinimalX preparations of the generator sets:
+	// raw generator sets have zero carry-over gaps and reject every cap.
+	for i, s := range prunedSets(t, 25) {
 		// Caps straddling feasibility exercise accept, reject, and error paths.
 		for _, cap := range []rat.Rat{rat.New(11, 10), rat.New(3, 2), rat.Two} {
 			yW, setW, errW := MinimalY(s, cap)
-			yC, setC, errC := MinimalYOpts(s, cap, cold)
+			yC, setC, errC := referenceMinimalY(s, cap)
 			if fmt.Sprint(errW) != fmt.Sprint(errC) {
 				t.Fatalf("set %d cap %v: warm err %v != cold err %v", i, cap, errW, errC)
 			}
@@ -56,11 +57,10 @@ func TestMinimalYWarmColdIdentical(t *testing.T) {
 }
 
 func TestFeasibleXWindowWarmColdIdentical(t *testing.T) {
-	cold := Options{NoWarmStart: true}
 	for i, s := range genSets(t, 25) {
 		for _, cap := range []rat.Rat{rat.New(11, 10), rat.New(3, 2), rat.Two} {
 			loW, hiW, errW := FeasibleXWindow(s, cap)
-			loC, hiC, errC := FeasibleXWindowOpts(s, cap, cold)
+			loC, hiC, errC := referenceFeasibleXWindow(s, cap)
 			if fmt.Sprint(errW) != fmt.Sprint(errC) {
 				t.Fatalf("set %d cap %v: warm err %v != cold err %v", i, cap, errW, errC)
 			}
@@ -72,11 +72,10 @@ func TestFeasibleXWindowWarmColdIdentical(t *testing.T) {
 }
 
 func TestTuneDeadlinesWarmColdIdentical(t *testing.T) {
-	cold := Options{NoWarmStart: true}
 	for i, s := range genSets(t, 20) {
 		for _, step := range []rat.Rat{rat.New(1, 16), rat.New(1, 4)} {
 			resW, errW := TuneDeadlines(s, step)
-			resC, errC := TuneDeadlinesOpts(s, step, cold)
+			resC, errC := referenceTuneDeadlines(s, step)
 			if fmt.Sprint(errW) != fmt.Sprint(errC) {
 				t.Fatalf("set %d step %v: warm err %v != cold err %v", i, step, errW, errC)
 			}

@@ -1,68 +1,68 @@
 package core
 
-// Differential tests for the compiled columnar demand plans
-// (Options.NoPlan): the planned walks evaluate the same closed forms as
-// the scalar per-task path through flat int64 columns, so every analysis
-// must produce *byte-identical* results either way — including the
-// Events/Jumps accounting, since the plan changes how a point is
-// evaluated, never which points are examined. The same discipline as
-// prune_test.go, but with full-struct equality: any divergence at all is
-// a compile bug in the plan lowering.
+// Differential tests for the compiled columnar demand plans: the
+// production walks evaluate every task through the plan's flat int64
+// columns, and the reference walks of ref_test.go evaluate the task
+// structs through the scalar dbf closed forms, so every analysis must
+// produce the reference payload on every exact result while never
+// examining more events. These run over randomSet's small sets, rich in
+// terminated and degraded LO tasks (the plan's special rows); the
+// generator-set counterparts are in prune_test.go.
 
 import (
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"mcspeedup/internal/dbf"
+	"mcspeedup/internal/examplesets"
 	"mcspeedup/internal/rat"
 	"mcspeedup/internal/task"
 )
 
-// planOptPairs returns matched (planned, scalar) option structs for the
-// two pruning regimes, so every differential below covers the plan on
-// both the pruned and the unpruned walk.
-func planOptPairs() [][2]Options {
-	return [][2]Options{
-		{{}, {NoPlan: true}},
-		{{NoPrune: true}, {NoPrune: true, NoPlan: true}},
+// planSets returns small random sets for the plan differentials.
+func planSets(n int) []task.Set {
+	rnd := rand.New(rand.NewSource(20260808))
+	var sets []task.Set
+	for len(sets) < n {
+		if s := randomSet(rnd, 1+rnd.Intn(6), 60); s.Validate() == nil {
+			sets = append(sets, s)
+		}
 	}
+	return sets
 }
 
 func TestMinSpeedupPlanScalarIdentical(t *testing.T) {
-	for i, s := range prunedSets(t, 30) {
-		for j, pair := range planOptPairs() {
-			planned, errP := MinSpeedupOpts(s, pair[0])
-			scalar, errS := MinSpeedupOpts(s, pair[1])
-			if (errP == nil) != (errS == nil) {
-				t.Fatalf("set %d regime %d: error mismatch: %v vs %v", i, j, errP, errS)
-			}
-			if errP != nil {
-				continue
-			}
-			if !reflect.DeepEqual(planned, scalar) {
-				t.Fatalf("set %d regime %d: planned %+v != scalar %+v:\n%s", i, j, planned, scalar, s.Table())
-			}
+	for i, s := range planSets(150) {
+		planned, errP := MinSpeedup(s)
+		scalar, errS := referenceMinSpeedup(s, Options{})
+		if (errP == nil) != (errS == nil) {
+			t.Fatalf("set %d: error mismatch: %v vs %v", i, errP, errS)
+		}
+		if errP != nil {
+			continue
+		}
+		if (scalar.Exact && !sameSpeedupPayload(planned, scalar)) || planned.Events > scalar.Events {
+			t.Fatalf("set %d: planned %+v != scalar %+v:\n%s", i, planned, scalar, s.Table())
 		}
 	}
 }
 
 func TestResetTimePlanScalarIdentical(t *testing.T) {
 	speeds := []rat.Rat{rat.New(9, 10), rat.One, rat.New(3, 2), rat.Two, rat.FromInt64(3)}
-	for i, s := range prunedSets(t, 20) {
+	for i, s := range planSets(100) {
 		for _, sp := range speeds {
-			for j, pair := range planOptPairs() {
-				planned, errP := ResetTimeOpts(s, sp, pair[0])
-				scalar, errS := ResetTimeOpts(s, sp, pair[1])
-				if (errP == nil) != (errS == nil) {
-					t.Fatalf("set %d speed %v regime %d: error mismatch: %v vs %v", i, sp, j, errP, errS)
-				}
-				if errP != nil {
-					continue
-				}
-				if !reflect.DeepEqual(planned, scalar) {
-					t.Fatalf("set %d speed %v regime %d: planned %+v != scalar %+v:\n%s",
-						i, sp, j, planned, scalar, s.Table())
-				}
+			planned, errP := ResetTime(s, sp)
+			scalar, errS := referenceResetTime(s, sp)
+			if (errP == nil) != (errS == nil) {
+				t.Fatalf("set %d speed %v: error mismatch: %v vs %v", i, sp, errP, errS)
+			}
+			if errP != nil {
+				continue
+			}
+			if !planned.Reset.Eq(scalar.Reset) || planned.Events > scalar.Events {
+				t.Fatalf("set %d speed %v: planned %+v != scalar %+v:\n%s",
+					i, sp, planned, scalar, s.Table())
 			}
 		}
 	}
@@ -70,61 +70,57 @@ func TestResetTimePlanScalarIdentical(t *testing.T) {
 
 func TestMinSpeedForResetPlanScalarIdentical(t *testing.T) {
 	budgets := []task.Time{1, 100, 5_000, 50_000}
-	for i, s := range prunedSets(t, 15) {
+	for i, s := range planSets(100) {
 		for _, b := range budgets {
-			for j, pair := range planOptPairs() {
-				planned, errP := MinSpeedForResetOpts(s, b, pair[0])
-				scalar, errS := MinSpeedForResetOpts(s, b, pair[1])
-				if (errP == nil) != (errS == nil) {
-					t.Fatalf("set %d budget %d regime %d: error mismatch: %v vs %v", i, b, j, errP, errS)
-				}
-				if errP != nil {
-					continue
-				}
-				if !reflect.DeepEqual(planned, scalar) {
-					t.Fatalf("set %d budget %d regime %d: planned %+v != scalar %+v:\n%s",
-						i, b, j, planned, scalar, s.Table())
-				}
+			planned, errP := MinSpeedForReset(s, b)
+			scalar, errS := referenceMinSpeedForReset(s, b, Options{})
+			if (errP == nil) != (errS == nil) {
+				t.Fatalf("set %d budget %d: error mismatch: %v vs %v", i, b, errP, errS)
+			}
+			if errP != nil {
+				continue
+			}
+			if !sameSpeedForResetPayload(planned, scalar) || planned.Events > scalar.Events {
+				t.Fatalf("set %d budget %d: planned %+v != scalar %+v:\n%s",
+					i, b, planned, scalar, s.Table())
 			}
 		}
 	}
 }
 
 // TestDesignSearchesPlanScalarIdentical runs the three design searches —
-// MinimalY, TuneDeadlines, FeasibleXWindow — with and without the plan.
-// Their bisections and greedy moves branch on exact rationals, so every
-// intermediate cap probe agreeing (the walk differentials above) must
-// compose into identical final configurations.
+// MinimalY, TuneDeadlines, FeasibleXWindow — against their materialized
+// references (ref_test.go), which build every candidate set and decide
+// it with a full MinSpeedup. Their bisections and greedy moves branch on
+// exact rationals, so every intermediate cap probe agreeing must compose
+// into identical final configurations.
 func TestDesignSearchesPlanScalarIdentical(t *testing.T) {
 	for i, s := range prunedSets(t, 12) {
-		for j, pair := range planOptPairs() {
-			yP, setP, errP := MinimalYOpts(s, rat.Two, pair[0])
-			yS, setS, errS := MinimalYOpts(s, rat.Two, pair[1])
-			if (errP == nil) != (errS == nil) {
-				t.Fatalf("set %d regime %d: MinimalY error mismatch: %v vs %v", i, j, errP, errS)
-			}
-			if errP == nil && (!yP.Eq(yS) || !reflect.DeepEqual(setP, setS)) {
-				t.Fatalf("set %d regime %d: MinimalY planned (%v, %v) != scalar (%v, %v)", i, j, yP, setP, yS, setS)
-			}
+		yP, setP, errP := MinimalY(s, rat.Two)
+		yS, setS, errS := referenceMinimalY(s, rat.Two)
+		if (errP == nil) != (errS == nil) {
+			t.Fatalf("set %d: MinimalY error mismatch: %v vs %v", i, errP, errS)
+		}
+		if errP == nil && (!yP.Eq(yS) || !reflect.DeepEqual(setP, setS)) {
+			t.Fatalf("set %d: MinimalY (%v, %v) != reference (%v, %v)", i, yP, setP, yS, setS)
+		}
 
-			xLoP, xHiP, errP := FeasibleXWindowOpts(s, rat.Two, pair[0])
-			xLoS, xHiS, errS := FeasibleXWindowOpts(s, rat.Two, pair[1])
-			if (errP == nil) != (errS == nil) {
-				t.Fatalf("set %d regime %d: FeasibleXWindow error mismatch: %v vs %v", i, j, errP, errS)
-			}
-			if errP == nil && (!xLoP.Eq(xLoS) || !xHiP.Eq(xHiS)) {
-				t.Fatalf("set %d regime %d: FeasibleXWindow planned [%v,%v] != scalar [%v,%v]",
-					i, j, xLoP, xHiP, xLoS, xHiS)
-			}
+		xLoP, xHiP, errP := FeasibleXWindow(s, rat.Two)
+		xLoS, xHiS, errS := referenceFeasibleXWindow(s, rat.Two)
+		if (errP == nil) != (errS == nil) {
+			t.Fatalf("set %d: FeasibleXWindow error mismatch: %v vs %v", i, errP, errS)
+		}
+		if errP == nil && (!xLoP.Eq(xLoS) || !xHiP.Eq(xHiS)) {
+			t.Fatalf("set %d: FeasibleXWindow [%v,%v] != reference [%v,%v]", i, xLoP, xHiP, xLoS, xHiS)
+		}
 
-			trP, errP := TuneDeadlinesOpts(s, rat.New(1, 8), pair[0])
-			trS, errS := TuneDeadlinesOpts(s, rat.New(1, 8), pair[1])
-			if (errP == nil) != (errS == nil) {
-				t.Fatalf("set %d regime %d: TuneDeadlines error mismatch: %v vs %v", i, j, errP, errS)
-			}
-			if errP == nil && !reflect.DeepEqual(trP, trS) {
-				t.Fatalf("set %d regime %d: TuneDeadlines planned %+v != scalar %+v", i, j, trP, trS)
-			}
+		trP, errP := TuneDeadlines(s, rat.New(1, 8))
+		trS, errS := referenceTuneDeadlines(s, rat.New(1, 8))
+		if (errP == nil) != (errS == nil) {
+			t.Fatalf("set %d: TuneDeadlines error mismatch: %v vs %v", i, errP, errS)
+		}
+		if errP == nil && !reflect.DeepEqual(trP, trS) {
+			t.Fatalf("set %d: TuneDeadlines %+v != reference %+v", i, trP, trS)
 		}
 	}
 }
@@ -132,7 +128,7 @@ func TestDesignSearchesPlanScalarIdentical(t *testing.T) {
 // TestCapHintNeverChangesDecision pins Options.CapHint's contract
 // directly: against arbitrary caps, the early cap-decision walk must
 // reach the same accept/reject verdict as the full exact walk, with a
-// truthful LowerBound, on both the planned and the scalar path.
+// truthful LowerBound.
 func TestCapHintNeverChangesDecision(t *testing.T) {
 	caps := []rat.Rat{rat.New(1, 2), rat.One, rat.New(5, 4), rat.New(3, 2), rat.Two, rat.FromInt64(4)}
 	for i, s := range prunedSets(t, 15) {
@@ -142,33 +138,30 @@ func TestCapHintNeverChangesDecision(t *testing.T) {
 		}
 		for _, cap := range caps {
 			want := full.Speedup.Cmp(cap) <= 0
-			for _, noPlan := range []bool{false, true} {
-				res, err := MinSpeedupOpts(s, Options{CapHint: cap, NoPlan: noPlan})
-				if err != nil {
-					t.Fatalf("set %d cap %v noPlan %v: %v", i, cap, noPlan, err)
-				}
-				if got := res.Speedup.Cmp(cap) <= 0; got != want {
-					t.Fatalf("set %d cap %v noPlan %v: hinted decision %v != exact decision %v (hinted %+v, full %+v)",
-						i, cap, noPlan, got, want, res, full)
-				}
-				if res.LowerBound.Cmp(full.Speedup) > 0 {
-					t.Fatalf("set %d cap %v noPlan %v: LowerBound %v exceeds exact supremum %v",
-						i, cap, noPlan, res.LowerBound, full.Speedup)
-				}
-				if res.Speedup.Cmp(res.LowerBound) < 0 {
-					t.Fatalf("set %d cap %v noPlan %v: Speedup %v below LowerBound %v",
-						i, cap, noPlan, res.Speedup, res.LowerBound)
-				}
+			res, err := MinSpeedupOpts(s, Options{CapHint: cap})
+			if err != nil {
+				t.Fatalf("set %d cap %v: %v", i, cap, err)
+			}
+			if got := res.Speedup.Cmp(cap) <= 0; got != want {
+				t.Fatalf("set %d cap %v: hinted decision %v != exact decision %v (hinted %+v, full %+v)",
+					i, cap, got, want, res, full)
+			}
+			if res.LowerBound.Cmp(full.Speedup) > 0 {
+				t.Fatalf("set %d cap %v: LowerBound %v exceeds exact supremum %v",
+					i, cap, res.LowerBound, full.Speedup)
+			}
+			if res.Speedup.Cmp(res.LowerBound) < 0 {
+				t.Fatalf("set %d cap %v: Speedup %v below LowerBound %v",
+					i, cap, res.Speedup, res.LowerBound)
 			}
 		}
 	}
 }
 
 // TestSessionMatchesScalarGroundTruth drives an edit stream through a
-// Session (whose warm paths always run planned) and checks each
-// re-analysis against the scalar unpruned cold walk — tying the delta /
-// session tier to the plainest possible evaluation of Theorem 2 and
-// Corollary 5 in one end-to-end differential.
+// Session and checks each re-analysis against the reference walks —
+// tying the delta / session tier to the plainest possible evaluation of
+// Theorem 2 and Corollary 5 in one end-to-end differential.
 func TestSessionMatchesScalarGroundTruth(t *testing.T) {
 	rnd := rand.New(rand.NewSource(20260808))
 	base := prunedSets(t, 3)[0]
@@ -189,17 +182,15 @@ func TestSessionMatchesScalarGroundTruth(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		cold := Options{NoPlan: true, NoPrune: true}
-		want, err := MinSpeedupOpts(ss.Set(), cold)
+		want, err := referenceMinSpeedup(ss.Set(), Options{})
 		if err != nil {
 			t.Fatalf("step %d: scalar MinSpeedup: %v", step, err)
 		}
-		if want.Exact && (!r.Speedup.Speedup.Eq(want.Speedup) || !r.Speedup.LowerBound.Eq(want.LowerBound) ||
-			r.Speedup.Exact != want.Exact || r.Speedup.WitnessDelta != want.WitnessDelta) {
+		if want.Exact && !sameSpeedupPayload(r.Speedup, want) {
 			t.Fatalf("step %d: session speedup %+v != scalar %+v:\n%s",
 				step, r.Speedup, want, ss.Set().Table())
 		}
-		wantReset, err := ResetTimeOpts(ss.Set(), rat.Two, cold)
+		wantReset, err := referenceResetTime(ss.Set(), rat.Two)
 		if err != nil {
 			t.Fatalf("step %d: scalar ResetTime: %v", step, err)
 		}
@@ -209,42 +200,96 @@ func TestSessionMatchesScalarGroundTruth(t *testing.T) {
 	}
 }
 
+// TestAnalyzeMatchesReferenceWalks pins the served report bytes to the
+// reference walks: Analyze's MarshalIndent output must equal the report
+// assembled from referenceMinSpeedup and referenceResetTime. The server's
+// batch test ties /v1/batch bytes to Analyze, so together they keep the
+// HTTP tier on the plainest evaluation of Theorem 2 and Corollary 5.
+func TestAnalyzeMatchesReferenceWalks(t *testing.T) {
+	sets := append([]task.Set{examplesets.TableI()}, prunedSets(t, 8)...)
+	for i, s := range sets {
+		for _, speed := range []rat.Rat{rat.New(3, 2), rat.Two} {
+			got, err := Analyze(s, speed)
+			if err != nil {
+				continue
+			}
+			sp, err := referenceMinSpeedup(s, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rr, err := referenceResetTime(s, speed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo, err := SchedulableLO(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := Report{
+				Set: s.Clone(), Speed: speed, UtilLO: s.Util(task.LO), UtilHI: s.Util(task.HI),
+				SchedulableLO: lo, Speedup: sp, SchedulableHI: speed.Cmp(sp.Speedup) >= 0, Reset: rr,
+				ClosedSpeedup: ClosedFormSpeedup(s), ClosedReset: ClosedFormReset(s, speed),
+			}
+			gotJSON, err := got.MarshalIndent()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantJSON, err := want.MarshalIndent()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(gotJSON) != string(wantJSON) {
+				t.Fatalf("set %d speed %v: Analyze bytes != reference report:\n%s\n---\n%s", i, speed, gotJSON, wantJSON)
+			}
+		}
+	}
+}
+
 // FuzzPlanEquivalence fuzzes the planned-vs-scalar property over random
-// task sets: the columnar lowering must be invisible in every payload
-// field and in the event accounting, pruned or not, for MinSpeedup and
-// ResetTime (the remaining analyses are compositions of these walks).
+// task sets at the evaluation layer every walk is built on: a walker
+// stepping event by event through the compiled plan, the plan's whole-set
+// Value, and a walker fast-forwarded by SkipTo must all agree with the
+// scalar closed forms (dbf.SetNextEvent/SetValue/SetRightSlope) at every
+// point, for both HI-mode curves. The walk-level counterpart, production
+// analyses against the reference walks, is FuzzWalkEquivalence.
 func FuzzPlanEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(20), uint8(2))
 	f.Add(int64(42), uint8(1), uint8(5), uint8(0))
 	f.Add(int64(20260808), uint8(5), uint8(60), uint8(7))
 	f.Add(int64(-11), uint8(2), uint8(120), uint8(15))
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, maxPRaw, speedRaw uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, maxPRaw, skipRaw uint8) {
 		rnd := rand.New(rand.NewSource(seed))
 		s := randomSet(rnd, 1+int(nRaw%5), 3+int64(maxPRaw%120))
 		if s.Validate() != nil {
 			t.Skip()
 		}
-		for j, pair := range planOptPairs() {
-			po, so := pair[0], pair[1]
-			po.MaxEvents, so.MaxEvents = 2_000_000, 2_000_000
-
-			planned, errP := MinSpeedupOpts(s, po)
-			scalar, errS := MinSpeedupOpts(s, so)
-			if (errP == nil) != (errS == nil) {
-				t.Fatalf("regime %d: MinSpeedup error mismatch: %v vs %v\n%s", j, errP, errS, s.Table())
-			}
-			if errP == nil && !reflect.DeepEqual(planned, scalar) {
-				t.Fatalf("regime %d: MinSpeedup planned %+v != scalar %+v\n%s", j, planned, scalar, s.Table())
-			}
-
-			speed := rat.New(int64(speedRaw%40)+10, 10) // 1.0 .. 4.9
-			rrP, errP := ResetTimeOpts(s, speed, po)
-			rrS, errS := ResetTimeOpts(s, speed, so)
-			if (errP == nil) != (errS == nil) {
-				t.Fatalf("regime %d: ResetTime(%v) error mismatch: %v vs %v\n%s", j, speed, errP, errS, s.Table())
-			}
-			if errP == nil && !reflect.DeepEqual(rrP, rrS) {
-				t.Fatalf("regime %d: ResetTime(%v) planned %+v != scalar %+v\n%s", j, speed, rrP, rrS, s.Table())
+		for _, kind := range []dbf.Kind{dbf.KindDBF, dbf.KindADB} {
+			w := newHIWalker(s, kind)
+			for step := 0; step < 300; step++ {
+				pos := w.Pos()
+				if v := dbf.SetValue(s, kind, pos); w.Value() != v || w.Plan().Value(pos) != v {
+					t.Fatalf("kind %d at %d: walker %d, plan %d, scalar %d\n%s",
+						kind, pos, w.Value(), w.Plan().Value(pos), v, s.Table())
+				}
+				if m := dbf.SetRightSlope(s, kind, pos); w.Slope() != m {
+					t.Fatalf("kind %d at %d: slope %d, scalar %d\n%s", kind, pos, w.Slope(), m, s.Table())
+				}
+				wantNext, wantOK := dbf.SetNextEvent(s, kind, pos)
+				gotNext, gotOK := w.PeekNext()
+				if wantOK != gotOK || (wantOK && gotNext != wantNext) {
+					t.Fatalf("kind %d at %d: next (%d, %v), scalar (%d, %v)\n%s",
+						kind, pos, gotNext, gotOK, wantNext, wantOK, s.Table())
+				}
+				if !wantOK {
+					break
+				}
+				// Every few events, jump ahead off the event grid instead
+				// of stepping; the next iteration checks the landing point.
+				if skipRaw > 0 && step%7 == 6 {
+					w.SkipTo(pos + 1 + task.Time(skipRaw))
+				} else {
+					w.Next()
+				}
 			}
 		}
 	})

@@ -36,15 +36,6 @@ type Report struct {
 // Analyze runs the complete analysis suite on the set at the given
 // HI-mode speed.
 func Analyze(s task.Set, speed rat.Rat) (Report, error) {
-	return AnalyzeOpts(s, speed, Options{})
-}
-
-// AnalyzeOpts is Analyze with explicit walk options — Scratch reuse for
-// tight loops, event caps, and the NoPlan/NoPrune escape hatches the
-// differential tests and ablation experiments compare against. Every
-// option is behavior-preserving by Options' contract, so the report is
-// byte-identical for any o.
-func AnalyzeOpts(s task.Set, speed rat.Rat, o Options) (Report, error) {
 	if err := s.Validate(); err != nil {
 		return Report{}, err
 	}
@@ -62,12 +53,12 @@ func AnalyzeOpts(s task.Set, speed rat.Rat, o Options) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	r.Speedup, err = MinSpeedupOpts(s, o)
+	r.Speedup, err = MinSpeedup(s)
 	if err != nil {
 		return Report{}, err
 	}
 	r.SchedulableHI = speed.Cmp(r.Speedup.Speedup) >= 0
-	r.Reset, err = ResetTimeOpts(s, speed, o)
+	r.Reset, err = ResetTime(s, speed)
 	if err != nil {
 		return Report{}, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/big"
 
 	"mcspeedup/internal/dbf"
 	"mcspeedup/internal/rat"
@@ -18,12 +19,12 @@ type ResetResult struct {
 	// drains).
 	Reset rat.Rat
 	// Events is the number of slope-change events examined one by one.
-	// With pruning on (the default) it is never higher — and usually far
-	// lower — than with Options.NoPrune.
+	// It is never higher — and usually far lower — than the plain walk
+	// of eq. (12) that visits every event.
 	Events int
-	// Jumps is the number of QPA-style bulk skips the pruned walk took
-	// (each fast-forwarded the walker past events that provably precede
-	// the crossing). Always 0 under Options.NoPrune.
+	// Jumps is the number of QPA-style bulk skips the walk took (each
+	// fast-forwarded the walker past events that provably precede the
+	// crossing).
 	Jumps int
 }
 
@@ -43,15 +44,21 @@ type ResetResult struct {
 // ADB ≤ U_HI·Δ + 2ΣC(HI) guarantees a crossing no later than
 // 2ΣC(HI)/(speed − U_HI), so the walk always terminates.
 //
-// Unless Options.NoPrune is set, the walk additionally fast-forwards in
-// the style of Zhang & Burns' QPA iteration (see qpaLO): the curve is
-// non-decreasing, so with v = ΣADB_HI(pos) the condition fails strictly
-// for every Δ < v/speed — supply speed·Δ < v ≤ demand(Δ) — which proves
-// the crossing lies at or beyond floor(v/speed). When that target clears
-// the next event the walker jumps straight to it instead of popping the
-// intermediate events one by one. The returned Reset is bit-identical
-// either way: the skipped range contains no crossing, and the landing
-// re-enters the same left-endpoint / segment-crossing logic.
+// The walk additionally fast-forwards in the style of Zhang & Burns' QPA
+// iteration (see qpaLO): the curve is non-decreasing, so with
+// v = ΣADB_HI(pos) the condition fails strictly for every Δ < v/speed —
+// supply speed·Δ < v ≤ demand(Δ) — which proves the crossing lies at or
+// beyond floor(v/speed). When that target clears the next event the
+// walker jumps straight to it instead of popping the intermediate events
+// one by one. The returned Reset is bit-identical to the plain
+// event-by-event walk: the skipped range contains no crossing, and the
+// landing re-enters the same left-endpoint / segment-crossing logic.
+//
+// The crossing is computed in fixed width and, on int64 overflow (speeds
+// a hair above U_HI put it far out on a long, shallow segment), exactly
+// in math/big and then rounded up onto the 2^-20 grid: a later Δ is
+// still a safe resetting time. A crossing too large even for that grid
+// is reported as an error.
 func ResetTime(s task.Set, speed rat.Rat) (ResetResult, error) {
 	return ResetTimeOpts(s, speed, Options{})
 }
@@ -114,11 +121,8 @@ func resetTimeWalk(s task.Set, speed, uHI rat.Rat, o Options) (ResetResult, erro
 		if !ok {
 			// All tasks terminated: ADB is the constant ΣC(HI), so
 			// the crossing is at ΣC(HI)/speed.
-			return ResetResult{
-				Reset:  rat.FromInt64(int64(v)).Div(speed),
-				Events: events,
-				Jumps:  jumps,
-			}, nil
+			cross, err := resetCrossing(v, 0, pos, speed)
+			return ResetResult{Reset: cross, Events: events, Jumps: jumps}, err
 		}
 		// Within (pos, next) the curve is v + m·(Δ − pos); solve
 		// v + m·(Δ − pos) ≤ speed·Δ. The segment crosses before the next
@@ -129,22 +133,18 @@ func resetTimeWalk(s task.Set, speed, uHI rat.Rat, o Options) (ResetResult, erro
 		mInt := w.Slope()
 		if speed.CmpRatio(int64(mInt), 1) > 0 {
 			if leftLimit := v + mInt*(next-pos); speed.CmpRatio(int64(leftLimit), int64(next)) > 0 {
-				// Δ* = (v − m·pos) / (speed − m); Δ* > pos is implied by
-				// v > speed·pos.
-				m := rat.FromInt64(int64(mInt))
-				cross := rat.FromInt64(int64(v)).Sub(m.MulInt(int64(pos))).Div(speed.Sub(m))
-				return ResetResult{Reset: cross, Events: events, Jumps: jumps}, nil
+				// Δ* > pos is implied by v > speed·pos.
+				cross, err := resetCrossing(v, mInt, pos, speed)
+				return ResetResult{Reset: cross, Events: events, Jumps: jumps}, err
 			}
 		}
 		// QPA jump: no Δ below v/speed can satisfy the condition (see
 		// the function comment), so when floor(v/speed) clears the next
 		// event, fast-forward there instead of popping events singly.
-		if !o.NoPrune {
-			if t0 := task.Time(rat.FloorDiv(int64(v), speed)); t0 > next {
-				w.SkipTo(t0)
-				jumps++
-				continue
-			}
+		if t0 := task.Time(rat.FloorDiv(int64(v), speed)); t0 > next {
+			w.SkipTo(t0)
+			jumps++
+			continue
 		}
 		w.Next()
 		events++
@@ -154,6 +154,26 @@ func resetTimeWalk(s task.Set, speed, uHI rat.Rat, o Options) (ResetResult, erro
 			return ResetResult{}, fmt.Errorf("core: ResetTime walk did not converge (speed %v, U_HI %v)", speed, uHI)
 		}
 	}
+}
+
+// resetCrossing returns Δ* = (v − m·pos)/(speed − m), where the segment
+// v + m·(Δ − pos) of the summed ADB curve meets the supply line speed·Δ
+// (m = 0 for the constant curve of an all-terminated set); callers
+// guarantee speed > m. It tries the int64 rationals first and falls back
+// to an exact big.Rat quotient rounded up (see ResetTime).
+func resetCrossing(v, m, pos task.Time, speed rat.Rat) (rat.Rat, error) {
+	num := int64(v - m*pos)
+	if den, ok := speed.AddChecked(rat.FromInt64(int64(-m))); ok {
+		if cross, ok := rat.FromInt64(num).MulChecked(den.Inv()); ok {
+			return cross, nil
+		}
+	}
+	den := new(big.Rat).Sub(speed.Big(), new(big.Rat).SetInt64(int64(m)))
+	exact := new(big.Rat).Quo(new(big.Rat).SetInt64(num), den)
+	if cross, ok := rat.FromBigChecked(exact, true); ok {
+		return cross, nil
+	}
+	return rat.Rat{}, fmt.Errorf("core: resetting time %s exceeds the representable range", exact.FloatString(0))
 }
 
 // SustainableOverrunGap implements the Remark of Section IV: if bursts of

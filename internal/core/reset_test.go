@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -150,5 +151,159 @@ func TestSustainableOverrunGap(t *testing.T) {
 	}
 	if SustainableOverrunGap(rat.PosInf, 1000) {
 		t.Error("infinite Δ_R should not be sustainable")
+	}
+}
+
+// adbSum is Σ_i ADB_HI(τ_i, Δ) at a rational Δ, by the rational closed
+// form of each task's arrived-demand bound.
+func adbSum(s task.Set, d rat.Rat) rat.Rat {
+	sum := rat.Zero
+	for i := range s {
+		sum = sum.Add(dbf.ADBAt(&s[i], d))
+	}
+	return sum
+}
+
+// bruteSegment returns ΣADB_HI at the integer d and the curve's slope on
+// the open segment (d, d+1), read off the closed form at the midpoint: on
+// integer-parameter sets every ADB event is an integer, so the curve is
+// linear between consecutive integers.
+func bruteSegment(s task.Set, d task.Time) (v, m rat.Rat) {
+	v = adbSum(s, rat.FromInt64(int64(d)))
+	mid := adbSum(s, rat.New(2*int64(d)+1, 2))
+	return v, mid.Sub(v).MulInt(2)
+}
+
+// bruteResetTime recomputes Δ_R of eq. (12) by brute force on small
+// integer sets: scan every integer Δ for the first point where
+// ΣADB_HI(Δ) ≤ s·Δ, and within each open segment (Δ, Δ+1) solve for the
+// exact crossing of the linear piece with the supply line.
+func bruteResetTime(s task.Set, speed rat.Rat) rat.Rat {
+	if speed.Cmp(s.Util(task.HI)) <= 0 {
+		return rat.PosInf
+	}
+	for d := task.Time(0); ; d++ {
+		at := rat.FromInt64(int64(d))
+		v, m := bruteSegment(s, d)
+		if v.Cmp(speed.Mul(at)) <= 0 {
+			return at
+		}
+		// The segment's left limit at d+1 is v + m; below the supply line
+		// there, the crossing solves v + m·t = speed·(d + t), t ∈ (0, 1).
+		if v.Add(m).Cmp(speed.Mul(at.Add(rat.One))) < 0 {
+			return at.Add(v.Sub(speed.Mul(at)).Div(speed.Sub(m)))
+		}
+	}
+}
+
+// bruteMinSpeedForReset recomputes the speed-for-reset infimum by brute
+// force on small integer sets: the curve is linear between consecutive
+// integers, so its ratio to Δ is monotone there and the infimum over
+// Δ ∈ (0, budget] is the minimum over every integer Δ's value (attained)
+// and left limit (approached only).
+func bruteMinSpeedForReset(s task.Set, budget task.Time) (speed rat.Rat, attained bool) {
+	speed = rat.PosInf
+	consider := func(r rat.Rat, pointAttained bool) {
+		switch speed.Cmp(r) {
+		case 1:
+			speed, attained = r, pointAttained
+		case 0:
+			attained = attained || pointAttained
+		}
+	}
+	for d := task.Time(1); d <= budget; d++ {
+		at := rat.FromInt64(int64(d))
+		prev, m := bruteSegment(s, d-1)
+		consider(prev.Add(m).Div(at), false)
+		consider(adbSum(s, at).Div(at), true)
+	}
+	return speed, attained
+}
+
+// TestResetTimeAgainstBruteForce checks the production walk and the
+// reference walk against the brute-force scan, so neither is the other's
+// only check.
+func TestResetTimeAgainstBruteForce(t *testing.T) {
+	rnd := rand.New(rand.NewSource(71))
+	for i := 0; i < 300; i++ {
+		s := randomSet(rnd, 1+rnd.Intn(4), 12)
+		speed := rat.New(rnd.Int63n(30)+5, 10) // 0.5 .. 3.4
+		want := bruteResetTime(s, speed)
+		got, err := ResetTime(s, speed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := referenceResetTime(s, speed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Reset.Eq(want) || !ref.Reset.Eq(want) {
+			t.Fatalf("speed %v: ResetTime %v, reference %v, brute force %v for:\n%s",
+				speed, got.Reset, ref.Reset, want, s.Table())
+		}
+	}
+}
+
+// TestMinSpeedForResetAgainstBruteForce is the same three-way check for
+// the speed-for-reset infimum and its Attained flag.
+func TestMinSpeedForResetAgainstBruteForce(t *testing.T) {
+	rnd := rand.New(rand.NewSource(72))
+	for i := 0; i < 300; i++ {
+		s := randomSet(rnd, 1+rnd.Intn(4), 12)
+		budget := task.Time(1 + rnd.Intn(60))
+		want, wantAttained := bruteMinSpeedForReset(s, budget)
+		got, err := MinSpeedForReset(s, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := referenceMinSpeedForReset(s, budget, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []SpeedForResetResult{got, ref} {
+			if !r.Speed.Eq(want) || r.Attained != wantAttained {
+				t.Fatalf("budget %d: result (%v, %v) (reference %+v), brute force (%v, %v) for:\n%s",
+					budget, r.Speed, r.Attained, ref, want, wantAttained, s.Table())
+			}
+		}
+	}
+}
+
+// TestResetTimeCrossingOverflow: a speed a hair above U_HI puts the
+// crossing far out on a long, shallow segment, where the fixed-width
+// crossing arithmetic overflows int64. ResetTime must fall back to the
+// exact big.Rat quotient instead of panicking, returning it rounded up by
+// less than 2^-20 — still a safe resetting time.
+func TestResetTimeCrossingOverflow(t *testing.T) {
+	s := task.Set{
+		task.NewHI("a", 997, 500, 997, 100, 330),
+		task.NewHI("b", 1009, 500, 1009, 100, 336),
+		task.NewLO("c", 1013, 1013, 10),
+	}
+	speed, err := rat.Parse("3533010524288/5242880000000") // U_HI + 10^-7
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ResetTime(s, speed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reset.IsInf() {
+		t.Fatalf("Δ_R = %v, want finite", res.Reset)
+	}
+	// The exact crossing on the segment starting at floor(Δ_R).
+	d := task.Time(res.Reset.Floor())
+	v, m := dbf.SetADB(s, d), dbf.SetRightSlope(s, dbf.KindADB, d)
+	exact := new(big.Rat).SetInt64(int64(v - m*d))
+	exact.Quo(exact, new(big.Rat).Sub(speed.Big(), new(big.Rat).SetInt64(int64(m))))
+	slack := new(big.Rat).Sub(res.Reset.Big(), exact)
+	if slack.Sign() < 0 || slack.Cmp(big.NewRat(1, 1<<20)) >= 0 {
+		t.Fatalf("Δ_R = %v, exact crossing %v: want rounded up by less than 2^-20", res.Reset, exact.FloatString(9))
+	}
+	if speed.CmpRatio(int64(v), int64(d)) >= 0 {
+		t.Fatalf("condition already holds at %d < Δ_R = %v", d, res.Reset)
+	}
+	if _, err := Analyze(s, speed); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -78,11 +78,7 @@ func releaseScratch(sc *Scratch) {
 // to the package pool otherwise. Pair every acquire with releaseWalker.
 func (o Options) acquireWalker(s task.Set, kind dbf.Kind) *hiWalker {
 	w := o.pickWalker()
-	if o.NoPlan {
-		w.Reset(s, kind)
-	} else {
-		w.ResetPlanned(s, kind)
-	}
+	w.Reset(s, kind)
 	return w
 }
 
@@ -95,10 +91,9 @@ func (o Options) pickWalker() *hiWalker {
 }
 
 // releaseWalker returns the walker to its home (Scratch or pool). The
-// task-set reference is dropped so a pooled walker never pins a caller's
-// set beyond the walk that used it.
+// walker keeps only its compiled columns, never a reference to the
+// caller's set.
 func (o Options) releaseWalker(w *hiWalker) {
-	w.set = nil
 	if sc := o.Scratch; sc != nil && w == &sc.walker {
 		sc.inUse = false
 		return

@@ -155,9 +155,13 @@ func TestCapProbePrunes(t *testing.T) {
 	if cap.Sign() <= 0 {
 		t.Skip("speedup too small to carve a cap below it")
 	}
+	st, err := dbf.NewSetState(s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	probe := newCapProbe(Options{})
 	for i := 0; i < 5; i++ {
-		ok, err := probe.meets(s, cap)
+		ok, err := probe.meets(st, cap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,17 +172,6 @@ func TestCapProbePrunes(t *testing.T) {
 	if probe.walks != 1 || probe.pruned != 4 {
 		t.Fatalf("walks=%d pruned=%d, want 1 full walk then 4 certificate rejections",
 			probe.walks, probe.pruned)
-	}
-
-	// With NoWarmStart every query must pay a walk.
-	cold := newCapProbe(Options{NoWarmStart: true})
-	for i := 0; i < 3; i++ {
-		if _, err := cold.meets(s, cap); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cold.walks != 3 || cold.pruned != 0 {
-		t.Fatalf("NoWarmStart: walks=%d pruned=%d, want 3 and 0", cold.walks, cold.pruned)
 	}
 }
 

@@ -38,37 +38,6 @@ type Options struct {
 	// Scratch. It must not be shared between concurrent goroutines.
 	Scratch *Scratch
 
-	// NoWarmStart disables the witness-certificate pruning in the
-	// design-space searches (MinimalY, FeasibleXWindow, TuneDeadlines):
-	// every candidate then pays a full event walk. Results are
-	// bit-identical either way — the certificate only ever skips walks
-	// whose outcome it has already proved — so the flag exists for
-	// differential tests and for benchmarking the cold path.
-	NoWarmStart bool
-
-	// NoPlan disables the compiled columnar demand plan: every walk then
-	// evaluates the task structs through the scalar dbf entry points
-	// (HIMode/ADB/SetValue) instead of the struct-of-arrays columns, and
-	// the design searches' cross-candidate point memo is bypassed in
-	// favor of direct O(n) evaluation. Results are byte-identical either
-	// way — the plan computes the same closed forms over the same integer
-	// arithmetic — so the flag exists for the plan-vs-legacy differential
-	// and fuzz tests and for benchmarking the lowering itself.
-	NoPlan bool
-
-	// NoPrune disables the incumbent bulk-skip pruning inside the event
-	// walks themselves (MinSpeedup, ResetTime, MinSpeedForReset): every
-	// slope-change event is then examined one by one, as the paper's
-	// plain Theorem-2/Corollary-5 walks do. Exact results are
-	// bit-identical either way — the skip certificates discard only
-	// events they have proved cannot move the supremum, the crossing, or
-	// the infimum (see the proofs at each skip site) — so the flag exists
-	// for the differential property/fuzz tests and for benchmarking.
-	// Inexact (MaxEvents-capped) results may differ: the pruned walk gets
-	// further along the curve with the same event budget, so its safe
-	// bracket is never wider.
-	NoPrune bool
-
 	// WarmWitness, when positive, is an interval length Δ whose
 	// demand/length ratio primes the pruned Theorem-2 walk's skip cutoff
 	// before the walk's own running maximum has caught up — typically the
@@ -76,8 +45,7 @@ type Options struct {
 	// depend on the value: the ratio at any single Δ > 0 lower-bounds the
 	// supremum, and the skip certificate is strict, so the result
 	// (including WitnessDelta) is identical for every choice; a witness
-	// near the true supremum merely skips more. Ignored when NoPrune is
-	// set.
+	// near the true supremum merely skips more.
 	WarmWitness task.Time
 
 	// CapHint, when positive, lets the Theorem-2 walk stop as soon as it
@@ -105,7 +73,7 @@ type Options struct {
 	// candidate ratios the infimum ranges over, so the seeded cutoff
 	// only ever skips positions whose ratio is strictly above the
 	// infimum, and the result (including Attained and WitnessDelta) is
-	// identical for every choice. Ignored when NoPrune is set.
+	// identical for every choice.
 	WarmResetWitness task.Time
 }
 
@@ -134,13 +102,13 @@ type SpeedupResult struct {
 	// ratio tends to the HI-mode utilization).
 	WitnessDelta task.Time
 	// Events is the number of slope-change events examined one by one.
-	// With pruning on (the default) it is never higher — and usually far
-	// lower — than with Options.NoPrune, which is the measurable win the
-	// benchmarks track.
+	// It is never higher — and usually far lower — than the plain walk
+	// of eq. (8) that visits every event, which is the measurable win
+	// the benchmarks track.
 	Events int
-	// Jumps is the number of bulk skips the pruned walk took: each jump
+	// Jumps is the number of bulk skips the walk took: each jump
 	// fast-forwarded the walker past a run of events the incumbent
-	// certificate proved irrelevant. Always 0 under Options.NoPrune.
+	// certificate proved irrelevant.
 	Jumps int
 }
 
@@ -167,8 +135,8 @@ func MinSpeedup(s task.Set) (SpeedupResult, error) {
 // within MaxEvents is the result inexact, in which case Speedup is the
 // safe envelope max(best, U_HI + ΣC/Δ_last).
 //
-// Unless Options.NoPrune is set, the walk additionally skips whole runs
-// of events it can prove irrelevant. Let bound ≤ s_min be a proven lower
+// The walk additionally skips whole runs of events it can prove
+// irrelevant. Let bound ≤ s_min be a proven lower
 // bound on the supremum (the running maximum, primed by seedBound). The
 // summed curve is non-decreasing, so for every Δ in (a, b]
 //
@@ -183,8 +151,8 @@ func MinSpeedup(s task.Set) (SpeedupResult, error) {
 // has ratio ≥ bound and therefore always fails the certificate and is
 // examined. Skips are capped at hyperperiod−1 so that stopping rule 2
 // still fires at exactly the same event with exactly the same running
-// maximum as the unpruned walk (seedBound's probe positions stay below
-// the hyperperiod for the same reason; see its comment).
+// maximum as a walk visiting every event (seedBound's probe positions
+// stay below the hyperperiod for the same reason; see its comment).
 func MinSpeedupOpts(s task.Set, o Options) (SpeedupResult, error) {
 	if err := s.Validate(); err != nil {
 		return SpeedupResult{}, err
@@ -231,16 +199,9 @@ func minSpeedupWalk(s task.Set, uLo, uHi rat.Rat, totalC, hyper task.Time, hyper
 	var pos task.Time
 	w := o.acquireWalker(s, dbf.KindDBF)
 	defer o.releaseWalker(w)
-	// The columnar plan backs the certificate probes below; nil on the
-	// scalar path (Options.NoPlan), where dbf.SetValue evaluates instead.
-	var plan *dbf.Plan
-	if !o.NoPlan {
-		plan = w.Plan()
-	}
-	seed := rat.Zero
-	if !o.NoPrune {
-		seed = seedBound(s, plan, o.WarmWitness, hyper, hyperOK)
-	}
+	// The walker's columnar plan backs the certificate probes below.
+	plan := w.Plan()
+	seed := seedBound(plan, o.WarmWitness, hyper, hyperOK)
 	// cutoff = max(best, seed) is the skip certificate's proven lower
 	// bound, kept as a raw ratio cutV/cutP; bestF/uHiF/totalCF are
 	// float64 screens for stopping rule 1 (see below). All are refreshed
@@ -365,10 +326,7 @@ func minSpeedupWalk(s task.Set, uLo, uHi rat.Rat, totalC, hyper task.Time, hyper
 		// certificate, halving after a failed one — so the walk pays at
 		// most one extra evaluation per examined event yet can clear
 		// arbitrarily long uneventful stretches in O(1) evaluations.
-		if o.NoPrune || pos >= skipHorizon {
-			continue
-		}
-		if !cutPositive {
+		if pos >= skipHorizon || !cutPositive {
 			continue
 		}
 		next, ok := w.PeekNext()
@@ -394,14 +352,7 @@ func minSpeedupWalk(s task.Set, uLo, uHi rat.Rat, totalC, hyper task.Time, hyper
 		// column pass the moment the running sum exceeds thr, which is
 		// where the (mostly failing) probes stop paying for the whole
 		// set.
-		thr := floorMulDiv(cutV, pos, cutP)
-		var certified bool
-		if plan != nil {
-			_, certified = plan.ValueCapped(b, thr)
-		} else {
-			certified = dbf.SetValue(s, dbf.KindDBF, b) <= thr
-		}
-		if certified {
+		if _, certified := plan.ValueCapped(b, floorMulDiv(cutV, pos, cutP)); certified {
 			w.SkipTo(b)
 			jumps++
 			chunk = (b - pos) * 2
@@ -442,8 +393,8 @@ func floorMulDiv(a, b, d task.Time) task.Time {
 
 // skipHorizon caps how far the bulk skips may carry any pruned walk. It
 // matches hiHyperperiod's walking horizon, keeping positions (and hence
-// the int64 rationals built from them) in the same range the unpruned
-// walks already inhabit.
+// the int64 rationals built from them) in the same range the event-by-
+// event walks already inhabit.
 const skipHorizon = task.Time(1) << 40
 
 // seedBound returns a proven lower bound on the Theorem-2 supremum used
@@ -461,9 +412,8 @@ const skipHorizon = task.Time(1) << 40
 // discarded there, so the seeded cutoff can never certify away the event
 // that attains the walk's maximum.
 // The probes are batched through the plan's BulkEval (one column-major
-// pass over the compiled set) when a plan is available; under
-// Options.NoPlan each probe pays the scalar O(n) SetHIMode instead.
-func seedBound(s task.Set, plan *dbf.Plan, warm task.Time, hyper task.Time, hyperOK bool) rat.Rat {
+// pass over the compiled DBF_HI columns).
+func seedBound(plan *dbf.Plan, warm task.Time, hyper task.Time, hyperOK bool) rat.Rat {
 	var probes, vals [8]task.Time
 	n := 0
 	consider := func(p task.Time) {
@@ -485,13 +435,7 @@ func seedBound(s task.Set, plan *dbf.Plan, warm task.Time, hyper task.Time, hype
 	if n == 0 {
 		return rat.Zero
 	}
-	if plan != nil {
-		plan.BulkEval(vals[:n], probes[:n])
-	} else {
-		for j := 0; j < n; j++ {
-			vals[j] = dbf.SetHIMode(s, probes[j])
-		}
-	}
+	plan.BulkEval(vals[:n], probes[:n])
 	// Track the maximum as a raw ratio (one 128-bit cross comparison per
 	// probe) and normalize once at the end: rat.New's gcd is the only
 	// expensive step, and the maximum is the same rational either way.

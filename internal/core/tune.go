@@ -76,7 +76,7 @@ func TuneDeadlinesOpts(s task.Set, step rat.Rat, o Options) (TuneResult, error) 
 	if err != nil {
 		return TuneResult{}, err
 	}
-	base, err := probe.speedupState(st)
+	base, err := probe.speedup(st)
 	if err != nil {
 		return TuneResult{}, err
 	}
@@ -119,8 +119,8 @@ func TuneDeadlinesOpts(s task.Set, step rat.Rat, o Options) (TuneResult, error) 
 			// LO-mode feasibility first, then the certificate:
 			// s_min(cand) ≥ bestVal already proves the move cannot
 			// strictly improve this round.
-			if schedulableLOState(st) && !probe.atLeastState(st, bestVal, false) {
-				sp, err := probe.speedupState(st)
+			if schedulableLOState(st) && !probe.atLeast(st, bestVal, false) {
+				sp, err := probe.speedup(st)
 				if err != nil {
 					return TuneResult{}, err
 				}

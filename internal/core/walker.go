@@ -16,16 +16,10 @@ import (
 // drops from O(n·E) to O(E·log n) plus O(1) per fired task, which is what
 // makes the Fig. 6/7 experiment scales practical.
 type hiWalker struct {
-	set  task.Set
-	kind dbf.Kind
-
-	// plan is the set's compiled columnar lowering (package dbf): when
-	// planned is set, every per-task evaluation reads the plan's flat
-	// int64 columns instead of re-deriving the carry-over geometry from
-	// the task structs. Options.NoPlan keeps the scalar path
-	// (Reset instead of ResetPlanned) for the differential tests.
-	plan    dbf.Plan
-	planned bool
+	// plan is the set's compiled columnar lowering (package dbf): every
+	// per-task evaluation reads the plan's flat int64 columns instead of
+	// re-deriving the carry-over geometry from the task structs.
+	plan dbf.Plan
 
 	pos   task.Time // current position (an event point, or 0)
 	value task.Time // Σ_i curve_i(pos)
@@ -148,45 +142,21 @@ func newHIWalker(s task.Set, kind dbf.Kind) *hiWalker {
 }
 
 // Reset repositions the walker at Δ = 0 over a (possibly different) task
-// set and curve kind, reusing every internal slice. After the first walk
-// at a given set size a Reset performs no heap allocation, which is what
-// lets the package pool and the Scratch arena run the Theorem-2 /
-// Corollary-5 analyses allocation-free in steady state.
+// set and curve kind, lowering the set into the walker's columnar plan
+// and reusing every internal slice. After the first walk at a given set
+// size a Reset performs no heap allocation, which is what lets the
+// package pool and the Scratch arena run the Theorem-2 / Corollary-5
+// analyses allocation-free in steady state.
 func (w *hiWalker) Reset(s task.Set, kind dbf.Kind) {
-	w.planned = false
-	w.reset(s, kind)
-}
-
-// ResetPlanned is Reset through the compiled columnar plan: the set is
-// lowered once (O(n), allocation-free after the first compile at a given
-// size) and every subsequent per-task evaluation reads the plan columns.
-// Walk results are byte-identical to Reset — the plan computes the same
-// closed forms — which the differential and fuzz tests pin.
-func (w *hiWalker) ResetPlanned(s task.Set, kind dbf.Kind) {
 	w.plan.Compile(s, kind)
-	w.planned = true
-	w.reset(s, kind)
-}
-
-// Plan returns the walker's compiled plan, or nil when the walker was
-// reset on the scalar path (Options.NoPlan).
-func (w *hiWalker) Plan() *dbf.Plan {
-	if !w.planned {
-		return nil
-	}
-	return &w.plan
-}
-
-func (w *hiWalker) reset(s task.Set, kind dbf.Kind) {
-	w.set, w.kind = s, kind
 	w.pos, w.value, w.slope = 0, 0, 0
 	n := len(s)
 	w.taskVal = sizedTimes(w.taskVal, n)
 	w.taskSlope = sizedTimes(w.taskSlope, n)
 	w.taskPos = sizedTimes(w.taskPos, n)
 	w.events.reset(n)
-	for i := range s {
-		v, slope, next, ok := w.step(i, 0)
+	for i := 0; i < n; i++ {
+		v, slope, next, ok := w.plan.TaskStep(i, 0)
 		w.taskVal[i] = v
 		w.taskSlope[i] = slope
 		w.taskPos[i] = 0
@@ -199,6 +169,10 @@ func (w *hiWalker) reset(s task.Set, kind dbf.Kind) {
 	w.events.heapify()
 }
 
+// Plan returns the walker's compiled plan, for the analyses' O(n)
+// certificate probes over the same set.
+func (w *hiWalker) Plan() *dbf.Plan { return &w.plan }
+
 // sizedTimes returns buf resized to n entries, reusing its backing array
 // when the capacity suffices. Contents are unspecified; Reset overwrites
 // every entry.
@@ -207,43 +181,6 @@ func sizedTimes(buf []task.Time, n int) []task.Time {
 		return make([]task.Time, n)
 	}
 	return buf[:n]
-}
-
-func (w *hiWalker) eval(i int, at task.Time) task.Time {
-	if w.planned {
-		return w.plan.TaskValue(i, at)
-	}
-	if w.kind == dbf.KindDBF {
-		return dbf.HIMode(&w.set[i], at)
-	}
-	return dbf.ADB(&w.set[i], at)
-}
-
-func (w *hiWalker) rightSlope(i int, at task.Time) task.Time {
-	if w.planned {
-		return w.plan.TaskRightSlope(i, at)
-	}
-	return dbf.RightSlope(&w.set[i], w.kind, at)
-}
-
-func (w *hiWalker) nextEvent(i int, after task.Time) (task.Time, bool) {
-	if w.planned {
-		return w.plan.TaskNextEvent(i, after)
-	}
-	return dbf.NextEvent(&w.set[i], w.kind, after)
-}
-
-// step fetches task i's (value, right slope, next event) at `at` in one
-// call: the plan's fused TaskStep on the columnar path, the three scalar
-// dbf entry points otherwise. Results are identical either way.
-func (w *hiWalker) step(i int, at task.Time) (v, slope, next task.Time, ok bool) {
-	if w.planned {
-		return w.plan.TaskStep(i, at)
-	}
-	v = w.eval(i, at)
-	slope = dbf.RightSlope(&w.set[i], w.kind, at)
-	next, ok = dbf.NextEvent(&w.set[i], w.kind, at)
-	return v, slope, next, ok
 }
 
 // Pos, Value and Slope describe the current event point: the summed curve
@@ -262,13 +199,11 @@ func (w *hiWalker) PeekNext() (task.Time, bool) {
 
 // SkipTo repositions the walker at target > Pos() without visiting the
 // events in between — the periodic-tail fast-forward behind the pruned
-// walks. The target need not be an event point. Per task the new value
-// comes from the O(1) closed form: when the jump from the task's last
-// update position is a whole number of HI-mode periods, dbf.Advance adds
-// the exact per-period increment k·C(HI); otherwise the curve is
-// re-evaluated directly (also O(1)). The event heap is rebuilt with each
-// task's first event beyond target, so a subsequent Next() continues the
-// walk exactly as if every intermediate event had been popped.
+// walks. The target need not be an event point: every task is
+// re-evaluated at target in O(1) through the plan, and the event heap is
+// rebuilt with each task's first event beyond target, so a subsequent
+// Next() continues the walk exactly as if every intermediate event had
+// been popped.
 //
 // Callers are responsible for proving the skipped events irrelevant (see
 // the incumbent certificates in speedup.go / reset.go / design.go);
@@ -279,36 +214,16 @@ func (w *hiWalker) SkipTo(target task.Time) {
 		return
 	}
 	w.pos, w.value, w.slope = target, 0, 0
-	w.events.reset(len(w.set))
-	if w.planned {
-		for i := range w.set {
-			v, slope, next, ok := w.plan.TaskStep(i, target)
-			w.taskVal[i] = v
-			w.taskPos[i] = target
-			w.taskSlope[i] = slope
-			w.value += v
-			w.slope += slope
-			if ok {
-				w.events.append(next, i)
-			}
-		}
-		w.events.heapify()
-		return
-	}
-	for i := range w.set {
-		var v task.Time
-		t := &w.set[i]
-		if d := target - w.taskPos[i]; !t.Terminated() && d%t.Period[task.HI] == 0 {
-			v = dbf.Advance(t, w.taskVal[i], d/t.Period[task.HI])
-		} else {
-			v = w.eval(i, target)
-		}
+	n := w.plan.Len()
+	w.events.reset(n)
+	for i := 0; i < n; i++ {
+		v, slope, next, ok := w.plan.TaskStep(i, target)
 		w.taskVal[i] = v
 		w.taskPos[i] = target
-		w.taskSlope[i] = w.rightSlope(i, target)
+		w.taskSlope[i] = slope
 		w.value += v
-		w.slope += w.taskSlope[i]
-		if next, ok := w.nextEvent(i, target); ok {
+		w.slope += slope
+		if ok {
 			w.events.append(next, i)
 		}
 	}
@@ -331,7 +246,7 @@ func (w *hiWalker) Next() (ok bool) {
 	for w.events.Len() > 0 && w.events.times[0] == next {
 		_, i := w.events.pop()
 		predicted := w.taskVal[i] + w.taskSlope[i]*(next-w.taskPos[i])
-		exact, slope, nn, hasNext := w.step(i, next)
+		exact, slope, nn, hasNext := w.plan.TaskStep(i, next)
 		w.value += exact - predicted
 		w.slope += slope - w.taskSlope[i]
 		w.taskVal[i] = exact

@@ -235,25 +235,6 @@ func NextEvent(t *task.Task, kind Kind, delta task.Time) (next task.Time, ok boo
 	panic("dbf: NextEvent found no candidate")
 }
 
-// Advance returns the task's curve value at Δ + k·T(HI) in O(1), given
-// the value at Δ. Both HI-mode curves repeat exactly with the task's
-// HI-mode period: from the closed forms of Lemma 1 / Theorem 4 the
-// window term w depends only on Δ mod T(HI), so
-//
-//	curve(Δ + k·T) = curve(Δ) + k·C(HI)
-//
-// for every Δ ≥ 0 and k ≥ 0 (each extra period contributes exactly one
-// full job). This is the certificate behind the walker's periodic-tail
-// fast-forward: whole runs of a task's events can be jumped without
-// re-evaluating the carry-over geometry. Terminated tasks have constant
-// curves (and no period), so their value is returned unchanged.
-func Advance(t *task.Task, value task.Time, k task.Time) task.Time {
-	if t.Terminated() {
-		return value
-	}
-	return value + k*t.WCET[task.HI]
-}
-
 // TaskSigma returns the per-task supremum
 //
 //	σ_i = sup_{Δ > 0} DBF_HI(τ_i, Δ)/Δ,
@@ -327,9 +308,9 @@ func SetADB(s task.Set, delta task.Time) task.Time {
 }
 
 // SetValue returns the summed kind-selected HI-mode curve at Δ:
-// Σ_i DBF_HI for KindDBF, Σ_i ADB_HI for KindADB. It is the O(n)
-// single-point evaluation behind the design searches' warm-start
-// certificates, which probe one Δ instead of walking every event.
+// Σ_i DBF_HI for KindDBF, Σ_i ADB_HI for KindADB — the scalar O(n)
+// single-point evaluation that Plan.Value and PointMemo.Value reproduce
+// exactly.
 func SetValue(s task.Set, kind Kind, delta task.Time) task.Time {
 	if kind == KindDBF {
 		return SetHIMode(s, delta)

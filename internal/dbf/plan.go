@@ -39,7 +39,7 @@ type Plan struct {
 	off    []task.Time // carry-over ramp start phase within [0, T)
 	end    []task.Time // ramp end phase: min(off + C(LO), T)
 	cLO    []task.Time // C(LO): the ramp's height cap
-	cHI    []task.Time // C(HI): the per-period increment (Advance constant)
+	cHI    []task.Time // C(HI): the per-period increment
 	dC     []task.Time // C(HI) − C(LO): the carry-over surplus
 	add    []task.Time // per-evaluation constant: C(HI) for KindADB, else 0
 	inv    []float64   // 1/float64(period): the divFloor reciprocal
@@ -186,8 +186,9 @@ func (p *Plan) TaskValue(i int, delta task.Time) task.Time {
 }
 
 // TaskStep returns row i's value, right slope, and next event at Δ in a
-// single call — exactly TaskValue, TaskRightSlope, and TaskNextEvent,
-// sharing one phase decomposition instead of paying one division each.
+// single call — exactly TaskValue, RightSlope, and NextEvent on the
+// compiled task, sharing one phase decomposition instead of paying one
+// division each. The candidate event order matches NextEvent exactly.
 // The walkers use it everywhere a task is (re)positioned: at reset, after
 // a fired event, and on bulk skips.
 func (p *Plan) TaskStep(i int, delta task.Time) (v, slope, next task.Time, ok bool) {
@@ -227,8 +228,8 @@ func (p *Plan) TaskStep(i int, delta task.Time) (v, slope, next task.Time, ok bo
 
 // TaskValueFrom returns row i's value at target given its value at from
 // (from ≤ target), using the exact periodicity curve(Δ+kT) = curve(Δ) +
-// k·C(HI) when the jump is a whole number of periods — the same closed
-// form as Advance — and direct evaluation otherwise.
+// k·C(HI) when the jump is a whole number of periods (each extra period
+// contributes exactly one full job) and direct evaluation otherwise.
 func (p *Plan) TaskValueFrom(i int, fromVal, from, target task.Time) task.Time {
 	period := p.period[i]
 	if period == 0 {
@@ -238,46 +239,6 @@ func (p *Plan) TaskValueFrom(i int, fromVal, from, target task.Time) task.Time {
 		return fromVal + (d/period)*p.cHI[i]
 	}
 	return p.TaskValue(i, target)
-}
-
-// TaskRightSlope returns the slope of row i's curve immediately to the
-// right of Δ: 1 inside the carry-over ramp, 0 otherwise.
-func (p *Plan) TaskRightSlope(i int, delta task.Time) task.Time {
-	period := p.period[i]
-	if period == 0 {
-		return 0
-	}
-	phase := delta - divFloor(delta, period, p.inv[i])*period
-	if phase >= p.off[i] && phase < p.end[i] {
-		return 1
-	}
-	return 0
-}
-
-// TaskNextEvent returns row i's smallest event position strictly greater
-// than Δ (ramp starts, ramp ends, period multiples), ok=false for a
-// terminated row. The candidate order matches NextEvent exactly.
-func (p *Plan) TaskNextEvent(i int, delta task.Time) (task.Time, bool) {
-	period := p.period[i]
-	if period == 0 {
-		return 0, false
-	}
-	base := divFloor(delta, period, p.inv[i]) * period
-	off, end := p.off[i], p.end[i]
-	for k := 0; k < 2; k++ {
-		if c := base + off; c > delta {
-			return c, true
-		}
-		if c := base + end; c > delta {
-			return c, true
-		}
-		base += period
-		if base > delta {
-			return base, true
-		}
-	}
-	// Unreachable: base+2T > delta always.
-	panic("dbf: TaskNextEvent found no candidate")
 }
 
 // Value returns the summed curve at Δ: exactly SetValue(s, kind, Δ) for

@@ -76,15 +76,6 @@ func TestPlanMatchesScalarPointwise(t *testing.T) {
 						t.Fatalf("kind %d task %d Δ=%d: TaskValue %d != scalar %d\n%s",
 							kind, i, d, got, wantV, s.Table())
 					}
-					if got := p.TaskRightSlope(i, d); got != wantSlope {
-						t.Fatalf("kind %d task %d Δ=%d: TaskRightSlope %d != scalar %d",
-							kind, i, d, got, wantSlope)
-					}
-					gotNext, gotOK := p.TaskNextEvent(i, d)
-					if gotOK != wantOK || (gotOK && gotNext != wantNext) {
-						t.Fatalf("kind %d task %d Δ=%d: TaskNextEvent (%d, %v) != scalar (%d, %v)",
-							kind, i, d, gotNext, gotOK, wantNext, wantOK)
-					}
 					v, slope, next, ok := p.TaskStep(i, d)
 					if v != wantV || slope != wantSlope || ok != wantOK || (ok && next != wantNext) {
 						t.Fatalf("kind %d task %d Δ=%d: TaskStep (%d, %d, %d, %v) != scalar (%d, %d, %d, %v)",
@@ -243,42 +234,6 @@ func TestDivFloorExact(t *testing.T) {
 		d := task.Time(rnd.Int63n(int64(divFloorMax)))
 		if got, want := divFloor(d, T, 1/float64(T)), d/T; got != want {
 			t.Fatalf("divFloor(%d, %d) = %d, want %d", d, T, got, want)
-		}
-	}
-}
-
-// TestAdvanceEdges pins the periodic-advance closed form at its edges:
-// k = 0 (identity, including at Δ = 0), exact period multiples against
-// direct evaluation, and terminated tasks (constant curves, k ignored).
-func TestAdvanceEdges(t *testing.T) {
-	rnd := rand.New(rand.NewSource(17))
-	for iter := 0; iter < 300; iter++ {
-		s := quickSet(rnd, 1)
-		tk := &s[0]
-		for _, kind := range []Kind{KindDBF, KindADB} {
-			v0 := taskValue(tk, kind, 0)
-			if got := Advance(tk, v0, 0); got != v0 {
-				t.Fatalf("Advance(·, v, 0) = %d, want identity %d", got, v0)
-			}
-			if tk.Terminated() {
-				// Constant curve: any k leaves the value unchanged.
-				if got := Advance(tk, v0, 5); got != v0 {
-					t.Fatalf("terminated: Advance %d != %d", got, v0)
-				}
-				continue
-			}
-			T := tk.Period[task.HI]
-			for _, from := range []task.Time{0, 1, T - 1, T, 3*T + 2} {
-				v := taskValue(tk, kind, from)
-				for _, k := range []task.Time{0, 1, 2, 13} {
-					got := Advance(tk, v, k)
-					want := taskValue(tk, kind, from+k*T)
-					if got != want {
-						t.Fatalf("kind %d from=%d k=%d: Advance %d != direct %d (task %+v)",
-							kind, from, k, got, want, *tk)
-					}
-				}
-			}
 		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // hyperHorizon caps the hyperperiod used as a walking horizon; it matches
-// core's skipHorizon so pruned and unpruned walks inhabit the same
-// position range.
+// core's skipHorizon so bulk skips and event-by-event steps inhabit the
+// same position range.
 const hyperHorizon = task.Time(1) << 40
 
 // SumActiveCHI sums C_i(HI) over tasks that are not terminated
@@ -28,7 +28,7 @@ func SumActiveCHI(s task.Set) task.Time {
 // HIHyperperiod returns the least common multiple of the HI-mode periods
 // of the non-terminated tasks, with ok=false on overflow or when it
 // exceeds the practical walking horizon. By the exact periodicity
-// DBF_HI(Δ+T) = DBF_HI(Δ)+C(HI) (Advance), one hyperperiod bounds the
+// DBF_HI(Δ+T) = DBF_HI(Δ)+C(HI), one hyperperiod bounds the
 // Theorem-2 walk.
 func HIHyperperiod(s task.Set) (task.Time, bool) {
 	l := task.Time(1)

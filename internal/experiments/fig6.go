@@ -22,11 +22,6 @@ type Fig6Config struct {
 	Seed         int64
 	// Params defaults to gen.Defaults() (the Fig. 6 caption values).
 	Params *gen.Params
-	// NoPlan disables the compiled columnar demand plans — the ablation
-	// arm for the plan-vs-scalar cost comparison. Output is identical
-	// either way (the plan evaluates the same closed forms; pinned by
-	// TestFig6PlanAblationIdentical).
-	NoPlan bool `json:"noPlan,omitempty"`
 	// Workers bounds the sweep parallelism (0 = all cores). Output is
 	// identical for every worker count.
 	Workers int `json:"-"`
@@ -126,14 +121,13 @@ func Fig6(cfg Fig6Config) (Fig6Result, error) {
 			sp, err := core.MinSpeedupOpts(set, core.Options{
 				Scratch:     scratch,
 				WarmWitness: warm.WitnessDelta,
-				NoPlan:      cfg.NoPlan,
 			})
 			if err == nil {
 				warm = sp
 			}
 			return sp, err
 		}
-		withScratch := core.Options{Scratch: scratch, NoPlan: cfg.NoPlan}
+		withScratch := core.Options{Scratch: scratch}
 		out := fig6SetResult{
 			sminByY:   make([]float64, len(ys)),
 			resetBySY: make([]float64, len(sy)),

@@ -28,10 +28,6 @@ type Fig7Config struct {
 	// ResetLimit is the maximum allowed resetting time in ticks
 	// (paper: 5 s = 50000 ticks).
 	ResetLimit task.Time
-	// NoPlan disables the compiled columnar demand plans — the ablation
-	// arm for the plan-vs-scalar cost comparison. Output is identical
-	// either way.
-	NoPlan bool `json:"noPlan,omitempty"`
 	// Workers bounds the sweep parallelism (0 = all cores). Output is
 	// identical for every worker count.
 	Workers int `json:"-"`
@@ -129,7 +125,6 @@ func Fig7(cfg Fig7Config) (Fig7Result, error) {
 			sp, err := core.MinSpeedupOpts(prepared, core.Options{
 				Scratch:     scratch,
 				WarmWitness: warm.WitnessDelta,
-				NoPlan:      cfg.NoPlan,
 			})
 			if err != nil {
 				return nil, err
@@ -143,7 +138,7 @@ func Fig7(cfg Fig7Config) (Fig7Result, error) {
 			if sp.Speedup.Cmp(cfg.Speed) > 0 {
 				continue
 			}
-			rr, err := core.ResetTimeOpts(prepared, cfg.Speed, core.Options{Scratch: scratch, NoPlan: cfg.NoPlan})
+			rr, err := core.ResetTimeOpts(prepared, cfg.Speed, core.Options{Scratch: scratch})
 			if err != nil {
 				return nil, err
 			}

@@ -1,8 +1,9 @@
 // Package plancheck enforces the containment contract of the compiled
 // columnar demand plans (see the "Columnar demand plans" section of
-// docs/PERF.md). The plan is a struct-of-arrays lowering of a task set;
-// its correctness rests on two invariants that types alone cannot carry
-// across packages, so this analyzer pins them:
+// docs/PERF.md) and the event budget of the walks that run over them.
+// The plan is a struct-of-arrays lowering of a task set; its correctness
+// rests on two invariants that types alone cannot carry across packages,
+// and the walks' termination on a third, so this analyzer pins them:
 //
 //  1. No hand-built plans: a dbf.Plan (or dbf.PointMemo) composite
 //     literal outside internal/dbf bypasses CompilePlan/Compile and can
@@ -18,16 +19,16 @@
 //     plan from the set fingerprint that keyed it, breaking the
 //     "plan reuse requires fingerprint match" rule that PointMemo.Value
 //     checks internally.
-//  3. Escape hatch: inside internal/core, every function that *decides*
-//     to use a plan — calls dbf.CompilePlan, Plan.Compile/CompileSubset,
-//     PointMemo.Value, or hiWalker.ResetPlanned/Plan — must read
-//     Options.NoPlan. A decision site without the flag cannot be
-//     switched to the scalar path, which breaks the plan-vs-legacy
-//     differential and fuzz equivalence tests.
+//  3. Bounded walks: inside internal/core, every function that starts a
+//     walk — calls Options.acquireWalker — must consult the event budget
+//     (Options.MaxEvents or the maxEvents helper). An uncapped
+//     pseudo-polynomial walk can run effectively forever on adversarial
+//     parameters; the budget turns that into a reported, inexact (or
+//     error) result.
 //
-// Test files are exempt everywhere (the differential tests deliberately
-// drive both paths), and the hiWalker methods themselves are exempt from
-// rule 3 (ResetPlanned is the mechanism, not a policy site).
+// Test files are exempt everywhere (the reference walks there evaluate
+// the task structs directly), and the hiWalker methods themselves are
+// exempt from rule 3 (they are the walk mechanism, not a policy site).
 package plancheck
 
 import (
@@ -45,7 +46,7 @@ const (
 // Analyzer is the plancheck analyzer.
 var Analyzer = &lint.Analyzer{
 	Name: "plancheck",
-	Doc:  "confine the columnar demand-plan API to internal/dbf + internal/core and require Options.NoPlan at every plan decision site",
+	Doc:  "confine the columnar demand-plan API to internal/dbf + internal/core and require an event budget on every demand walk",
 	Run:  run,
 }
 
@@ -69,7 +70,7 @@ func run(pass *lint.Pass) error {
 			if !ok || fd.Body == nil || isWalkerMethod(fd) {
 				continue
 			}
-			checkDecision(pass, fd)
+			checkBudget(pass, fd)
 		}
 	}
 	return nil
@@ -112,14 +113,13 @@ func checkConfinement(pass *lint.Pass, f *ast.File) {
 	})
 }
 
-// checkDecision applies rule 3 to one internal/core function body: a
-// plan decision call requires a read of Options.NoPlan in the same
+// checkBudget applies rule 3 to one internal/core function body: a
+// walker acquisition requires a read of the event budget in the same
 // function.
-func checkDecision(pass *lint.Pass, fd *ast.FuncDecl) {
+func checkBudget(pass *lint.Pass, fd *ast.FuncDecl) {
 	var (
-		decision    ast.Node // first plan decision call
-		decisionSel string
-		readsNoPlan bool
+		acquire        ast.Node // first Options.acquireWalker call
+		readsMaxEvents bool
 	)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
@@ -127,51 +127,33 @@ func checkDecision(pass *lint.Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		obj := pass.TypesInfo.Uses[sel.Sel]
-		if obj == nil || obj.Pkg() == nil {
+		if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != pass.Pkg.Path() {
 			return true
 		}
 		switch obj := obj.(type) {
 		case *types.Func:
-			if isDecisionFunc(pass, obj) && decision == nil {
-				decision, decisionSel = sel, sel.Sel.Name
+			switch obj.Name() {
+			case "acquireWalker":
+				if acquire == nil {
+					acquire = sel
+				}
+			case "maxEvents":
+				readsMaxEvents = true
 			}
 		case *types.Var:
-			if obj.IsField() && obj.Name() == "NoPlan" && obj.Pkg().Path() == pass.Pkg.Path() {
-				readsNoPlan = true
+			if obj.IsField() && obj.Name() == "MaxEvents" {
+				readsMaxEvents = true
 			}
 		}
 		return true
 	})
-	if decision != nil && !readsNoPlan {
-		pass.Reportf(decision.Pos(), "%s selects the columnar plan path (%s) without reading Options.NoPlan: every plan decision site needs the escape hatch so the differential tests can compare planned and scalar walks", fd.Name.Name, decisionSel)
+	if acquire != nil && !readsMaxEvents {
+		pass.Reportf(acquire.Pos(), "%s starts a demand walk (acquireWalker) without consulting Options.MaxEvents (or maxEvents): unbudgeted pseudo-polynomial walks can run unbounded on adversarial parameters", fd.Name.Name)
 	}
-}
-
-// isDecisionFunc reports whether fn is one of the entry points that
-// commits a walk or probe to the columnar plan path.
-func isDecisionFunc(pass *lint.Pass, fn *types.Func) bool {
-	recv := recvTypeName(fn)
-	if fn.Pkg().Path() == pass.Pkg.Path() {
-		// hiWalker.ResetPlanned compiles the plan; hiWalker.Plan hands it
-		// out for direct probing.
-		return recv == "hiWalker" && (fn.Name() == "ResetPlanned" || fn.Name() == "Plan")
-	}
-	if lint.CanonicalPath(fn.Pkg().Path()) != dbfPkgPath {
-		return false
-	}
-	switch recv {
-	case "":
-		return fn.Name() == "CompilePlan"
-	case "Plan":
-		return fn.Name() == "Compile" || fn.Name() == "CompileSubset"
-	case "PointMemo":
-		return fn.Name() == "Value"
-	}
-	return false
 }
 
 // isWalkerMethod reports whether fd is declared on hiWalker (the walk
-// mechanism itself, exempt from the decision rule).
+// mechanism itself, exempt from the budget rule).
 func isWalkerMethod(fd *ast.FuncDecl) bool {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return false

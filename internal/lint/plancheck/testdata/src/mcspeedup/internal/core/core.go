@@ -1,83 +1,89 @@
 // Package core is the plancheck testdata mirror of internal/core: the
-// walker shape, the Options escape hatch, and both the clean and the
-// flagged ways of reaching the columnar plan.
+// walker shape, the walk options with their event budget, and both the
+// clean and the flagged ways of starting a walk and building a plan.
 package core
 
 import "mcspeedup/internal/dbf"
 
 // Options mirrors the real walk options.
 type Options struct {
-	NoPlan bool
+	MaxEvents int
+}
+
+func (o Options) maxEvents() int {
+	if o.MaxEvents <= 0 {
+		return 1_000_000
+	}
+	return o.MaxEvents
 }
 
 // hiWalker mirrors the real walker: it embeds the plan as a zero-value
 // field (fine — not a composite literal) and its methods are exempt from
-// the decision rule.
+// the budget rule.
 type hiWalker struct {
-	plan    dbf.Plan
-	planned bool
+	plan dbf.Plan
+	pos  int64
 }
 
-// ResetPlanned is the mechanism: it compiles the plan but is a hiWalker
-// method, so the NoPlan read is its caller's obligation.
-func (w *hiWalker) ResetPlanned(s []int) {
-	w.plan.Compile(s, 0)
-	w.planned = true
-}
+// Reset is the mechanism: it compiles the plan.
+func (w *hiWalker) Reset(s []int) { w.plan.Compile(s, 0) }
 
-// Plan hands out the compiled plan (also exempt as a hiWalker method).
+// Plan hands out the compiled plan.
 func (w *hiWalker) Plan() *dbf.Plan { return &w.plan }
 
-// acquireWalker is the clean decision site: it reads Options.NoPlan
-// before committing to the planned path.
-func acquireWalker(o Options, s []int) *hiWalker {
+func (w *hiWalker) Next() bool { return false }
+
+// SkipTo is a walker method: calling Next inside it must not trigger the
+// budget rule.
+func (w *hiWalker) SkipTo(target int64) {
+	w.pos = target
+	w.Next()
+}
+
+func (o Options) acquireWalker(s []int) *hiWalker {
 	w := &hiWalker{}
-	if o.NoPlan {
-		return w
-	}
-	w.ResetPlanned(s)
+	w.Reset(s)
 	return w
 }
 
-// plannedWalk is clean: it probes through the walker's plan and reads
-// the escape hatch.
-func plannedWalk(o Options, s []int) int64 {
-	w := acquireWalker(o, s)
-	if o.NoPlan {
-		return 0
+func (o Options) releaseWalker(w *hiWalker) {}
+
+// budgetedWalk honors the budget through the maxEvents helper and probes
+// through the walker's plan.
+func budgetedWalk(o Options, s []int) int64 {
+	w := o.acquireWalker(s)
+	defer o.releaseWalker(w)
+	for events := 0; events < o.maxEvents(); events++ {
+		if !w.Next() {
+			break
+		}
 	}
 	return w.Plan().Value(4)
 }
 
-// memoProbe is clean: the fingerprint-keyed memo consult is guarded by
-// the escape hatch.
-func memoProbe(o Options, m *dbf.PointMemo, s []int) int64 {
-	if o.NoPlan {
-		return 0
+// fieldBudget reads the MaxEvents field directly instead of the helper —
+// also fine.
+func fieldBudget(o Options, s []int) {
+	w := o.acquireWalker(s) // no diagnostic: MaxEvents consulted below
+	defer o.releaseWalker(w)
+	for i := 0; i < o.MaxEvents; i++ {
+		if !w.Next() {
+			break
+		}
 	}
+}
+
+// unbudgetedWalk walks with no event cap at all.
+func unbudgetedWalk(o Options, s []int) {
+	w := o.acquireWalker(s) // want `without consulting Options.MaxEvents`
+	defer o.releaseWalker(w)
+	for w.Next() {
+	}
+}
+
+// memoProbe is clean: core may consult the fingerprint-keyed memo.
+func memoProbe(m *dbf.PointMemo, s []int) int64 {
 	return m.Value(s, 0, 8)
-}
-
-// forcePlanned compiles a plan with no way to turn it off.
-func forcePlanned(s []int) *hiWalker {
-	w := &hiWalker{}
-	w.ResetPlanned(s) // want `forcePlanned selects the columnar plan path \(ResetPlanned\) without reading Options.NoPlan`
-	return w
-}
-
-// uncheckedCompile calls the package-level compiler without the hatch.
-func uncheckedCompile(s []int) *dbf.Plan {
-	return dbf.CompilePlan(s, 0) // want `uncheckedCompile selects the columnar plan path \(CompilePlan\) without reading Options.NoPlan`
-}
-
-// uncheckedSubset recompiles rows without the hatch.
-func uncheckedSubset(p *dbf.Plan, s, idx []int) {
-	p.CompileSubset(s, idx, 0) // want `uncheckedSubset selects the columnar plan path \(CompileSubset\) without reading Options.NoPlan`
-}
-
-// uncheckedMemo consults the memo without the hatch.
-func uncheckedMemo(m *dbf.PointMemo, s []int) int64 {
-	return m.Value(s, 0, 8) // want `uncheckedMemo selects the columnar plan path \(Value\) without reading Options.NoPlan`
 }
 
 // handRolled builds a plan by literal, bypassing the compile entry
@@ -86,12 +92,9 @@ func handRolled() dbf.Plan {
 	return dbf.Plan{} // want `dbf.Plan composite literal`
 }
 
-// probeOnly is clean: BulkEval/ValueCapped on an already-decided plan
-// are consumption, not a decision — the caller made the NoPlan call.
-func probeOnly(p *dbf.Plan, dst, deltas []int64) []int64 {
-	if p == nil {
-		return dst
-	}
+// probeOnly is clean: core may compile and evaluate plans directly.
+func probeOnly(s []int, dst, deltas []int64) []int64 {
+	p := dbf.CompilePlan(s, 0)
 	if _, ok := p.ValueCapped(3, 7); !ok {
 		return dst
 	}

@@ -12,7 +12,6 @@ import (
 	"mcspeedup/internal/lint/lockcheck"
 	"mcspeedup/internal/lint/metricscheck"
 	"mcspeedup/internal/lint/plancheck"
-	"mcspeedup/internal/lint/prunecheck"
 	"mcspeedup/internal/lint/ratcheck"
 	"mcspeedup/internal/lint/scratchcheck"
 )
@@ -25,7 +24,6 @@ var Analyzers = []*lint.Analyzer{
 	determcheck.Analyzer,
 	scratchcheck.Analyzer,
 	metricscheck.Analyzer,
-	prunecheck.Analyzer,
 	plancheck.Analyzer,
 	deltacheck.Analyzer,
 	borrowcheck.Analyzer,

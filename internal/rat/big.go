@@ -51,10 +51,21 @@ func (r Rat) Round(up bool) Rat {
 // reduced denominator is at most 2^20 (and the numerator fits int64);
 // otherwise the value is directed-rounded to a multiple of 1/2^20 —
 // upward when roundUp is true, downward otherwise — so callers can
-// maintain sound lower/upper bounds.
+// maintain sound lower/upper bounds. It panics when |v| is too large for
+// that grid; FromBigChecked reports it instead.
 func FromBig(v *big.Rat, roundUp bool) Rat {
+	r, ok := FromBigChecked(v, roundUp)
+	if !ok {
+		panic(fmt.Errorf("rat: FromBig magnitude too large: %v", v))
+	}
+	return r
+}
+
+// FromBigChecked is FromBig returning false instead of panicking when the
+// rounded value does not fit the 2^-20 grid's int64 range (|v| ≳ 2^42).
+func FromBigChecked(v *big.Rat, roundUp bool) (Rat, bool) {
 	if v.Num().IsInt64() && v.Denom().IsInt64() && v.Denom().Int64() <= roundDenom {
-		return New(v.Num().Int64(), v.Denom().Int64())
+		return New(v.Num().Int64(), v.Denom().Int64()), true
 	}
 	scaled := new(big.Rat).Mul(v, big.NewRat(roundDenom, 1))
 	num := new(big.Int).Quo(scaled.Num(), scaled.Denom()) // truncates toward zero
@@ -69,15 +80,11 @@ func FromBig(v *big.Rat, roundUp bool) Rat {
 		}
 	}
 	if !num.IsInt64() {
-		// |v| ≥ 2^31: utilization-scale values never get here.
-		if v.Sign() > 0 {
-			panic(fmt.Errorf("rat: FromBig magnitude too large: %v", v))
-		}
-		panic(fmt.Errorf("rat: FromBig magnitude too large: %v", v))
+		return Rat{}, false
 	}
 	n := num.Int64()
 	if n > math.MaxInt64/2 || n < math.MinInt64/2 {
-		panic(fmt.Errorf("rat: FromBig magnitude too large: %v", v))
+		return Rat{}, false
 	}
-	return New(n, roundDenom)
+	return New(n, roundDenom), true
 }

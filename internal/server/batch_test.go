@@ -172,14 +172,13 @@ func TestBatchMetricsCounters(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesScalarAnalysis ties the serving tier to the plainest
-// possible evaluation: each batch item's result bytes must equal a cold
-// core.AnalyzeOpts run with the compiled demand plans AND the walk
-// pruning disabled. The served path runs planned and pruned (the
-// defaults), so this is the end-to-end plan-vs-legacy differential
-// through HTTP — any columnar-lowering or skip-certificate divergence
-// shows up as a byte mismatch here.
-func TestBatchMatchesScalarAnalysis(t *testing.T) {
+// TestBatchMatchesCoreAnalysis ties the serving tier to the library:
+// each batch item's result bytes must equal a direct core.Analyze report.
+// internal/core's TestAnalyzeMatchesReferenceWalks pins those bytes to
+// the scalar, event-by-event reference walks, so together they are the
+// end-to-end differential through HTTP — any columnar-lowering or
+// skip-certificate divergence shows up as a byte mismatch.
+func TestBatchMatchesCoreAnalysis(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	items := []string{tableIJSON, degradedJSON}
 	_, body := post(t, ts.URL+"/v1/batch", batchBody(items...))
@@ -192,17 +191,41 @@ func TestBatchMatchesScalarAnalysis(t *testing.T) {
 		if err != nil {
 			t.Fatalf("item %d: %v", i, err)
 		}
-		report, err := core.AnalyzeOpts(set, rat.Two, core.Options{NoPlan: true, NoPrune: true})
+		report, err := core.Analyze(set, rat.Two)
 		if err != nil {
-			t.Fatalf("item %d: scalar analyze: %v", i, err)
+			t.Fatalf("item %d: analyze: %v", i, err)
 		}
 		want, err := report.MarshalIndent()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(item.Result, bytes.TrimRight(want, "\n")) {
-			t.Errorf("item %d served bytes != scalar unpruned analysis:\n%s\n---\n%s",
+			t.Errorf("item %d served bytes != core analysis:\n%s\n---\n%s",
 				i, item.Result, want)
 		}
+	}
+}
+
+// TestBatchSurvivesResetOverflow replays a request that once crashed the
+// process: a speed a hair above U_HI made the Corollary-5 crossing
+// overflow int64, and the panic escaped the batch item goroutine. The
+// item must now get a result, and the server must keep answering.
+func TestBatchSurvivesResetOverflow(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	item := `{"tasks": [
+  {"name":"a","crit":"HI","period":[997,997],"deadline":[500,997],"wcet":[100,330]},
+  {"name":"b","crit":"HI","period":[1009,1009],"deadline":[500,1009],"wcet":[100,336]},
+  {"name":"c","crit":"LO","period":[1013,1013],"deadline":[1013,1013],"wcet":[10,10]}
+], "speed": "3533010524288/5242880000000"}`
+	resp, body := post(t, ts.URL+"/v1/batch", batchBody(item))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	doc := decodeBatch(t, body)
+	if doc.Errors != 0 || len(doc.Items[0].Result) == 0 {
+		t.Fatalf("item got no result: %s", body)
+	}
+	if resp, body := get(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz status %d after the batch: %s", resp.StatusCode, body)
 	}
 }

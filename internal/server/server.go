@@ -42,7 +42,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
+	"runtime/debug"
 	"sync/atomic"
 	"time"
 
@@ -223,6 +225,10 @@ func (s *Server) requirePOST(h http.HandlerFunc) http.HandlerFunc {
 // errSaturated marks pool-admission failure; mapped to 429.
 var errSaturated = errors.New("server saturated; retry later")
 
+// errInternal marks an analysis that panicked for a reason other than
+// bad input; mapped to 500.
+var errInternal = errors.New("internal error")
+
 // compute serves the endpoint's response bytes from the cache when
 // possible, otherwise admits the computation through the pool, runs fn,
 // and caches its result. The returned bool mirrors the X-Cache header.
@@ -287,7 +293,9 @@ func (s *Server) admitAndRun(ctx context.Context, wait time.Duration, key string
 // library use), but here the intervals descend from an untrusted request
 // body, so a dbf.ErrNegativeInterval panic is converted back into an
 // input error (mapped to 400 by errorStatus). Any other panic is a
-// genuine server bug and is re-raised.
+// genuine server bug: it is logged with its stack and answered as an
+// errInternal (500), so it neither drops the connection nor — from a
+// /v1/batch item goroutine — ends the process.
 func runAnalysis(fn func() ([]byte, error)) (body []byte, err error) {
 	defer func() {
 		r := recover()
@@ -298,7 +306,8 @@ func runAnalysis(fn func() ([]byte, error)) (body []byte, err error) {
 			body, err = nil, fmt.Errorf("invalid task set: %v", e)
 			return
 		}
-		panic(r)
+		log.Printf("analysis panic: %v\n%s", r, debug.Stack())
+		body, err = nil, fmt.Errorf("%w: analysis failed", errInternal)
 	}()
 	return fn()
 }
@@ -357,6 +366,8 @@ func errorStatus(err error) int {
 	switch {
 	case errors.Is(err, errSaturated):
 		return http.StatusTooManyRequests
+	case errors.Is(err, errInternal):
+		return http.StatusInternalServerError
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable
 	default:

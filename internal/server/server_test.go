@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -441,11 +442,14 @@ func TestRunAnalysisPanicBoundary(t *testing.T) {
 		t.Fatalf("errorStatus = %d, want %d", got, http.StatusBadRequest)
 	}
 
-	// Any other panic is a server bug and must propagate.
-	defer func() {
-		if recover() == nil {
-			t.Error("non-dbf panics must propagate")
-		}
-	}()
-	runAnalysis(func() ([]byte, error) { panic("boom") })
+	// Any other panic is a server bug: it must come back as an internal
+	// error (500) instead of ending the process or dropping the
+	// connection.
+	_, err = runAnalysis(func() ([]byte, error) { panic("boom") })
+	if err == nil || !errors.Is(err, errInternal) {
+		t.Fatalf("err = %v; want an internal error", err)
+	}
+	if got := errorStatus(err); got != http.StatusInternalServerError {
+		t.Fatalf("errorStatus = %d, want %d", got, http.StatusInternalServerError)
+	}
 }

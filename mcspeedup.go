@@ -220,7 +220,7 @@ func MinimalY(s Set, speedCap Rat) (Rat, Set, error) {
 // MinimalYOpts is MinimalY with explicit walk options. Candidate
 // degradations are screened by a witness certificate at the previous
 // decisive Δ before paying a full event walk; results are bit-identical
-// to the cold path (set AnalysisOptions.NoWarmStart to force it).
+// to walking every candidate.
 func MinimalYOpts(s Set, speedCap Rat, o AnalysisOptions) (Rat, Set, error) {
 	return core.MinimalYOpts(s, speedCap, o)
 }

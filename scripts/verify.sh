@@ -23,7 +23,7 @@ go build ./...
 go vet ./...
 
 # mcs-vet: the custom analyzer suite (ratcheck, determcheck,
-# scratchcheck, metricscheck, prunecheck, deltacheck, borrowcheck,
+# scratchcheck, metricscheck, plancheck, deltacheck, borrowcheck,
 # ctxcheck, lockcheck) — fact-based and interprocedural; see
 # docs/STATIC_ANALYSIS.md. It runs twice: under the cmd/go vettool
 # protocol, and in module mode against a fresh fact cache, which the
@@ -45,19 +45,15 @@ go test -race ./...
 go test -run Alloc ./internal/core/...
 go test -run Alloc ./internal/sim/
 
-# Fuzz smoke: the pruned and unpruned demand walks must stay equivalent
-# under a short randomized run (the checked-in seed corpus alone already
-# ran as part of the suite above).
+# Fuzz smoke: the production demand walks (compiled plans, bulk skips)
+# must stay equivalent to the scalar event-by-event reference walks under
+# a short randomized run (the checked-in seed corpus alone already ran as
+# part of the suite above).
 go test -fuzz FuzzWalkEquivalence -fuzztime 10s -run '^$' ./internal/core/
 
 # Delta fuzz smoke: random edit streams through a Session must reproduce
 # the cold analysis byte for byte (the incremental-analysis contract).
 go test -fuzz FuzzDeltaEquivalence -fuzztime 10s -run '^$' ./internal/core/
-
-# Plan fuzz smoke: the compiled columnar demand plans must stay
-# byte-identical to the scalar per-task walks (Options.NoPlan) on random
-# task sets, pruned and unpruned.
-go test -fuzz FuzzPlanEquivalence -fuzztime 10s -run '^$' ./internal/core/
 
 # Simulator fuzz smoke: the zero-allocation RunInto hot path must stay
 # byte-identical to the frozen reference simulator on random task sets,
