@@ -11,14 +11,13 @@
 // chunks whose boundaries do not depend on the worker count, and chunk
 // aggregates merge in strict chunk-index order (float accumulation is
 // order-sensitive, so index order is what makes the output byte-identical
-// for any -workers). Each worker holds O(1) state: one sim.Scratch, one
-// sim.Result, one workload buffer, and one chunk aggregate recycled
-// through a pool via stats.Histogram.Reset.
+// for any -workers). Each chunk holds O(1) state, reused across its runs:
+// one sim.Scratch, one sim.Result, one workload buffer, one sampler, and
+// one chunk aggregate recycled through a pool via stats.Histogram.Reset.
 package fleet
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"mcspeedup/internal/core"
@@ -122,6 +121,7 @@ func Run(p Params) (*Summary, error) {
 			res sim.Result
 			sc  sim.Scratch
 			wl  sim.Workload
+			sm  sampler
 		)
 		lo := ci * chunkSize
 		hi := lo + chunkSize
@@ -129,7 +129,7 @@ func Run(p Params) (*Summary, error) {
 			hi = p.Runs
 		}
 		for r := lo; r < hi; r++ {
-			wl = sampleWorkload(wl[:0], p, r)
+			wl = sm.workload(wl[:0], &p, r)
 			if err := c.RunWorkload(&res, &sc, wl, cfg); err != nil {
 				return err
 			}
@@ -144,39 +144,93 @@ func Run(p Params) (*Summary, error) {
 	return m.total.summary(p, bound), nil
 }
 
-// sampleWorkload generates replicate r's arrival sequence into dst
-// (resliced, capacity reused). Each task draws from its own
-// (seed, replicate, task) substream — jittered sporadic releases at
-// T(LO) spacing plus up to half a period of jitter, demands from the
-// ACET bands — so the workload is a pure function of (Params, r),
-// independent of scheduling order. The result is valid by construction
-// for sim.RunWorkload: sorted, demands within caps, T(LO) spacing.
-func sampleWorkload(dst sim.Workload, p Params, r int) sim.Workload {
-	var rnd gen.Stream
+// sampler draws replicate workloads. Each task draws from its own
+// (seed, replicate, task) substream: jittered sporadic releases at T(LO)
+// spacing plus up to half a period of jitter, demands from the ACET
+// bands. A workload is therefore a pure function of (Params, r),
+// independent of scheduling order, and valid by construction for
+// sim.RunWorkload: sorted, demands within caps, T(LO) spacing.
+//
+// A task's releases ascend, and (At, Task) is a strict total order over
+// a workload, so the sampler merges the per-task release streams through
+// a min-heap of task indices instead of sorting: advancing each task's
+// stream only when its release is emitted yields exactly the sorted
+// sequence with the same per-task draws. Each chunk owns one sampler and
+// reuses it across its runs, so sampling allocates nothing once the
+// slices have grown.
+type sampler struct {
+	streams []gen.Stream
+	heap    []release // each task's next release before the horizon
+}
+
+// release is a task's next release instant, keyed in the heap by
+// (at, task).
+type release struct {
+	at   task.Time
+	task int
+}
+
+func (a release) before(b release) bool {
+	return a.at < b.at || a.at == b.at && a.task < b.task
+}
+
+// workload generates replicate r's arrival sequence into dst (resliced,
+// capacity reused).
+func (sm *sampler) workload(dst sim.Workload, p *Params, r int) sim.Workload {
+	n := len(p.Set)
+	if cap(sm.streams) < n {
+		sm.streams = make([]gen.Stream, n)
+		sm.heap = make([]release, 0, n)
+	}
+	sm.streams, sm.heap = sm.streams[:n], sm.heap[:0]
 	for ti := range p.Set {
-		tk := &p.Set[ti]
+		rnd := &sm.streams[ti]
 		rnd.Reseed(p.Seed, r, ti)
-		period := tk.Period[task.LO]
-		jitter := int64(period / 2)
-		at := task.Time(rnd.Int63n(int64(period)))
-		for at < p.Horizon {
-			d := p.ACET.Sample(&rnd, tk.Crit, tk.WCET[task.LO], tk.WCET[task.HI])
-			dst = append(dst, sim.Arrival{Task: ti, At: at, Demand: d})
-			at += period
-			if jitter > 0 {
-				at += task.Time(rnd.Int63n(jitter + 1))
-			}
+		if at := task.Time(rnd.Int63n(int64(p.Set[ti].Period[task.LO]))); at < p.Horizon {
+			sm.heap = append(sm.heap, release{at: at, task: ti})
 		}
 	}
-	// (At, Task) is a strict total order here — a task's releases are
-	// at least a period apart — so the unstable sort is deterministic.
-	sort.Slice(dst, func(i, k int) bool {
-		if dst[i].At != dst[k].At {
-			return dst[i].At < dst[k].At
+	for i := len(sm.heap)/2 - 1; i >= 0; i-- {
+		sm.down(i)
+	}
+	for len(sm.heap) > 0 {
+		next := &sm.heap[0]
+		tk := &p.Set[next.task]
+		rnd := &sm.streams[next.task]
+		d := p.ACET.Sample(rnd, tk.Crit, tk.WCET[task.LO], tk.WCET[task.HI])
+		dst = append(dst, sim.Arrival{Task: next.task, At: next.at, Demand: d})
+		period := tk.Period[task.LO]
+		next.at += period
+		if jitter := int64(period / 2); jitter > 0 {
+			next.at += task.Time(rnd.Int63n(jitter + 1))
 		}
-		return dst[i].Task < dst[k].Task
-	})
+		if next.at >= p.Horizon {
+			last := len(sm.heap) - 1
+			sm.heap[0] = sm.heap[last]
+			sm.heap = sm.heap[:last]
+		}
+		sm.down(0)
+	}
 	return dst
+}
+
+// down restores the heap order below index i.
+func (sm *sampler) down(i int) {
+	h := sm.heap
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
+		}
+		if r := m + 1; r < len(h) && h[r].before(h[m]) {
+			m = r
+		}
+		if !h[m].before(h[i]) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 // agg is one chunk's (and, merged, the fleet's) streaming aggregate.

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mcspeedup/internal/core"
@@ -202,5 +203,18 @@ func TestFleetHundredK(t *testing.T) {
 	}
 	if s1.Runs != 100_000 {
 		t.Fatalf("summary reports %d runs", s1.Runs)
+	}
+}
+
+// TestFleetRejectsGridOverflow: a 2^24-scale speed with a fractional
+// budget over the FMS set's default horizon needs a tick grid finer than
+// int64 holds; the fleet must return the simulator's error, not panic.
+func TestFleetRejectsGridOverflow(t *testing.T) {
+	_, err := Run(Params{
+		Set: preparedFMS(t), Runs: 4, Seed: 1,
+		Speedup: rat.New(16777213, 16777216), Budget: rat.New(7, 3), Workers: 2,
+	})
+	if err == nil || !strings.Contains(err.Error(), "tick grid") {
+		t.Fatalf("error %v, want a tick-grid error", err)
 	}
 }

@@ -273,6 +273,10 @@ func TestBadRequests(t *testing.T) {
 		"fleet runs cap":     {"/v1/fleet", `{"tasks":` + tableIJSON + `,"runs":999999}`},
 		"fleet bad overrun":  {"/v1/fleet", `{"tasks":` + tableIJSON + `,"runs":10,"overrun":-0.5}`},
 		"fleet huge horizon": {"/v1/fleet", `{"tasks":` + tableIJSON + `,"runs":10,"horizon":999999999}`},
+		// A 2^24-scale speed with a budget: the run's tick grid does not
+		// fit int64 over this horizon, which is the caller's input.
+		"simulate tick grid": {"/v1/simulate", `{"tasks":` + tableIJSON + `,"speed":"16777213/16777216","budget":3,"horizon":100000}`},
+		"fleet tick grid":    {"/v1/fleet", `{"tasks":` + tableIJSON + `,"runs":2,"speed":"16777213/16777216","budget":3,"horizon":100000}`},
 	}
 	for name, c := range cases {
 		resp, body := post(t, ts.URL+c.endpoint, c.body)

@@ -87,10 +87,10 @@ func TestRunAllocsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Per-call cost: the returned *Result plus Compile's validation maps
-	// (two small maps in Workload.Validate, one Compiled). Pinned so the
-	// wrapper can never quietly regress toward the old per-job regime.
-	if got > 8 {
-		t.Errorf("Run: %v allocs/op, want <= 8 (fresh Result + one-shot validation)", got)
+	// Per-call cost: the returned *Result, the Compiled, and
+	// Workload.Validate's per-task arrival slice. Pinned so the wrapper
+	// can never quietly regress toward the old per-job regime.
+	if got > 3 {
+		t.Errorf("Run: %v allocs/op, want <= 3 (fresh Result, Compiled, validation slice)", got)
 	}
 }

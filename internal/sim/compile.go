@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
+	"mcspeedup/internal/rat"
 	"mcspeedup/internal/task"
 )
 
@@ -13,6 +15,9 @@ import (
 type Compiled struct {
 	set task.Set
 	w   Workload
+	// maxDeadline is the largest finite relative deadline in set, for
+	// the tick-grid span check.
+	maxDeadline task.Time
 }
 
 // Compile validates the set and workload and returns the reusable pair.
@@ -23,7 +28,7 @@ func Compile(s task.Set, w Workload) (*Compiled, error) {
 	if err := w.Validate(s); err != nil {
 		return nil, err
 	}
-	return &Compiled{set: s, w: w}, nil
+	return &Compiled{set: s, w: w, maxDeadline: maxDeadline(s)}, nil
 }
 
 // CompileSet validates the set alone, for callers that generate their
@@ -32,7 +37,22 @@ func CompileSet(s task.Set) (*Compiled, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return &Compiled{set: s}, nil
+	return &Compiled{set: s, maxDeadline: maxDeadline(s)}, nil
+}
+
+// maxDeadline is the largest finite relative deadline in s. A terminated
+// task's unbounded D(HI) never becomes a job deadline: its HI-mode
+// arrivals are dropped and its carry-over jobs killed or parked.
+func maxDeadline(s task.Set) task.Time {
+	var d task.Time
+	for i := range s {
+		for _, m := range [...]task.Crit{task.LO, task.HI} {
+			if dm := s[i].Deadline[m]; !dm.IsUnbounded() {
+				d = max(d, dm)
+			}
+		}
+	}
+	return d
 }
 
 // Set returns the compiled task set.
@@ -56,10 +76,15 @@ func (c *Compiled) RunWorkload(res *Result, sc *Scratch, w Workload, cfg Config)
 	if cfg.Speedup.Sign() <= 0 || cfg.Speedup.IsInf() {
 		return fmt.Errorf("sim: speedup %v must be positive and finite", cfg.Speedup)
 	}
+	t, err := c.grid(w, cfg)
+	if err != nil {
+		return err
+	}
 	sc, pooled := borrow(sc)
 	res.reset()
-	sc.begin(c.set, cfg, res)
+	sc.begin(c.set, cfg, t, res)
 	sc.run(w)
+	res.EndTime = rat.New(sc.endAt, sc.endUnit)
 	sc.finish()
 	if pooled != nil {
 		simScratchPool.Put(pooled)
@@ -67,4 +92,32 @@ func (c *Compiled) RunWorkload(res *Result, sc *Scratch, w Workload, cfg Config)
 	sortMisses(res.Misses)
 	sortJobs(res.Jobs)
 	return nil
+}
+
+// grid derives the run's tick grid (see rat.Ticks) and checks, before
+// the loop starts, that every instant and work amount the run can reach
+// fits it, so the loop's int64 arithmetic can neither wrap nor panic.
+func (c *Compiled) grid(w Workload, cfg Config) (rat.Ticks, error) {
+	t, ok := rat.NewTicks(cfg.Speedup, cfg.Budget)
+	if ok {
+		var last, work task.Time
+		for i := range w {
+			last = max(last, w[i].At)
+			if w[i].Demand > math.MaxInt64-work {
+				ok = false
+				break
+			}
+			work += w[i].Demand
+		}
+		ok = ok && t.Fits(int64(last), int64(work), int64(c.maxDeadline))
+	}
+	if !ok {
+		budget := "no budget"
+		if cfg.Budget.Sign() > 0 {
+			budget = "budget " + cfg.Budget.String()
+		}
+		return t, fmt.Errorf("sim: speedup %v with %s needs a tick grid finer than int64 can hold over this workload",
+			cfg.Speedup, budget)
+	}
+	return t, nil
 }

@@ -44,6 +44,10 @@ func diffConfigs(s task.Set) []Config {
 		{Speedup: rat.New(3, 2), Budget: budget, ParkTerminatedCarryOver: true},
 		{Speedup: rat.Two, Budget: budget.Div(rat.FromInt64(4)), CollectJobs: true},
 		{Speedup: rat.New(5, 4), StopOnMiss: true, CollectTrace: true},
+		// Budgets short enough to trip: the post-trip grid, down to a
+		// budget of a single HI tick (p = bn = 1).
+		{Speedup: rat.New(7, 5), Budget: rat.New(9, 4), ParkTerminatedCarryOver: true, CollectJobs: true, CollectTrace: true},
+		{Speedup: rat.One, Budget: rat.New(1, 3), CollectJobs: true},
 	}
 }
 
@@ -164,48 +168,120 @@ func TestRunRejectsLikeReference(t *testing.T) {
 	}
 }
 
+// fuzzSimSeeds is FuzzSimEquivalence's checked-in corpus. The last three
+// inputs have budgets short enough to trip (speed 7/5 with budget 9/4,
+// and 3/2 with 5/4), so the differential reaches the post-trip tick grid;
+// TestDifferentialCorpusTripsBudget keeps that true.
+var fuzzSimSeeds = []struct {
+	seed                      int64
+	uRaw, speedRaw, budgetRaw uint8
+	park, stop                bool
+	probRaw                   uint8
+}{
+	{1, 10, 30, 0, false, false, 3},
+	{42, 55, 15, 40, true, false, 0},
+	{20260808, 90, 49, 200, false, true, 6},
+	{-7, 17, 10, 1, true, true, 9},
+	{5, 60, 4, 9, false, false, 5},
+	{6, 80, 4, 9, true, false, 9},
+	{11, 70, 5, 5, true, false, 7},
+}
+
+// simEquivalence runs one fuzz input through the reference and RunInto,
+// fails on any divergence, and returns the RunInto result (nil when both
+// engines rejected the input).
+func simEquivalence(t *testing.T, seed int64, uRaw, speedRaw, budgetRaw uint8, park, stop bool, probRaw uint8) *Result {
+	t.Helper()
+	rnd := rand.New(rand.NewSource(seed))
+	u := 0.35 + 0.55*float64(uRaw%100)/100
+	s := gen.Defaults().MustSet(rnd, u)
+	if seed%2 == 0 {
+		s = s.TerminateLO()
+	}
+	w := RandomSporadic(rnd, s, 3*s.MaxPeriod(), float64(probRaw%10)/10)
+	cfg := Config{
+		Speedup:                 rat.New(int64(speedRaw%40)+10, 10), // 1.0 .. 4.9
+		ParkTerminatedCarryOver: park,
+		StopOnMiss:              stop,
+		CollectJobs:             true,
+		CollectTrace:            true,
+	}
+	if budgetRaw > 0 {
+		cfg.Budget = rat.New(int64(budgetRaw), 4)
+	}
+	want, errRef := refRun(s, w, cfg)
+	c, errC := Compile(s, w)
+	if errC != nil {
+		t.Fatalf("compile failed on refRun-accepted input: %v", errC)
+	}
+	res := new(Result)
+	var sc Scratch
+	errNew := c.RunInto(res, &sc, cfg)
+	if (errRef == nil) != (errNew == nil) {
+		t.Fatalf("error mismatch: ref %v, new %v\n%s", errRef, errNew, s.Table())
+	}
+	if errRef != nil {
+		return nil
+	}
+	assertSameResult(t, "fuzz", want, res)
+	return res
+}
+
 // FuzzSimEquivalence drives randomized sets, workloads, and policies
 // through both engines; scripts/verify.sh runs a 10s smoke on top of the
 // seed corpus (mirroring FuzzWalkEquivalence).
 func FuzzSimEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(10), uint8(30), uint8(0), false, false, uint8(3))
-	f.Add(int64(42), uint8(55), uint8(15), uint8(40), true, false, uint8(0))
-	f.Add(int64(20260808), uint8(90), uint8(49), uint8(200), false, true, uint8(6))
-	f.Add(int64(-7), uint8(17), uint8(10), uint8(1), true, true, uint8(9))
+	for _, c := range fuzzSimSeeds {
+		f.Add(c.seed, c.uRaw, c.speedRaw, c.budgetRaw, c.park, c.stop, c.probRaw)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, uRaw, speedRaw, budgetRaw uint8, park, stop bool, probRaw uint8) {
-		rnd := rand.New(rand.NewSource(seed))
-		u := 0.35 + 0.55*float64(uRaw%100)/100
-		s := gen.Defaults().MustSet(rnd, u)
-		if seed%2 == 0 {
-			s = s.TerminateLO()
-		}
-		w := RandomSporadic(rnd, s, 3*s.MaxPeriod(), float64(probRaw%10)/10)
-		cfg := Config{
-			Speedup:                 rat.New(int64(speedRaw%40)+10, 10), // 1.0 .. 4.9
-			ParkTerminatedCarryOver: park,
-			StopOnMiss:              stop,
-			CollectJobs:             true,
-			CollectTrace:            true,
-		}
-		if budgetRaw > 0 {
-			cfg.Budget = rat.New(int64(budgetRaw), 4)
-		}
-		want, errRef := refRun(s, w, cfg)
-		c, errC := Compile(s, w)
-		if errC != nil {
-			t.Fatalf("compile failed on refRun-accepted input: %v", errC)
-		}
-		var (
-			res Result
-			sc  Scratch
-		)
-		errNew := c.RunInto(&res, &sc, cfg)
-		if (errRef == nil) != (errNew == nil) {
-			t.Fatalf("error mismatch: ref %v, new %v\n%s", errRef, errNew, s.Table())
-		}
-		if errRef != nil {
-			return
-		}
-		assertSameResult(t, "fuzz", want, &res)
+		simEquivalence(t, seed, uRaw, speedRaw, budgetRaw, park, stop, probRaw)
 	})
+}
+
+// TestDifferentialCorpusTripsBudget guards the differential corpus
+// itself: the fuzz seeds and the RunInto matrix must both contain
+// episodes that tripped their budget, or the post-trip grid would go
+// untested against the reference.
+func TestDifferentialCorpusTripsBudget(t *testing.T) {
+	tripped := func(res *Result) int {
+		n := 0
+		for _, e := range res.Episodes {
+			if e.BudgetTripped {
+				n++
+			}
+		}
+		return n
+	}
+	seedTrips := 0
+	for _, c := range fuzzSimSeeds {
+		if res := simEquivalence(t, c.seed, c.uRaw, c.speedRaw, c.budgetRaw, c.park, c.stop, c.probRaw); res != nil {
+			seedTrips += tripped(res)
+		}
+	}
+	if seedTrips == 0 {
+		t.Error("no FuzzSimEquivalence seed trips its budget")
+	}
+
+	rnd := rand.New(rand.NewSource(1))
+	var res Result
+	matrixTrips := 0
+	for _, s := range diffSets(t, 4) {
+		for _, w := range diffWorkloads(rnd, s) {
+			c, err := Compile(s, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cfg := range diffConfigs(s) {
+				if err := c.RunInto(&res, nil, cfg); err != nil {
+					t.Fatal(err)
+				}
+				matrixTrips += tripped(&res)
+			}
+		}
+	}
+	if matrixTrips == 0 {
+		t.Error("no run of the RunInto differential matrix trips its budget")
+	}
+	t.Logf("tripped episodes: %d in the fuzz seeds, %d in the matrix", seedTrips, matrixTrips)
 }

@@ -36,12 +36,20 @@ type Scratch struct {
 	cfg   Config
 	res   *Result
 
-	now           rat.Rat
+	// The clock runs on the integer grid of rat.Ticks: now, expiry and
+	// every pending deadline are in time ticks of tu per unit, and
+	// pending work is in work ticks of wu per unit. The grid changes at
+	// the mode switch, the budget trip and the reset.
+	ticks         rat.Ticks
+	now           int64
+	tu, wu        int64
 	mode          task.Crit
-	speed         rat.Rat
+	speed         rat.Rat // the speed in force, as trace segments record it
 	terminatedNow bool
-	episodeStart  rat.Rat
-	budgetExpiry  rat.Rat // PosInf when inactive
+	episodeStart  int64 // the switch instant; switches happen on the unit grid
+	expiry        int64 // budget expiry; never when inactive
+	// endAt/endUnit is the latest execution end, the run's EndTime.
+	endAt, endUnit int64
 }
 
 // simScratchPool recycles arenas for runs that were not handed an
@@ -61,9 +69,10 @@ func borrow(sc *Scratch) (*Scratch, *Scratch) {
 	return pooled, pooled
 }
 
-// begin readies the arena for one run over s.
-func (sc *Scratch) begin(s task.Set, cfg Config, res *Result) {
+// begin readies the arena for one run over s on the grid t.
+func (sc *Scratch) begin(s task.Set, cfg Config, t rat.Ticks, res *Result) {
 	sc.inUse = true
+	sc.ticks = t
 	sc.tasks = s
 	sc.cfg = cfg
 	sc.res = res
@@ -79,12 +88,13 @@ func (sc *Scratch) begin(s task.Set, cfg Config, res *Result) {
 			sc.seqs[i] = 0
 		}
 	}
-	sc.now = rat.Zero
+	sc.now, sc.tu, sc.wu = 0, 1, 1
 	sc.mode = task.LO
 	sc.speed = rat.One
 	sc.terminatedNow = false
-	sc.episodeStart = rat.Zero
-	sc.budgetExpiry = rat.PosInf
+	sc.episodeStart = 0
+	sc.expiry = never
+	sc.endAt, sc.endUnit = 0, 1
 }
 
 // finish drops the per-run references (so a pooled arena never pins the

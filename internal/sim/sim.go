@@ -21,10 +21,19 @@
 //     work is terminated and the speed returns to 1; the episode still
 //     ends at the next idle instant.
 //
-// Time is exact: arrivals and deadlines are integers, and execution at a
-// rational speed factor finishes at exactly representable rational
-// instants, so property tests can assert "no deadline missed" without
-// epsilon tolerances.
+// Time is exact and integer. The event loop runs on int64 ticks of a grid
+// that changes with the speed (rat.Ticks). LO mode is the unit grid: it
+// starts at an integer arrival, at speed 1, with integer demands and
+// deadlines. At the switch (an integer instant) to speed s = p/q under
+// a budget bn/bd, time ticks become 1/(p·bd) and work ticks 1/(q·bd),
+// so dt time ticks do exactly dt work ticks and the budget is bn·p
+// ticks; after a budget trip, time and work ticks are both 1/(bd·p·q).
+// Every grid change is an exact multiplication, and results convert
+// back to rat.Rat only when written, as ticks over the unit, so they
+// carry the exact rational instants — property tests can assert "no
+// deadline missed" without epsilon tolerances. Before a run starts,
+// RunWorkload checks that the run's span fits the finest grid in int64
+// and returns an error if it does not.
 //
 // The hot path is allocation-free in steady state: jobs are values in a
 // caller-owned Scratch arena (see Scratch), results reuse their buffers
@@ -34,6 +43,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"mcspeedup/internal/rat"
@@ -57,8 +67,12 @@ type Workload []Arrival
 // demands within the per-criticality WCET caps, non-negative times, and
 // per-task inter-arrival separation of at least T(LO).
 func (w Workload) Validate(s task.Set) error {
-	last := make(map[int]task.Time, len(s))
-	seen := make(map[int]bool, len(s))
+	// last[i] is task i's previous arrival, -1 before its first (arrival
+	// times are checked non-negative before last is read).
+	last := make([]task.Time, len(s))
+	for i := range last {
+		last[i] = -1
+	}
 	prev := task.Time(0)
 	for k, a := range w {
 		if a.Task < 0 || a.Task >= len(s) {
@@ -83,12 +97,11 @@ func (w Workload) Validate(s task.Set) error {
 			return fmt.Errorf("sim: arrival %d demand %d exceeds C(LO) of LO task %s",
 				k, a.Demand, tk.Name)
 		}
-		if seen[a.Task] && a.At-last[a.Task] < tk.Period[task.LO] {
+		if last[a.Task] >= 0 && a.At-last[a.Task] < tk.Period[task.LO] {
 			return fmt.Errorf("sim: task %s arrivals at %d and %d violate T(LO) = %d",
 				tk.Name, last[a.Task], a.At, tk.Period[task.LO])
 		}
 		last[a.Task] = a.At
-		seen[a.Task] = true
 	}
 	return nil
 }
@@ -195,11 +208,17 @@ func (r *Result) reset() {
 	r.EndTime = rat.Zero
 }
 
+// never is the tick value of an instant no run reaches: the deadline of
+// a parked job and the budget expiry while no budget is running.
+// rat.Ticks.Fits keeps every real instant below it.
+const never = math.MaxInt64
+
 // jobState is a live job instance, stored by value in Scratch.pending so
-// the event loop never allocates per job.
+// the event loop never allocates per job. Its deadline and remaining
+// work are on the current phase's tick grid (see Scratch.tu/wu).
 type jobState struct {
-	deadline  rat.Rat // absolute; PosInf for parked jobs
-	executed  rat.Rat
+	deadline  int64 // absolute, in time ticks; never for parked jobs
+	rem       int64 // remaining work, in work ticks
 	arrival   task.Time
 	demand    task.Time
 	taskIdx   int32
@@ -209,16 +228,12 @@ type jobState struct {
 	overrunOK bool // mode switch already triggered by this job
 }
 
-func (j *jobState) remaining() rat.Rat {
-	return rat.FromInt64(int64(j.demand)).Sub(j.executed)
-}
-
 // jobLess is the EDF total order: deadline, then arrival, then task
 // index. It is total over live jobs (one job per task per arrival), so
 // the pick never depends on pending order.
 func jobLess(a, b *jobState) bool {
-	if c := a.deadline.Cmp(b.deadline); c != 0 {
-		return c < 0
+	if a.deadline != b.deadline {
+		return a.deadline < b.deadline
 	}
 	if a.arrival != b.arrival {
 		return a.arrival < b.arrival
@@ -246,85 +261,98 @@ func Run(s task.Set, w Workload, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// run is the event loop. The caller (Compiled.run) has attached tasks,
-// cfg, and res to the scratch and reset the per-run state.
+// run is the event loop. The caller (Compiled.RunWorkload) has attached
+// tasks, cfg, res and the tick grid to the scratch and reset the per-run
+// state.
 func (sc *Scratch) run(w Workload) {
-	sc.budgetExpiry = rat.PosInf
 	idx := 0
 	for {
 		// Admit all arrivals at or before now.
-		for idx < len(w) && rat.FromInt64(int64(w[idx].At)).Cmp(sc.now) <= 0 {
+		for idx < len(w) && int64(w[idx].At)*sc.tu <= sc.now {
 			sc.admit(w[idx])
 			idx++
 		}
 		if sc.cfg.StopOnMiss && len(sc.res.Misses) > 0 {
 			if sc.mode == task.HI {
 				sc.res.Episodes = append(sc.res.Episodes, Episode{
-					Start: sc.episodeStart, BudgetTripped: sc.terminatedNow,
+					Start: rat.FromInt64(sc.episodeStart), BudgetTripped: sc.terminatedNow,
 				})
 			}
 			return
 		}
 		curIdx := sc.edfPick()
 		if curIdx < 0 {
-			// Processor idle.
+			// Processor idle. LO mode resumes on the unit grid at the
+			// next (integer) arrival.
 			if sc.mode == task.HI {
 				sc.reset()
 			}
 			if idx == len(w) {
 				return
 			}
-			sc.now = rat.FromInt64(int64(w[idx].At))
+			sc.now = int64(w[idx].At)
 			continue
 		}
 		cur := &sc.pending[curIdx]
 
-		// Next boundary.
-		bound := sc.now.Add(cur.remaining().Div(sc.speed)) // completion
+		// Next boundary. Running dt time ticks does dt work ticks, so the
+		// completion is rem ticks away.
+		bound := sc.now + cur.rem
 		if sc.mode == task.LO {
 			if tk := &sc.tasks[cur.taskIdx]; tk.Crit == task.HI && cur.demand > tk.WCET[task.LO] && !cur.overrunOK {
-				trigger := sc.now.Add(rat.FromInt64(int64(tk.WCET[task.LO])).Sub(cur.executed).Div(sc.speed))
-				bound = rat.Min(bound, trigger)
+				// The overrun trigger: executed work reaches C(LO), i.e.
+				// rem falls to demand − C(LO) (LO mode is the unit grid).
+				bound = min(bound, sc.now+cur.rem-int64(cur.demand-tk.WCET[task.LO]))
 			}
 		}
 		if idx < len(w) {
-			bound = rat.Min(bound, rat.FromInt64(int64(w[idx].At)))
+			bound = min(bound, int64(w[idx].At)*sc.tu)
 		}
-		bound = rat.Min(bound, sc.budgetExpiry)
+		bound = min(bound, sc.expiry)
 		// Deadlines are boundaries so misses are detected the instant
 		// they occur, not at the tardy completion.
 		for i := range sc.pending {
-			if j := &sc.pending[i]; !j.missed && !j.parked && j.deadline.Cmp(sc.now) > 0 {
-				bound = rat.Min(bound, j.deadline)
+			if j := &sc.pending[i]; !j.missed && !j.parked && j.deadline > sc.now {
+				bound = min(bound, j.deadline)
 			}
 		}
 
 		// Execute cur on [now, bound].
-		dt := bound.Sub(sc.now)
-		if dt.Sign() > 0 {
-			cur.executed = cur.executed.Add(dt.Mul(sc.speed))
+		if dt := bound - sc.now; dt > 0 {
+			cur.rem -= dt
 			sc.trace(cur, sc.now, bound)
 		}
 		sc.now = bound
 
 		// Boundary effects, in causal order. complete and switchToHI
 		// mutate pending, so cur is dead after either.
-		if cur.remaining().IsZero() {
+		if cur.rem == 0 {
 			sc.complete(curIdx)
 		} else if sc.mode == task.LO {
 			tk := &sc.tasks[cur.taskIdx]
 			if tk.Crit == task.HI && !cur.overrunOK &&
-				cur.executed.Cmp(rat.FromInt64(int64(tk.WCET[task.LO]))) >= 0 &&
+				cur.demand-task.Time(cur.rem) >= tk.WCET[task.LO] &&
 				cur.demand > tk.WCET[task.LO] {
 				cur.overrunOK = true
 				sc.switchToHI()
 			}
 		}
-		if sc.mode == task.HI && !sc.budgetExpiry.IsInf() && sc.now.Cmp(sc.budgetExpiry) >= 0 {
+		if sc.mode == task.HI && sc.expiry != never && sc.now >= sc.expiry {
 			sc.tripBudget()
 		}
 		sc.detectMisses()
 	}
+}
+
+// instant converts a time-tick value of the current phase to a Rat.
+func (sc *Scratch) instant(t int64) rat.Rat { return rat.New(t, sc.tu) }
+
+// deadlineOf is j's absolute deadline as a Rat (+Inf for parked jobs).
+func (sc *Scratch) deadlineOf(j *jobState) rat.Rat {
+	if j.parked {
+		return rat.PosInf
+	}
+	return sc.instant(j.deadline)
 }
 
 // admit applies the arrival-time policy for the current mode.
@@ -351,9 +379,9 @@ func (sc *Scratch) admit(a Arrival) {
 		taskIdx:  int32(a.Task),
 		seq:      sc.seqs[a.Task],
 		arrival:  a.At,
-		deadline: rat.FromInt64(int64(a.At) + int64(tk.Deadline[mode])),
+		deadline: int64(a.At+tk.Deadline[mode]) * sc.tu,
 		demand:   a.Demand,
-		executed: rat.Zero,
+		rem:      int64(a.Demand) * sc.wu,
 	})
 }
 
@@ -373,16 +401,17 @@ func (sc *Scratch) edfPick() int {
 func (sc *Scratch) complete(i int) {
 	j := &sc.pending[i]
 	sc.res.Completed++
-	if !j.missed && !j.parked && sc.now.Cmp(j.deadline) > 0 {
+	if !j.missed && !j.parked && sc.now > j.deadline {
 		j.missed = true
 		sc.res.Misses = append(sc.res.Misses, Miss{
-			Task: int(j.taskIdx), Arrival: j.arrival, Deadline: j.deadline, DetectedAt: sc.now,
+			Task: int(j.taskIdx), Arrival: j.arrival,
+			Deadline: sc.instant(j.deadline), DetectedAt: sc.instant(sc.now),
 		})
 	}
 	if sc.cfg.CollectJobs {
 		sc.res.Jobs = append(sc.res.Jobs, JobRecord{
 			Task: int(j.taskIdx), Seq: int(j.seq), Arrival: j.arrival,
-			Completion: sc.now, Deadline: j.deadline, Missed: j.missed,
+			Completion: sc.instant(sc.now), Deadline: sc.deadlineOf(j), Missed: j.missed,
 		})
 	}
 	sc.pending[i] = sc.pending[len(sc.pending)-1]
@@ -394,55 +423,62 @@ func (sc *Scratch) complete(i int) {
 func (sc *Scratch) detectMisses() {
 	for i := range sc.pending {
 		j := &sc.pending[i]
-		if !j.missed && !j.parked && sc.now.Cmp(j.deadline) >= 0 {
+		if !j.missed && !j.parked && sc.now >= j.deadline {
 			j.missed = true
+			d := sc.instant(j.deadline)
 			sc.res.Misses = append(sc.res.Misses, Miss{
-				Task: int(j.taskIdx), Arrival: j.arrival, Deadline: j.deadline, DetectedAt: j.deadline,
+				Task: int(j.taskIdx), Arrival: j.arrival, Deadline: d, DetectedAt: d,
 			})
 		}
 	}
 }
 
-// switchToHI performs the mode-switch protocol. The carry-over pass
-// compacts pending in place (reads run ahead of writes), preserving the
-// old keep-slice order without allocating.
+// switchToHI performs the mode-switch protocol and moves the run onto the
+// HI grid. The switch happens in LO mode, so now is an integer and every
+// conversion is an exact multiplication. The carry-over pass compacts
+// pending in place (reads run ahead of writes), preserving the old
+// keep-slice order without allocating.
 func (sc *Scratch) switchToHI() {
 	sc.mode = task.HI
 	sc.speed = sc.cfg.Speedup
 	sc.episodeStart = sc.now
-	if sc.cfg.Budget.Sign() > 0 {
-		sc.budgetExpiry = sc.now.Add(sc.cfg.Budget)
+	sc.tu, sc.wu = sc.ticks.HITime, sc.ticks.HIWork
+	sc.now *= sc.tu
+	// A budget beyond the grid never trips; expiry stays never.
+	if b := sc.ticks.Budget; b > 0 && b < never-sc.now {
+		sc.expiry = sc.now + b
 	}
 	// Re-deadline carry-over jobs.
 	keep := sc.pending[:0]
 	for i := range sc.pending {
 		j := sc.pending[i]
 		tk := &sc.tasks[j.taskIdx]
-		switch {
-		case tk.Crit == task.HI:
-			j.deadline = rat.FromInt64(int64(j.arrival) + int64(tk.Deadline[task.HI]))
-		case tk.Terminated():
-			if sc.cfg.ParkTerminatedCarryOver {
-				j.parked = true
-				j.deadline = rat.PosInf
-			} else {
+		if tk.Crit == task.LO && tk.Terminated() {
+			if !sc.cfg.ParkTerminatedCarryOver {
 				sc.res.Killed++
 				continue
 			}
-		default: // degraded
-			j.deadline = rat.FromInt64(int64(j.arrival) + int64(tk.Deadline[task.HI]))
+			j.parked = true
+			j.deadline = never
+		} else { // HI, or degraded LO
+			j.deadline = int64(j.arrival+tk.Deadline[task.HI]) * sc.tu
 		}
+		j.rem *= sc.wu
 		keep = append(keep, j)
 	}
 	sc.pending = keep
 }
 
 // tripBudget applies the Section-I fallback: terminate LO-criticality
-// work and restore nominal speed; the episode continues until idle.
+// work and restore nominal speed; the episode continues until idle. The
+// run moves onto the post-trip grid, where time and work ticks coincide.
 func (sc *Scratch) tripBudget() {
-	sc.budgetExpiry = rat.PosInf
+	sc.expiry = never
 	sc.terminatedNow = true
 	sc.speed = rat.One
+	sc.now *= sc.ticks.TripTime
+	sc.tu *= sc.ticks.TripTime
+	sc.wu *= sc.ticks.TripWork
 	keep := sc.pending[:0]
 	for i := range sc.pending {
 		j := sc.pending[i]
@@ -450,46 +486,50 @@ func (sc *Scratch) tripBudget() {
 			sc.res.Killed++
 			continue
 		}
+		j.deadline *= sc.ticks.TripTime
+		j.rem *= sc.ticks.TripWork
 		keep = append(keep, j)
 	}
 	sc.pending = keep
 }
 
-// reset returns the system to LO mode at an idle instant.
+// reset returns the system to LO mode at an idle instant. It leaves now
+// on the old grid: the caller either ends the run or moves now to the
+// next arrival on the unit grid.
 func (sc *Scratch) reset() {
 	sc.res.Episodes = append(sc.res.Episodes, Episode{
-		Start:         sc.episodeStart,
-		End:           sc.now,
+		Start:         rat.FromInt64(sc.episodeStart),
+		End:           sc.instant(sc.now),
 		BudgetTripped: sc.terminatedNow,
 		Ended:         true,
 	})
 	sc.mode = task.LO
 	sc.speed = rat.One
 	sc.terminatedNow = false
-	sc.budgetExpiry = rat.PosInf
-	if sc.res.EndTime.Cmp(sc.now) < 0 {
-		sc.res.EndTime = sc.now
-	}
+	sc.expiry = never
+	sc.tu, sc.wu = 1, 1
 }
 
-func (sc *Scratch) trace(j *jobState, from, to rat.Rat) {
-	if sc.res.EndTime.Cmp(to) < 0 {
-		sc.res.EndTime = to
-	}
+// trace records that j ran on [from, to]. Time never runs backwards, and
+// a reset happens only right after a completion ends an execution step,
+// so the latest execution end is the run's EndTime.
+func (sc *Scratch) trace(j *jobState, from, to int64) {
+	sc.endAt, sc.endUnit = to, sc.tu
 	if !sc.cfg.CollectTrace {
 		return
 	}
+	start, end := sc.instant(from), sc.instant(to)
 	n := len(sc.res.Trace)
 	if n > 0 {
 		lastSeg := &sc.res.Trace[n-1]
 		if lastSeg.Task == int(j.taskIdx) && lastSeg.JobSeq == int(j.seq) &&
-			lastSeg.End.Eq(from) && lastSeg.Speed.Eq(sc.speed) && lastSeg.Mode == sc.mode {
-			lastSeg.End = to
+			lastSeg.End.Eq(start) && lastSeg.Speed.Eq(sc.speed) && lastSeg.Mode == sc.mode {
+			lastSeg.End = end
 			return
 		}
 	}
 	sc.res.Trace = append(sc.res.Trace, Segment{
-		Start: from, End: to, Task: int(j.taskIdx), JobSeq: int(j.seq), Mode: sc.mode, Speed: sc.speed,
+		Start: start, End: end, Task: int(j.taskIdx), JobSeq: int(j.seq), Mode: sc.mode, Speed: sc.speed,
 	})
 }
 

@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"mcspeedup/internal/task"
 )
@@ -65,10 +66,10 @@ func RandomSporadic(rnd *rand.Rand, s task.Set, horizon task.Time, overrunProb f
 }
 
 func sortWorkload(w Workload) {
-	sort.SliceStable(w, func(i, j int) bool {
-		if w[i].At != w[j].At {
-			return w[i].At < w[j].At
+	slices.SortStableFunc(w, func(a, b Arrival) int {
+		if c := cmp.Compare(a.At, b.At); c != 0 {
+			return c
 		}
-		return w[i].Task < w[j].Task
+		return cmp.Compare(a.Task, b.Task)
 	})
 }

@@ -38,12 +38,12 @@ MCSVET_CACHE="$vetcache" "$gobin/mcs-vet" -ignores .
 rm -rf "$vetcache"
 
 # The -race run is the canonical full suite; the extra plain runs cover
-# internal/core's and internal/sim's //go:build !race
+# internal/core's, internal/sim's and internal/fleet's //go:build !race
 # allocation-regression tests, which the race detector's allocations
 # would falsify.
 go test -race ./...
 go test -run Alloc ./internal/core/...
-go test -run Alloc ./internal/sim/
+go test -run Alloc ./internal/sim/ ./internal/fleet/
 
 # Fuzz smoke: the production demand walks (compiled plans, bulk skips)
 # must stay equivalent to the scalar event-by-event reference walks under
@@ -60,10 +60,10 @@ go test -fuzz FuzzDeltaEquivalence -fuzztime 10s -run '^$' ./internal/core/
 # workloads, and configs.
 go test -fuzz FuzzSimEquivalence -fuzztime 10s -run '^$' ./internal/sim/
 
-# Bench smoke: every core, sim and generator benchmark must still
+# Bench smoke: every core, sim, fleet and generator benchmark must still
 # compile and complete one iteration (allocation regressions are pinned
 # by the zero-allocation tests; this guards the benchmarks themselves).
-go test -bench=. -benchtime=1x -run='^$' ./internal/core/... ./internal/sim/ ./internal/gen/
+go test -bench=. -benchtime=1x -run='^$' ./internal/core/... ./internal/sim/ ./internal/fleet/ ./internal/gen/
 
 # The repository benchmark is a nested module that `go test ./...` at the
 # root does not reach: run its own tests, which check its correctness
