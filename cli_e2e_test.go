@@ -15,7 +15,7 @@ import (
 	"testing"
 )
 
-var cliTools = []string{"mcs-gen", "mcs-analyze", "mcs-sim", "mcs-experiments", "mcs-tradeoff", "mcs-serve", "mcs-load"}
+var cliTools = []string{"mcs-gen", "mcs-analyze", "mcs-sim", "mcs-experiments", "mcs-tradeoff", "mcs-serve"}
 
 // buildCLIs compiles every tool once per test binary invocation.
 func buildCLIs(t *testing.T) string {

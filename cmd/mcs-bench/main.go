@@ -256,9 +256,9 @@ func gitRev() string {
 
 // appendTrajectory appends entry to the JSON array at path, creating the
 // file on first use. The history is handled as raw messages so entries
-// written by other tools (mcs-load's latency rows share this file) pass
-// through byte-preserved instead of being re-shaped through this tool's
-// entry struct.
+// of other shapes (the "kind": "load" latency rows a retired load
+// harness left in BENCH_trajectory.json) pass through byte-preserved
+// instead of being re-shaped through this tool's entry struct.
 func appendTrajectory(path string, entry any) error {
 	var hist []json.RawMessage
 	if data, err := os.ReadFile(path); err == nil {

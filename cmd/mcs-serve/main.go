@@ -14,34 +14,25 @@
 //	                        before 429 (default 100ms)
 //	-timeout dur            per-request deadline (default 30s)
 //	-cache int              result-cache capacity in entries (default 1024)
-//	-max-body int           request-body cap in bytes (default 8 MiB)
+//	-max-body int           request-body cap in bytes; larger bodies get
+//	                        413 (default 8 MiB)
 //	-max-sim-horizon int    /v1/simulate horizon cap in ticks (default 2e6)
+//	-max-batch int          max task sets per /v1/batch request (default 256)
 //	-max-sessions int       live /v1/session cap, LRU-evicted (default 64)
 //	-drain dur              graceful-shutdown drain budget (default 10s)
 //	-drain-grace dur        delay between /readyz going 503 and the
 //	                        listener closing, so load balancers observe
 //	                        the flip before connections are refused
 //	                        (default 0)
-//	-peers string           comma-separated replica addresses forming a
-//	                        fingerprint-sharded cluster (empty =
-//	                        single-node). Every replica must get the
-//	                        same list; see docs/SERVING.md.
-//	-self string            this replica's own entry in -peers (default:
-//	                        the resolved listen address). A -self absent
-//	                        from -peers makes this a pure router.
-//	-vnodes int             consistent-hash virtual nodes per member
-//	                        (default 64)
-//	-no-forward             compute every miss locally instead of
-//	                        proxying to the owning replica
-//	-peer-timeout dur       cap on one forwarded peer request (default 10s)
 //	-pprof string           serve net/http/pprof on this extra LOOPBACK
 //	                        address (e.g. 127.0.0.1:6060); empty = off.
 //	                        Refused for non-loopback addresses; the
 //	                        profiling handlers never join the public mux.
 //
-// Endpoints: POST /v1/analyze, /v1/session, /v1/speedup, /v1/reset,
-// /v1/simulate; GET /healthz, /readyz, /v1/cluster, /metrics. See
-// internal/server for the request formats.
+// Endpoints: POST /v1/analyze, /v1/batch, /v1/session, /v1/speedup,
+// /v1/reset, /v1/simulate, /v1/fleet; GET /healthz, /readyz, /metrics.
+// See internal/server for the request formats and docs/SERVING.md for
+// the serving design.
 //
 // On SIGINT/SIGTERM the server flips /readyz to 503, waits the
 // -drain-grace, then stops accepting connections and drains in-flight
@@ -59,7 +50,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on http.DefaultServeMux only
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -82,11 +72,6 @@ func main() {
 		maxSessions   = flag.Int("max-sessions", 64, "max live /v1/session sessions (LRU-evicted beyond)")
 		drain         = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 		drainGrace    = flag.Duration("drain-grace", 0, "delay between /readyz flipping 503 and the listener closing")
-		peers         = flag.String("peers", "", "comma-separated replica addresses forming a cluster (empty = single-node)")
-		self          = flag.String("self", "", "this replica's entry in -peers (default: the resolved listen address)")
-		vnodes        = flag.Int("vnodes", 0, "consistent-hash virtual nodes per member (0 = 64)")
-		noForward     = flag.Bool("no-forward", false, "compute every miss locally instead of proxying to the owner")
-		peerTimeout   = flag.Duration("peer-timeout", 10*time.Second, "cap on one forwarded peer request")
 		pprofAddr     = flag.String("pprof", "", "serve /debug/pprof on this extra loopback address (empty = off)")
 	)
 	flag.Parse()
@@ -105,12 +90,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	peerList := splitPeers(*peers)
-	clusterSelf := *self
-	if len(peerList) > 0 && clusterSelf == "" {
-		clusterSelf = ln.Addr().String()
-	}
-
 	svc := server.New(server.Config{
 		MaxInFlight:    *inflight,
 		AdmissionWait:  *admissionWait,
@@ -120,11 +99,6 @@ func main() {
 		MaxSimHorizon:  task.Time(*maxSimHorizon),
 		MaxBatchItems:  *maxBatch,
 		MaxSessions:    *maxSessions,
-		ClusterPeers:   peerList,
-		ClusterSelf:    clusterSelf,
-		ClusterVNodes:  *vnodes,
-		NoForward:      *noForward,
-		PeerTimeout:    *peerTimeout,
 	})
 	srv := &http.Server{
 		Handler:           svc.Handler(),
@@ -136,10 +110,6 @@ func main() {
 		IdleTimeout:  2 * time.Minute,
 	}
 
-	if len(peerList) > 0 {
-		log.Printf("cluster of %d replicas, self=%s (vnodes=%d, forward=%t)",
-			len(peerList), clusterSelf, *vnodes, !*noForward)
-	}
 	// The "listening on" line is the startup handshake scripts parse
 	// (scripts/verify.sh, server_e2e_test.go); keep its shape stable.
 	log.Printf("listening on http://%s", ln.Addr().String())
@@ -177,18 +147,6 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Print("drained; bye")
-}
-
-// splitPeers parses the -peers flag: comma-separated host:port entries,
-// blanks dropped.
-func splitPeers(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // startPprof serves the net/http/pprof handlers — which the blank import

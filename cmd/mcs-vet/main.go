@@ -2,7 +2,7 @@
 // vet tool (in the sense of `go vet -vettool`) enforcing the
 // correctness invariants the analysis engine's guarantees rest on,
 // with modular facts carrying interprocedural results (arena borrows,
-// detached contexts, lock-order edges) across package boundaries.
+// lock-order edges) across package boundaries.
 //
 // Two ways to drive it:
 //

@@ -249,8 +249,8 @@ func TestAnalyzeMatchesReferenceWalks(t *testing.T) {
 // task sets at the evaluation layer every walk is built on: a walker
 // stepping event by event through the compiled plan, the plan's whole-set
 // Value, and a walker fast-forwarded by SkipTo must all agree with the
-// scalar closed forms (dbf.SetNextEvent/SetValue/SetRightSlope) at every
-// point, for both HI-mode curves. The walk-level counterpart, production
+// scalar closed forms (dbf.SetNextEvent, setValue, dbf.SetRightSlope) at
+// every point, for both HI-mode curves. The walk-level counterpart, production
 // analyses against the reference walks, is FuzzWalkEquivalence.
 func FuzzPlanEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(20), uint8(2))
@@ -267,7 +267,7 @@ func FuzzPlanEquivalence(f *testing.F) {
 			w := newHIWalker(s, kind)
 			for step := 0; step < 300; step++ {
 				pos := w.Pos()
-				if v := dbf.SetValue(s, kind, pos); w.Value() != v || w.Plan().Value(pos) != v {
+				if v := setValue(s, kind, pos); w.Value() != v || w.Plan().Value(pos) != v {
 					t.Fatalf("kind %d at %d: walker %d, plan %d, scalar %d\n%s",
 						kind, pos, w.Value(), w.Plan().Value(pos), v, s.Table())
 				}

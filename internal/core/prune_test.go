@@ -227,7 +227,7 @@ func TestWalkerSkipToMatchesReset(t *testing.T) {
 			target := jumped.Pos() + 1 + task.Time(rnd.Intn(500))
 			jumped.SkipTo(target)
 
-			if v := dbf.SetValue(s, kind, target); jumped.Value() != v {
+			if v := setValue(s, kind, target); jumped.Value() != v {
 				t.Fatalf("kind %d target %d: SkipTo value %d, direct %d:\n%s",
 					kind, target, jumped.Value(), v, s.Table())
 			}

@@ -18,6 +18,16 @@ import (
 	"mcspeedup/internal/task"
 )
 
+// setValue is the scalar O(n) single-point evaluation of the
+// kind-selected HI-mode curve (Σ DBF_HI or Σ ADB_HI) that walkers and
+// compiled plans must reproduce exactly.
+func setValue(s task.Set, kind dbf.Kind, delta task.Time) task.Time {
+	if kind == dbf.KindDBF {
+		return dbf.SetHIMode(s, delta)
+	}
+	return dbf.SetADB(s, delta)
+}
+
 // sameSpeedupPayload reports whether got carries want's payload: every
 // field but the Events/Jumps walk accounting.
 func sameSpeedupPayload(got, want SpeedupResult) bool {

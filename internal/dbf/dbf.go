@@ -307,17 +307,6 @@ func SetADB(s task.Set, delta task.Time) task.Time {
 	return sum
 }
 
-// SetValue returns the summed kind-selected HI-mode curve at Δ:
-// Σ_i DBF_HI for KindDBF, Σ_i ADB_HI for KindADB — the scalar O(n)
-// single-point evaluation that Plan.Value and PointMemo.Value reproduce
-// exactly.
-func SetValue(s task.Set, kind Kind, delta task.Time) task.Time {
-	if kind == KindDBF {
-		return SetHIMode(s, delta)
-	}
-	return SetADB(s, delta)
-}
-
 // SetLOMode returns Σ_i DBF_LO(τ_i, Δ).
 func SetLOMode(s task.Set, delta task.Time) task.Time {
 	var sum task.Time

@@ -226,23 +226,9 @@ func (p *Plan) TaskStep(i int, delta task.Time) (v, slope, next task.Time, ok bo
 	panic("dbf: TaskStep found no candidate")
 }
 
-// TaskValueFrom returns row i's value at target given its value at from
-// (from ≤ target), using the exact periodicity curve(Δ+kT) = curve(Δ) +
-// k·C(HI) when the jump is a whole number of periods (each extra period
-// contributes exactly one full job) and direct evaluation otherwise.
-func (p *Plan) TaskValueFrom(i int, fromVal, from, target task.Time) task.Time {
-	period := p.period[i]
-	if period == 0 {
-		return fromVal // constant curve
-	}
-	if d := target - from; d%period == 0 {
-		return fromVal + (d/period)*p.cHI[i]
-	}
-	return p.TaskValue(i, target)
-}
-
-// Value returns the summed curve at Δ: exactly SetValue(s, kind, Δ) for
-// the compiled rows, via one pass over the columns.
+// Value returns the summed curve at Δ — exactly SetHIMode (KindDBF) or
+// SetADB (KindADB) over the compiled rows — via one pass over the
+// columns.
 func (p *Plan) Value(delta task.Time) task.Time {
 	if delta < 0 {
 		panic(fmt.Errorf("%w %d", ErrNegativeInterval, delta))
@@ -367,8 +353,9 @@ type PointMemo struct {
 // Invalidate drops the cached point so the next Value rebuilds.
 func (m *PointMemo) Invalidate() { m.valid = false }
 
-// Value returns SetValue(s, kind, delta) exactly, recomputing only the
-// tasks whose parameters differ from the previous call's snapshot.
+// Value returns SetHIMode(s, delta) (KindDBF) or SetADB(s, delta)
+// (KindADB) exactly, recomputing only the tasks whose parameters differ
+// from the previous call's snapshot.
 func (m *PointMemo) Value(s task.Set, kind Kind, delta task.Time) task.Time {
 	if !m.valid || m.kind != kind || m.delta != delta || len(s) != len(m.keys) {
 		return m.rebuild(s, kind, delta)

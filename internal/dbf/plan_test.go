@@ -141,31 +141,6 @@ func TestPlanBulkEvalMatchesPointwise(t *testing.T) {
 	}
 }
 
-func TestPlanTaskValueFrom(t *testing.T) {
-	rnd := rand.New(rand.NewSource(13))
-	for iter := 0; iter < 100; iter++ {
-		s := quickSet(rnd, 1+rnd.Intn(6))
-		for _, kind := range []Kind{KindDBF, KindADB} {
-			p := CompilePlan(s, kind)
-			for i := range s {
-				from := task.Time(rnd.Int63n(10_000))
-				fromVal := p.TaskValue(i, from)
-				targets := []task.Time{from, from + 1, from + task.Time(rnd.Int63n(5_000))}
-				if !s[i].Terminated() {
-					T := s[i].Period[task.HI]
-					targets = append(targets, from+T, from+7*T, from+T+1)
-				}
-				for _, target := range targets {
-					if got, want := p.TaskValueFrom(i, fromVal, from, target), p.TaskValue(i, target); got != want {
-						t.Fatalf("kind %d task %d %d→%d: TaskValueFrom %d != TaskValue %d\n%s",
-							kind, i, from, target, got, want, s.Table())
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestPlanCompileSubset pins the delta path's partial compile: a subset
 // plan must evaluate exactly the selected rows, in idx order, and
 // recompiling a grown plan down to a smaller subset must not leak stale
@@ -275,4 +250,15 @@ func TestPointMemoExactUnderEdits(t *testing.T) {
 			}
 		}
 	}
+}
+
+// SetValue returns the summed kind-selected HI-mode curve at Δ:
+// Σ_i DBF_HI for KindDBF, Σ_i ADB_HI for KindADB — the scalar O(n)
+// single-point evaluation that Plan.Value and PointMemo.Value reproduce
+// exactly.
+func SetValue(s task.Set, kind Kind, delta task.Time) task.Time {
+	if kind == KindDBF {
+		return SetHIMode(s, delta)
+	}
+	return SetADB(s, delta)
 }

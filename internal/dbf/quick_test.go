@@ -71,8 +71,8 @@ func TestQuickDBFInvariants(t *testing.T) {
 }
 
 // TestQuickAdvanceClosedForm: the periodic advance closed form
-// curve(Δ + k·T) = curve(Δ) + k·C(HI), which Plan.TaskValueFrom and the
-// walks' hyperperiod stopping rule rest on, holds under direct evaluation
+// curve(Δ + k·T) = curve(Δ) + k·C(HI), which the walks' hyperperiod
+// stopping rule rests on, holds under direct evaluation
 // for arbitrary tasks, offsets and period counts, on both HI-mode curves.
 // Terminated tasks have constant curves.
 func TestQuickAdvanceClosedForm(t *testing.T) {

@@ -7,10 +7,10 @@ import (
 
 // Corpus is a deterministic Zipf-popularity sampler over n ranks: rank 0
 // is the hottest item, rank n-1 the coldest, and rank k is drawn with
-// probability proportional to 1/(k+1)^s. The load harness (cmd/mcs-load)
-// uses it to skew traffic over a fixed set of task sets the way a real
-// analysis service sees a few hot sets and a long tail; future fleet
-// simulations share it.
+// probability proportional to 1/(k+1)^s. The repository benchmark's
+// serve-zipf workload (perfbench) uses it to skew traffic over a fixed
+// set of task sets the way a real analysis service sees a few hot sets
+// and a long tail.
 //
 // Sampling is inverse-CDF over a precomputed table, driven by a private
 // *rand.Rand — never the global math/rand source, so a Corpus is a pure

@@ -6,9 +6,9 @@ import (
 )
 
 // TestZipfCorpusGoldenDraws pins the first draws of a Substream-seeded
-// corpus. mcs-load arrival schedules are replayable by (seed, n, s)
-// alone; these values may only change with a deliberate decision to
-// break replay compatibility.
+// corpus. Zipf request streams are replayable by (seed, n, s) alone;
+// these values may only change with a deliberate decision to break
+// replay compatibility.
 func TestZipfCorpusGoldenDraws(t *testing.T) {
 	c := ZipfCorpus(Substream(1, 0, 0), 16, 1.1)
 	want := []int{0, 0, 0, 0, 7, 5, 3, 1, 0, 2, 15, 1}

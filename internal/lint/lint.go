@@ -10,8 +10,8 @@
 // analyzers export typed, JSON-serialized facts attached to
 // package-level objects, and dependent packages import those facts
 // during their own pass, so an arena laundered through a helper in
-// another package, or a context.Background() two calls below a peer
-// forward, is still visible. Analyzers run dependency-ordered and — in
+// another package, or a pool admission two calls below a locked call
+// site, is still visible. Analyzers run dependency-ordered and — in
 // module mode (modrunner.go) — in parallel over internal/par, with the
 // final diagnostic order byte-identical for any worker count.
 //

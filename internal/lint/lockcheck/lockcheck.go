@@ -1,13 +1,11 @@
 // Package lockcheck enforces the module's lock discipline with a
 // module-wide lock-acquisition graph assembled from facts:
 //
-//  1. No blocking admission or peer I/O under a mutex (previously rule
-//     2 of clustercheck, per-package): holding a lock across pool
-//     admission (par.Pool.Acquire/TryAcquire) or a peer round-trip
-//     (cluster's Forward) convoys every goroutine touching the
-//     bookkeeping. With Blocks facts the rule is interprocedural — a
-//     helper that blocks three calls deep is flagged at the locked
-//     call site.
+//  1. No blocking admission under a mutex: holding a lock across pool
+//     admission (par.Pool.Acquire/TryAcquire) convoys every goroutine
+//     touching the guarded state behind the pool. With Blocks facts the
+//     rule is interprocedural — a helper that blocks three calls deep
+//     is flagged at the locked call site.
 //
 //  2. Consistent lock order: every function exports the locks it
 //     acquires and the held-while-acquiring edges between them
@@ -65,7 +63,7 @@ func (*Locks) AFact() {}
 // Analyzer is the lockcheck analyzer.
 var Analyzer = &lint.Analyzer{
 	Name:      "lockcheck",
-	Doc:       "build the module-wide lock-acquisition graph from Locks facts: report lock-order cycles and blocking admission or peer I/O under a mutex",
+	Doc:       "build the module-wide lock-acquisition graph from Locks facts: report lock-order cycles and blocking admission under a mutex",
 	FactTypes: []lint.Fact{(*Locks)(nil)},
 	Run:       run,
 }
@@ -198,7 +196,7 @@ func run(pass *lint.Pass) error {
 			if c.callee.Pkg() != nil {
 				calleePkg = lint.CanonicalPath(c.callee.Pkg().Path())
 			}
-			pass.Reportf(c.pos, "%s calls %s.%s, which can block on admission or peer I/O (%s), while holding a mutex (Blocks fact): release the lock before the call",
+			pass.Reportf(c.pos, "%s calls %s.%s, which can block on admission (%s), while holding a mutex (Blocks fact): release the lock before the call",
 				fi.name, calleePkg, c.callee.Name(), strings.Join(blocks, ", "))
 		}
 	}
@@ -432,7 +430,7 @@ func (fi *funcInfo) call(pass *lint.Pass, sc *scope, n *ast.CallExpr) {
 		fi.blocks[desc] = true
 		if sc.locked() {
 			fi.events = append(fi.events, event{pos: n.Pos(),
-				message: fi.name + " calls " + pkg + "." + callee.Name() + " while holding a mutex: blocking admission or peer I/O under a lock convoys every goroutine touching the cluster bookkeeping"})
+				message: fi.name + " calls " + pkg + "." + callee.Name() + " while holding a mutex: blocking admission under a lock convoys every goroutine touching the guarded state"})
 		}
 		return
 	}
@@ -447,17 +445,10 @@ func (fi *funcInfo) call(pass *lint.Pass, sc *scope, n *ast.CallExpr) {
 }
 
 // blockingDesc names callee if it can block on admission (the pool
-// semaphore) or the network (a peer round-trip), else "".
+// semaphore), else "".
 func blockingDesc(callee *types.Func, pkg string) string {
-	switch pkg {
-	case "mcspeedup/internal/par":
-		if callee.Name() == "Acquire" || callee.Name() == "TryAcquire" {
-			return pkg + "." + callee.Name()
-		}
-	case "mcspeedup/internal/cluster":
-		if callee.Name() == "Forward" {
-			return pkg + "." + callee.Name()
-		}
+	if pkg == "mcspeedup/internal/par" && (callee.Name() == "Acquire" || callee.Name() == "TryAcquire") {
+		return pkg + "." + callee.Name()
 	}
 	return ""
 }

@@ -11,7 +11,7 @@ import (
 )
 
 func TestLockcheckBlockingUnderMutex(t *testing.T) {
-	linttest.Run(t, "testdata", "mcspeedup/internal/cluster", lockcheck.Analyzer)
+	linttest.Run(t, "testdata", "mcspeedup/internal/server", lockcheck.Analyzer)
 }
 
 // TestLockcheckCanonicalOrderClean asserts the package establishing the

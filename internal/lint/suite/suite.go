@@ -6,7 +6,6 @@ package suite
 import (
 	"mcspeedup/internal/lint"
 	"mcspeedup/internal/lint/borrowcheck"
-	"mcspeedup/internal/lint/ctxcheck"
 	"mcspeedup/internal/lint/deltacheck"
 	"mcspeedup/internal/lint/determcheck"
 	"mcspeedup/internal/lint/lockcheck"
@@ -27,6 +26,5 @@ var Analyzers = []*lint.Analyzer{
 	plancheck.Analyzer,
 	deltacheck.Analyzer,
 	borrowcheck.Analyzer,
-	ctxcheck.Analyzer,
 	lockcheck.Analyzer,
 }

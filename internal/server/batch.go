@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 )
@@ -39,9 +38,8 @@ type batchItem struct {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	trimmed := bytes.TrimSpace(body)
@@ -78,11 +76,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			items[i].err = err
 			continue
 		}
-		// Batch items always compute locally (computeAdmit): fanning a
-		// batch's misses across the cluster would multiply one request
-		// into N peer calls; clients wanting sharded placement use
-		// individual /v1/analyze calls.
-		key, _, fn, err := analyzeJob(itemReq)
+		key, fn, err := analyzeJob(itemReq)
 		if err != nil {
 			items[i].err = err
 			continue
@@ -90,7 +84,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(out *batchItem) {
 			defer wg.Done()
-			out.body, out.hit, out.err = s.computeAdmit(r.Context(), 0, key, fn)
+			out.body, out.hit, out.err = s.compute(r.Context(), 0, key, fn)
 		}(&items[i])
 	}
 	wg.Wait()

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -58,17 +59,39 @@ type tasksField struct {
 
 func (t *tasksField) setTasks(raw json.RawMessage) { t.Tasks = raw }
 
-// decodeRequest parses the request body into the envelope and returns
-// the raw body bytes (the cluster tier replays them verbatim when
-// forwarding a miss to its owning replica). Bodies starting with '['
-// are interpreted as a bare task-set array (the mcs-analyze input
-// format); envelopes are decoded strictly, rejecting unknown fields.
-func decodeRequest(r *http.Request, envelope interface{ setTasks(json.RawMessage) }) ([]byte, error) {
+// readBody reads the whole request body. A body over the MaxBodyBytes
+// cap (the http.MaxBytesReader requirePOST installs) is answered 413,
+// any other read failure 400; ok is false once that answer is written.
+func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
 	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		return nil, fmt.Errorf("reading body: %w", err)
+	if err == nil {
+		return body, true
 	}
-	return body, decodeBody(body, envelope)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds the service cap of %d bytes", tooLarge.Limit))
+	} else {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
+	}
+	return nil, false
+}
+
+// decodeRequest reads the request body into the envelope, answering the
+// request itself (413 or 400) and returning false when it cannot. Bodies
+// starting with '[' are interpreted as a bare task-set array (the
+// mcs-analyze input format); envelopes are decoded strictly, rejecting
+// unknown fields.
+func decodeRequest(w http.ResponseWriter, r *http.Request, envelope interface{ setTasks(json.RawMessage) }) bool {
+	body, ok := readBody(w, r)
+	if !ok {
+		return false
+	}
+	if err := decodeBody(body, envelope); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return false
+	}
+	return true
 }
 
 // decodeBody is decodeRequest over raw bytes; /v1/batch reuses it per
@@ -170,26 +193,25 @@ func analyzeCacheKey(fingerprint string, speed rat.Rat, transformKey string) str
 	return fmt.Sprintf("analyze|%s|speed=%s|%s", fingerprint, speed, transformKey)
 }
 
-// analyzeJob validates an analyze request and returns its cache key,
-// the set fingerprint (the cluster shard key), and its compute closure.
+// analyzeJob validates an analyze request and returns its cache key and
+// its compute closure.
 // /v1/analyze and each /v1/batch item go through this one path, so a
 // batch item's key — and therefore its cached bytes — is identical to
 // the equivalent individual call's.
-func analyzeJob(req analyzeRequest) (string, string, func() ([]byte, error), error) {
+func analyzeJob(req analyzeRequest) (string, func() ([]byte, error), error) {
 	if err := req.validate(); err != nil {
-		return "", "", nil, err
+		return "", nil, err
 	}
 	set, err := parseTasks(req.Tasks)
 	if err != nil {
-		return "", "", nil, err
+		return "", nil, err
 	}
 	speed := rat.Two
 	if req.Speed != nil {
 		speed = req.Speed.Rat
 	}
-	fp := set.Fingerprint()
-	key := analyzeCacheKey(fp, speed, req.keyPart())
-	return key, fp, func() ([]byte, error) {
+	key := analyzeCacheKey(set.Fingerprint(), speed, req.keyPart())
+	return key, func() ([]byte, error) {
 		transformed, err := req.apply(set)
 		if err != nil {
 			return nil, err
@@ -204,17 +226,15 @@ func analyzeJob(req analyzeRequest) (string, string, func() ([]byte, error), err
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req analyzeRequest
-	raw, err := decodeRequest(r, &req)
+	if !decodeRequest(w, r, &req) {
+		return
+	}
+	key, fn, err := analyzeJob(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	key, fp, fn, err := analyzeJob(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.serveComputed(w, r, "/v1/analyze", fp, raw, key, fn)
+	s.serveComputed(w, r, key, fn)
 }
 
 // --- POST /v1/speedup ---
@@ -239,9 +259,7 @@ type speedupDoc struct {
 
 func (s *Server) handleSpeedup(w http.ResponseWriter, r *http.Request) {
 	var req speedupRequest
-	raw, err := decodeRequest(r, &req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if err := req.validate(); err != nil {
@@ -253,9 +271,8 @@ func (s *Server) handleSpeedup(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	fp := set.Fingerprint()
-	key := fmt.Sprintf("speedup|%s|%s", fp, req.keyPart())
-	s.serveComputed(w, r, "/v1/speedup", fp, raw, key, func() ([]byte, error) {
+	key := fmt.Sprintf("speedup|%s|%s", set.Fingerprint(), req.keyPart())
+	s.serveComputed(w, r, key, func() ([]byte, error) {
 		transformed, err := req.apply(set)
 		if err != nil {
 			return nil, err
@@ -298,9 +315,7 @@ type resetDoc struct {
 
 func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
 	var req resetRequest
-	raw, err := decodeRequest(r, &req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if err := req.validate(); err != nil {
@@ -316,9 +331,8 @@ func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
 	if req.Speed != nil {
 		speed = req.Speed.Rat
 	}
-	fp := set.Fingerprint()
-	key := fmt.Sprintf("reset|%s|speed=%s|%s", fp, speed, req.keyPart())
-	s.serveComputed(w, r, "/v1/reset", fp, raw, key, func() ([]byte, error) {
+	key := fmt.Sprintf("reset|%s|speed=%s|%s", set.Fingerprint(), speed, req.keyPart())
+	s.serveComputed(w, r, key, func() ([]byte, error) {
 		transformed, err := req.apply(set)
 		if err != nil {
 			return nil, err
@@ -367,9 +381,7 @@ type simulateRequest struct {
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req simulateRequest
-	raw, err := decodeRequest(r, &req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	set, err := parseTasks(req.Tasks)
@@ -417,11 +429,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	fp := set.Fingerprint()
 	key := fmt.Sprintf("simulate|%s|speed=%s|horizon=%d|workload=%s|seed=%d|overrun=%g|gap=%d|budget=%d|jobs=%t|trace=%t",
-		fp, speed, horizon, req.Workload, req.Seed, overrun, req.Gap, req.Budget,
+		set.Fingerprint(), speed, horizon, req.Workload, req.Seed, overrun, req.Gap, req.Budget,
 		req.CollectJobs, req.CollectTrace)
-	s.serveComputed(w, r, "/v1/simulate", fp, raw, key, func() ([]byte, error) {
+	s.serveComputed(w, r, key, func() ([]byte, error) {
 		var w sim.Workload
 		switch req.Workload {
 		case "sync":
@@ -475,9 +486,7 @@ type fleetRequest struct {
 // the summary bytes are identical to cmd/mcs-sim -fleet -json.
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	var req fleetRequest
-	raw, err := decodeRequest(r, &req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	set, err := parseTasks(req.Tasks)
@@ -519,10 +528,9 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 		speed = req.Speed.Rat
 	}
 
-	fp := set.Fingerprint()
 	key := fmt.Sprintf("fleet|%s|runs=%d|speed=%s|seed=%d|horizon=%d|budget=%d|overrun=%g",
-		fp, req.Runs, speed, req.Seed, horizon, req.Budget, acet.OverrunProb)
-	s.serveComputed(w, r, "/v1/fleet", fp, raw, key, func() ([]byte, error) {
+		set.Fingerprint(), req.Runs, speed, req.Seed, horizon, req.Budget, acet.OverrunProb)
+	s.serveComputed(w, r, key, func() ([]byte, error) {
 		p := fleet.Params{
 			Set:     set,
 			Runs:    req.Runs,

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"mcspeedup/internal/cache"
-	"mcspeedup/internal/cluster"
 )
 
 // latencyBuckets are the histogram upper bounds in seconds. The analyses
@@ -60,9 +59,6 @@ type metrics struct {
 	sessionCacheHits                 uint64
 	// Monte-Carlo replicates computed by /v1/fleet (cache hits excluded).
 	fleetRuns uint64
-	// Cluster forwarding: misses proxied to their owning replica, and
-	// forward attempts that failed (degrading to local compute).
-	clusterForwards, clusterForwardErrors uint64
 }
 
 func newMetrics() *metrics {
@@ -146,22 +142,9 @@ func (m *metrics) recordFleet(runs int64) {
 	m.fleetRuns += uint64(runs)
 }
 
-// recordForward registers one attempt to proxy a miss to its owning
-// replica: ok means the owner's bytes were served, !ok that the forward
-// failed and the replica degraded to local compute.
-func (m *metrics) recordForward(ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if ok {
-		m.clusterForwards++
-	} else {
-		m.clusterForwardErrors++
-	}
-}
-
 // render emits the Prometheus text exposition format. Families and label
 // values are emitted in sorted order so the output is deterministic.
-func (m *metrics) render(cs cache.Stats, poolInFlight, poolCapacity, sessionsLive int, gs cluster.GroupStats, clusterPeers int, ready bool) string {
+func (m *metrics) render(cs cache.Stats, poolInFlight, poolCapacity, sessionsLive int, gs flightStats, ready bool) string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -258,16 +241,6 @@ func (m *metrics) render(cs cache.Stats, poolInFlight, poolCapacity, sessionsLiv
 	b.WriteString("# HELP mcs_coalesce_dedup_total Requests that joined an in-flight computation instead of running their own.\n")
 	b.WriteString("# TYPE mcs_coalesce_dedup_total counter\n")
 	fmt.Fprintf(&b, "mcs_coalesce_dedup_total %d\n", gs.Dedup)
-
-	b.WriteString("# HELP mcs_cluster_peers Ring members in cluster mode (0 = single-node).\n")
-	b.WriteString("# TYPE mcs_cluster_peers gauge\n")
-	fmt.Fprintf(&b, "mcs_cluster_peers %d\n", clusterPeers)
-	b.WriteString("# HELP mcs_cluster_forward_total Cache misses proxied to their owning replica.\n")
-	b.WriteString("# TYPE mcs_cluster_forward_total counter\n")
-	fmt.Fprintf(&b, "mcs_cluster_forward_total %d\n", m.clusterForwards)
-	b.WriteString("# HELP mcs_cluster_forward_errors_total Forward attempts that failed and degraded to local compute.\n")
-	b.WriteString("# TYPE mcs_cluster_forward_errors_total counter\n")
-	fmt.Fprintf(&b, "mcs_cluster_forward_errors_total %d\n", m.clusterForwardErrors)
 
 	b.WriteString("# HELP mcs_ready Whether the replica reports ready (1) on /readyz.\n")
 	b.WriteString("# TYPE mcs_ready gauge\n")

@@ -12,11 +12,13 @@
 //	                     byte-identical to individual /v1/analyze calls
 //	POST /v1/speedup   — minimum HI-mode speedup s_min (Theorem 2)
 //	POST /v1/reset     — service resetting time Δ_R (Corollary 5)
+//	POST /v1/session   — edit-stream sessions over incremental analysis;
+//	                     reports byte-identical to /v1/analyze
 //	POST /v1/simulate  — discrete-event run of the runtime protocol (§IV)
-//	GET  /healthz      — liveness probe
+//	POST /v1/fleet     — Monte-Carlo fleet of sampled runs (§IV)
+//	GET  /healthz     — liveness probe
 //	GET  /readyz       — readiness probe: 503 before startup completes
 //	                     and once SIGTERM drain begins
-//	GET  /v1/cluster   — cluster topology, placement, and peer health
 //	GET  /metrics      — Prometheus text exposition
 //
 // Every analysis is a pure function of the task set and options, so POST
@@ -28,13 +30,8 @@
 // request is rejected with 429 so callers can back off.
 //
 // Concurrent identical misses are coalesced by a singleflight group: a
-// thundering herd on one hot key performs exactly one analysis (or, in
-// cluster mode, one peer fetch) and every caller shares the bytes.
-//
-// With ClusterPeers configured the replica joins a fingerprint-sharded
-// cluster (see internal/cluster and docs/SERVING.md): cache misses on
-// keys owned by another replica are proxied to the owner, single-hop,
-// falling back to local compute when the owner is unreachable.
+// thundering herd on one hot key performs exactly one analysis and
+// every caller shares the bytes. See docs/SERVING.md.
 package server
 
 import (
@@ -49,7 +46,6 @@ import (
 	"time"
 
 	"mcspeedup/internal/cache"
-	"mcspeedup/internal/cluster"
 	"mcspeedup/internal/dbf"
 	"mcspeedup/internal/par"
 	"mcspeedup/internal/task"
@@ -83,26 +79,6 @@ type Config struct {
 	// MaxSessions bounds the live /v1/session registry; beyond it the
 	// least-recently-used session is evicted. 0 = 64.
 	MaxSessions int
-	// ClusterPeers lists every replica's advertised address (host:port)
-	// when mcs-serve runs as a fingerprint-sharded cluster. Empty =
-	// single-node mode. All replicas must share the same list (order
-	// does not matter); placement is a pure function of it.
-	ClusterPeers []string
-	// ClusterSelf is this replica's own entry in ClusterPeers. An empty
-	// or absent-from-the-list value makes this replica a pure router:
-	// it owns no keys and forwards every miss.
-	ClusterSelf string
-	// ClusterVNodes is the consistent-hash virtual-node count per
-	// member. 0 = cluster.DefaultVNodes.
-	ClusterVNodes int
-	// NoForward disables proxying misses to their owning replica (the
-	// escape hatch: every miss is computed locally, the ring is only
-	// reported by /v1/cluster).
-	NoForward bool
-	// PeerTimeout caps one forwarded peer request. 0 = 10s.
-	PeerTimeout time.Duration
-	// PeerTransport overrides the forwarding HTTP transport (tests).
-	PeerTransport http.RoundTripper
 }
 
 func (c Config) withDefaults() Config {
@@ -143,8 +119,7 @@ type Server struct {
 	results  *cache.Cache[[]byte]
 	metrics  *metrics
 	sessions *sessionRegistry
-	node     *cluster.Node
-	flights  cluster.Group
+	flights  flightGroup
 	ready    atomic.Bool
 	draining atomic.Bool
 	mux      *http.ServeMux
@@ -159,15 +134,7 @@ func New(cfg Config) *Server {
 		results:  cache.New[[]byte](cfg.CacheEntries),
 		metrics:  newMetrics(),
 		sessions: newSessionRegistry(cfg.MaxSessions),
-		node: cluster.NewNode(cluster.Config{
-			Self:        cfg.ClusterSelf,
-			Peers:       cfg.ClusterPeers,
-			VNodes:      cfg.ClusterVNodes,
-			NoForward:   cfg.NoForward,
-			PeerTimeout: cfg.PeerTimeout,
-			Transport:   cfg.PeerTransport,
-		}),
-		mux: http.NewServeMux(),
+		mux:      http.NewServeMux(),
 	}
 	s.mux.HandleFunc("/v1/analyze", s.instrument("/v1/analyze", s.requirePOST(s.handleAnalyze)))
 	s.mux.HandleFunc("/v1/session", s.instrument("/v1/session", s.requirePOST(s.handleSession)))
@@ -176,7 +143,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/v1/reset", s.instrument("/v1/reset", s.requirePOST(s.handleReset)))
 	s.mux.HandleFunc("/v1/simulate", s.instrument("/v1/simulate", s.requirePOST(s.handleSimulate)))
 	s.mux.HandleFunc("/v1/fleet", s.instrument("/v1/fleet", s.requirePOST(s.handleFleet)))
-	s.mux.HandleFunc("/v1/cluster", s.instrument("/v1/cluster", s.handleCluster))
 	s.mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz))
 	s.mux.HandleFunc("/readyz", s.instrument("/readyz", s.handleReadyz))
 	s.mux.HandleFunc("/metrics", s.instrument("/metrics", s.handleMetrics))
@@ -232,22 +198,18 @@ var errInternal = errors.New("internal error")
 // compute serves the endpoint's response bytes from the cache when
 // possible, otherwise admits the computation through the pool, runs fn,
 // and caches its result. The returned bool mirrors the X-Cache header.
-func (s *Server) compute(ctx context.Context, key string, fn func() ([]byte, error)) ([]byte, bool, error) {
-	return s.computeAdmit(ctx, s.cfg.AdmissionWait, key, fn)
-}
-
-// computeAdmit is compute with an explicit admission wait. wait > 0 is
-// the single-request behavior (bounded wait, then 429); wait ≤ 0 queues
-// for a slot until the request context expires, which is what /v1/batch
-// items want — a saturated pool should stretch a batch out, not shed
-// items that individual retries would recompute anyway.
+// wait > 0 is the single-request behavior (bounded wait, then 429);
+// wait ≤ 0 queues for a slot until the request context expires, which
+// is what /v1/batch items want — a saturated pool should stretch a
+// batch out, not shed items that individual retries would recompute
+// anyway.
 //
 // Misses are coalesced per key: a thundering herd of identical requests
 // performs one analysis and shares the bytes. Each request does exactly
 // one cache lookup (the Get here) — followers of a flight share the
 // leader's bytes without a second Get, so the hit/miss counters keep
 // counting requests, not flight internals.
-func (s *Server) computeAdmit(ctx context.Context, wait time.Duration, key string, fn func() ([]byte, error)) ([]byte, bool, error) {
+func (s *Server) compute(ctx context.Context, wait time.Duration, key string, fn func() ([]byte, error)) ([]byte, bool, error) {
 	if body, ok := s.results.Get(key); ok {
 		return body, true, nil
 	}
@@ -312,13 +274,11 @@ func runAnalysis(fn func() ([]byte, error)) (body []byte, err error) {
 	return fn()
 }
 
-// serveComputed runs the routed compute path and writes the JSON
-// response, translating admission and input errors to their status
-// codes. endpoint is the request path (reused as the forward target
-// path), shard the task-set fingerprint keying cluster placement, and
-// raw the verbatim request body to replay at the owner.
-func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, endpoint, shard string, raw []byte, key string, fn func() ([]byte, error)) {
-	body, hit, peer, err := s.computeRouted(r, endpoint, shard, raw, key, fn)
+// serveComputed runs compute with the configured admission wait and
+// writes the JSON response, translating admission and input errors to
+// their status codes.
+func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, key string, fn func() ([]byte, error)) {
+	body, hit, err := s.compute(r.Context(), s.cfg.AdmissionWait, key, fn)
 	if err != nil {
 		if errors.Is(err, errSaturated) {
 			w.Header().Set("Retry-After", "1")
@@ -332,14 +292,37 @@ func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, endpoint,
 	} else {
 		w.Header().Set("X-Cache", "miss")
 	}
-	if peer != "" {
-		w.Header().Set(cluster.PeerHeader, peer)
-	}
 	// Two writes, not append(body, '\n'): body is shared — the cache and
 	// the singleflight group hand the same backing array to every
 	// concurrent request, so an in-place append is a data race.
 	w.Write(body)
 	w.Write([]byte{'\n'})
+}
+
+// SetReady marks startup complete; /readyz turns 200. mcs-serve calls
+// this once the listener is accepting.
+func (s *Server) SetReady() { s.ready.Store(true) }
+
+// BeginDrain marks the drain phase of shutdown: /readyz turns 503 so
+// load balancers stop routing here, while /healthz and the work
+// endpoints keep serving until the listener closes.
+func (s *Server) BeginDrain() { s.draining.Store(true) }
+
+// Draining reports whether BeginDrain has been called.
+func (s *Server) Draining() bool { return s.draining.Load() }
+
+func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	switch {
+	case s.draining.Load():
+		w.WriteHeader(http.StatusServiceUnavailable)
+		json.NewEncoder(w).Encode(map[string]string{"status": "draining"})
+	case !s.ready.Load():
+		w.WriteHeader(http.StatusServiceUnavailable)
+		json.NewEncoder(w).Encode(map[string]string{"status": "starting"})
+	default:
+		json.NewEncoder(w).Encode(map[string]string{"status": "ready"})
+	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -351,13 +334,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	peers := 0
-	if s.node.Enabled() {
-		peers = len(s.node.Ring().Members())
-	}
 	ready := s.ready.Load() && !s.draining.Load()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprint(w, s.metrics.render(s.results.Stats(), s.pool.InFlight(), s.pool.Capacity(), s.sessions.live(), s.flights.Stats(), peers, ready))
+	fmt.Fprint(w, s.metrics.render(s.results.Stats(), s.pool.InFlight(), s.pool.Capacity(), s.sessions.live(), s.flights.Stats(), ready))
 }
 
 // errorStatus maps a compute error to its HTTP status: saturation → 429,

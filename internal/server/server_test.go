@@ -295,12 +295,51 @@ func TestBadRequests(t *testing.T) {
 
 func TestMethodNotAllowed(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	resp, _ := get(t, ts.URL+"/v1/analyze")
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/analyze: %d", resp.StatusCode)
+	cases := []struct {
+		path  string
+		code  int
+		allow string
+	}{
+		{"/v1/analyze", http.StatusMethodNotAllowed, http.MethodPost},
+		{"/v1/batch", http.StatusMethodNotAllowed, http.MethodPost},
+		{"/v1/cluster", http.StatusNotFound, ""},
 	}
-	if resp.Header.Get("Allow") != http.MethodPost {
-		t.Errorf("Allow header %q", resp.Header.Get("Allow"))
+	for _, c := range cases {
+		resp, _ := get(t, ts.URL+c.path)
+		if resp.StatusCode != c.code {
+			t.Errorf("GET %s: %d, want %d", c.path, resp.StatusCode, c.code)
+		}
+		if got := resp.Header.Get("Allow"); got != c.allow {
+			t.Errorf("GET %s: Allow header %q, want %q", c.path, got, c.allow)
+		}
+	}
+}
+
+// TestOversizeBodyGets413 pins the MaxBodyBytes cap: a body over it is
+// answered 413 with a JSON error on both body-reading paths, while a
+// body under it is served.
+func TestOversizeBodyGets413(t *testing.T) {
+	ts := newTestServer(t, Config{MaxBodyBytes: 512})
+	pad := strings.Repeat(" ", 600)
+	for _, c := range []struct{ endpoint, body string }{
+		{"/v1/analyze", tableIJSON + pad},
+		{"/v1/batch", batchBody(tableIJSON) + pad},
+		{"/v1/session", tableIJSON + pad},
+	} {
+		resp, body := post(t, ts.URL+c.endpoint, c.body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413 (%s)", c.endpoint, resp.StatusCode, body)
+			continue
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, "512 bytes") {
+			t.Errorf("%s: error body %s", c.endpoint, body)
+		}
+	}
+	if resp, body := post(t, ts.URL+"/v1/analyze", tableIJSON); resp.StatusCode != http.StatusOK {
+		t.Errorf("under-cap analyze: status %d (%s)", resp.StatusCode, body)
 	}
 }
 
@@ -377,12 +416,8 @@ func TestMetricsExposition(t *testing.T) {
 		// coalescer, so exactly one flight ran and nothing deduped.
 		"mcs_coalesce_flights_total 1",
 		"mcs_coalesce_dedup_total 0",
-		// Single-node test server: no ring members, no forwards, and the
-		// readiness gauge is 0 until SetReady (mcs-serve calls it after
-		// bind; the bare handler test never does).
-		"mcs_cluster_peers 0",
-		"mcs_cluster_forward_total 0",
-		"mcs_cluster_forward_errors_total 0",
+		// The readiness gauge is 0 until SetReady (mcs-serve calls it
+		// after bind; the bare handler test never does).
 		"mcs_ready 0",
 		"mcs_uptime_seconds",
 	} {

@@ -138,8 +138,7 @@ type sessionResponse struct {
 
 func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	var req sessionRequest
-	if _, err := decodeRequest(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	action := req.Action

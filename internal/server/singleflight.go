@@ -1,39 +1,37 @@
-package cluster
+package server
 
-import (
-	"sync"
-)
+import "sync"
 
-// call is one in-flight computation and the result its waiters share.
-type call struct {
+// flight is one in-flight computation and the result its waiters share.
+type flight struct {
 	wg  sync.WaitGroup
 	val []byte
 	err error
 }
 
-// Group coalesces concurrent work on the same key: the first caller of
-// Do for a key becomes the leader and runs fn; every caller that arrives
-// while the leader is still running waits and shares the leader's
-// result. Once the leader returns, the key is forgotten — a later Do
+// flightGroup coalesces concurrent work on the same key: the first
+// caller of Do for a key becomes the leader and runs fn; every caller
+// that arrives while the leader is still running waits and shares the
+// leader's result. Once the leader returns, the key is forgotten — a later Do
 // starts a fresh flight (result freshness is the caller's business; the
-// serving layer keeps results in its LRU, the Group only collapses the
-// herd that forms before the cache is populated).
+// server keeps results in its LRU, the group only collapses the herd
+// that forms before the cache is populated).
 //
 // The zero value is ready to use.
-type Group struct {
+type flightGroup struct {
 	mu      sync.Mutex
-	m       map[string]*call
+	m       map[string]*flight
 	flights uint64 // leaders: fn executions started
 	dedup   uint64 // followers: calls that joined an existing flight
 }
 
-// GroupStats is a snapshot of the coalescing counters.
-type GroupStats struct {
+// flightStats is a snapshot of the coalescing counters.
+type flightStats struct {
 	// Flights counts executed computations (leaders).
-	Flights uint64 `json:"flights"`
+	Flights uint64
 	// Dedup counts calls that were coalesced onto an in-flight
 	// computation instead of running their own.
-	Dedup uint64 `json:"dedup"`
+	Dedup uint64
 }
 
 // Do runs fn once per concurrent set of callers with the same key and
@@ -44,10 +42,10 @@ type GroupStats struct {
 // follower with a longer deadline can see the leader's context error;
 // for pure, cacheable computations (this package's use) retrying such a
 // shared error is always sound.
-func (g *Group) Do(key string, fn func() ([]byte, error)) (val []byte, shared bool, err error) {
+func (g *flightGroup) Do(key string, fn func() ([]byte, error)) (val []byte, shared bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {
-		g.m = make(map[string]*call)
+		g.m = make(map[string]*flight)
 	}
 	if c, ok := g.m[key]; ok {
 		g.dedup++
@@ -55,7 +53,7 @@ func (g *Group) Do(key string, fn func() ([]byte, error)) (val []byte, shared bo
 		c.wg.Wait()
 		return c.val, true, c.err
 	}
-	c := new(call)
+	c := new(flight)
 	c.wg.Add(1)
 	g.m[key] = c
 	g.flights++
@@ -65,10 +63,9 @@ func (g *Group) Do(key string, fn func() ([]byte, error)) (val []byte, shared bo
 		defer func() {
 			// A panicking fn must not strand the followers: record the
 			// panic as the shared error, release them, then re-raise so
-			// the leader's recover boundary (the serving layer's
-			// runAnalysis) still sees it.
+			// the leader's recover boundary still sees it.
 			if r := recover(); r != nil {
-				c.err = &PanicError{Value: r}
+				c.err = &flightPanic{Value: r}
 				g.finish(key, c)
 				panic(r)
 			}
@@ -80,7 +77,7 @@ func (g *Group) Do(key string, fn func() ([]byte, error)) (val []byte, shared bo
 }
 
 // finish publishes the result and forgets the key.
-func (g *Group) finish(key string, c *call) {
+func (g *flightGroup) finish(key string, c *flight) {
 	g.mu.Lock()
 	delete(g.m, key)
 	g.mu.Unlock()
@@ -88,16 +85,16 @@ func (g *Group) finish(key string, c *call) {
 }
 
 // Stats returns a snapshot of the coalescing counters.
-func (g *Group) Stats() GroupStats {
+func (g *flightGroup) Stats() flightStats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return GroupStats{Flights: g.flights, Dedup: g.dedup}
+	return flightStats{Flights: g.flights, Dedup: g.dedup}
 }
 
-// PanicError is the error followers of a flight receive when the
+// flightPanic is the error followers of a flight receive when the
 // leader's fn panicked.
-type PanicError struct{ Value any }
+type flightPanic struct{ Value any }
 
-func (e *PanicError) Error() string {
-	return "cluster: coalesced computation panicked"
+func (e *flightPanic) Error() string {
+	return "server: coalesced computation panicked"
 }

@@ -1,9 +1,12 @@
-package cluster
+package server
 
 import (
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,7 +16,7 @@ import (
 // concurrent calls for one key run the function exactly once and all
 // callers share its result.
 func TestDoCoalescesConcurrentCallers(t *testing.T) {
-	var g Group
+	var g flightGroup
 	var executions atomic.Int64
 	gate := make(chan struct{})
 	const callers = 64
@@ -71,7 +74,7 @@ func TestDoCoalescesConcurrentCallers(t *testing.T) {
 
 // TestDoDistinctKeysDoNotCoalesce: different keys run independently.
 func TestDoDistinctKeysDoNotCoalesce(t *testing.T) {
-	var g Group
+	var g flightGroup
 	for i := 0; i < 8; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		val, shared, err := g.Do(key, func() ([]byte, error) { return []byte(key), nil })
@@ -86,9 +89,9 @@ func TestDoDistinctKeysDoNotCoalesce(t *testing.T) {
 }
 
 // TestDoForgetsKeyAfterCompletion: sequential calls each run their own
-// flight — the Group coalesces herds, it is not a cache.
+// flight — the group coalesces herds, it is not a cache.
 func TestDoForgetsKeyAfterCompletion(t *testing.T) {
-	var g Group
+	var g flightGroup
 	var executions atomic.Int64
 	for i := 0; i < 3; i++ {
 		if _, shared, _ := g.Do("key", func() ([]byte, error) {
@@ -105,7 +108,7 @@ func TestDoForgetsKeyAfterCompletion(t *testing.T) {
 
 // TestDoSharesErrors: a failing flight fails every waiter identically.
 func TestDoSharesErrors(t *testing.T) {
-	var g Group
+	var g flightGroup
 	wantErr := errors.New("boom")
 	gate := make(chan struct{})
 	var done sync.WaitGroup
@@ -133,9 +136,9 @@ func TestDoSharesErrors(t *testing.T) {
 }
 
 // TestDoPanicReleasesFollowers: a panicking leader re-raises on its own
-// goroutine but must not strand followers — they get a PanicError.
+// goroutine but must not strand followers — they get a flightPanic.
 func TestDoPanicReleasesFollowers(t *testing.T) {
-	var g Group
+	var g flightGroup
 	gate := make(chan struct{})
 	followerErr := make(chan error, 1)
 	leaderPanicked := make(chan any, 1)
@@ -163,8 +166,94 @@ func TestDoPanicReleasesFollowers(t *testing.T) {
 		t.Errorf("leader recover() = %v, want the original panic value", r)
 	}
 	err := <-followerErr
-	var pe *PanicError
+	var pe *flightPanic
 	if !errors.As(err, &pe) || pe.Value != "walker bug" {
-		t.Errorf("follower err = %v, want *PanicError{walker bug}", err)
+		t.Errorf("follower err = %v, want *flightPanic{walker bug}", err)
 	}
+}
+
+// TestCoalesceThunderingHerd is the singleflight acceptance test: 64
+// concurrent identical misses perform exactly one analysis. The
+// sim-horizon cap is raised so the one walk takes long enough (hundreds
+// of ms) that every follower provably arrives while it runs.
+func TestCoalesceThunderingHerd(t *testing.T) {
+	svc := New(Config{MaxSimHorizon: 100_000_000})
+	svc.SetReady()
+	mux := svc.Handler()
+
+	// A dense simulate request: 8 tasks at period 20 over a 2e7-tick
+	// horizon is ~2M simulated jobs, far beyond goroutine launch skew.
+	var tasks []string
+	for i := 0; i < 8; i++ {
+		if i%2 == 1 {
+			tasks = append(tasks, fmt.Sprintf(
+				`{"name":"t%d","crit":"HI","period":[20,20],"deadline":[10,20],"wcet":[1,2]}`, i))
+		} else {
+			tasks = append(tasks, fmt.Sprintf(
+				`{"name":"t%d","crit":"LO","period":[20,20],"deadline":[20,20],"wcet":[1,1]}`, i))
+		}
+	}
+	body := `{"tasks":[` + strings.Join(tasks, ",") + `],"workload":"random","seed":3,"horizon":5000000}`
+
+	const herd = 64
+	gate := make(chan struct{})
+	var wg sync.WaitGroup
+	codes := make([]int, herd)
+	wg.Add(herd)
+	for i := 0; i < herd; i++ {
+		go func(i int) {
+			defer wg.Done()
+			<-gate
+			req := httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(body))
+			req.Header.Set("Content-Type", "application/json")
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, req)
+			codes[i] = rec.Code
+		}(i)
+	}
+	close(gate)
+	wg.Wait()
+
+	for i, code := range codes {
+		if code != http.StatusOK {
+			t.Fatalf("herd member %d: status %d", i, code)
+		}
+	}
+	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, req)
+	metrics := rec.Body.Bytes()
+
+	flights := metricValue(t, metrics, "mcs_coalesce_flights_total")
+	dedup := metricValue(t, metrics, "mcs_coalesce_dedup_total")
+	hits := metricValue(t, metrics, "mcs_cache_hits_total")
+	misses := metricValue(t, metrics, "mcs_cache_misses_total")
+	if flights != 1 {
+		t.Errorf("mcs_coalesce_flights_total = %g, want exactly 1 analysis for the herd", flights)
+	}
+	if dedup < 1 {
+		t.Errorf("mcs_coalesce_dedup_total = %g, want >= 1 (no coalescing happened)", dedup)
+	}
+	// Every request did exactly one cache lookup and either hit, led, or
+	// joined the flight: the three outcomes partition the herd.
+	if flights+dedup+hits != herd || hits+misses != herd {
+		t.Errorf("flights=%g dedup=%g hits=%g misses=%g do not partition the %d-request herd",
+			flights, dedup, hits, misses, herd)
+	}
+}
+
+// metricValue extracts the value of an unlabeled metric line ("name 3").
+func metricValue(t *testing.T, metrics []byte, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(string(metrics), "\n") {
+		if strings.HasPrefix(line, name+" ") {
+			var v float64
+			if _, err := fmt.Sscanf(line[len(name)+1:], "%g", &v); err != nil {
+				t.Fatalf("bad metric line %q: %v", line, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("metric %s not found", name)
+	return 0
 }

@@ -9,8 +9,8 @@ import (
 // buckets between Min and Max, so quantile estimates carry a bounded
 // relative error (the bucket growth factor) instead of the unbounded
 // error of fixed-width buckets, while memory stays a few kilobytes
-// however many observations are recorded. cmd/mcs-load records
-// request latencies into one and reads p50/p99/p999 back out.
+// however many observations are recorded. internal/fleet records
+// HI-episode lengths into one and reads p50/p90/p99 back out.
 //
 // Values below Min clamp into the first bucket, values above Max into a
 // dedicated overflow bucket whose quantiles report the maximum observed

@@ -24,7 +24,7 @@ go vet ./...
 
 # mcs-vet: the custom analyzer suite (ratcheck, determcheck,
 # scratchcheck, metricscheck, plancheck, deltacheck, borrowcheck,
-# ctxcheck, lockcheck) — fact-based and interprocedural; see
+# lockcheck) — fact-based and interprocedural; see
 # docs/STATIC_ANALYSIS.md. It runs twice: under the cmd/go vettool
 # protocol, and in module mode against a fresh fact cache, which the
 # -ignores audit then replays to fail on stale or unjustified
@@ -166,69 +166,3 @@ go run ./cmd/mcs-sim -fleet 32 -seed 7 -horizon 200 -overrun 0.001 -workers 3 -j
     "$tmp/tasks.json" >"$tmp/fleet_cli.json"
 cmp "$tmp/fleet_cli.json" "$tmp/f1"
 echo "fleet smoke test passed"
-
-# --- cluster + load-harness smoke -----------------------------------------
-# Three replicas on loopback: two compute replicas started first (ports
-# unknown until they bind), then a router replica whose -self is absent
-# from -peers, so it owns no keys and forwards every miss. One analysis
-# POSTed through the router must be answered by the owning peer
-# (X-MCS-Peer) with exactly one forward on the router's counters.
-rep_a_pid=""
-rep_b_pid=""
-router_pid=""
-cluster_cleanup() {
-    for pid in "$rep_a_pid" "$rep_b_pid" "$router_pid" "$serve_pid"; do
-        [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
-    done
-    rm -rf "$tmp"
-}
-trap cluster_cleanup EXIT INT TERM
-
-go build -o "$tmp/mcs-load" ./cmd/mcs-load
-
-wait_for_addr() { # logfile -> prints host:port
-    _addr=""
-    for _ in $(seq 1 50); do
-        _addr=$(sed -n 's/.*listening on http:\/\/\([^ ]*\).*/\1/p' "$1" | head -n 1)
-        [ -n "$_addr" ] && break
-        sleep 0.1
-    done
-    [ -n "$_addr" ]
-    echo "$_addr"
-}
-
-"$tmp/mcs-serve" -addr 127.0.0.1:0 2>"$tmp/rep_a.log" &
-rep_a_pid=$!
-"$tmp/mcs-serve" -addr 127.0.0.1:0 2>"$tmp/rep_b.log" &
-rep_b_pid=$!
-addr_a=$(wait_for_addr "$tmp/rep_a.log")
-addr_b=$(wait_for_addr "$tmp/rep_b.log")
-
-"$tmp/mcs-serve" -addr 127.0.0.1:0 -peers "$addr_a,$addr_b" -self router \
-    2>"$tmp/router.log" &
-router_pid=$!
-addr_r=$(wait_for_addr "$tmp/router.log")
-
-curl -fsS "http://$addr_r/readyz" | grep -q '"status":"ready"'
-curl -fsS -D "$tmp/hf" -o "$tmp/rf" -X POST --data-binary @"$tmp/req.json" \
-    "http://$addr_r/v1/analyze"
-grep -qi '^x-mcs-peer: ' "$tmp/hf"
-cmp "$tmp/rf" "$tmp/r1" # forwarded bytes == single-node bytes
-curl -fsS "http://$addr_r/metrics" | grep -q '^mcs_cluster_forward_total 1$'
-
-# mcs-load smoke: 2 s of low-rate open-loop load against both compute
-# replicas, with the report appended to a trajectory file.
-"$tmp/mcs-load" -addrs "$addr_a,$addr_b" -duration 2s -rps 20 -steps 1 \
-    -corpus 8 -trajectory "$tmp/load_traj.json" -out "$tmp/load.json"
-grep -q '"kind": "load"' "$tmp/load.json"
-grep -q '"errors": 0' "$tmp/load.json"
-grep -q '"kind": "load"' "$tmp/load_traj.json"
-
-for pid in "$rep_a_pid" "$rep_b_pid" "$router_pid"; do
-    kill "$pid"
-    wait "$pid"
-done
-rep_a_pid=""
-rep_b_pid=""
-router_pid=""
-echo "cluster + mcs-load smoke test passed"

@@ -5,7 +5,8 @@ package mcspeedup_test
 // including the acceptance criteria of the serving subsystem — the
 // /v1/analyze response is byte-identical to mcs-analyze -json on the same
 // input, a repeated request is a cache hit visible in /metrics, 32
-// concurrent clients are served, and SIGTERM drains gracefully.
+// concurrent clients are served, SIGTERM drains gracefully, and /readyz
+// flips to 503 before the listener closes.
 
 import (
 	"bufio"
@@ -28,15 +29,7 @@ import (
 // error.
 func startServe(t *testing.T, bin string, args ...string) (string, func() error) {
 	t.Helper()
-	return startServeRaw(t, bin, append([]string{"-addr", "127.0.0.1:0"}, args...))
-}
-
-// startServeRaw is startServe without the implied ephemeral -addr; the
-// cluster e2e needs replicas on pre-reserved ports so a shared -peers
-// list can name them.
-func startServeRaw(t *testing.T, bin string, args []string) (string, func() error) {
-	t.Helper()
-	cmd := exec.Command(bin, args...)
+	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -304,5 +297,54 @@ func TestServerEndToEnd(t *testing.T) {
 	// Graceful shutdown: SIGTERM must drain and exit 0.
 	if err := stop(); err != nil {
 		t.Fatalf("graceful shutdown: %v", err)
+	}
+}
+
+func TestReadyzFlipsBeforeListenerCloses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("server e2e skipped in -short mode")
+	}
+	dir := buildCLIs(t)
+	base, stop := startServe(t, filepath.Join(dir, "mcs-serve"), "-drain-grace", "3s")
+
+	readyz := func() (int, string) {
+		resp, err := http.Get(base + "/readyz")
+		if err != nil {
+			return 0, err.Error()
+		}
+		defer resp.Body.Close()
+		var doc struct {
+			Status string `json:"status"`
+		}
+		json.NewDecoder(resp.Body).Decode(&doc)
+		return resp.StatusCode, doc.Status
+	}
+
+	// Readiness and liveness both up after the handshake.
+	if code, status := readyz(); code != http.StatusOK || status != "ready" {
+		t.Fatalf("readyz before drain: %d %q, want 200 ready", code, status)
+	}
+	httpGet(t, base+"/healthz")
+
+	// SIGTERM: /readyz must flip to 503 "draining" while the listener
+	// (and /healthz) stay up for the -drain-grace window.
+	done := make(chan error, 1)
+	go func() { done <- stop() }()
+	flipped := false
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		if code, status := readyz(); code == http.StatusServiceUnavailable && status == "draining" {
+			flipped = true
+			break
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+	if !flipped {
+		t.Fatal("/readyz never returned 503 draining during the grace window")
+	}
+	// Liveness is not readiness: the draining process still answers.
+	httpGet(t, base+"/healthz")
+	if err := <-done; err != nil {
+		t.Fatalf("graceful shutdown after drain grace: %v", err)
 	}
 }
