@@ -244,14 +244,20 @@ func compareBaseline(path string, fresh []benchEntry, tol float64, nsFail bool) 
 	return nil
 }
 
-// gitRev returns the short commit hash of the working tree, or "unknown"
-// outside a git checkout (e.g. an extracted release tarball).
+// gitRev returns the short commit hash of the working tree, suffixed
+// "-dirty" when tracked files differ from that commit (the numbers then
+// describe uncommitted code, not the commit), or "unknown" outside a git
+// checkout (e.g. an extracted release tarball).
 func gitRev() string {
 	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
 	if err != nil {
 		return "unknown"
 	}
-	return strings.TrimSpace(string(out))
+	rev := strings.TrimSpace(string(out))
+	if exec.Command("git", "diff", "--quiet", "HEAD", "--").Run() != nil {
+		rev += "-dirty"
+	}
+	return rev
 }
 
 // appendTrajectory appends entry to the JSON array at path, creating the
@@ -362,19 +368,53 @@ func fmsPrepared() mcspeedup.Set {
 	return prepared
 }
 
-// deltaEdits picks an FMS HI task whose C(HI) can be lowered by one
-// without violating C(LO) <= C(HI) and returns the two alternating
-// single-parameter edits the session-delta benchmark flips between.
-func deltaEdits(set mcspeedup.Set) (up, down mcspeedup.Edit) {
+// flipEdits picks the first FMS HI task whose parameter param (C(HI) or
+// D(LO)) can be lowered by one without invalidating the set and returns
+// the two alternating single-parameter edits a session-edit benchmark
+// flips between.
+func flipEdits(set mcspeedup.Set, param string) (up, down mcspeedup.Edit) {
 	for _, tk := range set {
-		if tk.Crit == mcspeedup.HI && tk.WCET[mcspeedup.HI] > tk.WCET[mcspeedup.LO] {
-			c := tk.WCET[mcspeedup.HI]
-			return mcspeedup.SetParam(tk.Name, mcspeedup.ParamCHI, c),
-				mcspeedup.SetParam(tk.Name, mcspeedup.ParamCHI, c-1)
+		if tk.Crit != mcspeedup.HI {
+			continue
+		}
+		v := tk.WCET[mcspeedup.HI]
+		if param == mcspeedup.ParamDLO {
+			v = tk.Deadline[mcspeedup.LO]
+		}
+		up, down = mcspeedup.SetParam(tk.Name, param, v), mcspeedup.SetParam(tk.Name, param, v-1)
+		if _, err := mcspeedup.ApplyEdits(set, down); err == nil {
+			return up, down
 		}
 	}
-	log.Fatal("no FMS HI task with C(HI) > C(LO)")
+	log.Fatalf("no FMS HI task takes a %s flip", param)
 	return
+}
+
+// sessionEdit measures one single-parameter edit plus the re-analysis it
+// triggers on a session over set. The session persists across
+// iterations (that is the point of the incremental path); the edit
+// alternates between two valid values so every iteration really changes
+// the set.
+func sessionEdit(name string, set mcspeedup.Set, param string) benchEntry {
+	up, down := flipEdits(set, param)
+	sess, err := mcspeedup.NewAnalysisSession(set, mcspeedup.RatTwo)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, _, err := sess.Report(); err != nil { // absorb the cold analysis
+		log.Fatal(err)
+	}
+	n := 0
+	return measure(name, func() {
+		e := [2]mcspeedup.Edit{down, up}[n%2]
+		n++
+		if err := sess.Apply(e); err != nil {
+			log.Fatal(err)
+		}
+		if _, _, err := sess.Report(); err != nil {
+			log.Fatal(err)
+		}
+	})
 }
 
 // genPrepared mirrors the root benchmarks' synthetic corpus: a
@@ -535,35 +575,13 @@ func main() {
 	}
 
 	// SessionDeltaEditFMS: one single-parameter C(HI) edit plus the
-	// delta re-analysis it triggers, against AnalyzeColdFMS above — the
-	// delta-vs-cold ratio docs/PERF.md quotes. The session persists
-	// across iterations (that is the point of the incremental path); the
-	// edit alternates between two valid values so every iteration really
-	// changes the set.
-	{
-		up, down := deltaEdits(fms)
-		sess, err := mcspeedup.NewAnalysisSession(fms, mcspeedup.RatTwo)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if _, _, err := sess.Report(); err != nil { // absorb the cold analysis
-			log.Fatal(err)
-		}
-		flip := false
-		doc.Benchmarks = append(doc.Benchmarks, measure("SessionDeltaEditFMS", func() {
-			e := down
-			if flip {
-				e = up
-			}
-			flip = !flip
-			if err := sess.Apply(e); err != nil {
-				log.Fatal(err)
-			}
-			if _, _, err := sess.Report(); err != nil {
-				log.Fatal(err)
-			}
-		}))
-	}
+	// delta re-analysis it triggers (served by the recorded event curve),
+	// against AnalyzeColdFMS above — the delta-vs-cold ratio docs/PERF.md
+	// quotes. SessionEditDLOFMS: the same for a D(LO) edit, which moves
+	// event positions and so takes the warm walk.
+	doc.Benchmarks = append(doc.Benchmarks,
+		sessionEdit("SessionDeltaEditFMS", fms, mcspeedup.ParamCHI),
+		sessionEdit("SessionEditDLOFMS", fms, mcspeedup.ParamDLO))
 
 	start := time.Now()
 	if _, err := mcspeedup.ExperimentFig5(*grid, *workers); err != nil {
@@ -581,6 +599,7 @@ func main() {
 		doc.VetWallTime = measureVet(*vetRoot)
 	}
 
+	rev := gitRev() // before -out rewrites a tracked file
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		log.Fatal(err)
@@ -598,7 +617,7 @@ func main() {
 	if *trajectory != "" {
 		entry := trajectoryEntry{
 			Date:        doc.GeneratedAt,
-			GitRev:      gitRev(),
+			GitRev:      rev,
 			GoVersion:   doc.GoVersion,
 			NumCPU:      doc.NumCPU,
 			GoMaxProcs:  doc.GoMaxProcs,

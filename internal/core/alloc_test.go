@@ -87,3 +87,22 @@ func TestPooledPathZeroAllocSteadyState(t *testing.T) {
 		t.Errorf("pooled MinSpeedup: %v allocs/op in steady state, want ≤ 1", got)
 	}
 }
+
+// TestSessionEditAllocs pins the per-edit allocation budget of a Session
+// on the prepared FMS set: a C(HI) flip (served by the recorded curve) or
+// a D(LO) flip (the warm walk), plus the report it invalidates. The one
+// allocation is the report's copy of the set: every demand aggregate
+// refolds, and the Lemma-6 sum rounds, without allocating.
+func TestSessionEditAllocs(t *testing.T) {
+	s := fmsPreparedSet(t)
+	for _, p := range []string{task.ParamCHI, task.ParamDLO} {
+		ss := reportedSession(t, s)
+		down, up := flipEdits(t, s, p)
+		n := 0
+		fn := func() { editReport(t, ss, [2]task.Edit{down, up}[n%2]); n++ }
+		fn()
+		if got := testing.AllocsPerRun(100, fn); got > 1 {
+			t.Errorf("%s edit + Report: %v allocs/op, want ≤ 1", p, got)
+		}
+	}
+}

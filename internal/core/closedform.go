@@ -1,30 +1,19 @@
 package core
 
 import (
-	"math/big"
-
 	"mcspeedup/internal/dbf"
 	"mcspeedup/internal/rat"
 	"mcspeedup/internal/task"
 )
 
-// TaskSigma returns the per-task supremum
-//
-//	σ_i = sup_{Δ > 0} DBF_HI(τ_i, Δ)/Δ,
-//
-// the smallest slope of a line through the origin dominating the task's
-// HI-mode demand curve; see dbf.TaskSigma (where the closed form lives so
-// dbf.SetState can maintain the Lemma-6 sum Σσ_i incrementally).
-func TaskSigma(t *task.Task) rat.Rat { return dbf.TaskSigma(t) }
-
 // ClosedFormSpeedup is the Lemma-6 closed-form upper bound on the minimum
-// HI-mode speedup: the sum Σ_i σ_i of the per-task demand-curve slopes.
-// Each σ_i is the exact per-task supremum, so the bound is tight for
-// singleton sets; summing ignores that the per-task suprema are attained
-// at different interval lengths, which is exactly the looseness Lemma 6
-// trades for a closed form. With the uniform implicit-deadline scalings of
-// eqs. (13)–(14) (gap_HI = (1−x)·T, gap_LO = (y−1)·T) the bound expands to
-// the paper's eq. (15) shape
+// HI-mode speedup: the sum Σ_i σ_i of the per-task demand-curve slopes
+// (dbf.TaskSigma). Each σ_i is the exact per-task supremum, so the bound
+// is tight for singleton sets; summing ignores that the per-task suprema
+// are attained at different interval lengths, which is exactly the
+// looseness Lemma 6 trades for a closed form. With the uniform
+// implicit-deadline scalings of eqs. (13)–(14) (gap_HI = (1−x)·T,
+// gap_LO = (y−1)·T) the bound expands to the paper's eq. (15) shape
 //
 //	Σ_HI max{U_i(HI), (U_i(HI)−U_i(LO))/(1−x), U_i(HI)/((1−x)+U_i(LO))}
 //	+ Σ_LO U_i(LO)/((y−1)+U_i(LO))
@@ -32,16 +21,17 @@ func TaskSigma(t *task.Task) rat.Rat { return dbf.TaskSigma(t) }
 // and is monotone increasing in x and decreasing in y, matching the
 // paper's Fig. 4a.
 func ClosedFormSpeedup(s task.Set) rat.Rat {
-	sum := new(big.Rat)
-	for i := range s {
-		sigma := TaskSigma(&s[i])
-		if sigma.IsInf() {
-			return rat.PosInf
-		}
-		sum.Add(sum, sigma.Big())
+	return closedFormSpeedupOf(dbf.SigmaSum(s))
+}
+
+// closedFormSpeedupOf rounds the Lemma-6 sum Σσ_i to the closed-form
+// speedup: +Inf when some σ_i is, else the sum rounded up (if needed at
+// all), which keeps the upper bound sound.
+func closedFormSpeedupOf(sum rat.Sum, inf bool) rat.Rat {
+	if inf {
+		return rat.PosInf
 	}
-	// Rounding up (if needed at all) keeps the Lemma-6 upper bound sound.
-	return rat.FromBig(sum, true)
+	return sum.Round(true)
 }
 
 // ClosedFormReset is the Lemma-7 closed-form upper bound on the service
@@ -57,32 +47,14 @@ func ClosedFormSpeedup(s task.Set) rat.Rat {
 // still contribute C_i(HI) to the numerator: their carry-over job must
 // drain before the processor idles.
 func ClosedFormReset(s task.Set, speed rat.Rat) rat.Rat {
-	smin := ClosedFormSpeedup(s)
+	return closedFormResetOf(s.TotalCHI(), speed, ClosedFormSpeedup(s))
+}
+
+// closedFormResetOf is eq. (16) given ΣC(HI) and the Lemma-6 closed-form
+// speedup smin.
+func closedFormResetOf(totalCHI task.Time, speed, smin rat.Rat) rat.Rat {
 	if smin.IsInf() || speed.Cmp(smin) <= 0 {
 		return rat.PosInf
 	}
-	return rat.FromInt64(int64(s.TotalCHI())).Div(speed.Sub(smin))
-}
-
-// closedFormSpeedupState is ClosedFormSpeedup over the state's maintained
-// Σσ_i aggregate: O(1) per call instead of an O(n) rational fold.
-// Bit-identical to the cold form because exact rational addition is
-// order-independent and exactly invertible (SetState's contract), and the
-// final rounding is the same rat.FromBig call.
-func closedFormSpeedupState(st *dbf.SetState) rat.Rat {
-	sum, inf := st.SigmaSum()
-	if inf > 0 {
-		return rat.PosInf
-	}
-	return rat.FromBig(sum, true)
-}
-
-// closedFormResetState is ClosedFormReset given an already-computed
-// Lemma-6 closed-form speedup (avoiding its recomputation) and the
-// state's maintained ΣC(HI).
-func closedFormResetState(st *dbf.SetState, speed, smin rat.Rat) rat.Rat {
-	if smin.IsInf() || speed.Cmp(smin) <= 0 {
-		return rat.PosInf
-	}
-	return rat.FromInt64(int64(st.TotalCHI())).Div(speed.Sub(smin))
+	return rat.FromInt64(int64(totalCHI)).Div(speed.Sub(smin))
 }

@@ -16,7 +16,7 @@ func TestTaskSigmaIsPerTaskSupremum(t *testing.T) {
 	rnd := rand.New(rand.NewSource(51))
 	for i := 0; i < 300; i++ {
 		s := randomSet(rnd, 1, 15)
-		sigma := TaskSigma(&s[0])
+		sigma := dbf.TaskSigma(&s[0])
 		res, err := MinSpeedup(s)
 		if err != nil {
 			t.Fatal(err)
@@ -33,12 +33,12 @@ func TestTaskSigmaIsPerTaskSupremum(t *testing.T) {
 func TestTaskSigmaEdgeCases(t *testing.T) {
 	// Terminated task: zero.
 	s := task.Set{task.NewLO("l", 10, 10, 3)}.TerminateLO()
-	if got := TaskSigma(&s[0]); !got.IsZero() {
+	if got := dbf.TaskSigma(&s[0]); !got.IsZero() {
 		t.Errorf("terminated σ = %v, want 0", got)
 	}
 	// Undegraded LO task: the carry-over ramp at the origin forces σ = 1.
 	l := task.NewLO("l", 10, 10, 3)
-	if got := TaskSigma(&l); !got.Eq(rat.One) {
+	if got := dbf.TaskSigma(&l); !got.Eq(rat.One) {
 		t.Errorf("undegraded LO σ = %v, want 1", got)
 	}
 	// A hypothetical zero-gap HI task forces infinite speedup (the
@@ -50,7 +50,7 @@ func TestTaskSigmaEdgeCases(t *testing.T) {
 		Deadline: [2]task.Time{10, 10},
 		WCET:     [2]task.Time{2, 4},
 	}
-	if got := TaskSigma(&h); !got.Eq(rat.PosInf) {
+	if got := dbf.TaskSigma(&h); !got.Eq(rat.PosInf) {
 		t.Errorf("zero-gap HI σ = %v, want +Inf", got)
 	}
 }

@@ -27,7 +27,15 @@ import (
 // in O(1) per edited task per examined event, and skips whole blocks with
 // the certificate below. Any other parameter class (C(LO) moves the ramp
 // ends, D/T move offsets and periods, add/remove changes the stream
-// itself) invalidates the curve and the next Report re-records.
+// itself) invalidates the curve.
+//
+// Recording policy. A recording walks the whole hyperperiod stream (up to
+// curveRecordCap events) with no early exit, so it only pays when later
+// value-only edits reuse it. The Session therefore records only when a
+// C(HI) edit arrives while the curve is invalid (pending), and a stream
+// that does not fit the cap (failed) is not retried until an edit moves
+// the positions: a D(LO)-only edit stream never records, and a set beyond
+// the cap fails once.
 //
 // Block-skip certificate. For an edited task with dc = C(HI)' − C(HI) and
 // HI-mode period T, the closed form of Lemma 1 gives, for every Δ > 0,
@@ -86,9 +94,14 @@ const (
 // Session; all access is serialized by the session's owner.
 type speedupCurve struct {
 	valid bool
-	pos   []task.Time // canonical event positions, increasing; last ≥ hyper
-	val   []task.Time // Σ DBF_HI at pos, for the base (record-time) set
-	base  task.Set    // snapshot the values were recorded against
+	// pending marks a value-only C(HI) edit since the curve went invalid:
+	// the next report records. failed marks a position stream that could
+	// not be recorded or served; both clear on a position-moving edit.
+	pending, failed bool
+
+	pos  []task.Time // canonical event positions, increasing; last ≥ hyper
+	val  []task.Time // Σ DBF_HI at pos, for the base (record-time) set
+	base task.Set    // snapshot the values were recorded against
 
 	// blockMaxIdx[b] is the index (into pos/val) of the maximum base
 	// ratio val/pos within block b of curveBlock events; computed for
@@ -110,19 +123,22 @@ type speedupCurve struct {
 }
 
 // noteEdit classifies one applied edit's impact on the recorded curve:
-// value-only C(HI) changes mark the task for delta evaluation, anything
-// that can move event positions invalidates the recording. T(LO)-only
-// edits are ignored entirely — DBF_HI does not read T(LO).
+// value-only C(HI) changes mark the task for delta evaluation (or, on an
+// invalid curve, ask for a recording), anything that can move event
+// positions invalidates the recording and clears the recording policy's
+// state. T(LO)-only edits are ignored entirely — DBF_HI does not read
+// T(LO).
 func (c *speedupCurve) noteEdit(tc task.Touched) {
-	if c == nil || !c.valid || !tc.Any() {
-		return
-	}
 	if tc.Added || tc.Removed || tc.CLO || tc.DLO || tc.DHI || tc.THI {
-		c.valid = false
+		c.valid, c.pending, c.failed = false, false, false
 		return
 	}
 	if !tc.CHI {
-		return // T(LO)-only: the HI-mode curve is untouched
+		return // T(LO)-only or no change: the HI-mode curve is untouched
+	}
+	if !c.valid {
+		c.pending = true
+		return
 	}
 	for _, i := range c.edited {
 		if i == tc.Index {

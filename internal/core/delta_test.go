@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"mcspeedup/internal/dbf"
+	"mcspeedup/internal/fms"
 	"mcspeedup/internal/rat"
 	"mcspeedup/internal/task"
 )
@@ -223,10 +224,12 @@ func TestSessionReportLifecycle(t *testing.T) {
 }
 
 // TestSetStateAggregatesMatchCold holds a SetState under a random edit
-// stream and after every edit compares each incrementally maintained
-// aggregate against a freshly constructed state over a clone of the same
-// set — the "cache equals cold recomputation" contract noteChange's
-// invalidation map must uphold for every parameter class.
+// stream and after every edit compares each cached aggregate against a
+// freshly constructed state over a clone of the same set and against the
+// cold functions the non-incremental entry points call — the "cache
+// equals cold recomputation" contract noteChange's invalidation map must
+// uphold for every parameter class. Every accessor is read after every
+// edit, so each edit meets fully populated caches.
 func TestSetStateAggregatesMatchCold(t *testing.T) {
 	for si, s := range deltaSets(t) {
 		st, err := dbf.NewSetState(s)
@@ -241,56 +244,185 @@ func TestSetStateAggregatesMatchCold(t *testing.T) {
 			if !ok {
 				continue
 			}
-			if err := st.Apply(e); err != nil {
-				t.Fatalf("set %d: apply: %v", si, e)
+			if _, err := st.Apply(e); err != nil {
+				t.Fatalf("set %d: apply %+v: %v", si, e, err)
 			}
 			applied++
-			fresh, err := dbf.NewSetState(st.Tasks().Clone())
+			cold := st.Tasks().Clone()
+			fresh, err := dbf.NewSetState(cold)
 			if err != nil {
 				t.Fatalf("set %d: edited set invalid: %v", si, err)
 			}
+			check := func(what string, got, fromFresh, fromCold any) {
+				t.Helper()
+				if got != fromFresh || got != fromCold {
+					t.Fatalf("set %d: %s %v != fresh %v / cold %v", si, what, got, fromFresh, fromCold)
+				}
+			}
+			// The exact sums are compared as RatStrings: a stale cache
+			// inside one rounding cell of the accessors below fails here.
 			for _, m := range []task.Crit{task.LO, task.HI} {
-				// Compare against BOTH the fresh state and the task-level
-				// cold functions: the maintained big.Rat sums must produce
-				// the exact bits task.Set's int64 fast path rounds to.
-				if !st.Util(m).Eq(fresh.Util(m)) || !st.Util(m).Eq(st.Tasks().Util(m)) {
-					t.Fatalf("set %d mode %v: Util %v != cold %v / %v",
-						si, m, st.Util(m), fresh.Util(m), st.Tasks().Util(m))
-				}
-				lo1, hi1 := st.UtilBounds(m)
-				lo2, hi2 := fresh.UtilBounds(m)
-				lo3, hi3 := st.Tasks().UtilBounds(m)
-				if !lo1.Eq(lo2) || !hi1.Eq(hi2) || !lo1.Eq(lo3) || !hi1.Eq(hi3) {
-					t.Fatalf("set %d mode %v: UtilBounds (%v,%v) != cold (%v,%v) / (%v,%v)",
-						si, m, lo1, hi1, lo2, hi2, lo3, hi3)
-				}
+				check("utilization sum", st.UtilSum(m).Big().RatString(),
+					fresh.UtilSum(m).Big().RatString(), cold.UtilSum(m).Big().RatString())
+				check("Util", st.Util(m), fresh.Util(m), cold.Util(m))
+				check("UtilBounds", fmt.Sprint(st.UtilBounds(m)), fmt.Sprint(fresh.UtilBounds(m)), fmt.Sprint(cold.UtilBounds(m)))
 			}
-			sum1, inf1 := st.SigmaSum()
-			sum2, inf2 := fresh.SigmaSum()
-			if sum1.Cmp(sum2) != 0 || inf1 != inf2 {
-				t.Fatalf("set %d: SigmaSum (%v,%d) != cold (%v,%d)", si, sum1, inf1, sum2, inf2)
+			sigma := func(sum rat.Sum, inf bool) string { return fmt.Sprint(sum.Big().RatString(), inf) }
+			check("Σσ_i", sigma(st.SigmaSum()), sigma(fresh.SigmaSum()), sigma(dbf.SigmaSum(cold)))
+			check("closed-form speedup", closedFormSpeedupOf(st.SigmaSum()),
+				closedFormSpeedupOf(fresh.SigmaSum()), ClosedFormSpeedup(cold))
+			check("active ΣC(HI)", st.SumActiveCHI(), fresh.SumActiveCHI(), dbf.SumActiveCHI(cold))
+			check("total ΣC(HI)", st.TotalCHI(), fresh.TotalCHI(), cold.TotalCHI())
+			check("hyperperiod", fmt.Sprint(st.HIHyperperiod()), fmt.Sprint(fresh.HIHyperperiod()), fmt.Sprint(dbf.HIHyperperiod(cold)))
+			check("fingerprint", st.Fingerprint(), fresh.Fingerprint(), cold.Fingerprint())
+			check("LO demand sum", st.LODemandSum().Big().RatString(),
+				fresh.LODemandSum().Big().RatString(), dbf.LODemandSum(cold).Big().RatString())
+			loCold, err := SchedulableLO(cold)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if st.SumActiveCHI() != fresh.SumActiveCHI() || st.TotalCHI() != fresh.TotalCHI() {
-				t.Fatalf("set %d: ΣC(HI) %d/%d != cold %d/%d",
-					si, st.SumActiveCHI(), st.TotalCHI(), fresh.SumActiveCHI(), fresh.TotalCHI())
-			}
-			h1, ok1 := st.HIHyperperiod()
-			h2, ok2 := fresh.HIHyperperiod()
-			if h1 != h2 || ok1 != ok2 {
-				t.Fatalf("set %d: hyperperiod (%d,%v) != cold (%d,%v)", si, h1, ok1, h2, ok2)
-			}
-			if st.Fingerprint() != fresh.Fingerprint() {
-				t.Fatalf("set %d: fingerprint %q != cold %q", si, st.Fingerprint(), fresh.Fingerprint())
-			}
-			if st.LOUtil().Cmp(fresh.LOUtil()) != 0 {
-				t.Fatalf("set %d: LO util %v != cold %v", si, st.LOUtil(), fresh.LOUtil())
-			}
-			if st.LODemandSum().Cmp(fresh.LODemandSum()) != 0 {
-				t.Fatalf("set %d: LO demand sum %v != cold %v", si, st.LODemandSum(), fresh.LODemandSum())
-			}
+			check("LO verdict", st.LOSched(schedulableLOWithSums), fresh.LOSched(schedulableLOWithSums), loCold)
 		}
 		if applied < 8 {
 			t.Fatalf("set %d: only %d edits applied", si, applied)
+		}
+	}
+}
+
+// flipEdits returns the single-parameter edits that move parameter p (C(HI)
+// or D(LO)) of the first HI task that accepts it one tick down, and back.
+func flipEdits(tb testing.TB, s task.Set, p string) (down, up task.Edit) {
+	tb.Helper()
+	for _, tk := range s {
+		if tk.Crit != task.HI {
+			continue
+		}
+		cur := tk.WCET[task.HI]
+		if p == task.ParamDLO {
+			cur = tk.Deadline[task.LO]
+		}
+		down, up = task.SetParam(tk.Name, p, cur-1), task.SetParam(tk.Name, p, cur)
+		if _, err := s.ApplyEdits(down); err == nil {
+			return down, up
+		}
+	}
+	tb.Fatalf("no HI task takes a %s flip", p)
+	return down, up
+}
+
+// reportedSession returns a session on s at speed 2 with its cold report
+// already taken.
+func reportedSession(tb testing.TB, s task.Set) *Session {
+	tb.Helper()
+	ss, err := NewSession(s, rat.Two)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, _, err := ss.Report(); err != nil {
+		tb.Fatal(err)
+	}
+	return ss
+}
+
+// editReport applies each edit and takes the report it invalidates.
+func editReport(tb testing.TB, ss *Session, edits ...task.Edit) {
+	tb.Helper()
+	for _, e := range edits {
+		if err := ss.Apply(e); err != nil {
+			tb.Fatal(err)
+		}
+		if _, _, err := ss.Report(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// beyondCapSet is a set whose Theorem-2 event stream does not reach its
+// HI hyperperiod (31·37·41·43) within curveRecordCap events, so a
+// Session can never record its curve.
+func beyondCapSet() task.Set {
+	var s task.Set
+	for i, p := range []task.Time{31, 37, 41, 43} {
+		s = append(s, task.NewHI(benchName(i), p, p/2, p, 2, 4))
+	}
+	return s
+}
+
+// TestSessionCurveRecordingPolicy pins when a Session records its event
+// curve: never on a stream without C(HI) edits, once when a C(HI) edit
+// meets an unrecorded curve, and — for a set whose stream exceeds the
+// recording cap — once per position stream, not on every report. A
+// recording leaves positions in curve.pos, so a nil pos means none ran.
+func TestSessionCurveRecordingPolicy(t *testing.T) {
+	fmsSet := fmsPreparedSet(t)
+	ss := reportedSession(t, fmsSet)
+	dDown, dUp := flipEdits(t, fmsSet, task.ParamDLO)
+	for i := 0; i < 4; i++ {
+		editReport(t, ss, dDown, dUp)
+	}
+	if ss.curve.pos != nil {
+		t.Fatal("D(LO)-only stream recorded the curve")
+	}
+	cDown, cUp := flipEdits(t, fmsSet, task.ParamCHI)
+	editReport(t, ss, cDown)
+	if !ss.curve.valid {
+		t.Fatal("C(HI) edit on an unrecorded curve did not record it")
+	}
+	// A re-recording would clear the edited-task list the flip builds.
+	editReport(t, ss, cUp)
+	if !ss.curve.valid || len(ss.curve.edited) != 1 {
+		t.Fatalf("later C(HI) flip: valid %v, edited %v; want the first recording to serve it",
+			ss.curve.valid, ss.curve.edited)
+	}
+
+	s := beyondCapSet()
+	if hyper, ok := dbf.HIHyperperiod(s); !ok || hyper != 31*37*41*43 {
+		t.Fatalf("beyondCapSet hyperperiod %d, %v", hyper, ok)
+	}
+	ss = reportedSession(t, s)
+	cDown, cUp = flipEdits(t, s, task.ParamCHI)
+	editReport(t, ss, cDown)
+	if ss.curve.valid || !ss.curve.failed || ss.curve.pos == nil {
+		t.Fatalf("beyond-cap C(HI) edit: valid %v, failed %v, recorded %v; want one failed recording",
+			ss.curve.valid, ss.curve.failed, ss.curve.pos != nil)
+	}
+	ss.curve.pos = nil // unread while the curve is invalid; a retry refills it
+	for i := 0; i < 3; i++ {
+		editReport(t, ss, cUp, cDown)
+	}
+	if ss.curve.pos != nil || !ss.curve.failed {
+		t.Fatal("beyond-cap C(HI) stream retried the failed recording")
+	}
+	dDown, _ = flipEdits(t, s, task.ParamDLO)
+	editReport(t, ss, dDown, cUp)
+	if ss.curve.pos == nil {
+		t.Fatal("C(HI) edit after a D(LO) edit did not retry the recording")
+	}
+}
+
+// BenchmarkSessionEdit measures one single-parameter edit plus the
+// report it invalidates, per edit kind — a C(HI) flip (served by the
+// recorded curve where it fits) and a D(LO) flip (the warm walk) — on the
+// prepared FMS set (mcs-bench's SessionDeltaEditFMS configuration), the
+// unprepared FMS set, and a 12-task random set whose event stream exceeds
+// the curve's recording cap.
+func BenchmarkSessionEdit(b *testing.B) {
+	raw, err := fms.Tasks(rat.Two)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sets := []task.Set{fmsPreparedSet(b), raw, randomSet(rand.New(rand.NewSource(1)), 12, 40)}
+	for si, name := range []string{"fms-prepared", "fms", "random12"} {
+		for _, p := range []string{task.ParamCHI, task.ParamDLO} {
+			b.Run(name+"/"+p, func(b *testing.B) {
+				ss := reportedSession(b, sets[si])
+				down, up := flipEdits(b, sets[si], p)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					editReport(b, ss, [2]task.Edit{down, up}[i%2])
+				}
+			})
 		}
 	}
 }
@@ -342,6 +474,11 @@ func FuzzDeltaEquivalence(f *testing.F) {
 	f.Add(int64(42), uint8(1), uint8(5), uint8(1))
 	f.Add(int64(20260805), uint8(5), uint8(80), uint8(8))
 	f.Add(int64(-99), uint8(3), uint8(11), uint8(3))
+	// A stream of five D(LO)-only edits: the curve must never record.
+	f.Add(int64(33827), uint8(4), uint8(60), uint8(7))
+	// A set whose event stream exceeds curveRecordCap, with C(HI) edits:
+	// the recording fails once and the warm walk serves the reports.
+	f.Add(int64(5), uint8(4), uint8(79), uint8(7))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, maxPRaw, editsRaw uint8) {
 		rnd := rand.New(rand.NewSource(seed))
 		s := randomSet(rnd, 1+int(nRaw%5), 5+int64(maxPRaw%80))

@@ -223,10 +223,9 @@ func (p *capProbe) atLeast(st *dbf.SetState, bound rat.Rat, strict bool) bool {
 // this set's own supremum — and the result is bit-identical regardless
 // (see Options.WarmWitness).
 //
-// The searches keep one incrementally maintained SetState and edit it in
-// place from candidate to candidate, so the walk runs minSpeedupState
-// over the state's cached aggregates, bit-identical to a cold
-// MinSpeedup of the same set values.
+// The searches keep one SetState and edit it in place from candidate to
+// candidate, so the walk runs minSpeedupState over the state's cached
+// aggregates, bit-identical to a cold MinSpeedup of the same set values.
 func (p *capProbe) speedup(st *dbf.SetState) (SpeedupResult, error) {
 	p.walks++
 	opts := p.opts
@@ -285,8 +284,8 @@ func MinimalY(s task.Set, speedCap rat.Rat) (rat.Rat, task.Set, error) {
 // not materialized: a single dbf.SetState carries the analyzed demand
 // structure from candidate to candidate, and each transition applies one
 // atomic {D(HI), T(HI)} edit per LO task — consecutive candidates differ
-// in nothing else, so the state's HI aggregates are updated in O(changed
-// tasks) and the set probed at step k is exactly DegradeLO(s, k/q).
+// in nothing else, so the set probed at step k is exactly
+// DegradeLO(s, k/q) and its HI aggregates are refolded once per probe.
 func MinimalYOpts(s task.Set, speedCap rat.Rat, o Options) (rat.Rat, task.Set, error) {
 	if err := s.Validate(); err != nil {
 		return rat.Rat{}, nil, err
@@ -333,7 +332,8 @@ func MinimalYOpts(s task.Set, speedCap rat.Rat, o Options) (rat.Rat, task.Set, e
 		e.Name = name
 		e.Params[0].Value = d
 		e.Params[1].Value = t
-		return st.Apply(e)
+		_, err := st.Apply(e)
+		return err
 	}
 
 	// Feasibility ceiling: termination is the demand limit of y → ∞.
@@ -512,7 +512,7 @@ func FeasibleXWindowOpts(s task.Set, speedCap rat.Rat, o Options) (xLo, xHi rat.
 			}
 			e.Name = ht.name
 			e.Params[0].Value = d
-			if err := st.Apply(e); err != nil {
+			if _, err := st.Apply(e); err != nil {
 				return false, err
 			}
 		}

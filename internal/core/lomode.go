@@ -32,11 +32,11 @@ func SchedulableLO(s task.Set) (bool, error) {
 	if err := s.Validate(); err != nil {
 		return false, err
 	}
-	return schedulableLOWithSums(s, loUtil(s), loDemandSum(s)), nil
+	return schedulableLOWithSums(s, s.UtilSum(task.LO), dbf.LODemandSum(s)), nil
 }
 
 // schedulableLOWithSums is the shared decision body of SchedulableLO,
-// MinimalX's probes and schedulableLOState: the utilization trichotomy
+// MinimalX's probes and dbf.SetState.LOSched: the utilization trichotomy
 // plus the QPA run, given the exact LO utilization U and the QPA horizon
 // numerator Σ(T−D)·C/T of s.
 func schedulableLOWithSums(s task.Set, u, sum rat.Sum) bool {
@@ -59,22 +59,6 @@ func schedulableLOWithSums(s task.Set, u, sum rat.Sum) bool {
 	// Any Δ violating the PDC satisfies Δ < Σ(T_i−D_i)·U_i/(1−U); run
 	// the QPA downward iteration (see qpa.go) over that horizon.
 	return qpaLO(s, loHorizon(s, sum, u))
-}
-
-// schedulableLOState is SchedulableLO over an incrementally maintained
-// demand state: the verdict is cached until an LO-mode parameter
-// changes, and a recomputation reuses the state's exact incremental
-// utilization and horizon sums instead of resumming the set — the
-// allocation source that dominated the old per-candidate cost in
-// TuneDeadlines. Bit-identical to the cold test by SetState's contract
-// (exact rational arithmetic is independent of the summation order).
-func schedulableLOState(st *dbf.SetState) bool {
-	if v, ok := st.LOSchedCache(); ok {
-		return v
-	}
-	v := schedulableLOWithSums(st.Tasks(), rat.BigSum(st.LOUtil()), rat.BigSum(st.LODemandSum()))
-	st.StoreLOSched(v)
-	return v
 }
 
 // MinimalX finds the smallest uniform overrun-preparation factor x
@@ -117,7 +101,7 @@ func MinimalX(s task.Set) (rat.Rat, task.Set, error) {
 	// Probes write into spare; a feasible probe's set becomes best and
 	// best's old buffer the next spare, so the search allocates two sets
 	// however many probes it takes.
-	u := loUtil(s)
+	u := s.UtilSum(task.LO)
 	var best, spare task.Set
 	feasible := func(k int64) bool {
 		out, err := s.ShortenHIDeadlinesInto(spare, rat.New(k, int64(dMax)))
@@ -125,7 +109,7 @@ func MinimalX(s task.Set) (rat.Rat, task.Set, error) {
 			return false
 		}
 		spare = out
-		if !schedulableLOWithSums(out, u, loDemandSum(out)) {
+		if !schedulableLOWithSums(out, u, dbf.LODemandSum(out)) {
 			return false
 		}
 		best, spare = out, best

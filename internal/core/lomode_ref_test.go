@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mcspeedup/internal/dbf"
 	"mcspeedup/internal/gen"
 	"mcspeedup/internal/rat"
 	"mcspeedup/internal/task"
@@ -132,7 +133,7 @@ func minimalXCorpus(t *testing.T) []task.Set {
 func TestMinimalXMatchesReference(t *testing.T) {
 	wide, ok := 0, 0
 	for si, s := range minimalXCorpus(t) {
-		if _, fixed := loUtil(s).Rat(); !fixed {
+		if _, fixed := s.UtilSum(task.LO).Rat(); !fixed {
 			wide++
 		}
 		x, got, err := MinimalX(s)
@@ -183,7 +184,7 @@ func TestSchedulableLOMatchesReference(t *testing.T) {
 	}
 }
 
-// TestLOSumsBeyondFixedWidth drives loDemandSum's big.Rat term branch and
+// TestLOSumsBeyondFixedWidth drives dbf.LODemandSum's big.Rat term branch and
 // loHorizon's big.Rat quotient: with periods near 10^10 ticks and
 // C ≈ 0.45·T ≈ D, a single (T−D)·C/T term overflows int64/int64, and the
 // sums, horizons and verdicts must still match the reference.
@@ -203,16 +204,16 @@ func TestLOSumsBeyondFixedWidth(t *testing.T) {
 		if _, ok := rat.New(int64(s[0].WCET[task.LO]), int64(ti)).MulChecked(rat.FromInt64(int64(ti - di))); !ok {
 			wide++
 		}
-		sum := loDemandSum(s)
+		sum := dbf.LODemandSum(s)
 		want := new(big.Rat)
 		for k := range s {
 			ti, di := s[k].Period[task.LO], s[k].Deadline[task.LO]
 			want.Add(want, new(big.Rat).Mul(big.NewRat(int64(ti-di), 1), big.NewRat(int64(s[k].WCET[task.LO]), int64(ti))))
 		}
 		if sum.Big().Cmp(want) != 0 {
-			t.Fatalf("loDemandSum = %v, want %v", sum.Big(), want)
+			t.Fatalf("LODemandSum = %v, want %v", sum.Big(), want)
 		}
-		u := loUtil(s)
+		u := s.UtilSum(task.LO)
 		if u.Cmp(rat.One) < 0 {
 			if got, ref := loHorizon(s, sum, u), refLOHorizon(s, u.Big()); got != ref {
 				t.Fatalf("loHorizon = %d, reference %d\n%s", got, ref, s.Table())

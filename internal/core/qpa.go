@@ -111,37 +111,6 @@ func demandWalkLO(s task.Set, limit int64) bool {
 	return true
 }
 
-// loUtil sums U(LO) = Σ C(LO)/T(LO) exactly, in fixed width while the
-// partial sums fit and in big.Rat after (large sets with coprime periods
-// overflow fixed-width rationals).
-func loUtil(s task.Set) rat.Sum {
-	var u rat.Sum
-	for i := range s {
-		u = u.Plus(rat.New(int64(s[i].WCET[task.LO]), int64(s[i].Period[task.LO])))
-	}
-	return u
-}
-
-// loDemandSum sums the horizon numerator Σ(T−D)·C/T over the LO-mode
-// parameters exactly, like loUtil. dbf.SetState maintains the same exact
-// sum incrementally for the delta path.
-func loDemandSum(s task.Set) rat.Sum {
-	var sum rat.Sum
-	for i := range s {
-		ti, di, c := s[i].Period[task.LO], s[i].Deadline[task.LO], s[i].WCET[task.LO]
-		term, ok := rat.New(int64(c), int64(ti)).MulChecked(rat.FromInt64(int64(ti - di)))
-		if !ok {
-			// A term beyond fixed width: fold it, and the rest of the
-			// sum, in big.Rat.
-			b := new(big.Rat).Mul(big.NewRat(int64(ti-di), 1), big.NewRat(int64(c), int64(ti)))
-			sum = rat.BigSum(b.Add(b, sum.Big()))
-			continue
-		}
-		sum = sum.Plus(term)
-	}
-	return sum
-}
-
 // loHorizon computes the pseudo-polynomial PDC horizon
 // max(max_i D_i(LO), ⌈Σ_i (T_i−D_i)·U_i/(1−U)⌉) from the horizon
 // numerator and U. Precondition: U < 1. The quotient is exact: in fixed

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mcspeedup/internal/dbf"
 	"mcspeedup/internal/gen"
 	"mcspeedup/internal/rat"
 	"mcspeedup/internal/task"
@@ -12,7 +13,7 @@ import (
 
 // horizonBig is loHorizon for an exact big.Rat U(LO).
 func horizonBig(s task.Set, u *big.Rat) int64 {
-	return loHorizon(s, loDemandSum(s), rat.BigSum(u))
+	return loHorizon(s, dbf.LODemandSum(s), rat.BigSum(u))
 }
 
 // TestQPAAgainstDemandWalk: the QPA iteration and the full testing-point

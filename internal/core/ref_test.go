@@ -48,11 +48,11 @@ func referenceMinSpeedup(s task.Set, o Options) (SpeedupResult, error) {
 		return SpeedupResult{}, err
 	}
 	uLo, uHi := s.UtilBounds(task.HI)
-	totalC := sumActiveCHI(s)
+	totalC := dbf.SumActiveCHI(s)
 	if v := dbf.SetHIMode(s, 0); v > 0 {
 		return SpeedupResult{Speedup: rat.PosInf, LowerBound: rat.PosInf, Exact: true}, nil
 	}
-	hyper, hyperOK := hiHyperperiod(s)
+	hyper, hyperOK := dbf.HIHyperperiod(s)
 	best := rat.Zero
 	var witness task.Time
 	pos := task.Time(0)

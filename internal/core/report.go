@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"mcspeedup/internal/dbf"
 	"mcspeedup/internal/rat"
 	"mcspeedup/internal/task"
 )
@@ -34,36 +35,46 @@ type Report struct {
 }
 
 // Analyze runs the complete analysis suite on the set at the given
-// HI-mode speed.
+// HI-mode speed: the report over one fresh demand state, whose private
+// copy of s becomes the report's Set.
 func Analyze(s task.Set, speed rat.Rat) (Report, error) {
-	if err := s.Validate(); err != nil {
+	st, err := dbf.NewSetState(s)
+	if err != nil {
 		return Report{}, err
 	}
 	if err := validateSpeed(speed); err != nil {
 		return Report{}, err
 	}
+	sp, err := minSpeedupState(st, Options{})
+	if err != nil {
+		return Report{}, err
+	}
+	return analyzeState(st, speed, sp, Options{})
+}
+
+// analyzeState is the one report body behind Analyze and Session: every
+// entry over the state's cached aggregates, given the Theorem-2 result sp
+// the caller computed (cold, or over a Session's curve or warm walk).
+// The report's Set is the state's live set; a caller that keeps editing
+// the state must clone it.
+func analyzeState(st *dbf.SetState, speed rat.Rat, sp SpeedupResult, o Options) (Report, error) {
 	r := Report{
-		Set:    s.Clone(),
-		Speed:  speed,
-		UtilLO: s.Util(task.LO),
-		UtilHI: s.Util(task.HI),
+		Set:           st.Tasks(),
+		Speed:         speed,
+		SchedulableLO: st.LOSched(schedulableLOWithSums),
+		Speedup:       sp,
+		SchedulableHI: speed.Cmp(sp.Speedup) >= 0,
+		UtilLO:        st.Util(task.LO),
+		UtilHI:        st.Util(task.HI),
 	}
+	_, uHI := st.UtilBounds(task.HI)
 	var err error
-	r.SchedulableLO, err = SchedulableLO(s)
+	r.Reset, err = resetTimeWalk(st.Tasks(), speed, uHI, o)
 	if err != nil {
 		return Report{}, err
 	}
-	r.Speedup, err = MinSpeedup(s)
-	if err != nil {
-		return Report{}, err
-	}
-	r.SchedulableHI = speed.Cmp(r.Speedup.Speedup) >= 0
-	r.Reset, err = ResetTime(s, speed)
-	if err != nil {
-		return Report{}, err
-	}
-	r.ClosedSpeedup = ClosedFormSpeedup(s)
-	r.ClosedReset = ClosedFormReset(s, speed)
+	r.ClosedSpeedup = closedFormSpeedupOf(st.SigmaSum())
+	r.ClosedReset = closedFormResetOf(st.TotalCHI(), speed, r.ClosedSpeedup)
 	return r, nil
 }
 

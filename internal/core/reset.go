@@ -79,19 +79,7 @@ func ResetTimeOpts(s task.Set, speed rat.Rat, o Options) (ResetResult, error) {
 	return resetTimeWalk(s, speed, uHI, o)
 }
 
-// resetTimeState is ResetTimeOpts over an incrementally maintained
-// demand state: the Validate pass and the O(n) utilization recomputation
-// are replaced by the state's cached values (bit-identical by SetState's
-// contract).
-func resetTimeState(st *dbf.SetState, speed rat.Rat, o Options) (ResetResult, error) {
-	if err := validateSpeed(speed); err != nil {
-		return ResetResult{}, err
-	}
-	_, uHI := st.UtilBounds(task.HI)
-	return resetTimeWalk(st.Tasks(), speed, uHI, o)
-}
-
-// resetTimeWalk is the shared body of ResetTimeOpts and resetTimeState:
+// resetTimeWalk is the shared body of ResetTimeOpts and analyzeState:
 // the Corollary-5 crossing walk given the already-derived HI-utilization
 // upper bound.
 func resetTimeWalk(s task.Set, speed, uHI rat.Rat, o Options) (ResetResult, error) {

@@ -9,16 +9,19 @@ import (
 // Session is an analyzed task-set state that absorbs edits and
 // re-analyzes incrementally: the interactive "what if" loop of the
 // design-space exploration surface, and the engine behind the server's
-// /v1/session endpoint. It couples a dbf.SetState (the incrementally
-// maintained demand aggregates), a private Scratch arena (so the
-// session's walks are allocation-free after the first), and the decisive
-// witness Δ of the previous analysis (so the next analysis's Theorem-2
-// walk starts with a near-supremum skip cutoff).
+// /v1/session endpoint. It couples a dbf.SetState (the cached demand
+// aggregates, of which an edit drops only those its parameter classes
+// feed), a recorded Theorem-2 event curve for value-only C(HI) edits
+// (delta.go), a private Scratch arena (so the session's walks are
+// allocation-free after the first), and the decisive witness Δ of the
+// previous analysis (so the next analysis's Theorem-2 walk starts with a
+// near-supremum skip cutoff).
 //
-// Reports are bit-identical to Analyze on the same set and speed: the
-// state's cached aggregates equal the cold recomputation by SetState's
-// contract, and the warm witness never changes a walk's result (see
-// Options.WarmWitness). The differential and fuzz tests pin this.
+// Reports are bit-identical to Analyze on the same set and speed: both
+// run the same report body over a state, the curve walk returns the
+// canonical walk's payload (delta.go), and the warm witness never changes
+// a walk's result (see Options.WarmWitness). The differential and fuzz
+// tests pin this.
 //
 // A Session is not safe for concurrent use; callers serialize access.
 type Session struct {
@@ -65,14 +68,14 @@ func (ss *Session) EditsApplied() int { return ss.edits }
 // Report recomputation after the first, cold one.
 func (ss *Session) DeltaAnalyses() int { return ss.deltas }
 
-// Apply absorbs the edits in order, updating the demand aggregates in
-// O(changed tasks) per edit and marking the report stale. Edits apply as
-// a stream: a failing edit returns its error with all prior edits
-// applied and the session consistent (callers wanting all-or-nothing
-// semantics dry-run with task.Set.ApplyEdits first).
+// Apply absorbs the edits in order, dropping the demand caches each edit
+// touches and marking the report stale. Edits apply as a stream: a
+// failing edit returns its error with all prior edits applied and the
+// session consistent (callers wanting all-or-nothing semantics dry-run
+// with task.Set.ApplyEdits first).
 func (ss *Session) Apply(edits ...task.Edit) error {
 	for i := range edits {
-		tc, err := ss.st.ApplyTouched(edits[i])
+		tc, err := ss.st.Apply(edits[i])
 		if err != nil {
 			return err
 		}
@@ -100,34 +103,22 @@ func (ss *Session) Report() (r Report, recomputed bool, err error) {
 	return ss.report, true, nil
 }
 
-// reanalyze runs the full suite over the state: the same pipeline as
-// Analyze, with the O(n) preambles replaced by the state's cached
-// aggregates and the Theorem-2 walk warm-started at the prior witness.
+// reanalyze runs the report body over the state with the Theorem-2
+// result of minSpeedup, cloning the set the state keeps editing.
 func (ss *Session) reanalyze() error {
-	st := ss.st
-	r := Report{
-		Set:    st.Tasks().Clone(),
-		Speed:  ss.speed,
-		UtilLO: st.Util(task.LO),
-		UtilHI: st.Util(task.HI),
-	}
-	r.SchedulableLO = schedulableLOState(st)
-	var err error
-	r.Speedup, err = ss.minSpeedup()
+	sp, err := ss.minSpeedup()
 	if err != nil {
 		return err
 	}
-	r.SchedulableHI = ss.speed.Cmp(r.Speedup.Speedup) >= 0
-	r.Reset, err = resetTimeState(st, ss.speed, Options{Scratch: &ss.scratch})
+	r, err := analyzeState(ss.st, ss.speed, sp, Options{Scratch: &ss.scratch})
 	if err != nil {
 		return err
 	}
-	r.ClosedSpeedup = closedFormSpeedupState(st)
-	r.ClosedReset = closedFormResetState(st, ss.speed, r.ClosedSpeedup)
+	r.Set = r.Set.Clone()
 	ss.report = r
 	ss.fresh = true
-	if r.Speedup.WitnessDelta > 0 {
-		ss.witness = r.Speedup.WitnessDelta
+	if sp.WitnessDelta > 0 {
+		ss.witness = sp.WitnessDelta
 	}
 	return nil
 }
@@ -135,24 +126,23 @@ func (ss *Session) reanalyze() error {
 // minSpeedup runs the Theorem-2 analysis the cheapest sound way
 // available: over the session's recorded event curve when the edits since
 // recording were value-only (O(examined events), most of them
-// block-skipped), otherwise the canonical warm walk — re-recording the
-// curve first when the set's event stream is recordable, so the NEXT
-// value edit gets the fast path. All three paths return bit-identical
-// payloads (delta.go proves the curve paths; WarmWitness never changes a
-// result by Options' contract).
+// block-skipped), otherwise the canonical warm walk; delta.go states when
+// the curve is recorded. All paths return bit-identical payloads
+// (delta.go proves the curve paths; WarmWitness never changes a result by
+// Options' contract).
 func (ss *Session) minSpeedup() (SpeedupResult, error) {
 	o := Options{Scratch: &ss.scratch, WarmWitness: ss.witness}
-	if ss.curve.valid {
-		if r, ok := ss.curve.walk(ss.st, o); ok {
-			return r, nil
-		}
-		ss.curve.valid = false
+	c := &ss.curve
+	if !c.valid && c.pending && !c.failed {
+		hyper, hyperOK := ss.st.HIHyperperiod()
+		c.failed = !hyperOK || !c.record(ss.st.Tasks(), hyper, o)
 	}
-	if hyper, hyperOK := ss.st.HIHyperperiod(); hyperOK && ss.curve.record(ss.st.Tasks(), hyper, o) {
-		if r, ok := ss.curve.walk(ss.st, o); ok {
+	c.pending = false
+	if c.valid {
+		if r, ok := c.walk(ss.st, o); ok {
 			return r, nil
 		}
-		ss.curve.valid = false
+		c.valid, c.failed = false, true
 	}
 	return minSpeedupState(ss.st, o)
 }

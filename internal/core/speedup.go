@@ -161,16 +161,15 @@ func MinSpeedupOpts(s task.Set, o Options) (SpeedupResult, error) {
 	// the stopping rules sound, the lower bound keeps LowerBound honest.
 	// They coincide except for very large sets with coprime periods.
 	uLo, uHi := s.UtilBounds(task.HI)
-	hyper, hyperOK := hiHyperperiod(s)
-	return minSpeedupWalk(s, uLo, uHi, sumActiveCHI(s), hyper, hyperOK, o)
+	hyper, hyperOK := dbf.HIHyperperiod(s)
+	return minSpeedupWalk(s, uLo, uHi, dbf.SumActiveCHI(s), hyper, hyperOK, o)
 }
 
-// minSpeedupState is the Theorem-2 walk over an incrementally maintained
-// demand state: the per-call Validate pass and the O(n) aggregate
-// recomputations of MinSpeedupOpts are replaced by the state's cached
-// (delta-updated) values — bit-identical to the cold recomputation by
-// SetState's contract — so a single-parameter edit pays only the walk,
-// which the warm witness in o prunes to a handful of events.
+// minSpeedupState is the Theorem-2 walk over a demand state: the
+// per-call Validate pass and the aggregate folds of MinSpeedupOpts are
+// replaced by the state's cached values, which are those folds' results,
+// so an edit that keeps the HI-mode caches pays only the walk, which the
+// warm witness in o prunes to a handful of events.
 func minSpeedupState(st *dbf.SetState, o Options) (SpeedupResult, error) {
 	uLo, uHi := st.UtilBounds(task.HI)
 	hyper, hyperOK := st.HIHyperperiod()
@@ -447,17 +446,6 @@ func seedBound(plan *dbf.Plan, warm task.Time, hyper task.Time, hyperOK bool) ra
 	}
 	return rat.New(int64(bv), int64(bp))
 }
-
-// sumActiveCHI sums C_i(HI) over tasks that are not terminated. The
-// implementation lives in package dbf so the incremental SetState and
-// the cold path here derive the aggregate from the same code.
-func sumActiveCHI(s task.Set) task.Time { return dbf.SumActiveCHI(s) }
-
-// hiHyperperiod returns the least common multiple of the HI-mode periods
-// of the non-terminated tasks, with ok=false on overflow or when it
-// exceeds a practical walking horizon; shared with dbf.SetState like
-// sumActiveCHI.
-func hiHyperperiod(s task.Set) (task.Time, bool) { return dbf.HIHyperperiod(s) }
 
 func gcdTime(a, b task.Time) task.Time {
 	for b != 0 {

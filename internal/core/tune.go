@@ -53,11 +53,10 @@ func TuneDeadlines(s task.Set, step rat.Rat) (TuneResult, error) {
 //
 // The search carries one dbf.SetState instead of materializing candidate
 // sets: each probe applies a single D(LO) edit, evaluates, and reverts.
-// A virtual-deadline edit leaves every HI-mode aggregate valid and
-// adjusts the LO-mode demand sums in O(1), so a candidate pays only the
-// (usually certificate-pruned) walk and an incremental QPA test — the
-// big.Rat utilization resummation that dominated the old per-candidate
-// cost is gone entirely.
+// A virtual-deadline edit leaves every HI-mode aggregate valid and drops
+// only the LO-mode demand sum, which refolds in fixed width, so a
+// candidate pays only the (usually certificate-pruned) walk and a QPA
+// test.
 func TuneDeadlinesOpts(s task.Set, step rat.Rat, o Options) (TuneResult, error) {
 	if step.Sign() <= 0 {
 		step = rat.New(1, 16)
@@ -87,7 +86,8 @@ func TuneDeadlinesOpts(s task.Set, step rat.Rat, o Options) (TuneResult, error) 
 	setDLO := func(name string, d task.Time) error {
 		e.Name = name
 		e.Params[0].Value = d
-		return st.Apply(e)
+		_, err := st.Apply(e)
+		return err
 	}
 	n := len(cur)
 	for rounds := 0; rounds < 64*n; rounds++ {
@@ -119,7 +119,7 @@ func TuneDeadlinesOpts(s task.Set, step rat.Rat, o Options) (TuneResult, error) 
 			// LO-mode feasibility first, then the certificate:
 			// s_min(cand) ≥ bestVal already proves the move cannot
 			// strictly improve this round.
-			if schedulableLOState(st) && !probe.atLeast(st, bestVal, false) {
+			if st.LOSched(schedulableLOWithSums) && !probe.atLeast(st, bestVal, false) {
 				sp, err := probe.speedup(st)
 				if err != nil {
 					return TuneResult{}, err

@@ -250,8 +250,7 @@ func NextEvent(t *task.Task, kind Kind, delta task.Time) (next task.Time, ok boo
 // ramp end (clipped to the period). A zero gap with C(HI) > C(LO) yields
 // +Inf — the paper's observation that HI tasks whose deadlines are not
 // shortened in LO mode force infinite speedup. Terminated tasks have
-// σ_i = 0. It lives here (rather than in core, which re-exports it) so
-// SetState can maintain the Lemma-6 sum Σσ_i incrementally.
+// σ_i = 0. SigmaSum folds it into the Lemma-6 sum.
 func TaskSigma(t *task.Task) rat.Rat {
 	if t.Terminated() {
 		return rat.Zero

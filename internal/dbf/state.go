@@ -12,6 +12,10 @@ import (
 // same position range.
 const hyperHorizon = task.Time(1) << 40
 
+// The cold folds below are the single definitions of the O(n) aggregates
+// the analyses derive from a set: the cold entry points call them
+// directly, and SetState caches their results.
+
 // SumActiveCHI sums C_i(HI) over tasks that are not terminated
 // (terminated tasks contribute zero HI-mode demand, so they do not enter
 // the DBF envelope bound ΣDBF_HI(Δ) ≤ U_HI·Δ + ΣC(HI)).
@@ -54,74 +58,82 @@ func gcd(a, b task.Time) task.Time {
 	return a
 }
 
-// SetState is an incrementally maintained demand structure over a task
-// set: the set itself plus every O(n) aggregate the HI-mode event walks
-// and the LO-mode schedulability test derive from it. Applying a
-// task.Edit updates the additive aggregates from the edit's before/after
-// values and invalidates only the caches the touched parameter classes
-// feed, so a single-parameter edit costs O(changed tasks) bookkeeping
-// instead of an O(n) rebuild — the delta path behind core's Session and
-// the rewired design searches.
+// LODemandSum sums the LO-mode QPA horizon numerator Σ(T−D)·C/T exactly:
+// in fixed width while the terms and partial sums fit, in big.Rat after.
+func LODemandSum(s task.Set) rat.Sum {
+	var sum rat.Sum
+	for i := range s {
+		ti, di, c := s[i].Period[task.LO], s[i].Deadline[task.LO], s[i].WCET[task.LO]
+		term, ok := rat.New(int64(c), int64(ti)).MulChecked(rat.FromInt64(int64(ti - di)))
+		if !ok {
+			// A term beyond fixed width: fold it, and the rest of the
+			// sum, in big.Rat.
+			b := new(big.Rat).Mul(big.NewRat(int64(ti-di), 1), big.NewRat(int64(c), int64(ti)))
+			sum = rat.BigSum(b.Add(b, sum.Big()))
+			continue
+		}
+		sum = sum.Plus(term)
+	}
+	return sum
+}
+
+// SigmaSum sums the Lemma-6 slopes Σσ_i (TaskSigma) exactly. inf reports
+// that some σ_i is infinite, in which case the sum is meaningless and the
+// closed-form speedup is +Inf.
+func SigmaSum(s task.Set) (sum rat.Sum, inf bool) {
+	for i := range s {
+		sigma := TaskSigma(&s[i])
+		if sigma.IsInf() {
+			return rat.Sum{}, true
+		}
+		sum = sum.Plus(sigma)
+	}
+	return sum, false
+}
+
+// cacheBit is one of SetState's cached aggregate classes.
+type cacheBit uint8
+
+const (
+	hiBit       cacheBit = 1 << iota // U_HI sum, active and total ΣC(HI)
+	hyperBit                         // HIHyperperiod
+	loUtilBit                        // U_LO sum
+	loDemandBit                      // LODemandSum
+	loSchedBit                       // LOSched's verdict
+	sigmaBit                         // SigmaSum
+	fpBit                            // Fingerprint
+)
+
+// SetState is a task set plus a cache of the O(n) aggregates the HI-mode
+// event walks, the LO-mode schedulability test and the closed forms
+// derive from it: the state behind core's Analyze and Session reports and
+// the design searches' carried candidates. Each aggregate is refilled by
+// the same cold fold the non-incremental path calls (task.Set.UtilSum,
+// SumActiveCHI, HIHyperperiod, LODemandSum, SigmaSum, Fingerprint), so a
+// cached value equals the cold recomputation by construction.
 //
-// Every cached value is defined as "exactly what the cold recomputation
-// over Tasks() would produce": the lazy accessors call the same
-// functions (task.Set.Util/UtilBounds, HIHyperperiod, SumActiveCHI), and
-// the incrementally maintained ones use exact rational/integer
-// arithmetic whose result is independent of the update order, so delta
-// and cold analyses are bit-identical (pinned by the differential and
-// fuzz tests in internal/core).
+// Apply clears the validity bit of every aggregate a touched parameter
+// class feeds, and the next read refolds it: a D(LO)-only edit — the
+// TuneDeadlines hot path — keeps every HI-mode cache, and a C(HI) edit
+// keeps the hyperperiod and every LO-mode cache.
 //
 // A SetState is not safe for concurrent use; callers (the server's
 // session layer) serialize access. All mutation goes through Apply —
 // mutating Tasks() directly would desynchronize the caches (deltacheck
 // enforces this statically).
 type SetState struct {
-	set task.Set // owned copy; exposed read-only via Tasks
+	set   task.Set // owned copy; exposed read-only via Tasks
+	valid cacheBit
 
-	// Exact integer aggregates, updated in O(1) per edit.
-	sumActiveCHI task.Time
-	totalCHI     task.Time
-
-	// Lazily (re)computed aggregates with validity flags. Invalidation
-	// is per parameter class: a D(LO)-only edit — the TuneDeadlines hot
-	// path — leaves every HI-mode cache valid, and a C(HI) edit leaves
-	// the hyperperiod and all LO-mode caches valid.
-	utilValid   [2]bool
-	utilVal     [2]rat.Rat
-	boundsValid [2]bool
-	boundsLo    [2]rat.Rat
-	boundsHi    [2]rat.Rat
-
-	// Exact per-mode utilization sums Σ C(m)/T(m) over tasks with bounded
-	// T(m), maintained incrementally once folded (nil until first
-	// requested). Util and UtilBounds are directed roundings of these
-	// exact values — the same roundings the cold paths apply to the same
-	// exact sum, so the cached results stay bit-identical while a C(HI)
-	// edit costs one big.Rat add/sub instead of an O(n) refold.
-	utilSum [2]*big.Rat
-
-	hyperValid bool
-	hyper      task.Time
-	hyperOK    bool
-
-	fp string // cached Fingerprint; "" = invalid
-
-	// Exact big.Rat LO-mode sums, maintained incrementally (big.Rat
-	// addition is exactly invertible, unlike the int64 fast path of
-	// UtilBounds); nil until first requested.
-	loUtil      *big.Rat // Σ C(LO)/T(LO)
-	loDemandSum *big.Rat // Σ (T(LO)−D(LO))·C(LO)/T(LO), the QPA horizon numerator
-
-	// Exact Lemma-6 sum Σ_{finite σ_i} σ_i (TaskSigma), maintained like
-	// the LO sums, plus the count of tasks whose σ_i is infinite (which
-	// big.Rat cannot hold); nil until first requested.
-	sigmaSum *big.Rat
-	sigmaInf int
-
-	// Cached LO-mode schedulability verdict (stored by core's state-aware
-	// test), valid until any LO-mode parameter changes.
-	loSchedValid bool
-	loSched      bool
+	util                   [2]rat.Sum // per-mode utilization (hiBit, loUtilBit)
+	sumActiveCHI, totalCHI task.Time  // hiBit
+	hyper                  task.Time  // hyperBit
+	hyperOK                bool
+	loDemand               rat.Sum // loDemandBit
+	loSched                bool    // loSchedBit
+	sigma                  rat.Sum // sigmaBit
+	sigmaInf               bool
+	fp                     string // fpBit
 }
 
 // NewSetState validates s and builds a state over a private copy of it.
@@ -129,28 +141,19 @@ func NewSetState(s task.Set) (*SetState, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	st := &SetState{set: s.Clone()}
-	st.sumActiveCHI = SumActiveCHI(st.set)
-	st.totalCHI = st.set.TotalCHI()
-	return st, nil
+	return &SetState{set: s.Clone()}, nil
 }
 
 // Tasks returns the state's task set. It is a live view: callers must
 // treat it as read-only and apply changes through Apply only.
 func (st *SetState) Tasks() task.Set { return st.set }
 
-// Apply applies one edit and updates the maintained aggregates in O(1).
-// A failing edit leaves the state unchanged.
-func (st *SetState) Apply(e task.Edit) error {
-	_, err := st.ApplyTouched(e)
-	return err
-}
-
-// ApplyTouched is Apply returning the edit's task.Touched impact record,
-// for callers (core's Session) that maintain derived structures of their
-// own — e.g. classifying value-only C(HI) edits that keep a recorded
-// event curve's positions intact.
-func (st *SetState) ApplyTouched(e task.Edit) (task.Touched, error) {
+// Apply applies one edit and invalidates the caches its parameter classes
+// feed, returning the edit's task.Touched impact record for callers that
+// maintain derived structures of their own (core's Session follows
+// value-only C(HI) edits on its recorded event curve). A failing edit
+// leaves the state unchanged.
+func (st *SetState) Apply(e task.Edit) (task.Touched, error) {
 	out, tc, err := e.ApplyTo(st.set)
 	if err != nil {
 		return task.Touched{}, err
@@ -160,282 +163,120 @@ func (st *SetState) ApplyTouched(e task.Edit) (task.Touched, error) {
 	return tc, nil
 }
 
-// noteChange folds one edit's impact into the aggregates: additive
-// integer sums are updated exactly from the before/after task values,
-// everything else is invalidated per parameter class and lazily
-// recomputed by the same cold functions the non-incremental path uses.
+// noteChange clears the cache bit of every aggregate whose inputs the
+// edit touched. Structural edits set all six parameter flags, so they
+// clear everything. A termination toggle always touches T(HI) (Validate
+// requires D(HI) and T(HI) to turn unbounded together), so T(HI) covers
+// every change of which tasks count as active.
 func (st *SetState) noteChange(tc task.Touched) {
 	if !tc.Any() {
 		return // value-preserving edit: every cache still describes the set
 	}
-	st.fp = ""
-
-	hiTouched := tc.CHI || tc.THI || tc.Added || tc.Removed
-	if hiTouched {
-		// ΣC(HI) sums move by the difference of the task's contributions.
-		// A termination toggle always touches T(HI) (Validate requires
-		// D(HI) and T(HI) to turn unbounded together), so the guard
-		// covers every active-contribution change.
-		if !tc.Added && !tc.Old.Terminated() {
-			st.sumActiveCHI -= tc.Old.WCET[task.HI]
-		}
-		if !tc.Removed && !tc.New.Terminated() {
-			st.sumActiveCHI += tc.New.WCET[task.HI]
-		}
-		if !tc.Added {
-			st.totalCHI -= tc.Old.WCET[task.HI]
-		}
-		if !tc.Removed {
-			st.totalCHI += tc.New.WCET[task.HI]
-		}
-		st.utilValid[task.HI] = false
-		st.boundsValid[task.HI] = false
-		st.noteUtil(task.HI, tc)
+	drop := fpBit
+	if tc.CHI || tc.THI {
+		drop |= hiBit
 	}
-
-	if tc.THI || tc.Removed {
-		st.hyperValid = false
-		st.hyper, st.hyperOK = 0, false
-	} else if tc.Added && st.hyperValid && st.hyperOK && !tc.New.Terminated() {
-		// Appending a task extends HIHyperperiod's fold by exactly one
-		// step, so the incremental lcm (with the same overflow check)
-		// reproduces the full recomputation.
-		p := tc.New.Period[task.HI]
-		g := gcd(st.hyper, p)
-		l := st.hyper / g
-		if l > hyperHorizon/p {
-			st.hyper, st.hyperOK = 0, false
-		} else {
-			st.hyper = l * p
-		}
+	if tc.THI {
+		drop |= hyperBit
 	}
-
-	loTouched := tc.CLO || tc.TLO || tc.Added || tc.Removed
-	if loTouched {
-		st.utilValid[task.LO] = false
-		st.boundsValid[task.LO] = false
-		st.noteUtil(task.LO, tc)
-		if st.loUtil != nil {
-			if !tc.Added {
-				st.loUtil.Sub(st.loUtil, loUtilTerm(&tc.Old))
-			}
-			if !tc.Removed {
-				st.loUtil.Add(st.loUtil, loUtilTerm(&tc.New))
-			}
-		}
+	if tc.CLO || tc.TLO {
+		drop |= loUtilBit
 	}
-	if st.sigmaSum != nil && (hiTouched || tc.CLO || tc.DLO || tc.DHI) {
-		// σ_i reads every parameter except T(LO); fold the task's before
-		// and after contributions exactly like the LO sums.
-		if !tc.Added {
-			st.dropSigma(&tc.Old)
-		}
-		if !tc.Removed {
-			st.foldSigma(&tc.New)
-		}
+	if tc.CLO || tc.TLO || tc.DLO {
+		drop |= loDemandBit | loSchedBit
 	}
+	if tc.CLO || tc.CHI || tc.DLO || tc.DHI || tc.THI {
+		drop |= sigmaBit // σ_i reads every parameter except T(LO)
+	}
+	st.valid &^= drop
+}
 
-	if loTouched || tc.DLO {
-		if st.loDemandSum != nil {
-			if !tc.Added {
-				st.loDemandSum.Sub(st.loDemandSum, loDemandTerm(&tc.Old))
-			}
-			if !tc.Removed {
-				st.loDemandSum.Add(st.loDemandSum, loDemandTerm(&tc.New))
-			}
-		}
-		st.loSchedValid = false
+// fillHI refolds the HI-mode sums if an edit invalidated them.
+func (st *SetState) fillHI() {
+	if st.valid&hiBit == 0 {
+		st.util[task.HI] = st.set.UtilSum(task.HI)
+		st.sumActiveCHI = SumActiveCHI(st.set)
+		st.totalCHI = st.set.TotalCHI()
+		st.valid |= hiBit
 	}
 }
 
-// loUtilTerm is one task's C(LO)/T(LO) contribution.
-func loUtilTerm(t *task.Task) *big.Rat {
-	return big.NewRat(int64(t.WCET[task.LO]), int64(t.Period[task.LO]))
+// UtilSum returns Tasks().UtilSum(m), cached: the exact sum Util and
+// UtilBounds round.
+func (st *SetState) UtilSum(m task.Crit) rat.Sum {
+	if m == task.HI {
+		st.fillHI()
+	} else if st.valid&loUtilBit == 0 {
+		st.util[task.LO] = st.set.UtilSum(task.LO)
+		st.valid |= loUtilBit
+	}
+	return st.util[m]
 }
 
-// utilTerm is one task's C(m)/T(m) contribution to the mode-m
-// utilization, nil when T(m) is unbounded (terminated tasks contribute
-// zero in HI mode, exactly as task.Set.utilSum skips them).
-func utilTerm(t *task.Task, m task.Crit) *big.Rat {
-	if t.Period[m].IsUnbounded() {
-		return nil
-	}
-	return big.NewRat(int64(t.WCET[m]), int64(t.Period[m]))
-}
+// Util returns Tasks().Util(m): the cached sum, rounded as Util rounds it.
+func (st *SetState) Util(m task.Crit) rat.Rat { return st.UtilSum(m).Round(true) }
 
-// noteUtil folds one edit's before/after contributions into the
-// maintained mode-m utilization sum, if it has been built.
-func (st *SetState) noteUtil(m task.Crit, tc task.Touched) {
-	sum := st.utilSum[m]
-	if sum == nil {
-		return
-	}
-	if !tc.Added {
-		if term := utilTerm(&tc.Old, m); term != nil {
-			sum.Sub(sum, term)
-		}
-	}
-	if !tc.Removed {
-		if term := utilTerm(&tc.New, m); term != nil {
-			sum.Add(sum, term)
-		}
-	}
-}
-
-// utilSumFor returns the exact mode-m utilization sum, folding it once in
-// set order on first use and thereafter maintaining it per edit (exact
-// rational addition is order-independent and exactly invertible, so the
-// sum always equals the cold fold over Tasks()).
-func (st *SetState) utilSumFor(m task.Crit) *big.Rat {
-	if st.utilSum[m] == nil {
-		sum := new(big.Rat)
-		for i := range st.set {
-			if term := utilTerm(&st.set[i], m); term != nil {
-				sum.Add(sum, term)
-			}
-		}
-		st.utilSum[m] = sum
-	}
-	return st.utilSum[m]
-}
-
-// loDemandTerm is one task's (T−D)·C/T contribution to the QPA horizon
-// numerator: the exact value core's cold loop sums.
-func loDemandTerm(t *task.Task) *big.Rat {
-	ti, di := t.Period[task.LO], t.Deadline[task.LO]
-	return new(big.Rat).Mul(
-		big.NewRat(int64(ti-di), 1),
-		big.NewRat(int64(t.WCET[task.LO]), int64(ti)))
-}
-
-// Util returns Tasks().Util(m), cached and — once the exact sum is
-// folded — revalidated in O(1) after an edit. Bit-identical to the cold
-// value: both are rat.FromBig of the same exact rational, rounded up.
-func (st *SetState) Util(m task.Crit) rat.Rat {
-	if !st.utilValid[m] {
-		st.utilVal[m] = rat.FromBig(st.utilSumFor(m), true)
-		st.utilValid[m] = true
-	}
-	return st.utilVal[m]
-}
-
-// UtilBounds returns Tasks().UtilBounds(m), cached. Revalidation after an
-// edit is O(1) once the exact sum has been built (by a Util call — the
-// Session path always makes one); before that it stays on the cold
-// alloc-free fast path, so state-per-candidate users like MinimalY pay
-// nothing for the machinery. Both derivations are bit-identical: the cold
-// int64 fast path and its big.Rat fallback both produce the directed
-// roundings of the exact utilization (see task.Set.UtilBounds), which is
-// exactly what rat.FromBig of the maintained sum yields.
+// UtilBounds returns Tasks().UtilBounds(m) from the cached sum.
 func (st *SetState) UtilBounds(m task.Crit) (lo, hi rat.Rat) {
-	if !st.boundsValid[m] {
-		if sum := st.utilSum[m]; sum != nil {
-			st.boundsLo[m] = rat.FromBig(sum, false)
-			st.boundsHi[m] = rat.FromBig(sum, true)
-		} else {
-			st.boundsLo[m], st.boundsHi[m] = st.set.UtilBounds(m)
-		}
-		st.boundsValid[m] = true
-	}
-	return st.boundsLo[m], st.boundsHi[m]
+	sum := st.UtilSum(m)
+	return sum.Round(false), sum.Round(true)
 }
 
-// SumActiveCHI returns the maintained ΣC(HI) over non-terminated tasks.
-func (st *SetState) SumActiveCHI() task.Time { return st.sumActiveCHI }
+// SumActiveCHI returns SumActiveCHI(Tasks()), cached.
+func (st *SetState) SumActiveCHI() task.Time {
+	st.fillHI()
+	return st.sumActiveCHI
+}
 
-// TotalCHI returns the maintained Σ_i C_i(HI) (Lemma 7's numerator).
-func (st *SetState) TotalCHI() task.Time { return st.totalCHI }
+// TotalCHI returns Tasks().TotalCHI() (Lemma 7's numerator), cached.
+func (st *SetState) TotalCHI() task.Time {
+	st.fillHI()
+	return st.totalCHI
+}
 
-// HIHyperperiod returns HIHyperperiod(Tasks()), cached and — for
-// appends — incrementally extended.
+// HIHyperperiod returns HIHyperperiod(Tasks()), cached.
 func (st *SetState) HIHyperperiod() (task.Time, bool) {
-	if !st.hyperValid {
+	if st.valid&hyperBit == 0 {
 		st.hyper, st.hyperOK = HIHyperperiod(st.set)
-		st.hyperValid = true
+		st.valid |= hyperBit
 	}
 	return st.hyper, st.hyperOK
 }
 
 // Fingerprint returns Tasks().Fingerprint(), cached.
 func (st *SetState) Fingerprint() string {
-	if st.fp == "" {
+	if st.valid&fpBit == 0 {
 		st.fp = st.set.Fingerprint()
+		st.valid |= fpBit
 	}
 	return st.fp
 }
 
-// LOUtil returns the exact Σ C(LO)/T(LO), folded once in set order and
-// thereafter maintained per edit. Callers must not mutate the result.
-func (st *SetState) LOUtil() *big.Rat {
-	if st.loUtil == nil {
-		sum := new(big.Rat)
-		for i := range st.set {
-			sum.Add(sum, loUtilTerm(&st.set[i]))
-		}
-		st.loUtil = sum
+// LODemandSum returns LODemandSum(Tasks()), cached.
+func (st *SetState) LODemandSum() rat.Sum {
+	if st.valid&loDemandBit == 0 {
+		st.loDemand = LODemandSum(st.set)
+		st.valid |= loDemandBit
 	}
-	return st.loUtil
+	return st.loDemand
 }
 
-// LODemandSum returns the exact Σ (T−D)·C/T over LO-mode parameters (the
-// QPA horizon numerator), maintained like LOUtil. Callers must not
-// mutate the result.
-func (st *SetState) LODemandSum() *big.Rat {
-	if st.loDemandSum == nil {
-		sum := new(big.Rat)
-		for i := range st.set {
-			sum.Add(sum, loDemandTerm(&st.set[i]))
-		}
-		st.loDemandSum = sum
+// SigmaSum returns SigmaSum(Tasks()), cached.
+func (st *SetState) SigmaSum() (rat.Sum, bool) {
+	if st.valid&sigmaBit == 0 {
+		st.sigma, st.sigmaInf = SigmaSum(st.set)
+		st.valid |= sigmaBit
 	}
-	return st.loDemandSum
+	return st.sigma, st.sigmaInf
 }
 
-// foldSigma adds one task's Lemma-6 contribution to the maintained sum.
-func (st *SetState) foldSigma(t *task.Task) {
-	if sigma := TaskSigma(t); sigma.IsInf() {
-		st.sigmaInf++
-	} else {
-		st.sigmaSum.Add(st.sigmaSum, sigma.Big())
+// LOSched returns the LO-mode schedulability verdict, cached: test (core's
+// processor-demand test, given the set, its U(LO) sum and its QPA horizon
+// numerator) runs again only after an LO-mode parameter changed.
+func (st *SetState) LOSched(test func(s task.Set, uLO, demand rat.Sum) bool) bool {
+	if st.valid&loSchedBit == 0 {
+		st.loSched = test(st.set, st.UtilSum(task.LO), st.LODemandSum())
+		st.valid |= loSchedBit
 	}
-}
-
-// dropSigma removes one task's Lemma-6 contribution.
-func (st *SetState) dropSigma(t *task.Task) {
-	if sigma := TaskSigma(t); sigma.IsInf() {
-		st.sigmaInf--
-	} else {
-		st.sigmaSum.Sub(st.sigmaSum, sigma.Big())
-	}
-}
-
-// SigmaSum returns the exact Lemma-6 sum Σσ_i over tasks with finite
-// σ_i, plus the count of tasks whose σ_i is infinite (the closed-form
-// speedup is +Inf whenever that count is positive). Folded once in set
-// order on first use and thereafter maintained per edit; exact rational
-// addition is order-independent and exactly invertible, so the sum always
-// equals the cold fold over Tasks(). Callers must not mutate the result.
-func (st *SetState) SigmaSum() (*big.Rat, int) {
-	if st.sigmaSum == nil {
-		st.sigmaSum = new(big.Rat)
-		st.sigmaInf = 0
-		for i := range st.set {
-			st.foldSigma(&st.set[i])
-		}
-	}
-	return st.sigmaSum, st.sigmaInf
-}
-
-// LOSchedCache returns the stored LO-mode schedulability verdict and
-// whether it is still valid (no LO-mode parameter changed since
-// StoreLOSched).
-func (st *SetState) LOSchedCache() (verdict, ok bool) {
-	return st.loSched, st.loSchedValid
-}
-
-// StoreLOSched records the LO-mode schedulability verdict for the
-// current set.
-func (st *SetState) StoreLOSched(v bool) {
-	st.loSched = v
-	st.loSchedValid = true
+	return st.loSched
 }

@@ -12,15 +12,15 @@
 //     hold the lock" is exactly the convention that rots — pass the
 //     needed values in instead, or lock.
 //
-//  2. Invalidated caches (mcspeedup/internal/dbf): SetState's cached
-//     aggregates are defined as "exactly what cold recomputation over
-//     the current set would produce". Only SetState's own methods may
+//  2. Invalidated caches (mcspeedup/internal/dbf): SetState caches the
+//     results of the cold aggregate folds over its set, each behind a
+//     per-parameter-class validity bit. Only SetState's own methods may
 //     write its fields (the constructor NewSetState is the one
 //     exemption), and any method that replaces the task data itself —
 //     assigns the `set` field — must call noteChange in the same body,
-//     the single hook that reconciles or invalidates every dependent
-//     cache. A write that bypasses noteChange leaves caches describing
-//     a set that no longer exists.
+//     the single hook that clears the cache bits the edit's parameter
+//     classes feed. A write that bypasses noteChange leaves valid bits
+//     on caches describing a set that no longer exists.
 //
 // Both rules exempt _test.go files.
 package deltacheck

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 )
 
 // Big returns r as a math/big.Rat. Panics on infinities.
@@ -25,26 +26,26 @@ const roundDenom = int64(1) << 20
 // Round rounds r onto the same 2^-20 grid FromBig uses — upward when up
 // is true, downward otherwise — returning r unchanged when its reduced
 // denominator is already at most 2^20. It matches FromBig(r.Big(), up)
-// exactly but stays allocation-free whenever num·2^20 fits int64,
-// falling back to the big.Rat path only on overflow. Infinities pass
-// through unchanged.
+// exactly without allocating: the quotient |num|·2^20/den is taken in 128
+// bits. Infinities pass through unchanged.
 func (r Rat) Round(up bool) Rat {
 	if r.den == 0 || r.den <= roundDenom {
 		return r
 	}
-	if scaled, ok := tryMul64(r.num, roundDenom); ok {
-		q := scaled / r.den
-		if scaled%r.den != 0 {
-			if up && r.num > 0 {
-				q++
-			}
-			if !up && r.num < 0 {
-				q--
-			}
-		}
-		return New(q, roundDenom)
+	// |num|·2^20 < 2^84 and den > 2^20, so the 128-bit quotient (the
+	// truncated magnitude) is below 2^63 and Div64 cannot overflow.
+	hi, lo := bits.Mul64(absU(r.num), uint64(roundDenom))
+	q, rem := bits.Div64(hi, lo, uint64(r.den))
+	if rem != 0 && up == (r.num > 0) {
+		q++ // the directed rounding moves away from zero
 	}
-	return FromBig(r.Big(), up)
+	if q > math.MaxInt64/2 {
+		return FromBig(r.Big(), up) // beyond the grid's range: FromBig panics
+	}
+	if r.num < 0 {
+		return New(-int64(q), roundDenom)
+	}
+	return New(int64(q), roundDenom)
 }
 
 // FromBig converts v to a Rat. The conversion is exact whenever v's

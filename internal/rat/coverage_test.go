@@ -3,6 +3,7 @@ package rat
 import (
 	"math"
 	"math/big"
+	"math/rand"
 	"testing"
 )
 
@@ -82,6 +83,34 @@ func TestBigRoundTrip(t *testing.T) {
 		}
 	}()
 	PosInf.Big()
+}
+
+// TestRoundMatchesFromBig checks Rat.Round's 128-bit quotient against
+// FromBig on fixed-width values with large numerators and denominators
+// beyond the grid, where num·2^20 overflows int64, in both directions and
+// signs, including the int64 extremes.
+func TestRoundMatchesFromBig(t *testing.T) {
+	rnd := rand.New(rand.NewSource(5))
+	vals := []Rat{New(math.MaxInt64, (1<<20)+1), New(math.MinInt64+1, (1<<20)+1),
+		New(math.MaxInt64, math.MaxInt64-2), New(-(1 << 62), (1<<20)+1)}
+	for i := 0; i < 5000; i++ {
+		num := rnd.Int63() >> uint(rnd.Intn(40))
+		if rnd.Intn(2) == 0 {
+			num = -num
+		}
+		vals = append(vals, New(num, (1<<20)+1+rnd.Int63n(math.MaxInt64-(1<<20)-1)>>uint(rnd.Intn(40))))
+	}
+	for _, v := range vals {
+		for _, up := range []bool{false, true} {
+			want, ok := FromBigChecked(v.Big(), up)
+			if !ok {
+				continue // FromBig panics on such values; Round defers to it
+			}
+			if got := v.Round(up); got != want {
+				t.Fatalf("%v.Round(%v) = %v, FromBig says %v", v, up, got, want)
+			}
+		}
+	}
 }
 
 func TestFromBigDirectedRounding(t *testing.T) {

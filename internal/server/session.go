@@ -4,9 +4,9 @@ package server
 //
 // A session holds an analyzed task-set state (core.Session) across
 // requests: instead of re-posting the whole set after each design tweak,
-// clients create a session once and stream edits to it; each edit
-// updates the demand aggregates in O(changed tasks) and the next report
-// is a warm (delta) re-analysis rather than a cold one. One endpoint,
+// clients create a session once and stream edits to it; each edit drops
+// only the cached demand aggregates it touches, and the next report is a
+// warm (delta) re-analysis rather than a cold one. One endpoint,
 // dispatched on "action":
 //
 //	{"action":"create","tasks":[...],"speed":2,...}  → id + report

@@ -5,8 +5,8 @@ import (
 )
 
 // Edit operations. An edit stream is the unit of incremental re-analysis:
-// the dbf.SetState layer consumes edits one at a time and updates its
-// cached demand aggregates in O(changed tasks) instead of rebuilding.
+// the dbf.SetState layer consumes edits one at a time and drops only the
+// cached demand aggregates the edited parameter classes feed.
 const (
 	// OpSet changes one or more timing parameters of the named task.
 	OpSet = "set"
@@ -34,7 +34,7 @@ type ParamValue struct {
 }
 
 // Edit is one task-set modification in descriptor form: the unit of the
-// /v1/session edit stream and of the incremental dbf.SetState updates.
+// /v1/session edit stream and of dbf.SetState's cache invalidation.
 //
 // An OpSet edit applies all its Params atomically — the task is copied,
 // every assignment lands on the copy (in list order, later entries win),
@@ -58,18 +58,14 @@ func SetParam(name, param string, v Time) Edit {
 	return Edit{Op: OpSet, Name: name, Params: []ParamValue{{Param: param, Value: v}}}
 }
 
-// Touched describes an edit's impact precisely enough for incremental
-// maintenance: which task changed, its before/after values, and which
-// parameter classes moved. Consumers (dbf.SetState) subtract the Old
-// task's contribution from their additive aggregates and add the New
-// task's, invalidating only the caches a flagged class feeds.
+// Touched describes an edit's impact: which task changed and which
+// parameter classes moved. Consumers invalidate only what a flagged class
+// feeds — dbf.SetState its cached aggregates, core's Session its recorded
+// event curve (which follows value-only C(HI) edits by Index).
 type Touched struct {
 	// Index is the task's position: post-append for OpAdd, pre-removal
 	// for OpRemove, unchanged for OpSet.
 	Index int
-	// Old and New are the task's values before and after the edit. Old
-	// is the zero Task for OpAdd, New for OpRemove.
-	Old, New Task
 	// Added and Removed flag the structural operations.
 	Added, Removed bool
 	// CLO .. THI report which parameters actually changed value (all six
@@ -135,8 +131,8 @@ func (e Edit) ApplyTo(s Set) (Set, Touched, error) {
 		if idx < 0 {
 			return s, Touched{}, fmt.Errorf("task: edit names unknown task %q", e.Name)
 		}
-		old := s[idx]
-		nt := old
+		old := &s[idx]
+		nt := *old
 		for _, p := range e.Params {
 			if err := applyParam(&nt, p); err != nil {
 				return s, Touched{}, err
@@ -145,16 +141,17 @@ func (e Edit) ApplyTo(s Set) (Set, Touched, error) {
 		if err := nt.Validate(); err != nil {
 			return s, Touched{}, err
 		}
-		s[idx] = nt
-		return s, Touched{
-			Index: idx, Old: old, New: nt,
-			CLO: old.WCET[LO] != nt.WCET[LO],
-			CHI: old.WCET[HI] != nt.WCET[HI],
-			DLO: old.Deadline[LO] != nt.Deadline[LO],
-			DHI: old.Deadline[HI] != nt.Deadline[HI],
-			TLO: old.Period[LO] != nt.Period[LO],
-			THI: old.Period[HI] != nt.Period[HI],
-		}, nil
+		tc := Touched{
+			Index: idx,
+			CLO:   old.WCET[LO] != nt.WCET[LO],
+			CHI:   old.WCET[HI] != nt.WCET[HI],
+			DLO:   old.Deadline[LO] != nt.Deadline[LO],
+			DHI:   old.Deadline[HI] != nt.Deadline[HI],
+			TLO:   old.Period[LO] != nt.Period[LO],
+			THI:   old.Period[HI] != nt.Period[HI],
+		}
+		*old = nt
+		return s, tc, nil
 	case OpAdd:
 		if e.Task == nil {
 			return s, Touched{}, fmt.Errorf("task: %s edit has no task object", OpAdd)
@@ -171,7 +168,7 @@ func (e Edit) ApplyTo(s Set) (Set, Touched, error) {
 		}
 		s = append(s, nt)
 		return s, Touched{
-			Index: len(s) - 1, New: nt, Added: true,
+			Index: len(s) - 1, Added: true,
 			CLO: true, CHI: true, DLO: true, DHI: true, TLO: true, THI: true,
 		}, nil
 	case OpRemove:
@@ -185,11 +182,10 @@ func (e Edit) ApplyTo(s Set) (Set, Touched, error) {
 		if len(s) == 1 {
 			return s, Touched{}, fmt.Errorf("task: cannot remove the last task (empty sets are invalid)")
 		}
-		old := s[idx]
 		copy(s[idx:], s[idx+1:])
 		s = s[:len(s)-1]
 		return s, Touched{
-			Index: idx, Old: old, Removed: true,
+			Index: idx, Removed: true,
 			CLO: true, CHI: true, DLO: true, DHI: true, TLO: true, THI: true,
 		}, nil
 	default:

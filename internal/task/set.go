@@ -68,6 +68,11 @@ func (s Set) ByCrit(c Crit) Set {
 	return out
 }
 
+// UtilSum returns the exact total utilization Σ_i C_i(m)/T_i(m) of all
+// tasks in mode m (terminated tasks contribute zero in HI mode): the one
+// fold behind Util, UtilBounds and dbf.SetState's cached utilization.
+func (s Set) UtilSum(m Crit) rat.Sum { return s.utilSum(m, anyTask) }
+
 // utilSum sums C_i(m)/T_i(m) exactly over tasks matching the filter:
 // allocation-free while every partial sum fits int64/int64 — the common
 // case, and the one the analysis hot paths hit on every call — and in
@@ -92,14 +97,14 @@ func anyTask(*Task) bool { return true }
 // at most 2^-20, so it remains a sound upper bound — use UtilBounds when
 // both directions matter.
 func (s Set) Util(m Crit) rat.Rat {
-	return s.utilSum(m, anyTask).Round(true)
+	return s.UtilSum(m).Round(true)
 }
 
 // UtilBounds returns exact-or-directed-rounded lower and upper bounds on
 // Util(m); lo equals hi exactly when the sum is representable. Both are
 // rat.FromBig of the exact sum, rounded down and up.
 func (s Set) UtilBounds(m Crit) (lo, hi rat.Rat) {
-	sum := s.utilSum(m, anyTask)
+	sum := s.UtilSum(m)
 	return sum.Round(false), sum.Round(true)
 }
 

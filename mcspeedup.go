@@ -465,9 +465,10 @@ func SetParam(name, param string, v Time) Edit { return task.SetParam(name, para
 func ApplyEdits(s Set, edits ...Edit) (Set, error) { return s.ApplyEdits(edits...) }
 
 // AnalysisSession is an analyzed task-set state that absorbs Edits and
-// re-analyzes incrementally: demand aggregates update in O(changed
-// tasks) per edit, and the next Report's walks warm-start at the prior
-// decisive witness while staying byte-identical to a cold AnalyzeSet.
+// re-analyzes incrementally: an edit drops only the cached demand
+// aggregates it touches, and the next Report's walks warm-start at the
+// prior decisive witness while staying byte-identical to a cold
+// AnalyzeSet.
 // Not safe for concurrent use.
 type AnalysisSession = core.Session
 
