@@ -33,11 +33,6 @@
 // commits (CI uploads the file as a build artifact). The event counters
 // are machine-independent: they count examined demand events, the
 // algorithmic work the pruning of docs/PERF.md removes.
-//
-// The entry also carries a vetWallTime row: the wall-clock of a full
-// mcs-vet module sweep over -vetroot, cold into a fresh fact cache and
-// warm replaying from it — the number that keeps the fact cache honest
-// across commits.
 package main
 
 import (
@@ -48,7 +43,6 @@ import (
 	"math/rand"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -56,8 +50,6 @@ import (
 	"time"
 
 	"mcspeedup"
-	"mcspeedup/internal/lint"
-	"mcspeedup/internal/lint/suite"
 )
 
 // benchDoc is the BENCH_core.json layout. GoMaxProcs and CPUModel
@@ -73,7 +65,6 @@ type benchDoc struct {
 	CPUModel    string       `json:"cpuModel,omitempty"`
 	Benchmarks  []benchEntry `json:"benchmarks"`
 	Fig5        fig5Entry    `json:"fig5Sweep"`
-	VetWallTime *vetEntry    `json:"vetWallTime,omitempty"`
 }
 
 type benchEntry struct {
@@ -90,30 +81,18 @@ type fig5Entry struct {
 	Seconds float64 `json:"seconds"`
 }
 
-// vetEntry is one mcs-vet module sweep: cold against a fresh fact
-// cache, then warm replaying from it. The cold/warm ratio is the fact
-// cache's value; packages and cache hits pin that the warm run really
-// replayed everything.
-type vetEntry struct {
-	Packages      int     `json:"packages"`
-	ColdSeconds   float64 `json:"coldSeconds"`
-	WarmSeconds   float64 `json:"warmSeconds"`
-	WarmCacheHits int     `json:"warmCacheHits"`
-}
-
 // trajectoryEntry is one element of the BENCH_trajectory.json array: the
 // same measurements as BENCH_core.json plus the commit they were taken at
 // and the FMS event counters, which compare across machines.
 type trajectoryEntry struct {
-	Date        string       `json:"date"`
-	GitRev      string       `json:"gitRev"`
-	GoVersion   string       `json:"goVersion"`
-	NumCPU      int          `json:"numCPU"`
-	GoMaxProcs  int          `json:"gomaxprocs,omitempty"`
-	CPUModel    string       `json:"cpuModel,omitempty"`
-	Benchmarks  []benchEntry `json:"benchmarks"`
-	FMSEvents   eventsEntry  `json:"fmsEvents"`
-	VetWallTime *vetEntry    `json:"vetWallTime,omitempty"`
+	Date       string       `json:"date"`
+	GitRev     string       `json:"gitRev"`
+	GoVersion  string       `json:"goVersion"`
+	NumCPU     int          `json:"numCPU"`
+	GoMaxProcs int          `json:"gomaxprocs,omitempty"`
+	CPUModel   string       `json:"cpuModel,omitempty"`
+	Benchmarks []benchEntry `json:"benchmarks"`
+	FMSEvents  eventsEntry  `json:"fmsEvents"`
 }
 
 // eventsEntry records how many demand events each exact FMS analysis
@@ -286,49 +265,6 @@ func appendTrajectory(path string, entry any) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// measureVet times a full mcs-vet module sweep over root, cold into a
-// fresh fact cache and warm replaying from it. Outside a module
-// checkout (no go.mod at root) the measurement is skipped.
-func measureVet(root string) *vetEntry {
-	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
-		log.Printf("vet wall time: skipped (%v)", err)
-		return nil
-	}
-	cacheDir, err := os.MkdirTemp("", "mcsvet-bench-")
-	if err != nil {
-		log.Printf("vet wall time: skipped (%v)", err)
-		return nil
-	}
-	defer os.RemoveAll(cacheDir)
-	opts := lint.ModuleOptions{CacheDir: cacheDir}
-
-	start := time.Now()
-	cold, err := lint.RunModule(root, suite.Analyzers, opts)
-	if err != nil {
-		log.Printf("vet wall time: skipped (%v)", err)
-		return nil
-	}
-	coldSec := time.Since(start).Seconds()
-
-	start = time.Now()
-	warm, err := lint.RunModule(root, suite.Analyzers, opts)
-	if err != nil {
-		log.Printf("vet wall time: skipped (%v)", err)
-		return nil
-	}
-	warmSec := time.Since(start).Seconds()
-
-	e := &vetEntry{
-		Packages:      len(cold.Packages),
-		ColdSeconds:   coldSec,
-		WarmSeconds:   warmSec,
-		WarmCacheHits: warm.CacheHits,
-	}
-	log.Printf("vet wall time: %d packages, cold %.3fs, warm %.3fs (%d cache hits)",
-		e.Packages, e.ColdSeconds, e.WarmSeconds, e.WarmCacheHits)
-	return e
-}
-
 // measure runs fn under testing.Benchmark with allocation reporting.
 func measure(name string, fn func()) benchEntry {
 	res := testing.Benchmark(func(b *testing.B) {
@@ -438,7 +374,6 @@ func main() {
 		trajectory = flag.String("trajectory", "", "append a dated entry to this JSON-array history file")
 		grid       = flag.Int("grid", 9, "Fig.-5 sweep grid resolution")
 		workers    = flag.Int("workers", 0, "Fig.-5 sweep workers (0 = all cores)")
-		vetRoot    = flag.String("vetroot", ".", "module root for the vet wall-time sweep ('' = skip)")
 		compare    = flag.String("compare", "", "baseline BENCH_core.json to diff against; exit nonzero on regression")
 		compareTol = flag.Float64("compare-tol", 0.15, "ns/op slowdown tolerated by -compare")
 		compareNS  = flag.Bool("compare-ns-fail", true, "fail -compare on ns/op regressions (false: warn only; allocs/op increases always fail)")
@@ -460,7 +395,7 @@ func main() {
 			log.Fatal(err)
 		}
 		// The profile covers the benchmark loops and the Fig.-5 sweep —
-		// the analysis hot paths — not the vet sweep or file writes;
+		// the analysis hot paths — not the file writes;
 		// stopCPUProfile below is called right after the sweep.
 		defer f.Close()
 	}
@@ -595,10 +530,6 @@ func main() {
 		log.Printf("wrote CPU profile to %s", *cpuprofile)
 	}
 
-	if *vetRoot != "" {
-		doc.VetWallTime = measureVet(*vetRoot)
-	}
-
 	rev := gitRev() // before -out rewrites a tracked file
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -616,15 +547,14 @@ func main() {
 
 	if *trajectory != "" {
 		entry := trajectoryEntry{
-			Date:        doc.GeneratedAt,
-			GitRev:      rev,
-			GoVersion:   doc.GoVersion,
-			NumCPU:      doc.NumCPU,
-			GoMaxProcs:  doc.GoMaxProcs,
-			CPUModel:    doc.CPUModel,
-			Benchmarks:  doc.Benchmarks,
-			FMSEvents:   fmsEventCounts(fms),
-			VetWallTime: doc.VetWallTime,
+			Date:       doc.GeneratedAt,
+			GitRev:     rev,
+			GoVersion:  doc.GoVersion,
+			NumCPU:     doc.NumCPU,
+			GoMaxProcs: doc.GoMaxProcs,
+			CPUModel:   doc.CPUModel,
+			Benchmarks: doc.Benchmarks,
+			FMSEvents:  fmsEventCounts(fms),
 		}
 		if err := appendTrajectory(*trajectory, entry); err != nil {
 			log.Fatal(err)

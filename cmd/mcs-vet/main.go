@@ -4,22 +4,17 @@
 // with modular facts carrying interprocedural results (arena borrows,
 // lock-order edges) across package boundaries.
 //
-// Two ways to drive it:
+// It runs only under cmd/go, one compilation unit per invocation, with
+// facts carried between units in vetx files:
 //
-//	# under cmd/go, per compilation unit, facts in vetx files
 //	go build -o $(go env GOPATH)/bin/mcs-vet ./cmd/mcs-vet
 //	go vet -vettool=$(go env GOPATH)/bin/mcs-vet ./...
 //
-//	# standalone module mode: dependency-ordered, parallel, cached
-//	mcs-vet [flags] [module-root]
-//
-// Module-mode flags: -workers N, -json, -sarif FILE, -github,
-// -ignores (audit every //lint:ignore directive and fail on missing
-// justifications or stale suppressions), -cache DIR, -nocache.
-//
-// scripts/verify.sh runs both modes on every verification pass. See
-// docs/STATIC_ANALYSIS.md for the analyzers, their fact types, the
-// invariants they protect, and the //lint:ignore escape hatch.
+// The only flags are cmd/go's -V=full and -flags handshakes; every
+// analyzer always runs. scripts/verify.sh runs the suite on every
+// verification pass. See docs/STATIC_ANALYSIS.md for the analyzers,
+// their fact types, the invariants they protect, and the
+// //lint:ignore escape hatch.
 package main
 
 import (

@@ -6,7 +6,6 @@ import (
 	"go/types"
 	"reflect"
 	"sort"
-	"sync"
 )
 
 // A Fact is a typed, JSON-serializable datum an analyzer attaches to a
@@ -20,8 +19,9 @@ import (
 //
 // A fact type must be a pointer to a JSON-marshalable struct and must be
 // declared in the exporting analyzer's FactTypes. The dynamic type name
-// is part of the wire key, so renaming a fact type invalidates cached
-// facts — which is correct, since the consumer decodes by shape.
+// is part of the wire key, so a renamed fact type does not decode facts
+// written under the old name — which is correct, since the consumer
+// decodes by shape.
 type Fact interface {
 	// AFact is a marker method: it guards against accidentally passing
 	// arbitrary values where a registered fact type is expected.
@@ -37,7 +37,7 @@ type ObjectFact struct {
 }
 
 // wireFact is the serialized form of one exported fact — the element
-// type of a vetx file and of the on-disk fact cache.
+// type of a vetx file.
 type wireFact struct {
 	Pkg      string          `json:"pkg"`
 	Obj      string          `json:"obj"`
@@ -51,13 +51,11 @@ type factKey struct {
 	pkg, obj, analyzer, typ string
 }
 
-// A FactStore holds the facts visible to a run: those imported from
+// A FactStore holds the facts visible to a pass: those imported from
 // dependency packages plus those exported by the packages analyzed so
-// far. It is safe for concurrent use — the module runner analyzes
-// independent packages of one dependency level in parallel.
+// far.
 type FactStore struct {
-	mu sync.RWMutex
-	m  map[factKey]json.RawMessage
+	m map[factKey]json.RawMessage
 }
 
 // NewFactStore returns an empty store.
@@ -102,26 +100,10 @@ func objPath(obj types.Object) string {
 	return obj.Name()
 }
 
-// add records one fact, overwriting any previous value in the slot.
-func (s *FactStore) add(key factKey, data json.RawMessage) {
-	s.mu.Lock()
-	s.m[key] = data
-	s.mu.Unlock()
-}
-
-// get returns the raw fact in the slot, if any.
-func (s *FactStore) get(key factKey) (json.RawMessage, bool) {
-	s.mu.RLock()
-	data, ok := s.m[key]
-	s.mu.RUnlock()
-	return data, ok
-}
-
-// AddWire loads serialized facts (a vetx file, a cache entry) into the
-// store.
+// AddWire loads serialized facts (a vetx file) into the store.
 func (s *FactStore) AddWire(facts []wireFact) {
 	for _, f := range facts {
-		s.add(factKey{f.Pkg, f.Obj, f.Analyzer, f.Type}, f.Data)
+		s.m[factKey{f.Pkg, f.Obj, f.Analyzer, f.Type}] = f.Data
 	}
 }
 
@@ -142,20 +124,13 @@ func DecodeWire(data []byte) ([]wireFact, error) {
 // serialization into a vetx file. When filter is non-nil only facts of
 // the listed packages are included.
 func (s *FactStore) Wire(filter map[string]bool) []wireFact {
-	s.mu.RLock()
 	facts := make([]wireFact, 0, len(s.m))
-	for key, data := range s.m { //lint:ignore determcheck iteration feeds a full sort below; the returned order is independent of it
+	for key, data := range s.m {
 		if filter != nil && !filter[key.pkg] {
 			continue
 		}
 		facts = append(facts, wireFact{key.pkg, key.obj, key.analyzer, key.typ, data})
 	}
-	s.mu.RUnlock()
-	sortWire(facts)
-	return facts
-}
-
-func sortWire(facts []wireFact) {
 	sort.Slice(facts, func(i, j int) bool {
 		a, b := facts[i], facts[j]
 		if a.Pkg != b.Pkg {
@@ -169,6 +144,7 @@ func sortWire(facts []wireFact) {
 		}
 		return a.Type < b.Type
 	})
+	return facts
 }
 
 // EncodeWire serializes facts for a vetx file: a sorted JSON array, or
@@ -220,14 +196,12 @@ func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 	if err != nil {
 		panic(fmt.Sprintf("lint: analyzer %s: marshaling %T: %v", p.Analyzer.Name, fact, err))
 	}
-	key := factKey{CanonicalPath(obj.Pkg().Path()), path, p.Analyzer.Name, factTypeName(fact)}
-	p.store.add(key, data)
-	p.exported = append(p.exported, wireFact{key.pkg, key.obj, key.analyzer, key.typ, data})
+	p.store.m[factKey{CanonicalPath(obj.Pkg().Path()), path, p.Analyzer.Name, factTypeName(fact)}] = data
 }
 
 // ImportObjectFact decodes into fact the fact of fact's type previously
 // exported for obj by this same analyzer (in this package or any
-// visible dependency), reporting whether one exists.
+// dependency), reporting whether one exists.
 func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	if p.store == nil || obj == nil || obj.Pkg() == nil {
 		return false
@@ -236,11 +210,7 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	if path == "" {
 		return false
 	}
-	pkg := CanonicalPath(obj.Pkg().Path())
-	if !p.visible(pkg) {
-		return false
-	}
-	data, ok := p.store.get(factKey{pkg, path, p.Analyzer.Name, factTypeName(fact)})
+	data, ok := p.store.m[factKey{CanonicalPath(obj.Pkg().Path()), path, p.Analyzer.Name, factTypeName(fact)}]
 	if !ok {
 		return false
 	}
@@ -250,7 +220,7 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	return true
 }
 
-// AllObjectFacts returns every visible fact of template's type exported
+// AllObjectFacts returns every fact of template's type exported
 // by this analyzer, across the package under analysis and its dependency
 // closure, in deterministic (package, object) order. template is only a
 // type witness; each returned ObjectFact carries a freshly decoded
@@ -264,14 +234,12 @@ func (p *Pass) AllObjectFacts(template Fact) []ObjectFact {
 	if rt.Kind() != reflect.Pointer {
 		panic(fmt.Sprintf("lint: fact template %T is not a pointer", template))
 	}
-	p.store.mu.RLock()
 	var keys []factKey
-	for key := range p.store.m { //lint:ignore determcheck iteration feeds a full sort below; the returned order is independent of it
-		if key.analyzer == p.Analyzer.Name && key.typ == typ && p.visible(key.pkg) {
+	for key := range p.store.m {
+		if key.analyzer == p.Analyzer.Name && key.typ == typ {
 			keys = append(keys, key)
 		}
 	}
-	p.store.mu.RUnlock()
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].pkg != keys[j].pkg {
 			return keys[i].pkg < keys[j].pkg
@@ -280,7 +248,7 @@ func (p *Pass) AllObjectFacts(template Fact) []ObjectFact {
 	})
 	out := make([]ObjectFact, 0, len(keys))
 	for _, key := range keys {
-		data, _ := p.store.get(key)
+		data := p.store.m[key]
 		fact := reflect.New(rt.Elem()).Interface().(Fact)
 		if err := json.Unmarshal(data, fact); err != nil {
 			panic(fmt.Sprintf("lint: analyzer %s: unmarshaling %T: %v", p.Analyzer.Name, fact, err))
@@ -288,14 +256,6 @@ func (p *Pass) AllObjectFacts(template Fact) []ObjectFact {
 		out = append(out, ObjectFact{Pkg: key.pkg, Obj: key.obj, Fact: fact})
 	}
 	return out
-}
-
-// visible reports whether facts of pkg may be consulted by this pass.
-// A nil visibility set means everything in the store is in the
-// dependency closure (the unitchecker case, where cmd/go supplies
-// exactly the dependencies' vetx files).
-func (p *Pass) visible(pkg string) bool {
-	return p.visiblePkgs == nil || p.visiblePkgs[pkg] || pkg == CanonicalPath(p.Pkg.Path())
 }
 
 // declaresFactType reports whether the running analyzer declared fact's

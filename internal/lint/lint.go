@@ -5,23 +5,21 @@
 //
 // It hosts the mcs-vet analyzer suite — see docs/STATIC_ANALYSIS.md —
 // which turns this repository's correctness conventions into
-// compiler-grade checks. Since the facts layer landed (fact.go), the
-// suite is a cross-package dataflow engine, not a per-package linter:
-// analyzers export typed, JSON-serialized facts attached to
-// package-level objects, and dependent packages import those facts
-// during their own pass, so an arena laundered through a helper in
-// another package, or a pool admission two calls below a locked call
-// site, is still visible. Analyzers run dependency-ordered and — in
-// module mode (modrunner.go) — in parallel over internal/par, with the
-// final diagnostic order byte-identical for any worker count.
+// compiler-grade checks. Analyzers export typed, JSON-serialized facts
+// attached to package-level objects (fact.go), and dependent packages
+// import those facts during their own pass, so an arena laundered
+// through a helper in another package, or a pool admission two calls
+// below a locked call site, is still visible. The suite has one
+// driver, the cmd/go vet-tool protocol (unitchecker.go): cmd/go orders
+// the packages and carries the facts between them in vetx files.
 //
 // A diagnostic on a given line is suppressed by a directive comment
 //
 //	//lint:ignore <analyzer> <one-line justification>
 //
 // placed on the same line or the line immediately above. The
-// justification is mandatory: a bare ignore is itself reported, and
-// `mcs-vet -ignores` audits every directive for staleness.
+// justification is mandatory and the directive must suppress
+// something: a bare or a stale directive is itself reported.
 package lint
 
 import (
@@ -40,11 +38,6 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
-	// Requires lists analyzers that must run before this one on each
-	// package (their facts and any shared conventions are then in
-	// place). The drivers add the closure automatically and order each
-	// package's passes topologically.
-	Requires []*Analyzer
 	// FactTypes declares the fact types this analyzer may export and
 	// import — one zero value per type, each a pointer to a struct.
 	// Analyzers with facts are run on dependency packages too (to
@@ -64,8 +57,6 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	store       *FactStore
-	visiblePkgs map[string]bool // fact visibility; nil = whole store
-	exported    []wireFact      // facts this pass exported (for caching)
 	diagnostics []Diagnostic
 }
 
@@ -105,14 +96,15 @@ func CanonicalPath(path string) string {
 }
 
 // ByteIdenticalScope is the single declared list of packages carrying
-// the byte-identical "-workers N" reproduction guarantee (PR 1): their
+// the byte-identical "-workers N" reproduction guarantee: their
 // rendered output must be a pure function of inputs, independent of
 // wall clock, process-global randomness, map order and goroutine
 // schedule. determcheck enforces the discipline in exactly these
 // packages — plus any package that fans work out over
 // par.ForEach/par.Map, which is auto-included so a new parallel driver
 // cannot silently fall outside the guarantee (see determcheck's
-// UsesParFanOut).
+// usesParFanOut). internal/lint itself fans nothing out and is not in
+// scope.
 var ByteIdenticalScope = []string{
 	"mcspeedup",
 	"mcspeedup/internal/core",
@@ -155,109 +147,36 @@ func NewInfo() *types.Info {
 	}
 }
 
-// An IgnoreInfo describes one //lint:ignore directive found in a
-// package, with the audit state `mcs-vet -ignores` reports: a directive
-// is stale when no diagnostic of its analyzer was suppressed at its
-// site, and malformed when the justification is missing.
-type IgnoreInfo struct {
-	Pos           token.Position `json:"pos"`
-	Analyzer      string         `json:"analyzer"`
-	Justification string         `json:"justification"`
-	Used          bool           `json:"used"`
-	Malformed     bool           `json:"malformed"`
-}
-
-// Run applies the analyzers to pkg, filters findings through the
-// //lint:ignore directives found in the package's comments, and returns
-// the surviving diagnostics sorted by position. Facts are confined to a
-// throwaway store; drivers that thread facts between packages use
-// RunPass.
-func Run(pkg *Package, analyzers ...*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := RunPass(pkg, NewFactStore(), nil, false, analyzers...)
-	return diags, err
-}
-
-// RunPass applies the analyzers (expanded to their Requires closure and
-// topologically ordered) to pkg against the facts in store, exporting
-// new facts into it. visible restricts fact imports to the given
-// canonical package paths (nil = the whole store). When factsOnly is
-// set, diagnostics are discarded — the dependency-package mode in which
-// only fact production matters. It returns the surviving diagnostics
-// sorted by position and the audit state of every ignore directive.
-func RunPass(pkg *Package, store *FactStore, visible map[string]bool, factsOnly bool, analyzers ...*Analyzer) ([]Diagnostic, []IgnoreInfo, error) {
-	ordered, err := SortAnalyzers(analyzers)
-	if err != nil {
-		return nil, nil, err
-	}
+// RunPass applies the analyzers, in the given order, to pkg against the
+// facts in store, exporting new facts into it. When factsOnly is set,
+// only the fact-exporting analyzers run and no diagnostics are
+// returned — the dependency-package mode in which only fact production
+// matters. Otherwise it returns the diagnostics that survive the
+// package's //lint:ignore directives, plus one for every malformed or
+// stale directive, sorted by position.
+func RunPass(pkg *Package, store *FactStore, factsOnly bool, analyzers ...*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	for _, a := range ordered {
+	for _, a := range analyzers {
 		if factsOnly && len(a.FactTypes) == 0 {
 			continue
 		}
 		pass := &Pass{
-			Analyzer:    a,
-			Fset:        pkg.Fset,
-			Files:       pkg.Files,
-			Pkg:         pkg.Pkg,
-			TypesInfo:   pkg.TypesInfo,
-			store:       store,
-			visiblePkgs: visible,
+			Analyzer:  a,
+			Fset:      pkg.Fset,
+			Files:     pkg.Files,
+			Pkg:       pkg.Pkg,
+			TypesInfo: pkg.TypesInfo,
+			store:     store,
 		}
 		if err := a.Run(pass); err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", a.Name, err)
+			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
 		diags = append(diags, pass.diagnostics...)
 	}
 	if factsOnly {
-		return nil, nil, nil
+		return nil, nil
 	}
-	diags, ignores := applyIgnores(pkg, diags)
-	SortDiagnostics(diags)
-	return diags, ignores, nil
-}
-
-// SortAnalyzers expands the Requires closure of the given analyzers and
-// returns them in a deterministic topological order (dependencies
-// first, ties broken by name). A Requires cycle is an error.
-func SortAnalyzers(analyzers []*Analyzer) ([]*Analyzer, error) {
-	const (
-		unvisited = 0
-		visiting  = 1
-		done      = 2
-	)
-	state := make(map[*Analyzer]int)
-	var ordered []*Analyzer
-	var visit func(a *Analyzer) error
-	visit = func(a *Analyzer) error {
-		switch state[a] {
-		case done:
-			return nil
-		case visiting:
-			return fmt.Errorf("lint: analyzer dependency cycle through %s", a.Name)
-		}
-		state[a] = visiting
-		reqs := append([]*Analyzer(nil), a.Requires...)
-		sort.Slice(reqs, func(i, j int) bool { return reqs[i].Name < reqs[j].Name })
-		for _, r := range reqs {
-			if err := visit(r); err != nil {
-				return err
-			}
-		}
-		state[a] = done
-		ordered = append(ordered, a)
-		return nil
-	}
-	for _, a := range analyzers {
-		if err := visit(a); err != nil {
-			return nil, err
-		}
-	}
-	return ordered, nil
-}
-
-// SortDiagnostics orders diags by position, then analyzer — the
-// deterministic order every driver emits regardless of worker count.
-func SortDiagnostics(diags []Diagnostic) {
+	diags = applyIgnores(pkg, diags)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -274,6 +193,7 @@ func SortDiagnostics(diags []Diagnostic) {
 		}
 		return a.Message < b.Message
 	})
+	return diags, nil
 }
 
 // ignoreKey identifies the scope of one //lint:ignore directive: the
@@ -285,19 +205,26 @@ type ignoreKey struct {
 	analyzer string
 }
 
+// A directive is one justified //lint:ignore comment; used records
+// whether it suppressed a diagnostic.
+type directive struct {
+	pos      token.Position
+	analyzer string
+	used     bool
+}
+
 const ignorePrefix = "//lint:ignore "
 
 // applyIgnores drops diagnostics covered by a justified ignore
-// directive and reports malformed directives (no justification) as
-// diagnostics in their own right, so the escape hatch cannot silently
-// rot into a blanket waiver. Alongside the surviving diagnostics it
-// returns the audit record of every directive found, with Used set on
-// those that actually suppressed something — the input of the
-// `mcs-vet -ignores` staleness audit.
-func applyIgnores(pkg *Package, diags []Diagnostic) ([]Diagnostic, []IgnoreInfo) {
-	var infos []IgnoreInfo
-	ignores := make(map[ignoreKey]int) // directive scope -> index into infos
-	var malformed []Diagnostic
+// directive and reports, as "lint" diagnostics in their own right,
+// every malformed directive (no justification) and every stale one
+// (justified, but nothing of its analyzer to suppress), so the escape
+// hatch can neither rot into a blanket waiver nor outlive the finding
+// it was written for.
+func applyIgnores(pkg *Package, diags []Diagnostic) []Diagnostic {
+	var kept []Diagnostic
+	var directives []*directive
+	scope := make(map[ignoreKey]*directive)
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -307,38 +234,37 @@ func applyIgnores(pkg *Package, diags []Diagnostic) ([]Diagnostic, []IgnoreInfo)
 				pos := pkg.Fset.Position(c.Pos())
 				rest := strings.TrimSpace(strings.TrimPrefix(c.Text, ignorePrefix))
 				name, reason, _ := strings.Cut(rest, " ")
-				reason = strings.TrimSpace(reason)
-				if name == "" || reason == "" {
-					malformed = append(malformed, Diagnostic{
+				if name == "" || strings.TrimSpace(reason) == "" {
+					kept = append(kept, Diagnostic{
 						Analyzer: "lint",
 						Pos:      pos,
 						Message:  "malformed //lint:ignore: want \"//lint:ignore <analyzer> <justification>\"",
 					})
-					infos = append(infos, IgnoreInfo{Pos: pos, Analyzer: name, Justification: reason, Malformed: true})
 					continue
 				}
-				infos = append(infos, IgnoreInfo{Pos: pos, Analyzer: name, Justification: reason})
-				idx := len(infos) - 1
+				d := &directive{pos: pos, analyzer: name}
+				directives = append(directives, d)
 				for _, line := range [...]int{pos.Line, pos.Line + 1} {
-					ignores[ignoreKey{pos.Filename, line, name}] = idx
+					scope[ignoreKey{pos.Filename, line, name}] = d
 				}
 			}
 		}
 	}
-	kept := malformed
 	for _, d := range diags {
-		if idx, ok := ignores[ignoreKey{d.Pos.Filename, d.Pos.Line, d.Analyzer}]; ok {
-			infos[idx].Used = true
+		if dir, ok := scope[ignoreKey{d.Pos.Filename, d.Pos.Line, d.Analyzer}]; ok {
+			dir.used = true
 			continue
 		}
 		kept = append(kept, d)
 	}
-	sort.Slice(infos, func(i, j int) bool {
-		a, b := infos[i], infos[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
+	for _, dir := range directives {
+		if !dir.used {
+			kept = append(kept, Diagnostic{
+				Analyzer: "lint",
+				Pos:      dir.pos,
+				Message:  fmt.Sprintf("stale //lint:ignore %s: no %s diagnostic on this line or the next; delete the directive", dir.analyzer, dir.analyzer),
+			})
 		}
-		return a.Pos.Line < b.Pos.Line
-	})
-	return kept, infos
+	}
+	return kept
 }

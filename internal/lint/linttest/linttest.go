@@ -32,14 +32,14 @@ type expectation struct {
 // the analyzer's diagnostics against the package's want comments. The
 // analyzer's fact-producing passes run over every in-tree dependency
 // first (lint.LoadDirFacts), so cross-package fact import is exercised
-// exactly as under the real drivers.
+// exactly as under the vet-tool driver.
 func Run(t *testing.T, root, path string, a *lint.Analyzer) {
 	t.Helper()
 	pkg, store, err := lint.LoadDirFacts(root, path, true, []*lint.Analyzer{a})
 	if err != nil {
 		t.Fatalf("loading %s: %v", path, err)
 	}
-	diags, _, err := lint.RunPass(pkg, store, nil, false, a)
+	diags, err := lint.RunPass(pkg, store, false, a)
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}
@@ -98,7 +98,7 @@ func Facts(t *testing.T, root, path string, a *lint.Analyzer) []byte {
 	if err != nil {
 		t.Fatalf("loading %s: %v", path, err)
 	}
-	if _, _, err := lint.RunPass(pkg, store, nil, false, a); err != nil {
+	if _, err := lint.RunPass(pkg, store, false, a); err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}
 	return lint.FactsJSON(store, path)

@@ -13,27 +13,21 @@ import (
 	"strings"
 )
 
-// LoadDir parses and type-checks the package rooted at root/src/<path>,
-// resolving imports of other packages under root/src the same way and
-// falling back to the standard library's source importer for everything
-// else. It is the loader behind the analyzers' testdata suites, mirroring
-// the GOPATH layout golang.org/x/tools/go/analysis/analysistest uses.
+// LoadDirFacts parses and type-checks the package rooted at
+// root/src/<path>, resolving imports of other packages under root/src
+// the same way and falling back to the standard library's source
+// importer for everything else. It is the loader behind the analyzers'
+// testdata suites, mirroring the GOPATH layout
+// golang.org/x/tools/go/analysis/analysistest uses. When includeTests
+// is set, _test.go files of the target package (in the same package,
+// i.e. the internal test variant) are checked with the library files.
 //
-// When includeTests is set, _test.go files of the target package (in the
-// same package, i.e. the internal test variant) are parsed and checked
-// together with the library files.
-func LoadDir(root, path string, includeTests bool) (*Package, error) {
-	pkg, _, err := LoadDirFacts(root, path, includeTests, nil)
-	return pkg, err
-}
-
-// LoadDirFacts is LoadDir plus the facts phase of a modular run: every
-// in-tree dependency package pulled in while resolving the target's
-// imports is re-walked (in dependency order) by the fact-exporting
-// analyzers among those given, and the accumulated store is returned
-// alongside the target package. The store is exactly what a driver
-// would have handed the target's pass, so analyzer testdata suites
-// exercise cross-package fact import for real.
+// Every in-tree dependency package pulled in while resolving the
+// target's imports is then walked (in dependency order) by the
+// fact-exporting analyzers among those given, and the accumulated
+// store is returned alongside the target package. The store is exactly
+// what the vet tool would have handed the target's pass, so analyzer
+// testdata suites exercise cross-package fact import for real.
 func LoadDirFacts(root, path string, includeTests bool, analyzers []*Analyzer) (*Package, *FactStore, error) {
 	fset := token.NewFileSet()
 	ld := &dirLoader{
@@ -52,7 +46,7 @@ func LoadDirFacts(root, path string, includeTests bool, analyzers []*Analyzer) (
 		if dep == path {
 			continue
 		}
-		if _, _, err := RunPass(ld.loaded[dep], store, nil, true, analyzers...); err != nil {
+		if _, err := RunPass(ld.loaded[dep], store, true, analyzers...); err != nil {
 			return nil, nil, fmt.Errorf("lint: facts pass over %s: %w", dep, err)
 		}
 	}

@@ -68,6 +68,14 @@ func (s *Server) disciplinedAdmit(ctx context.Context, key string) error {
 	return nil
 }
 
+// admitUnlocked releases the lock before admitting: clean.
+func (s *Server) admitUnlocked(ctx context.Context, key string) error {
+	s.mu.Lock()
+	s.misses[key]++
+	s.mu.Unlock()
+	return s.pool.Acquire(ctx)
+}
+
 // lockedLaunch defines the flight under the lock but runs it later:
 // the literal's body starts with no lock held, so the admission inside
 // is clean (the singleflight pattern).

@@ -3,7 +3,7 @@
 // nothing but convention stops a metric family from being registered
 // twice (two "# TYPE" lines — invalid exposition), rendered without a
 // registration, or silently dropped from the rendering with no test
-// noticing. Three rules over mcspeedup/internal/server:
+// noticing. Two rules over mcspeedup/internal/server:
 //
 //  1. Every mcs_* metric family has exactly one "# TYPE" line in the
 //     non-test sources; a family rendered with no "# TYPE" at all is
@@ -13,17 +13,13 @@
 //     family must be named somewhere in those tests — the /metrics
 //     contract tests must pin each family so a renderer edit cannot
 //     drop one unnoticed.
-//  3. No function holds a sync.Mutex across pool admission
-//     (par.Pool.Acquire/TryAcquire): Acquire blocks until a slot frees,
-//     and a handler sleeping on admission while holding the metrics
-//     lock stalls every other request's bookkeeping (and /metrics
-//     itself) behind the pool.
+//
+// Holding a lock across pool admission is lockcheck's rule 1.
 package metricscheck
 
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"regexp"
 	"sort"
 	"strconv"
@@ -32,10 +28,7 @@ import (
 	"mcspeedup/internal/lint"
 )
 
-const (
-	serverPkgPath = "mcspeedup/internal/server"
-	parPkgPath    = "mcspeedup/internal/par"
-)
+const serverPkgPath = "mcspeedup/internal/server"
 
 var (
 	typeLineRE   = regexp.MustCompile(`# TYPE (mcs_[a-zA-Z0-9_]+)`)
@@ -49,7 +42,7 @@ var histogramSuffixes = []string{"_bucket", "_sum", "_count"}
 // Analyzer is the metricscheck analyzer.
 var Analyzer = &lint.Analyzer{
 	Name: "metricscheck",
-	Doc:  "mcs_* metrics registered exactly once, pinned by tests, and no lock held across pool admission",
+	Doc:  "mcs_* metrics registered exactly once and pinned by tests",
 	Run:  run,
 }
 
@@ -89,9 +82,6 @@ func run(pass *lint.Pass) error {
 			}
 			return true
 		})
-		if !isTest {
-			checkLockAcrossAdmission(pass, f)
-		}
 	}
 
 	for _, family := range sortedKeys(registrations) {
@@ -149,96 +139,4 @@ func sortedKeys(m map[string][]token.Pos) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// checkLockAcrossAdmission walks each function's top-level statements in
-// order, tracking whether a sync mutex is held: Lock() sets the flag, a
-// non-deferred Unlock() clears it, a deferred Unlock() pins it for the
-// rest of the function. Any pool Acquire/TryAcquire reached while held
-// is reported.
-func checkLockAcrossAdmission(pass *lint.Pass, f *ast.File) {
-	for _, decl := range f.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		held := false
-		for _, stmt := range fd.Body.List {
-			locks, unlocks := scanLockOps(pass, stmt)
-			if held || locks {
-				reportAdmissionCalls(pass, stmt)
-			}
-			if locks {
-				held = true
-			}
-			if unlocks {
-				held = false
-			}
-		}
-	}
-}
-
-// scanLockOps reports whether stmt contains a mutex Lock call and
-// whether it contains a non-deferred Unlock call.
-func scanLockOps(pass *lint.Pass, stmt ast.Stmt) (locks, unlocks bool) {
-	if def, ok := stmt.(*ast.DeferStmt); ok {
-		// defer mu.Unlock() holds until return; it never clears.
-		return isMutexOp(pass, def.Call, "Lock", "RLock"), false
-	}
-	ast.Inspect(stmt, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if isMutexOp(pass, call, "Lock", "RLock") {
-			locks = true
-		}
-		if isMutexOp(pass, call, "Unlock", "RUnlock") {
-			unlocks = true
-		}
-		return true
-	})
-	return locks, unlocks
-}
-
-// isMutexOp reports whether call invokes one of the named methods of a
-// sync locker type.
-func isMutexOp(pass *lint.Pass, call *ast.CallExpr, names ...string) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return false
-	}
-	for _, name := range names {
-		if fn.Name() == name {
-			return true
-		}
-	}
-	return false
-}
-
-// reportAdmissionCalls flags pool admission calls anywhere inside stmt.
-func reportAdmissionCalls(pass *lint.Pass, stmt ast.Stmt) {
-	ast.Inspect(stmt, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-		if !ok || fn.Name() != "Acquire" && fn.Name() != "TryAcquire" {
-			return true
-		}
-		if fn.Pkg() == nil || fn.Pkg().Path() != parPkgPath {
-			return true
-		}
-		pass.Reportf(call.Pos(), "pool admission (%s) while a sync lock is held: Acquire blocks until a slot frees, stalling every request that needs the lock; release before admitting", fn.Name())
-		return true
-	})
 }

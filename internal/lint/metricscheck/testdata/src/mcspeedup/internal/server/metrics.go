@@ -3,12 +3,8 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"strings"
-	"sync"
-
-	"mcspeedup/internal/par"
 )
 
 func render() string {
@@ -24,21 +20,4 @@ func render() string {
 	b.WriteString("# TYPE mcs_untested_total counter\n") // want `not asserted in any of the package's tests`
 	fmt.Fprintf(&b, "mcs_untested_total %d\n", 3)
 	return b.String()
-}
-
-type srv struct {
-	mu   sync.Mutex
-	pool *par.Pool
-}
-
-func (s *srv) lockedAdmit(ctx context.Context) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pool.Acquire(ctx) // want `pool admission \(Acquire\) while a sync lock is held`
-}
-
-func (s *srv) admitUnlocked(ctx context.Context) error {
-	s.mu.Lock()
-	s.mu.Unlock()
-	return s.pool.Acquire(ctx) // released before admission: clean
 }

@@ -1,6 +1,6 @@
 // Package suite declares the repository's full analyzer roster — the
-// single list cmd/mcs-vet, the benchmarks, and the round-trip tests
-// all drive, so a new analyzer registered here is everywhere at once.
+// single list cmd/mcs-vet runs, so a new analyzer registered here is
+// part of every vet run at once.
 package suite
 
 import (

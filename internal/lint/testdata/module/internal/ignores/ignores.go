@@ -1,5 +1,5 @@
-// Package ignores exercises every audit state of //lint:ignore: one
-// directive suppressing a real diagnostic, one stale, one malformed.
+// Package ignores exercises every state of //lint:ignore: one directive
+// suppressing a real diagnostic, one stale, one malformed.
 package ignores
 
 import (
@@ -9,20 +9,20 @@ import (
 
 var waived *core.Scratch
 
-// Waived suppresses its escape with a justified directive: [ok].
+// Waived suppresses its escape with a justified directive: no report.
 func Waived(s *core.Scratch) {
-	//lint:ignore borrowcheck fixture pins the used-directive audit state
+	//lint:ignore borrowcheck fixture pins the used-directive state
 	waived = s
 }
 
-// Stale carries a directive with nothing to suppress: [STALE].
+// Stale carries a directive with nothing to suppress: reported stale.
 func Stale(s *core.Scratch) int {
-	//lint:ignore borrowcheck fixture pins the stale-directive audit state
+	//lint:ignore borrowcheck fixture pins the stale-directive state
 	return keep.Borrow(s)
 }
 
-// Bare is missing its justification: [MALFORMED], reported as a
-// diagnostic in its own right, and suppressing nothing.
+// Bare is missing its justification: reported malformed, and
+// suppressing nothing.
 func Bare(s *core.Scratch) {
 	//lint:ignore borrowcheck
 	waived = s

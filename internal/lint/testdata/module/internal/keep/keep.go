@@ -1,6 +1,6 @@
 // Package keep launders arenas into package state: the Borrows fact it
-// exports on Hold is what the round-trip tests watch crossing between
-// packages (and, under go vet, between unit invocations of the tool).
+// exports on Hold is what the round-trip test watches crossing between
+// packages, and so between unit invocations of the tool under go vet.
 package keep
 
 import "mcspeedup/internal/core"

@@ -1,6 +1,6 @@
 // Package use sits atop keep: its escape is visible only through the
 // imported Borrows fact, making it the cross-package probe of the
-// round-trip tests.
+// round-trip test.
 package use
 
 import (

@@ -13,43 +13,35 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 )
 
-// This file implements the cmd/go vet-tool protocol, so that the suite
-// runs as `go vet -vettool=$(go env GOPATH)/bin/mcs-vet ./...`:
+// This file is the suite's one driver: the cmd/go vet-tool protocol,
+// under which the suite runs as
+// `go vet -vettool=$(go env GOPATH)/bin/mcs-vet ./...`:
 //
 //   - `mcs-vet -V=full` prints an identifying version line hashed over
 //     the executable (cmd/go keys its vet result cache on it);
-//   - `mcs-vet -flags` prints the analyzer flags as JSON (cmd/go merges
-//     them into `go vet`'s own flag set);
+//   - `mcs-vet -flags` prints the tool's flags as JSON (cmd/go merges
+//     them into `go vet`'s own flag set; the suite declares none);
 //   - `mcs-vet <dir>/vet.cfg` analyzes one package unit described by the
 //     JSON config cmd/go writes: source files, the import map, and the
 //     export-data files of every dependency.
 //
 // The protocol is the one golang.org/x/tools/go/analysis/unitchecker
 // speaks; this is a stdlib-only reimplementation (the module carries no
-// third-party dependencies). Facts travel exactly as in the original:
-// cmd/go hands each unit the vetx files of its direct dependencies
-// (PackageVetx) and a path to write its own (VetxOutput); a unit writes
-// the union of its dependencies' facts and its own, so the direct-dep
-// vetx files always carry the transitive closure. Standard-library
-// dependency units (VetxOnly with cfg.Standard set) are answered with
-// an empty facts file — the suite's fact vocabulary is about module
-// code only. Module dependency units are genuinely analyzed so their
-// facts exist, with diagnostics suppressed as the protocol requires.
-//
-// Two environment knobs:
-//
-//	MCSVET_CACHE=off    disable the fact cache (unit and module mode)
-//	MCSVET_CACHE=<dir>  cache directory (default: DefaultCacheDir())
-//	MCSVET_STATS=<file> append one {"unit":…,"hit":…} JSON line per unit
-//	                    (unit mode only)
-//
-// Invoked without a vet.cfg argument, the binary switches to module
-// mode (modrunner.go): it discovers and analyzes the enclosing module
-// itself, with -json/-sarif/-github emitters, the -ignores audit, and
-// -workers/-cache/-nocache controls.
+// third-party dependencies). cmd/go discovers the packages, orders them
+// by dependency, builds the test variants and supplies the export data.
+// Facts travel exactly as in the original: cmd/go hands each unit the
+// vetx files of its direct dependencies (PackageVetx) and a path to
+// write its own (VetxOutput); a unit writes the union of its
+// dependencies' facts and its own, so the direct-dep vetx files always
+// carry the transitive closure. Standard-library dependency units
+// (VetxOnly with cfg.Standard set) are answered with an empty facts
+// file — the suite's fact vocabulary is about module code only. Module
+// dependency units run the fact-exporting analyzers so their facts
+// exist, and report nothing, as the protocol requires.
 
 // Config mirrors cmd/go's vetConfig (the JSON it writes to vet.cfg).
 // Fields the suite does not consult are omitted; encoding/json ignores
@@ -76,19 +68,7 @@ func Main(analyzers ...*Analyzer) {
 	progname := "mcs-vet"
 	fs := flag.NewFlagSet(progname, flag.ExitOnError)
 	printVersion := fs.String("V", "", "print version and exit (go vet handshake; pass 'full')")
-	printFlags := fs.Bool("flags", false, "print analyzer flags in JSON (go vet handshake)")
-	jsonOut := fs.Bool("json", false, "module mode: emit the report as JSON on stdout")
-	sarifOut := fs.String("sarif", "", "module mode: write a SARIF 2.1.0 log to this file ('-' for stdout)")
-	githubOut := fs.Bool("github", false, "module mode: emit GitHub Actions ::error annotations on stdout")
-	ignoresAudit := fs.Bool("ignores", false, "module mode: audit //lint:ignore directives instead of reporting diagnostics")
-	workers := fs.Int("workers", 0, "module mode: parallel analysis workers (0 = one per CPU)")
-	cacheFlag := fs.String("cache", "", "module mode: fact-cache directory (default: user cache dir)")
-	noCache := fs.Bool("nocache", false, "module mode: disable the fact cache")
-	selected := make(map[string]*bool, len(analyzers))
-	for _, a := range analyzers {
-		doc, _, _ := strings.Cut(a.Doc, "\n")
-		selected[a.Name] = fs.Bool(a.Name, false, "enable only "+doc)
-	}
+	printFlags := fs.Bool("flags", false, "print the tool's flags in JSON (go vet handshake)")
 	fs.Parse(os.Args[1:])
 
 	switch {
@@ -96,126 +76,27 @@ func Main(analyzers ...*Analyzer) {
 		fmt.Printf("%s version devel buildID=%s\n", progname, executableHash())
 		os.Exit(0)
 	case *printFlags:
-		type jsonFlag struct {
-			Name  string
-			Bool  bool
-			Usage string
-		}
-		var out []jsonFlag
-		for _, a := range analyzers {
-			out = append(out, jsonFlag{Name: a.Name, Bool: true, Usage: a.Doc})
-		}
-		json.NewEncoder(os.Stdout).Encode(out)
+		fmt.Println("[]")
 		os.Exit(0)
-	}
-
-	// `-ratcheck` alone means "run only ratcheck"; `-ratcheck=false`
-	// drops it from the default everything-on suite. This matches the
-	// x/tools multichecker flag semantics.
-	anyEnabled := false
-	fs.Visit(func(f *flag.Flag) {
-		if on, ok := selected[f.Name]; ok && *on {
-			anyEnabled = true
-		}
-	})
-	var run []*Analyzer
-	for _, a := range analyzers {
-		explicit := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == a.Name {
-				explicit = true
-			}
-		})
-		switch {
-		case anyEnabled && *selected[a.Name]:
-			run = append(run, a)
-		case !anyEnabled && (!explicit || *selected[a.Name]):
-			run = append(run, a)
-		}
 	}
 
 	args := fs.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		// Unit mode: one package described by cmd/go's vet.cfg.
-		diags, err := runUnit(args[0], run)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
-			os.Exit(1)
-		}
-		for _, d := range diags {
-			fmt.Fprintln(os.Stderr, d)
-		}
-		if len(diags) > 0 {
-			os.Exit(2)
-		}
-		os.Exit(0)
-	}
-
-	// Module mode: analyze the module rooted at the argument (default:
-	// the current directory).
-	root := "."
-	switch len(args) {
-	case 0:
-	case 1:
-		root = args[0]
-	default:
+	if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
 		fmt.Fprintf(os.Stderr,
-			"%s: expected a vet configuration file or a single module root\n"+
-				"usage: %s [flags] [module-root]   |   go vet -vettool=$(command -v %s) ./...\n",
-			progname, progname, progname)
+			"%s: expected a vet configuration file\n"+
+				"usage: go vet -vettool=$(command -v %s) ./...\n",
+			progname, progname)
 		os.Exit(1)
 	}
-	// MCSVET_CACHE steers module mode exactly as it does unit mode;
-	// the explicit flags win over the environment.
-	opts := ModuleOptions{Workers: *workers, CacheDir: *cacheFlag, NoCache: *noCache}
-	if env := os.Getenv("MCSVET_CACHE"); env != "" && !opts.NoCache && opts.CacheDir == "" {
-		if env == "off" {
-			opts.NoCache = true
-		} else {
-			opts.CacheDir = env
-		}
-	}
-	res, err := RunModule(root, run, opts)
+	diags, err := runUnit(args[0], analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
 		os.Exit(1)
 	}
-	if *ignoresAudit {
-		if !res.WriteIgnores(os.Stdout) {
-			os.Exit(1)
-		}
-		os.Exit(0)
+	for _, d := range diags {
+		fmt.Fprintln(os.Stderr, d)
 	}
-	if *sarifOut != "" {
-		w := io.Writer(os.Stdout)
-		if *sarifOut != "-" {
-			f, err := os.Create(*sarifOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := res.WriteSARIF(w, run); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
-			os.Exit(1)
-		}
-	}
-	switch {
-	case *jsonOut:
-		if err := res.WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
-			os.Exit(1)
-		}
-	case *githubOut:
-		res.WriteGitHub(os.Stdout)
-	default:
-		for _, d := range res.Diagnostics {
-			fmt.Fprintln(os.Stderr, d)
-		}
-	}
-	if len(res.Diagnostics) > 0 {
+	if len(diags) > 0 {
 		os.Exit(2)
 	}
 	os.Exit(0)
@@ -248,25 +129,23 @@ func runUnit(cfgPath string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	if err := json.Unmarshal(data, &cfg); err != nil {
 		return nil, fmt.Errorf("parsing %s: %w", cfgPath, err)
 	}
-	canonical := CanonicalPath(cfg.ImportPath)
 
 	// Standard-library dependency units carry no suite facts:
 	// acknowledge with an empty facts file, skipping the expensive
 	// type-check of the entire standard library.
-	if cfg.Standard[canonical] || len(cfg.GoFiles) == 0 {
-		if cfg.VetxOutput != "" {
-			if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-				return nil, err
-			}
-		}
-		return nil, nil
+	if cfg.Standard[CanonicalPath(cfg.ImportPath)] || len(cfg.GoFiles) == 0 {
+		return nil, writeVetx(&cfg, nil)
 	}
 
 	// Dependency facts: cmd/go supplies the vetx file of every direct
 	// dependency; each file already carries its transitive closure.
 	store := NewFactStore()
-	depVetx := make(map[string][]byte, len(cfg.PackageVetx))
-	for _, dep := range sortedKeys(boolKeys(cfg.PackageVetx)) {
+	deps := make([]string, 0, len(cfg.PackageVetx))
+	for dep := range cfg.PackageVetx {
+		deps = append(deps, dep)
+	}
+	sort.Strings(deps)
+	for _, dep := range deps {
 		vetx, err := os.ReadFile(cfg.PackageVetx[dep])
 		if err != nil {
 			return nil, fmt.Errorf("reading facts of %s: %w", dep, err)
@@ -276,35 +155,6 @@ func runUnit(cfgPath string, analyzers []*Analyzer) ([]Diagnostic, error) {
 			return nil, fmt.Errorf("facts of %s: %w", dep, err)
 		}
 		store.AddWire(facts)
-		depVetx[dep] = vetx
-	}
-
-	// Per-unit fact cache (see the file comment for the env knobs).
-	cacheDir := os.Getenv("MCSVET_CACHE")
-	cacheOn := cacheDir != "off"
-	if cacheOn && cacheDir == "" {
-		if cacheDir, err = DefaultCacheDir(); err != nil {
-			cacheOn = false
-		}
-	}
-	var key string
-	if cacheOn {
-		if key, err = unitCacheKey(toolID(analyzers), &cfg, depVetx); err != nil {
-			return nil, err
-		}
-		if e, ok := readCacheEntry(cacheDir, key); ok {
-			recordUnitStat(cfg.ImportPath, true)
-			if cfg.VetxOutput != "" {
-				if err := os.WriteFile(cfg.VetxOutput, EncodeWire(e.Facts), 0o666); err != nil {
-					return nil, err
-				}
-			}
-			if cfg.VetxOnly {
-				return nil, nil
-			}
-			return e.Diagnostics, nil
-		}
-		recordUnitStat(cfg.ImportPath, false)
 	}
 
 	pkg, typecheckFailed, err := typecheckUnit(&cfg)
@@ -312,85 +162,23 @@ func runUnit(cfgPath string, analyzers []*Analyzer) ([]Diagnostic, error) {
 		return nil, err
 	}
 	if typecheckFailed { // SucceedOnTypecheckFailure
-		if cfg.VetxOutput != "" {
-			if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-				return nil, err
-			}
-		}
-		return nil, nil
+		return nil, writeVetx(&cfg, nil)
 	}
 
-	// nil visibility: the store holds exactly the dependency closure
-	// cmd/go supplied, so everything in it is legitimately importable.
-	diags, _, err := RunPass(pkg, store, nil, false, analyzers...)
+	diags, err := RunPass(pkg, store, cfg.VetxOnly, analyzers...)
 	if err != nil {
 		return nil, err
 	}
-
 	// Re-export the closure: dependencies' facts plus our own.
-	merged := store.Wire(nil)
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, EncodeWire(merged), 0o666); err != nil {
-			return nil, err
-		}
-	}
-	if cacheOn {
-		entry := &cacheEntry{Schema: cacheSchema, Package: canonical, Facts: merged, Diagnostics: diags}
-		if err := writeCacheEntry(cacheDir, key, entry); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.VetxOnly {
-		return nil, nil
-	}
-	return diags, nil
+	return diags, writeVetx(&cfg, EncodeWire(store.Wire(nil)))
 }
 
-// unitCacheKey hashes everything that determines a unit's output: the
-// tool identity, the unit's own sources, and the dependency facts.
-func unitCacheKey(tool string, cfg *Config, depVetx map[string][]byte) (string, error) {
-	files := make(map[string][]byte, len(cfg.GoFiles))
-	for _, name := range cfg.GoFiles {
-		src, err := os.ReadFile(name)
-		if err != nil {
-			return "", err
-		}
-		files[name] = src
+// writeVetx writes the unit's facts file, if cmd/go asked for one.
+func writeVetx(cfg *Config, data []byte) error {
+	if cfg.VetxOutput == "" {
+		return nil
 	}
-	deps := make(map[string]string, len(depVetx))
-	for dep, vetx := range depVetx { //lint:ignore determcheck contentHash sorts its inputs internally
-		deps[dep] = fmt.Sprintf("%x", sha256.Sum256(vetx))
-	}
-	return contentHash(tool, cfg.ImportPath, files, deps), nil
-}
-
-// recordUnitStat appends one JSON line to $MCSVET_STATS, if set — the
-// observability hook the unitchecker round-trip test reads cache
-// behavior from. O_APPEND keeps concurrent unit processes atomic.
-func recordUnitStat(unit string, hit bool) {
-	path := os.Getenv("MCSVET_STATS")
-	if path == "" {
-		return
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o666)
-	if err != nil {
-		return
-	}
-	defer f.Close()
-	line, _ := json.Marshal(struct {
-		Unit string `json:"unit"`
-		Hit  bool   `json:"hit"`
-	}{unit, hit})
-	f.Write(append(line, '\n'))
-}
-
-// boolKeys adapts a string map for sortedKeys.
-func boolKeys[V any](m map[string]V) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k := range m { //lint:ignore determcheck key-set conversion; callers sort the result
-		out[k] = true
-	}
-	return out
+	return os.WriteFile(cfg.VetxOutput, data, 0o666)
 }
 
 // typecheckUnit parses and type-checks the unit's files against the

@@ -25,17 +25,11 @@ go vet ./...
 # mcs-vet: the custom analyzer suite (ratcheck, determcheck,
 # scratchcheck, metricscheck, plancheck, deltacheck, borrowcheck,
 # lockcheck) — fact-based and interprocedural; see
-# docs/STATIC_ANALYSIS.md. It runs twice: under the cmd/go vettool
-# protocol, and in module mode against a fresh fact cache, which the
-# -ignores audit then replays to fail on stale or unjustified
-# //lint:ignore directives.
+# docs/STATIC_ANALYSIS.md. It runs under the cmd/go vettool protocol
+# and also fails on stale or unjustified //lint:ignore directives.
 gobin="$(go env GOPATH)/bin"
 go build -o "$gobin/mcs-vet" ./cmd/mcs-vet
 go vet -vettool="$gobin/mcs-vet" ./...
-vetcache=$(mktemp -d)
-MCSVET_CACHE="$vetcache" "$gobin/mcs-vet" .
-MCSVET_CACHE="$vetcache" "$gobin/mcs-vet" -ignores .
-rm -rf "$vetcache"
 
 # The -race run is the canonical full suite; the extra plain runs cover
 # internal/core's, internal/sim's and internal/fleet's //go:build !race
