@@ -171,9 +171,22 @@ func MinSpeedForResetOpts(s task.Set, budget task.Time, o Options) (SpeedForRese
 // WitnessDelta — an O(n) rejection certificate: the ratio at any single
 // Δ > 0 lower-bounds the Theorem-2 supremum, so a point already above
 // the threshold rejects the candidate without walking its events. Only
-// inconclusive certificates (and every accepted candidate) pay the full
-// walk. Decisions are bit-identical to always walking: the certificate
-// skips exactly the walks whose comparison outcome it has proved.
+// inconclusive certificates (and every accepted candidate) pay a walk,
+// and that walk decides rather than measures: it carries the threshold
+// as its Options.CapHint, so its bulk skips are certified against the
+// cap itself — value(b) ≤ ⌊cap·pos⌋ proves every ratio in (pos, b]
+// strictly below the cap, so no event above the cap is ever skipped —
+// and an accepting walk stops chasing the exact supremum. Decisions are
+// bit-identical to always walking the full supremum: the certificate
+// skips exactly the walks whose comparison outcome it has proved, and
+// the cap-certified skips discard only ratios that cannot flip it.
+//
+// The LO-mode side of the x searches (MinimalX, which FeasibleXWindow
+// starts from) decides its probes the same way, without a capProbe: QPA
+// over one horizon fixed for the whole search, sound because the PDC
+// horizon is monotone in x — shorter virtual deadlines only raise
+// Σ(T−D)·U_i/(1−U) — and QPA stays exact over any horizon at or above
+// a set's own.
 type capProbe struct {
 	opts    Options
 	witness task.Time
@@ -230,6 +243,9 @@ func (p *capProbe) speedup(st *dbf.SetState) (SpeedupResult, error) {
 	p.walks++
 	opts := p.opts
 	opts.WarmWitness = p.witness
+	// The objective needs the supremum itself, which a caller's CapHint
+	// would replace by the cap on every accepting walk.
+	opts.CapHint = rat.Rat{}
 	res, err := minSpeedupState(st, opts)
 	if err == nil && res.WitnessDelta > 0 {
 		p.witness = res.WitnessDelta
@@ -238,10 +254,13 @@ func (p *capProbe) speedup(st *dbf.SetState) (SpeedupResult, error) {
 }
 
 // meets decides s_min ≤ cap for the state's current set, warm-starting at
-// the witness. The walk carries cap as its CapHint: it stops as soon as
-// it has bracketed the supremum against the cap (see Options.CapHint),
-// and the bracket's safe upper bound decides the comparison exactly as
-// the full supremum would.
+// the witness. The walk carries cap as its CapHint: it skips against the
+// cap and stops as soon as it has decided the supremum's side of it (see
+// Options.CapHint), and the result's Speedup ≤ cap decides the
+// comparison exactly as the full supremum would. An accepting walk's
+// WitnessDelta is the best position it examined, not necessarily the
+// supremum's; it still feeds the next certificate and warm start, whose
+// soundness holds for any position.
 func (p *capProbe) meets(st *dbf.SetState, cap rat.Rat) (bool, error) {
 	if p.atLeast(st, cap, true) {
 		return false, nil

@@ -35,14 +35,26 @@ func SchedulableLO(s task.Set) (bool, error) {
 	return schedulableLOWithSums(s, s.UtilSum(task.LO), dbf.LODemandSum(s)), nil
 }
 
-// schedulableLOWithSums is the shared decision body of SchedulableLO,
-// MinimalX's probes and dbf.SetState.LOSched: the utilization trichotomy
-// plus the QPA run, given the exact LO utilization U and the QPA horizon
-// numerator Σ(T−D)·C/T of s.
+// schedulableLOWithSums is the shared decision body of SchedulableLO
+// and dbf.SetState.LOSched: the utilization trichotomy plus the QPA run,
+// given the exact LO utilization U and the QPA horizon numerator
+// Σ(T−D)·C/T of s.
 func schedulableLOWithSums(s task.Set, u, sum rat.Sum) bool {
+	if ok, decided := loUtilVerdict(s, u); decided {
+		return ok
+	}
+	// Any Δ violating the PDC satisfies Δ < Σ(T_i−D_i)·U_i/(1−U); run
+	// the QPA downward iteration (see qpa.go) over that horizon.
+	return qpaLO(s, loHorizon(s, sum, u))
+}
+
+// loUtilVerdict is the utilization trichotomy of the LO-mode test: U > 1
+// is unschedulable, U = 1 is decided by the implicit-deadline rule, and
+// U < 1 is left to QPA (decided = false).
+func loUtilVerdict(s task.Set, u rat.Sum) (ok, decided bool) {
 	switch u.Cmp(rat.One) {
 	case 1:
-		return false
+		return false, true
 	case 0:
 		for i := range s {
 			if s[i].Deadline[task.LO] != s[i].Period[task.LO] {
@@ -50,15 +62,12 @@ func schedulableLOWithSums(s task.Set, u, sum rat.Sum) bool {
 				// deadline generally overloads some interval; an
 				// exact decision would require walking a full
 				// hyperperiod.
-				return false
+				return false, true
 			}
 		}
-		return true
+		return true, true
 	}
-
-	// Any Δ violating the PDC satisfies Δ < Σ(T_i−D_i)·U_i/(1−U); run
-	// the QPA downward iteration (see qpa.go) over that horizon.
-	return qpaLO(s, loHorizon(s, sum, u))
+	return false, false
 }
 
 // MinimalX finds the smallest uniform overrun-preparation factor x
@@ -72,6 +81,14 @@ func schedulableLOWithSums(s task.Set, u, sum rat.Sum) bool {
 // demand, so feasibility is monotone in x and a binary search over the
 // grid x = k/D_max (the coarsest grid on which every floor(x·D_i) value is
 // realized) is exact.
+//
+// Every probe runs QPA over one horizon computed before the search (see
+// minimalXHorizon) rather than its own: the candidates share U(LO), and
+// the horizon only grows as deadlines shrink, so the horizon of the
+// shortest deadlines any candidate can have bounds every candidate's.
+// QPA is exact over any horizon at or above a set's own — the points
+// beyond it are still genuine demand checks, none of which a
+// schedulable set fails — so every verdict is the per-probe one.
 func MinimalX(s task.Set) (rat.Rat, task.Set, error) {
 	if err := s.Validate(); err != nil {
 		return rat.Rat{}, nil, err
@@ -103,13 +120,21 @@ func MinimalX(s task.Set) (rat.Rat, task.Set, error) {
 	// however many probes it takes.
 	u := s.UtilSum(task.LO)
 	var best, spare task.Set
+	var horizon int64
+	if u.Cmp(rat.One) < 0 {
+		spare, horizon = minimalXHorizon(s, u, spare)
+	}
 	feasible := func(k int64) bool {
 		out, err := s.ShortenHIDeadlinesInto(spare, rat.New(k, int64(dMax)))
 		if err != nil {
 			return false
 		}
 		spare = out
-		if !schedulableLOWithSums(out, u, dbf.LODemandSum(out)) {
+		ok, decided := loUtilVerdict(out, u)
+		if !decided {
+			ok = qpaLO(out, horizon)
+		}
+		if !ok {
 			return false
 		}
 		best, spare = out, best
@@ -132,4 +157,35 @@ func MinimalX(s task.Set) (rat.Rat, task.Set, error) {
 		}
 	}
 	return rat.New(hi, int64(dMax)), best, nil
+}
+
+// minimalXHorizon returns a QPA horizon valid for every MinimalX
+// candidate of s, whose LO utilization u must be below 1. A candidate
+// gives each HI task a virtual deadline D(LO) ∈ [C(LO), D(HI)−1] and
+// leaves every LO task as it is, so with D_min the shortest of those
+// deadlines,
+//
+//	H = max(max D over LO tasks, max D(HI)−1 over HI tasks,
+//	        ⌈Σ_i (T_i−D_min,i)·U_i/(1−U)⌉)
+//
+// bounds each candidate's own horizon term by term. The shortest-deadline
+// set is built in buf's backing array, which is returned for reuse.
+func minimalXHorizon(s task.Set, u rat.Sum, buf task.Set) (task.Set, int64) {
+	shortest := append(buf[:0], s...)
+	var maxD task.Time
+	for i := range shortest {
+		d := shortest[i].Deadline[task.LO]
+		if shortest[i].Crit == task.HI {
+			d = shortest[i].Deadline[task.HI] - 1
+			shortest[i].Deadline[task.LO] = shortest[i].WCET[task.LO]
+		}
+		if d > maxD {
+			maxD = d
+		}
+	}
+	horizon := horizonQuotient(dbf.LODemandSum(shortest), u)
+	if int64(maxD) > horizon {
+		horizon = int64(maxD)
+	}
+	return shortest, horizon
 }

@@ -154,6 +154,56 @@ func TestMinimalXMatchesReference(t *testing.T) {
 	}
 }
 
+// figSets are Fig. 6/7-shaped generator sets: γ ∈ [1, 3] and γ = 10, U
+// from 0.4 to 0.9, with LO tasks degraded by y = 2 (Fig. 6) or
+// terminated (Fig. 7).
+func figSets(t *testing.T) []task.Set {
+	t.Helper()
+	rnd := rand.New(rand.NewSource(2111))
+	var sets []task.Set
+	for _, gamma := range [][2]float64{{1, 3}, {10, 10}} {
+		p := gen.Defaults()
+		p.GammaMin, p.GammaMax = gamma[0], gamma[1]
+		for u := 0.4; u < 0.95; u += 0.1 {
+			for rep := 0; rep < 4; rep++ {
+				s := p.MustSet(rnd, u)
+				degraded, err := s.DegradeLO(rat.Two)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sets = append(sets, degraded, s.TerminateLO())
+			}
+		}
+	}
+	return sets
+}
+
+// TestMinimalXOneHorizonIdentical: MinimalX's one-horizon search must
+// return the x, set bytes and error of referenceMinimalX, which refolds
+// each probe's own horizon.
+func TestMinimalXOneHorizonIdentical(t *testing.T) {
+	sets := append(genSets(t, 40), prunedSets(t, 20)...)
+	sets = append(sets, figSets(t)...)
+	ok := 0
+	for i, s := range sets {
+		x, got, err := MinimalX(s)
+		wx, want, werr := referenceMinimalX(s)
+		if fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Fatalf("set %d: MinimalX err %v, reference err %v\n%s", i, err, werr, s.Table())
+		}
+		if err != nil {
+			continue
+		}
+		ok++
+		if !x.Eq(wx) || renderSet(got) != renderSet(want) {
+			t.Fatalf("set %d: MinimalX = %v, reference = %v\n%s\nvs\n%s", i, x, wx, renderSet(got), renderSet(want))
+		}
+	}
+	if ok == 0 {
+		t.Fatal("degenerate corpus: no set has an x")
+	}
+}
+
 // TestSchedulableLOMatchesReference checks the verdict on the corpus at
 // random uniform deadline shortenings.
 func TestSchedulableLOMatchesReference(t *testing.T) {

@@ -113,30 +113,28 @@ func demandWalkLO(s task.Set, limit int64) bool {
 
 // loHorizon computes the pseudo-polynomial PDC horizon
 // max(max_i D_i(LO), ⌈Σ_i (T_i−D_i)·U_i/(1−U)⌉) from the horizon
-// numerator and U. Precondition: U < 1. The quotient is exact: in fixed
-// width when it fits, in big.Rat otherwise.
+// numerator and U. Precondition: U < 1.
 func loHorizon(s task.Set, sum, u rat.Sum) int64 {
-	limit, ok := int64(0), false
-	if sv, ok1 := sum.Rat(); ok1 {
-		if uv, ok2 := u.Rat(); ok2 {
+	limit := horizonQuotient(sum, u)
+	for i := range s {
+		if d := int64(s[i].Deadline[task.LO]); d > limit {
+			limit = d
+		}
+	}
+	return limit
+}
+
+// horizonQuotient returns ⌈sum/(1−U)⌉, the demand part of the PDC
+// horizon. Precondition: U < 1. The quotient is exact: in fixed width
+// when it fits, in big.Rat otherwise.
+func horizonQuotient(sum, u rat.Sum) int64 {
+	if sv, ok := sum.Rat(); ok {
+		if uv, ok := u.Rat(); ok {
 			// 1 − U cannot overflow for 0 ≤ U < 1.
-			var h rat.Rat
-			if h, ok = sv.MulChecked(rat.One.Sub(uv).Inv()); ok {
-				limit = h.Ceil()
+			if h, ok := sv.MulChecked(rat.One.Sub(uv).Inv()); ok {
+				return h.Ceil()
 			}
 		}
 	}
-	if !ok {
-		limit = ceilBig(new(big.Rat).Quo(sum.Big(), new(big.Rat).Sub(big.NewRat(1, 1), u.Big())))
-	}
-	var maxD task.Time
-	for i := range s {
-		if d := s[i].Deadline[task.LO]; d > maxD {
-			maxD = d
-		}
-	}
-	if task.Time(limit) < maxD {
-		limit = int64(maxD)
-	}
-	return limit
+	return ceilBig(new(big.Rat).Quo(sum.Big(), new(big.Rat).Sub(big.NewRat(1, 1), u.Big())))
 }

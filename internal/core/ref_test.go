@@ -178,6 +178,62 @@ func referenceMinSpeedForReset(s task.Set, budget task.Time, o Options) (SpeedFo
 	return SpeedForResetResult{Speed: best, Attained: attained, WitnessDelta: witness, Events: events}, nil
 }
 
+// referenceMinimalX is MinimalX with the QPA horizon refolded per probe:
+// every candidate's own LO demand sum Σ(T−D)·C/T and loHorizon,
+// decided by schedulableLOWithSums. Production computes one horizon for
+// the whole search (minimalXHorizon) and must return the same x, set and
+// error.
+func referenceMinimalX(s task.Set) (rat.Rat, task.Set, error) {
+	if err := s.Validate(); err != nil {
+		return rat.Rat{}, nil, err
+	}
+	var dMax task.Time
+	for i := range s {
+		if s[i].Crit == task.HI && s[i].Deadline[task.HI] > dMax {
+			dMax = s[i].Deadline[task.HI]
+		}
+	}
+	if dMax == 0 {
+		// No HI task: nothing to shorten; x is irrelevant.
+		ok, err := SchedulableLO(s)
+		if err != nil {
+			return rat.Rat{}, nil, err
+		}
+		if !ok {
+			return rat.Rat{}, nil, fmt.Errorf("core: set is not LO-mode schedulable")
+		}
+		return rat.One, s.Clone(), nil
+	}
+	u := s.UtilSum(task.LO)
+	var best, spare task.Set
+	feasible := func(k int64) bool {
+		out, err := s.ShortenHIDeadlinesInto(spare, rat.New(k, int64(dMax)))
+		if err != nil {
+			return false
+		}
+		spare = out
+		if !schedulableLOWithSums(out, u, dbf.LODemandSum(out)) {
+			return false
+		}
+		best, spare = out, best
+		return true
+	}
+	hi := int64(dMax) - 1
+	if !feasible(hi) {
+		return rat.Rat{}, nil, fmt.Errorf("core: no x in (0,1) makes the set LO-mode schedulable")
+	}
+	lo := int64(0) // k = 0 is x = 0, invalid by construction → infeasible sentinel
+	for hi-lo > 1 {
+		mid := (lo + hi) / 2
+		if feasible(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return rat.New(hi, int64(dMax)), best, nil
+}
+
 // capMet reports whether the full Theorem-2 result of set fits under cap.
 func capMet(set task.Set, cap rat.Rat) (bool, error) {
 	res, err := MinSpeedup(set)

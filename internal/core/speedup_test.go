@@ -165,7 +165,9 @@ func bruteMinSpeedup(s task.Set) rat.Rat {
 	}
 	best := s.Util(task.HI)
 	for d := task.Time(1); d <= l; d++ {
-		best = rat.Max(best, rat.New(int64(dbf.SetHIMode(s, d)), int64(d)))
+		if v := dbf.SetHIMode(s, d); best.CmpRatio(int64(v), int64(d)) < 0 {
+			best = rat.New(int64(v), int64(d))
+		}
 	}
 	return best
 }
