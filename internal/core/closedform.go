@@ -19,20 +19,9 @@ import (
 //	+ Σ_LO U_i(LO)/((y−1)+U_i(LO))
 //
 // and is monotone increasing in x and decreasing in y, matching the
-// paper's Fig. 4a.
-func ClosedFormSpeedup(s task.Set) rat.Rat {
-	return closedFormSpeedupOf(dbf.SigmaSum(s))
-}
-
-// closedFormSpeedupOf rounds the Lemma-6 sum Σσ_i to the closed-form
-// speedup: +Inf when some σ_i is, else the sum rounded up (if needed at
-// all), which keeps the upper bound sound.
-func closedFormSpeedupOf(sum rat.Sum, inf bool) rat.Rat {
-	if inf {
-		return rat.PosInf
-	}
-	return sum.Round(true)
-}
+// paper's Fig. 4a. It is +Inf when some σ_i is, and the sum rounded up
+// onto the 2^-20 grid when its denominator is larger (dbf.SigmaBound).
+func ClosedFormSpeedup(s task.Set) rat.Rat { return dbf.SigmaBound(s) }
 
 // ClosedFormReset is the Lemma-7 closed-form upper bound on the service
 // resetting time,

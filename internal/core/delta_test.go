@@ -11,6 +11,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -229,17 +230,27 @@ func TestSessionReportLifecycle(t *testing.T) {
 // cold functions the non-incremental entry points call — the "cache
 // equals cold recomputation" contract noteChange's invalidation map must
 // uphold for every parameter class. Every accessor is read after every
-// edit, so each edit meets fully populated caches.
+// edit, so each edit meets fully populated caches. The bracketed values
+// (utilizations, the closed-form speedup, the LO verdict and its horizon)
+// are also checked against the exact rat.Sum folds, on the corpus and on
+// a 2000-task coprime-period set whose exact sums all go to big.Rat.
 func TestSetStateAggregatesMatchCold(t *testing.T) {
-	for si, s := range deltaSets(t) {
+	sets := append(deltaSets(t), coprimeSet(2000))
+	wide := 0 // bracket-decided utilizations whose exact sum is beyond fixed width
+	for si, s := range sets {
 		st, err := dbf.NewSetState(s)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Each NewSetState and fingerprint of the huge set is O(n).
+		edits := 15
+		if len(s) > 100 {
+			edits = 4
+		}
 		rnd := rand.New(rand.NewSource(int64(7000 + si)))
 		next := 0
 		applied := 0
-		for try := 0; try < 120 && applied < 15; try++ {
+		for try := 0; try < 120 && applied < edits; try++ {
 			e, ok := randomEdit(rnd, st.Tasks(), &next)
 			if !ok {
 				continue
@@ -259,33 +270,58 @@ func TestSetStateAggregatesMatchCold(t *testing.T) {
 					t.Fatalf("set %d: %s %v != fresh %v / cold %v", si, what, got, fromFresh, fromCold)
 				}
 			}
-			// The exact sums are compared as RatStrings: a stale cache
-			// inside one rounding cell of the accessors below fails here.
-			for _, m := range []task.Crit{task.LO, task.HI} {
-				check("utilization sum", st.UtilSum(m).Big().RatString(),
-					fresh.UtilSum(m).Big().RatString(), cold.UtilSum(m).Big().RatString())
-				check("Util", st.Util(m), fresh.Util(m), cold.Util(m))
-				check("UtilBounds", fmt.Sprint(st.UtilBounds(m)), fmt.Sprint(fresh.UtilBounds(m)), fmt.Sprint(cold.UtilBounds(m)))
+			exactly := func(what string, got, fromExact any) {
+				t.Helper()
+				if got != fromExact {
+					t.Fatalf("set %d: %s %v != exact fold %v", si, what, got, fromExact)
+				}
 			}
-			sigma := func(sum rat.Sum, inf bool) string { return fmt.Sprint(sum.Big().RatString(), inf) }
-			check("Σσ_i", sigma(st.SigmaSum()), sigma(fresh.SigmaSum()), sigma(dbf.SigmaSum(cold)))
-			check("closed-form speedup", closedFormSpeedupOf(st.SigmaSum()),
-				closedFormSpeedupOf(fresh.SigmaSum()), ClosedFormSpeedup(cold))
+			for _, m := range []task.Crit{task.LO, task.HI} {
+				exact := exactUtil(cold, m)
+				lo, hi := rat.FromBig(exact, false), rat.FromBig(exact, true)
+				check("Util", st.Util(m), fresh.Util(m), cold.Util(m))
+				exactly("Util", st.Util(m), hi)
+				check("UtilBounds", fmt.Sprint(st.UtilBounds(m)), fmt.Sprint(fresh.UtilBounds(m)), fmt.Sprint(cold.UtilBounds(m)))
+				exactly("UtilBounds", fmt.Sprint(st.UtilBounds(m)), fmt.Sprint(lo, hi))
+				exactly("UtilCmp(1)", cold.UtilCmp(m, rat.One), exact.Cmp(big.NewRat(1, 1)))
+				if !exact.Num().IsInt64() || !exact.Denom().IsInt64() {
+					if _, ok := cold.UtilBracket(m).Round(true); ok {
+						wide++
+					}
+				}
+			}
+			closed := rat.PosInf
+			if sum, inf := exactSigma(cold); !inf {
+				closed = rat.FromBig(sum, true)
+			}
+			check("closed-form speedup", st.SigmaBound(), fresh.SigmaBound(), ClosedFormSpeedup(cold))
+			exactly("closed-form speedup", st.SigmaBound(), closed)
+			check("closed-form reset", closedFormResetOf(st.TotalCHI(), rat.Two, st.SigmaBound()),
+				closedFormResetOf(fresh.TotalCHI(), rat.Two, fresh.SigmaBound()), ClosedFormReset(cold, rat.Two))
 			check("active ΣC(HI)", st.SumActiveCHI(), fresh.SumActiveCHI(), dbf.SumActiveCHI(cold))
 			check("total ΣC(HI)", st.TotalCHI(), fresh.TotalCHI(), cold.TotalCHI())
 			check("hyperperiod", fmt.Sprint(st.HIHyperperiod()), fmt.Sprint(fresh.HIHyperperiod()), fmt.Sprint(dbf.HIHyperperiod(cold)))
 			check("fingerprint", st.Fingerprint(), fresh.Fingerprint(), cold.Fingerprint())
-			check("LO demand sum", st.LODemandSum().Big().RatString(),
-				fresh.LODemandSum().Big().RatString(), dbf.LODemandSum(cold).Big().RatString())
 			loCold, err := SchedulableLO(cold)
 			if err != nil {
 				t.Fatal(err)
 			}
-			check("LO verdict", st.LOSched(schedulableLOWithSums), fresh.LOSched(schedulableLOWithSums), loCold)
+			uLO, demand := rat.BigSum(exactUtil(cold, task.LO)), rat.BigSum(exactLODemand(cold))
+			check("LO verdict", st.LOSched(schedulableLO), fresh.LOSched(schedulableLO), loCold)
+			exactly("LO verdict", loCold, schedulableLOWithSums(cold, uLO, demand))
+			if uLO.Cmp(rat.One) < 0 {
+				want := horizonQuotient(demand, uLO)
+				if h, ok := rat.HorizonBound(dbf.LODemandBracket(cold), cold.UtilBracket(task.LO)); ok && h < want {
+					t.Fatalf("set %d: bracket horizon %d below the exact %d", si, h, want)
+				}
+			}
 		}
-		if applied < 8 {
+		if applied < min(8, edits) {
 			t.Fatalf("set %d: only %d edits applied", si, applied)
 		}
+	}
+	if wide == 0 {
+		t.Fatal("no bracket decided a utilization beyond fixed width")
 	}
 }
 
@@ -522,4 +558,88 @@ func FuzzDeltaEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// coprimeSet returns an n-task set, alternating HI and LO tasks, whose
+// periods are the n smallest primes above 10^6 — a huge set whose exact
+// utilization sums have denominators near the product of those periods,
+// so every exact fold goes to big.Rat. U(LO) ≈ 1/3 and U(HI) ≈ 1/2; HI
+// tasks carry the virtual deadline T/2.
+func coprimeSet(n int) task.Set {
+	s := make(task.Set, 0, n)
+	for p := task.Time(1_000_001); len(s) < n; p += 2 {
+		prime := true
+		for d := task.Time(3); d*d <= p; d += 2 {
+			if p%d == 0 {
+				prime = false
+				break
+			}
+		}
+		if !prime {
+			continue
+		}
+		c := p/task.Time(3*n) + task.Time(len(s)%7)
+		name := fmt.Sprintf("t%d", len(s))
+		if len(s)%2 == 0 {
+			s = append(s, task.NewHI(name, p, p/2, p, c, 2*c))
+		} else {
+			s = append(s, task.NewLO(name, p, p, c))
+		}
+	}
+	return s
+}
+
+// treeSum returns the exact sum of terms, added pairwise: the value a
+// rat.Sum fold computes, in time near-linear in the terms' total size
+// rather than quadratic, so the exact sums of coprimeSet stay cheap.
+func treeSum(terms []*big.Rat) *big.Rat {
+	if len(terms) == 0 {
+		return new(big.Rat)
+	}
+	for len(terms) > 1 {
+		next := terms[:0]
+		for i := 0; i < len(terms); i += 2 {
+			if i+1 == len(terms) {
+				next = append(next, terms[i])
+				break
+			}
+			next = append(next, new(big.Rat).Add(terms[i], terms[i+1]))
+		}
+		terms = next
+	}
+	return terms[0]
+}
+
+// exactUtil is task.Set.UtilSum(m) as a tree-summed big.Rat.
+func exactUtil(s task.Set, m task.Crit) *big.Rat {
+	var terms []*big.Rat
+	for i := range s {
+		if !s[i].Period[m].IsUnbounded() {
+			terms = append(terms, big.NewRat(int64(s[i].WCET[m]), int64(s[i].Period[m])))
+		}
+	}
+	return treeSum(terms)
+}
+
+// exactLODemand is dbf.LODemandSum as a tree-summed big.Rat.
+func exactLODemand(s task.Set) *big.Rat {
+	var terms []*big.Rat
+	for i := range s {
+		ti, di := s[i].Period[task.LO], s[i].Deadline[task.LO]
+		terms = append(terms, new(big.Rat).Mul(big.NewRat(int64(ti-di), 1), big.NewRat(int64(s[i].WCET[task.LO]), int64(ti))))
+	}
+	return treeSum(terms)
+}
+
+// exactSigma is dbf.SigmaSum as a tree-summed big.Rat.
+func exactSigma(s task.Set) (*big.Rat, bool) {
+	var terms []*big.Rat
+	for i := range s {
+		sigma := dbf.TaskSigma(&s[i])
+		if sigma.IsInf() {
+			return nil, true
+		}
+		terms = append(terms, sigma.Big())
+	}
+	return treeSum(terms), false
 }

@@ -314,8 +314,12 @@ func MinimalYOpts(s task.Set, speedCap rat.Rat, o Options) (rat.Rat, task.Set, e
 	}
 	o, borrowed := borrowScratch(o)
 	defer releaseScratch(borrowed)
-	probe := newCapProbe(o)
+	return minimalY(s, speedCap, newCapProbe(o))
+}
 
+// minimalY is MinimalYOpts' search over the valid set s, probing every
+// candidate through probe.
+func minimalY(s task.Set, speedCap rat.Rat, probe *capProbe) (rat.Rat, task.Set, error) {
 	// The LO tasks to degrade; their LO-mode parameters never change, so
 	// each candidate's floor(y·D(LO)), floor(y·T(LO)) values derive from
 	// these captured originals exactly as DegradeLO computes them.
@@ -366,6 +370,13 @@ func MinimalYOpts(s task.Set, speedCap rat.Rat, o Options) (rat.Rat, task.Set, e
 	} else if !ok {
 		return rat.Rat{}, nil, fmt.Errorf("core: even terminating LO tasks needs more than %v speedup", speedCap)
 	}
+	// Every finite y adds Σ_LO C(HI)/⌊y·T⌋ > 0 to the terminated U_HI,
+	// and s_min ≥ U_HI. Termination met the cap, so U_HI ≤ cap there;
+	// at equality every finite candidate misses the cap, and the search
+	// below would double y to its ceiling only to report that.
+	if st.Tasks().UtilCmp(task.HI, speedCap) == 0 {
+		return rat.Rat{}, nil, errNoFiniteY(speedCap)
+	}
 
 	// Granularity: y = k/q with q = max LO-task period realizes every
 	// reachable (floor(y·T), floor(y·D)) vector.
@@ -376,12 +387,12 @@ func MinimalYOpts(s task.Set, speedCap rat.Rat, o Options) (rat.Rat, task.Set, e
 		}
 	}
 	// degradeK moves the state to candidate k — the same floor/clamp
-	// arithmetic as task.Set.DegradeLO, per LO task.
+	// arithmetic as task.Set.DegradeLO, per LO task: ⌊(k/q)·T⌋ = ⌊k·T/q⌋,
+	// taken in 128 bits.
 	degradeK := func(k int64) error {
-		y := rat.New(k, int64(q))
 		for _, lt := range los {
-			d := task.Time(y.MulInt(int64(lt.dLO)).Floor())
-			t := task.Time(y.MulInt(int64(lt.t)).Floor())
+			d := floorMulDiv(task.Time(k), lt.dLO, q)
+			t := floorMulDiv(task.Time(k), lt.t, q)
 			if d > t {
 				d = t // keep deadlines constrained after rounding
 			}
@@ -421,7 +432,7 @@ func MinimalYOpts(s task.Set, speedCap rat.Rat, o Options) (rat.Rat, task.Set, e
 			// Termination met the cap but no finite grid y does within
 			// the ceiling: the demand converges to the termination
 			// limit only in the y → ∞ limit for this set.
-			return rat.Rat{}, nil, fmt.Errorf("core: no finite degradation factor up to 2^20 meets %v", speedCap)
+			return rat.Rat{}, nil, errNoFiniteY(speedCap)
 		}
 	}
 	for hiK-loK > 1 {
@@ -444,6 +455,12 @@ func MinimalYOpts(s task.Set, speedCap rat.Rat, o Options) (rat.Rat, task.Set, e
 		return rat.Rat{}, nil, err
 	}
 	return rat.New(hiK, int64(q)), bestSet, nil
+}
+
+// errNoFiniteY is MinimalY's error for a set whose terminated LO tasks
+// meet the cap but no finite degradation factor does.
+func errNoFiniteY(speedCap rat.Rat) error {
+	return fmt.Errorf("core: no finite degradation factor up to 2^20 meets %v", speedCap)
 }
 
 // FeasibleXWindow computes the design freedom in the overrun-preparation
@@ -473,15 +490,22 @@ func FeasibleXWindowOpts(s task.Set, speedCap rat.Rat, o Options) (xLo, xHi rat.
 	if err != nil {
 		return rat.Rat{}, rat.Rat{}, err
 	}
-	if len(s.ByCrit(task.HI)) == 0 {
-		return xLo, xLo, nil
+	// The HI tasks' fixed parameters, from which every candidate's
+	// virtual deadline d derives exactly as ShortenHIDeadlines computes it.
+	type hiTask struct {
+		name        string
+		cLO, dHI, d task.Time
 	}
-
+	var his []hiTask
 	var dMax task.Time
 	for i := range s {
-		if s[i].Crit == task.HI && s[i].Deadline[task.HI] > dMax {
-			dMax = s[i].Deadline[task.HI]
+		if s[i].Crit == task.HI {
+			his = append(his, hiTask{name: s[i].Name, cLO: s[i].WCET[task.LO], dHI: s[i].Deadline[task.HI]})
+			dMax = max(dMax, s[i].Deadline[task.HI])
 		}
+	}
+	if len(his) == 0 {
+		return xLo, xLo, nil
 	}
 	o, borrowed := borrowScratch(o)
 	defer releaseScratch(borrowed)
@@ -490,27 +514,16 @@ func FeasibleXWindowOpts(s task.Set, speedCap rat.Rat, o Options) (xLo, xHi rat.
 	if err != nil {
 		return rat.Rat{}, rat.Rat{}, err
 	}
-	// The HI tasks' fixed parameters, from which every candidate's
-	// virtual deadline derives exactly as ShortenHIDeadlines computes it.
-	type hiTask struct {
-		name     string
-		cLO, dHI task.Time
-	}
-	var his []hiTask
-	for i := range s {
-		if s[i].Crit == task.HI {
-			his = append(his, hiTask{s[i].Name, s[i].WCET[task.LO], s[i].Deadline[task.HI]})
-		}
-	}
 	e := task.Edit{Op: task.OpSet, Params: []task.ParamValue{{Param: task.ParamDLO}}}
 	meets := func(k int64) (bool, error) {
-		x := rat.New(k, int64(dMax))
-		// Mirror ShortenHIDeadlines' per-task floor/clamp arithmetic,
+		// Mirror ShortenHIDeadlines' per-task floor/clamp arithmetic
+		// (⌊(k/dMax)·D(HI)⌋ = ⌊k·D(HI)/dMax⌋, taken in 128 bits),
 		// including its all-or-nothing error semantics: a candidate that
 		// leaves some task no room is rejected before the state is
 		// touched (the cold path never built such a set either).
-		for _, ht := range his {
-			d := task.Time(x.MulInt(int64(ht.dHI)).Floor())
+		for i := range his {
+			ht := &his[i]
+			d := floorMulDiv(task.Time(k), ht.dHI, dMax)
 			if d < ht.cLO {
 				d = ht.cLO
 			}
@@ -520,17 +533,11 @@ func FeasibleXWindowOpts(s task.Set, speedCap rat.Rat, o Options) (xLo, xHi rat.
 			if d <= 0 {
 				return false, nil
 			}
+			ht.d = d
 		}
 		for _, ht := range his {
-			d := task.Time(x.MulInt(int64(ht.dHI)).Floor())
-			if d < ht.cLO {
-				d = ht.cLO
-			}
-			if d >= ht.dHI {
-				d = ht.dHI - 1
-			}
 			e.Name = ht.name
-			e.Params[0].Value = d
+			e.Params[0].Value = ht.d
 			if _, err := st.Apply(e); err != nil {
 				return false, err
 			}

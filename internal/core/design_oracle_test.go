@@ -310,3 +310,32 @@ func TestCapHintAgainstBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// TestMinimalYTerminatedUtilAtCap pins set 662 of the oracle corpus at cap
+// 1. Its LO-terminated set has U_HI = 2/4 + 2/4 = 1 = cap exactly, and
+// every finite y adds Σ_LO C(HI)/⌊y·T⌋ > 0 to it, so s_min > cap for each
+// candidate. MinimalY must return the "no finite degradation factor"
+// error referenceMinimalY returns, after the termination probe alone, without probing a
+// single finite y (the exponential search used to double y to 2^20).
+func TestMinimalYTerminatedUtilAtCap(t *testing.T) {
+	s := task.Set{
+		{Name: "a", Crit: task.LO, Period: [2]task.Time{6, 8}, Deadline: [2]task.Time{5, 5}, WCET: [2]task.Time{3, 3}},
+		{Name: "b", Crit: task.HI, Period: [2]task.Time{4, 4}, Deadline: [2]task.Time{1, 3}, WCET: [2]task.Time{1, 2}},
+		{Name: "c", Crit: task.LO, Period: [2]task.Time{9, task.Unbounded}, Deadline: [2]task.Time{2, task.Unbounded}, WCET: [2]task.Time{2, 2}},
+		{Name: "d", Crit: task.HI, Period: [2]task.Time{4, 4}, Deadline: [2]task.Time{2, 4}, WCET: [2]task.Time{2, 2}},
+	}
+	if s.TerminateLO().UtilCmp(task.HI, rat.One) != 0 {
+		t.Fatal("fixture drifted: the terminated U_HI is not 1")
+	}
+	probe := newCapProbe(Options{})
+	_, _, err := minimalY(s, rat.One, probe)
+	// referenceMinimalY returns this error only after its exponential
+	// search, which takes most of a second here.
+	const want = "core: no finite degradation factor up to 2^20 meets 1"
+	if fmt.Sprint(err) != want {
+		t.Fatalf("MinimalY err %v, want %q", err, want)
+	}
+	if probe.walks+probe.pruned != 1 {
+		t.Fatalf("%d walks and %d certificate rejections, want the termination probe only", probe.walks, probe.pruned)
+	}
+}

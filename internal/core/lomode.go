@@ -32,15 +32,37 @@ func SchedulableLO(s task.Set) (bool, error) {
 	if err := s.Validate(); err != nil {
 		return false, err
 	}
-	return schedulableLOWithSums(s, s.UtilSum(task.LO), dbf.LODemandSum(s)), nil
+	return schedulableLO(s), nil
 }
 
-// schedulableLOWithSums is the shared decision body of SchedulableLO
-// and dbf.SetState.LOSched: the utilization trichotomy plus the QPA run,
-// given the exact LO utilization U and the QPA horizon numerator
-// Σ(T−D)·C/T of s.
+// schedulableLO is the decision body of SchedulableLO and
+// dbf.SetState.LOSched. It reads U(LO) and the QPA horizon from their
+// brackets (rat.Bracket), and runs the exact folds of
+// schedulableLOWithSums only where a bracket cannot decide. The bracket
+// horizon is an upper bound on the exact one, and QPA is exact over any
+// horizon at or above a set's own (see MinimalX), so the verdict is the
+// exact fold's.
+func schedulableLO(s task.Set) bool {
+	u := s.UtilBracket(task.LO)
+	c, ok := u.Cmp(rat.One)
+	if !ok {
+		return schedulableLOWithSums(s, s.UtilSum(task.LO), dbf.LODemandSum(s))
+	}
+	if ok, decided := loUtilVerdict(s, c); decided {
+		return ok
+	}
+	h, ok := rat.HorizonBound(dbf.LODemandBracket(s), u)
+	if !ok {
+		h = horizonQuotient(dbf.LODemandSum(s), s.UtilSum(task.LO))
+	}
+	return qpaLO(s, atLeastDeadlines(s, h))
+}
+
+// schedulableLOWithSums is the exact-fold form of schedulableLO: the
+// utilization trichotomy plus the QPA run, given the exact LO utilization
+// U and the QPA horizon numerator Σ(T−D)·C/T of s.
 func schedulableLOWithSums(s task.Set, u, sum rat.Sum) bool {
-	if ok, decided := loUtilVerdict(s, u); decided {
+	if ok, decided := loUtilVerdict(s, u.Cmp(rat.One)); decided {
 		return ok
 	}
 	// Any Δ violating the PDC satisfies Δ < Σ(T_i−D_i)·U_i/(1−U); run
@@ -48,11 +70,12 @@ func schedulableLOWithSums(s task.Set, u, sum rat.Sum) bool {
 	return qpaLO(s, loHorizon(s, sum, u))
 }
 
-// loUtilVerdict is the utilization trichotomy of the LO-mode test: U > 1
-// is unschedulable, U = 1 is decided by the implicit-deadline rule, and
-// U < 1 is left to QPA (decided = false).
-func loUtilVerdict(s task.Set, u rat.Sum) (ok, decided bool) {
-	switch u.Cmp(rat.One) {
+// loUtilVerdict is the utilization trichotomy of the LO-mode test, given
+// the comparison c of U(LO) with 1: U > 1 is unschedulable, U = 1 is
+// decided by the implicit-deadline rule, and U < 1 is left to QPA
+// (decided = false).
+func loUtilVerdict(s task.Set, c int) (ok, decided bool) {
+	switch c {
 	case 1:
 		return false, true
 	case 0:
@@ -118,10 +141,14 @@ func MinimalX(s task.Set) (rat.Rat, task.Set, error) {
 	// Probes write into spare; a feasible probe's set becomes best and
 	// best's old buffer the next spare, so the search allocates two sets
 	// however many probes it takes.
-	u := s.UtilSum(task.LO)
+	u := s.UtilBracket(task.LO)
+	c, ok := u.Cmp(rat.One)
+	if !ok {
+		c = s.UtilSum(task.LO).Cmp(rat.One)
+	}
 	var best, spare task.Set
 	var horizon int64
-	if u.Cmp(rat.One) < 0 {
+	if c < 0 {
 		spare, horizon = minimalXHorizon(s, u, spare)
 	}
 	feasible := func(k int64) bool {
@@ -130,7 +157,7 @@ func MinimalX(s task.Set) (rat.Rat, task.Set, error) {
 			return false
 		}
 		spare = out
-		ok, decided := loUtilVerdict(out, u)
+		ok, decided := loUtilVerdict(out, c)
 		if !decided {
 			ok = qpaLO(out, horizon)
 		}
@@ -160,17 +187,19 @@ func MinimalX(s task.Set) (rat.Rat, task.Set, error) {
 }
 
 // minimalXHorizon returns a QPA horizon valid for every MinimalX
-// candidate of s, whose LO utilization u must be below 1. A candidate
-// gives each HI task a virtual deadline D(LO) ∈ [C(LO), D(HI)−1] and
-// leaves every LO task as it is, so with D_min the shortest of those
-// deadlines,
+// candidate of s, whose LO utilization, bracketed by u, must be below 1.
+// A candidate gives each HI task a virtual deadline
+// D(LO) ∈ [C(LO), D(HI)−1] and leaves every LO task as it is, so with
+// D_min the shortest of those deadlines,
 //
 //	H = max(max D over LO tasks, max D(HI)−1 over HI tasks,
 //	        ⌈Σ_i (T_i−D_min,i)·U_i/(1−U)⌉)
 //
-// bounds each candidate's own horizon term by term. The shortest-deadline
-// set is built in buf's backing array, which is returned for reuse.
-func minimalXHorizon(s task.Set, u rat.Sum, buf task.Set) (task.Set, int64) {
+// bounds each candidate's own horizon term by term. The quotient is the
+// brackets' upper bound where they give one (rat.HorizonBound) and the
+// exact fold's otherwise. The shortest-deadline set is built in buf's
+// backing array, which is returned for reuse.
+func minimalXHorizon(s task.Set, u rat.Bracket, buf task.Set) (task.Set, int64) {
 	shortest := append(buf[:0], s...)
 	var maxD task.Time
 	for i := range shortest {
@@ -183,7 +212,11 @@ func minimalXHorizon(s task.Set, u rat.Sum, buf task.Set) (task.Set, int64) {
 			maxD = d
 		}
 	}
-	horizon := horizonQuotient(dbf.LODemandSum(shortest), u)
+	horizon, ok := rat.HorizonBound(dbf.LODemandBracket(shortest), u)
+	if !ok {
+		// Shortening deadlines leaves U(LO) as it is in s.
+		horizon = horizonQuotient(dbf.LODemandSum(shortest), s.UtilSum(task.LO))
+	}
 	if int64(maxD) > horizon {
 		horizon = int64(maxD)
 	}

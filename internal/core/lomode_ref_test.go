@@ -277,3 +277,56 @@ func TestLOSumsBeyondFixedWidth(t *testing.T) {
 		t.Fatal("no term overflowed fixed width")
 	}
 }
+
+// TestLOModeCoprimeSet runs the LO-mode test and MinimalX on the
+// 2000-task coprime-period set, whose exact sums all go to big.Rat, where
+// the brackets decide U(LO) and bound the horizon. Every verdict must
+// equal the exact-fold verdict (schedulableLOWithSums over exact sums),
+// and MinimalX's x must be the smallest grid point that verdict accepts.
+func TestLOModeCoprimeSet(t *testing.T) {
+	s := coprimeSet(2000)
+	exactLO := func(s task.Set) bool {
+		return schedulableLOWithSums(s, rat.BigSum(exactUtil(s, task.LO)), rat.BigSum(exactLODemand(s)))
+	}
+	if u := exactUtil(s, task.LO); u.Denom().IsInt64() {
+		t.Fatalf("U(LO) = %v fits fixed width", u)
+	}
+	x, got, err := MinimalX(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dMax := hiDeadlineMax(s)
+	k, ok := gridIndex(x, dMax)
+	if !ok {
+		t.Fatalf("x = %v is off the k/%d grid", x, dMax)
+	}
+	if !exactLO(got) {
+		t.Fatalf("MinimalX's set at x = %v fails the exact test", x)
+	}
+	if below, err := s.ShortenHIDeadlines(rat.New(k-1, int64(dMax))); err == nil && exactLO(below) {
+		t.Fatalf("x = %v is not minimal: %d/%d passes the exact test", x, k-1, dMax)
+	}
+	rnd := rand.New(rand.NewSource(614))
+	yes, no := 0, 0
+	for i := 0; i < 6; i++ {
+		prepared, err := s.ShortenHIDeadlines(rat.New(1+rnd.Int63n(int64(dMax)-1), int64(dMax)))
+		if err != nil {
+			continue
+		}
+		got, err := SchedulableLO(prepared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := exactLO(prepared); got != want {
+			t.Fatalf("SchedulableLO = %v, exact folds say %v", got, want)
+		}
+		if got {
+			yes++
+		} else {
+			no++
+		}
+	}
+	if yes == 0 || no == 0 {
+		t.Fatalf("degenerate shortenings: %d schedulable, %d not", yes, no)
+	}
+}

@@ -112,16 +112,20 @@ func demandWalkLO(s task.Set, limit int64) bool {
 }
 
 // loHorizon computes the pseudo-polynomial PDC horizon
-// max(max_i D_i(LO), ⌈Σ_i (T_i−D_i)·U_i/(1−U)⌉) from the horizon
+// max(max_i D_i(LO), ⌈Σ_i (T_i−D_i)·U_i/(1−U)⌉) exactly from the horizon
 // numerator and U. Precondition: U < 1.
 func loHorizon(s task.Set, sum, u rat.Sum) int64 {
-	limit := horizonQuotient(sum, u)
+	return atLeastDeadlines(s, horizonQuotient(sum, u))
+}
+
+// atLeastDeadlines returns max(h, max_i D_i(LO)).
+func atLeastDeadlines(s task.Set, h int64) int64 {
 	for i := range s {
-		if d := int64(s[i].Deadline[task.LO]); d > limit {
-			limit = d
+		if d := int64(s[i].Deadline[task.LO]); d > h {
+			h = d
 		}
 	}
-	return limit
+	return h
 }
 
 // horizonQuotient returns ⌈sum/(1−U)⌉, the demand part of the PDC

@@ -61,7 +61,7 @@ func analyzeState(st *dbf.SetState, speed rat.Rat, sp SpeedupResult, o Options) 
 	r := Report{
 		Set:           st.Tasks(),
 		Speed:         speed,
-		SchedulableLO: st.LOSched(schedulableLOWithSums),
+		SchedulableLO: st.LOSched(schedulableLO),
 		Speedup:       sp,
 		SchedulableHI: speed.Cmp(sp.Speedup) >= 0,
 		UtilLO:        st.Util(task.LO),
@@ -73,7 +73,7 @@ func analyzeState(st *dbf.SetState, speed rat.Rat, sp SpeedupResult, o Options) 
 	if err != nil {
 		return Report{}, err
 	}
-	r.ClosedSpeedup = closedFormSpeedupOf(st.SigmaSum())
+	r.ClosedSpeedup = st.SigmaBound()
 	r.ClosedReset = closedFormResetOf(st.TotalCHI(), speed, r.ClosedSpeedup)
 	return r, nil
 }

@@ -119,7 +119,7 @@ func TuneDeadlinesOpts(s task.Set, step rat.Rat, o Options) (TuneResult, error) 
 			// LO-mode feasibility first, then the certificate:
 			// s_min(cand) ≥ bestVal already proves the move cannot
 			// strictly improve this round.
-			if st.LOSched(schedulableLOWithSums) && !probe.atLeast(st, bestVal, false) {
+			if st.LOSched(schedulableLO) && !probe.atLeast(st, bestVal, false) {
 				sp, err := probe.speedup(st)
 				if err != nil {
 					return TuneResult{}, err

@@ -60,6 +60,7 @@ func gcd(a, b task.Time) task.Time {
 
 // LODemandSum sums the LO-mode QPA horizon numerator Σ(T−D)·C/T exactly:
 // in fixed width while the terms and partial sums fit, in big.Rat after.
+// It is the fallback of LODemandBracket.
 func LODemandSum(s task.Set) rat.Sum {
 	var sum rat.Sum
 	for i := range s {
@@ -77,9 +78,20 @@ func LODemandSum(s task.Set) rat.Sum {
 	return sum
 }
 
+// LODemandBracket returns the allocation-free bracket of LODemandSum (see
+// rat.Bracket); each term (T−D)·C/T is formed in 128 bits.
+func LODemandBracket(s task.Set) rat.Bracket {
+	var b rat.Bracket
+	for i := range s {
+		ti, di, c := s[i].Period[task.LO], s[i].Deadline[task.LO], s[i].WCET[task.LO]
+		b = b.PlusMulDiv(int64(ti-di), int64(c), int64(ti))
+	}
+	return b
+}
+
 // SigmaSum sums the Lemma-6 slopes Σσ_i (TaskSigma) exactly. inf reports
 // that some σ_i is infinite, in which case the sum is meaningless and the
-// closed-form speedup is +Inf.
+// closed-form speedup is +Inf. It is the fallback of SigmaBound.
 func SigmaSum(s task.Set) (sum rat.Sum, inf bool) {
 	for i := range s {
 		sigma := TaskSigma(&s[i])
@@ -91,26 +103,48 @@ func SigmaSum(s task.Set) (sum rat.Sum, inf bool) {
 	return sum, false
 }
 
+// SigmaBound returns the Lemma-6 closed-form speedup bound: +Inf when some
+// σ_i is, else Σσ_i itself when its reduced denominator is at most 2^20
+// and Σσ_i rounded up onto the 2^-20 grid otherwise, which keeps the
+// upper bound sound. The sum is read from its bracket when that decides
+// the rounding and from SigmaSum otherwise.
+func SigmaBound(s task.Set) rat.Rat {
+	var b rat.Bracket
+	for i := range s {
+		sigma := TaskSigma(&s[i])
+		if sigma.IsInf() {
+			return rat.PosInf
+		}
+		b = b.PlusRat(sigma)
+	}
+	if r, ok := b.Round(true); ok {
+		return r
+	}
+	sum, _ := SigmaSum(s)
+	return sum.Round(true)
+}
+
 // cacheBit is one of SetState's cached aggregate classes.
 type cacheBit uint8
 
 const (
-	hiBit       cacheBit = 1 << iota // U_HI sum, active and total ΣC(HI)
-	hyperBit                         // HIHyperperiod
-	loUtilBit                        // U_LO sum
-	loDemandBit                      // LODemandSum
-	loSchedBit                       // LOSched's verdict
-	sigmaBit                         // SigmaSum
-	fpBit                            // Fingerprint
+	hiBit      cacheBit = 1 << iota // U_HI bounds, active and total ΣC(HI)
+	hyperBit                        // HIHyperperiod
+	loUtilBit                       // U_LO bounds
+	loSchedBit                      // LOSched's verdict
+	sigmaBit                        // SigmaBound
+	fpBit                           // Fingerprint
 )
 
 // SetState is a task set plus a cache of the O(n) aggregates the HI-mode
 // event walks, the LO-mode schedulability test and the closed forms
 // derive from it: the state behind core's Analyze and Session reports and
 // the design searches' carried candidates. Each aggregate is refilled by
-// the same cold fold the non-incremental path calls (task.Set.UtilSum,
-// SumActiveCHI, HIHyperperiod, LODemandSum, SigmaSum, Fingerprint), so a
-// cached value equals the cold recomputation by construction.
+// the same cold fold the non-incremental path calls
+// (task.Set.UtilBounds, SumActiveCHI, HIHyperperiod, SigmaBound,
+// Fingerprint, and the caller's LO-mode test), so a cached value equals
+// the cold recomputation by construction. The utilizations and Σσ_i are
+// cached as the rounded values the analyses read, not as exact sums.
 //
 // Apply clears the validity bit of every aggregate a touched parameter
 // class feeds, and the next read refolds it: a D(LO)-only edit — the
@@ -125,15 +159,13 @@ type SetState struct {
 	set   task.Set // owned copy; exposed read-only via Tasks
 	valid cacheBit
 
-	util                   [2]rat.Sum // per-mode utilization (hiBit, loUtilBit)
-	sumActiveCHI, totalCHI task.Time  // hiBit
-	hyper                  task.Time  // hyperBit
+	util                   [2][2]rat.Rat // per-mode UtilBounds (hiBit, loUtilBit)
+	sumActiveCHI, totalCHI task.Time     // hiBit
+	hyper                  task.Time     // hyperBit
 	hyperOK                bool
-	loDemand               rat.Sum // loDemandBit
 	loSched                bool    // loSchedBit
-	sigma                  rat.Sum // sigmaBit
-	sigmaInf               bool
-	fp                     string // fpBit
+	sigma                  rat.Rat // sigmaBit
+	fp                     string  // fpBit
 }
 
 // NewSetState validates s and builds a state over a private copy of it.
@@ -183,7 +215,7 @@ func (st *SetState) noteChange(tc task.Touched) {
 		drop |= loUtilBit
 	}
 	if tc.CLO || tc.TLO || tc.DLO {
-		drop |= loDemandBit | loSchedBit
+		drop |= loSchedBit
 	}
 	if tc.CLO || tc.CHI || tc.DLO || tc.DHI || tc.THI {
 		drop |= sigmaBit // σ_i reads every parameter except T(LO)
@@ -191,35 +223,31 @@ func (st *SetState) noteChange(tc task.Touched) {
 	st.valid &^= drop
 }
 
-// fillHI refolds the HI-mode sums if an edit invalidated them.
+// fillHI refolds the HI-mode aggregates if an edit invalidated them.
 func (st *SetState) fillHI() {
 	if st.valid&hiBit == 0 {
-		st.util[task.HI] = st.set.UtilSum(task.HI)
+		st.util[task.HI][0], st.util[task.HI][1] = st.set.UtilBounds(task.HI)
 		st.sumActiveCHI = SumActiveCHI(st.set)
 		st.totalCHI = st.set.TotalCHI()
 		st.valid |= hiBit
 	}
 }
 
-// UtilSum returns Tasks().UtilSum(m), cached: the exact sum Util and
-// UtilBounds round.
-func (st *SetState) UtilSum(m task.Crit) rat.Sum {
+// UtilBounds returns Tasks().UtilBounds(m), cached.
+func (st *SetState) UtilBounds(m task.Crit) (lo, hi rat.Rat) {
 	if m == task.HI {
 		st.fillHI()
 	} else if st.valid&loUtilBit == 0 {
-		st.util[task.LO] = st.set.UtilSum(task.LO)
+		st.util[task.LO][0], st.util[task.LO][1] = st.set.UtilBounds(task.LO)
 		st.valid |= loUtilBit
 	}
-	return st.util[m]
+	return st.util[m][0], st.util[m][1]
 }
 
-// Util returns Tasks().Util(m): the cached sum, rounded as Util rounds it.
-func (st *SetState) Util(m task.Crit) rat.Rat { return st.UtilSum(m).Round(true) }
-
-// UtilBounds returns Tasks().UtilBounds(m) from the cached sum.
-func (st *SetState) UtilBounds(m task.Crit) (lo, hi rat.Rat) {
-	sum := st.UtilSum(m)
-	return sum.Round(false), sum.Round(true)
+// Util returns Tasks().Util(m), cached: the upper of the two bounds.
+func (st *SetState) Util(m task.Crit) rat.Rat {
+	_, hi := st.UtilBounds(m)
+	return hi
 }
 
 // SumActiveCHI returns SumActiveCHI(Tasks()), cached.
@@ -252,30 +280,21 @@ func (st *SetState) Fingerprint() string {
 	return st.fp
 }
 
-// LODemandSum returns LODemandSum(Tasks()), cached.
-func (st *SetState) LODemandSum() rat.Sum {
-	if st.valid&loDemandBit == 0 {
-		st.loDemand = LODemandSum(st.set)
-		st.valid |= loDemandBit
-	}
-	return st.loDemand
-}
-
-// SigmaSum returns SigmaSum(Tasks()), cached.
-func (st *SetState) SigmaSum() (rat.Sum, bool) {
+// SigmaBound returns SigmaBound(Tasks()), cached.
+func (st *SetState) SigmaBound() rat.Rat {
 	if st.valid&sigmaBit == 0 {
-		st.sigma, st.sigmaInf = SigmaSum(st.set)
+		st.sigma = SigmaBound(st.set)
 		st.valid |= sigmaBit
 	}
-	return st.sigma, st.sigmaInf
+	return st.sigma
 }
 
 // LOSched returns the LO-mode schedulability verdict, cached: test (core's
-// processor-demand test, given the set, its U(LO) sum and its QPA horizon
-// numerator) runs again only after an LO-mode parameter changed.
-func (st *SetState) LOSched(test func(s task.Set, uLO, demand rat.Sum) bool) bool {
+// processor-demand test) runs again only after an LO-mode parameter
+// changed.
+func (st *SetState) LOSched(test func(s task.Set) bool) bool {
 	if st.valid&loSchedBit == 0 {
-		st.loSched = test(st.set, st.UtilSum(task.LO), st.LODemandSum())
+		st.loSched = test(st.set)
 		st.valid |= loSchedBit
 	}
 	return st.loSched

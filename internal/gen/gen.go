@@ -108,43 +108,53 @@ func (p Params) drawTask(rnd *rand.Rand, crit task.Crit) task.Task {
 	return task.NewImplicitHI("", period, cLO, cHI)
 }
 
-// grower is a task set under construction with exact running sums of
-// [4]'s two utilizations, indexed by criticality: u[LO] = U_LO(LO) over
-// the LO tasks at their LO-criticality WCETs, u[HI] = U_HI(HI) over the
-// HI tasks at their HI-criticality WCETs. Pricing a candidate task costs
-// one rational add instead of a re-sum of the whole set, and because
-// exact sums do not depend on the order of their terms, every value
-// equals the task.Set.UtilCrit re-sum of the same set.
+// grower is a task set under construction with running brackets
+// (rat.Bracket) of [4]'s two utilizations, indexed by criticality:
+// u[LO] = U_LO(LO) over the LO tasks at their LO-criticality WCETs,
+// u[HI] = U_HI(HI) over the HI tasks at their HI-criticality WCETs, and
+// f holds the float a utilization target is checked against: each sum
+// rounded up exactly as task.Set.UtilCrit rounds it. Pricing a candidate
+// task costs one bracket term and one rounding instead of a re-sum of the
+// whole set. A bracket that cannot decide its rounding falls back to the
+// exact re-sum of the grown set, so every f equals the UtilCrit of the
+// same set.
 type grower struct {
 	set task.Set
-	u   [2]rat.Sum
+	u   [2]rat.Bracket
+	f   [2]float64
 }
 
-// with returns the sums of the set grown by tk, without growing it.
-func (g *grower) with(tk *task.Task) [2]rat.Sum {
-	u, c := g.u, tk.Crit
-	u[c] = u[c].Plus(rat.New(int64(tk.WCET[c]), int64(tk.Period[c])))
-	return u
+// with prices tk: the brackets and utilizations of the set grown by tk,
+// without growing it.
+func (g *grower) with(tk *task.Task) ([2]rat.Bracket, [2]float64) {
+	u, f, c := g.u, g.f, tk.Crit
+	u[c] = u[c].Plus(int64(tk.WCET[c]), int64(tk.Period[c]))
+	if r, ok := u[c].Round(true); ok {
+		f[c] = r.Float64()
+		return u, f
+	}
+	exact := g.set.UtilCritSum(c, c).Plus(rat.New(int64(tk.WCET[c]), int64(tk.Period[c])))
+	f[c] = exact.Round(true).Float64()
+	return u, f
 }
 
-// add appends tk, named by its position, with the sums with returned for
-// it.
-func (g *grower) add(tk task.Task, u [2]rat.Sum) {
+// add appends tk, named by its position, with the values with returned
+// for it.
+func (g *grower) add(tk task.Task, u [2]rat.Bracket, f [2]float64) {
 	tk.Name = taskName(len(g.set))
 	g.set = append(g.set, tk)
-	g.u = u
+	g.u, g.f = u, f
 }
 
 // push appends tk, named by its position.
-func (g *grower) push(tk task.Task) { g.add(tk, g.with(&tk)) }
-
-// util is the float a utilization target is checked against: the exact
-// sum rounded up exactly as task.Set.UtilCrit rounds it.
-func util(u rat.Sum) float64 { return u.Round(true).Float64() }
+func (g *grower) push(tk task.Task) {
+	u, f := g.with(&tk)
+	g.add(tk, u, f)
+}
 
 // uAvg is the growth metric of [4]'s experiments: the average system
 // utilization (U_LO(LO) + U_HI(HI))/2.
-func uAvg(u [2]rat.Sum) float64 { return (util(u[task.LO]) + util(u[task.HI])) / 2 }
+func uAvg(f [2]float64) float64 { return (f[task.LO] + f[task.HI]) / 2 }
 
 // Set grows a random task set until its average utilization reaches
 // uBound (within tolerance). ok is false when the target could not be hit
@@ -156,23 +166,23 @@ func (p Params) Set(rnd *rand.Rand, uBound float64) (task.Set, bool) {
 	// Seed with one task of each criticality.
 	g.push(p.drawTask(rnd, task.HI))
 	g.push(p.drawTask(rnd, task.LO))
-	for attempts := 0; uAvg(g.u) < uBound-p.tol(); {
+	for attempts := 0; uAvg(g.f) < uBound-p.tol(); {
 		crit := task.LO
 		if rnd.Float64() < p.ProbHI {
 			crit = task.HI
 		}
 		cand := p.drawTask(rnd, crit)
-		u := g.with(&cand)
-		if uAvg(u) > uBound {
+		u, f := g.with(&cand)
+		if uAvg(f) > uBound {
 			attempts++
 			if attempts > p.maxAttempts() {
 				return nil, false
 			}
 			continue
 		}
-		g.add(cand, u)
+		g.add(cand, u, f)
 	}
-	if uAvg(g.u) > uBound {
+	if uAvg(g.f) > uBound {
 		return nil, false
 	}
 	if err := g.set.Validate(); err != nil {
@@ -218,8 +228,8 @@ func (p Params) SetWithTargets(rnd *rand.Rand, uHI, uLO, tol float64) (task.Set,
 	var g grower
 	grow := func(crit task.Crit, target float64, maxStep float64) bool {
 		attempts := 0
-		for util(g.u[crit]) < target-tol {
-			remaining := target - util(g.u[crit])
+		for g.f[crit] < target-tol {
+			remaining := target - g.f[crit]
 			if remaining <= maxStep {
 				// Tailor a closing task on the longest period, where
 				// the utilization granularity 1/PeriodMax is finest.
@@ -248,17 +258,17 @@ func (p Params) SetWithTargets(rnd *rand.Rand, uHI, uLO, tol float64) (task.Set,
 				continue
 			}
 			cand := p.drawTask(rnd, crit)
-			u := g.with(&cand)
-			if util(u[crit]) > target+tol {
+			u, f := g.with(&cand)
+			if f[crit] > target+tol {
 				attempts++
 				if attempts > p.maxAttempts() {
 					return false
 				}
 				continue
 			}
-			g.add(cand, u)
+			g.add(cand, u, f)
 		}
-		return util(g.u[crit]) <= target+tol
+		return g.f[crit] <= target+tol
 	}
 	maxStepHI := p.UtilMax * p.GammaMax
 	if maxStepHI > 1 {

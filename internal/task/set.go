@@ -69,13 +69,13 @@ func (s Set) ByCrit(c Crit) Set {
 }
 
 // UtilSum returns the exact total utilization Σ_i C_i(m)/T_i(m) of all
-// tasks in mode m (terminated tasks contribute zero in HI mode): the one
-// fold behind Util, UtilBounds and dbf.SetState's cached utilization.
+// tasks in mode m (terminated tasks contribute zero in HI mode): the
+// exact fold behind Util, UtilBounds and UtilCmp when the bracket cannot
+// decide them.
 func (s Set) UtilSum(m Crit) rat.Sum { return s.utilSum(m, anyTask) }
 
 // utilSum sums C_i(m)/T_i(m) exactly over tasks matching the filter:
-// allocation-free while every partial sum fits int64/int64 — the common
-// case, and the one the analysis hot paths hit on every call — and in
+// allocation-free while every partial sum fits int64/int64, and in
 // big.Rat after the first overflow (see rat.Sum).
 func (s Set) utilSum(m Crit, match func(*Task) bool) rat.Sum {
 	var sum rat.Sum
@@ -88,33 +88,75 @@ func (s Set) utilSum(m Crit, match func(*Task) bool) rat.Sum {
 	return sum
 }
 
+// UtilBracket returns the allocation-free bracket of UtilSum(m) (see
+// rat.Bracket): the fold the analyses read first.
+func (s Set) UtilBracket(m Crit) rat.Bracket { return s.utilBracket(m, anyTask) }
+
+// utilBracket brackets the sum utilSum folds exactly.
+func (s Set) utilBracket(m Crit, match func(*Task) bool) rat.Bracket {
+	var b rat.Bracket
+	for i := range s {
+		if !match(&s[i]) || s[i].Period[m].IsUnbounded() {
+			continue
+		}
+		b = b.Plus(int64(s[i].WCET[m]), int64(s[i].Period[m]))
+	}
+	return b
+}
+
 func anyTask(*Task) bool { return true }
 
 // Util returns the total utilization Σ_i C_i(m)/T_i(m) of all tasks in
 // mode m. Terminated tasks contribute zero in HI mode. The value is exact
-// whenever the reduced fraction fits int64/int64 (always the case for
-// small sets); for many tasks with coprime periods it is rounded *up* by
-// at most 2^-20, so it remains a sound upper bound — use UtilBounds when
-// both directions matter.
+// whenever the reduced fraction's denominator is at most 2^20 (always
+// the case for small sets); otherwise it is rounded *up* onto the 2^-20
+// grid, so it remains a sound upper bound — use UtilBounds when both
+// directions matter. It is rat.FromBig of the exact sum, read from the
+// bracket when that decides it and from the exact fold otherwise.
 func (s Set) Util(m Crit) rat.Rat {
+	if u, ok := s.UtilBracket(m).Round(true); ok {
+		return u
+	}
 	return s.UtilSum(m).Round(true)
 }
 
 // UtilBounds returns exact-or-directed-rounded lower and upper bounds on
-// Util(m); lo equals hi exactly when the sum is representable. Both are
-// rat.FromBig of the exact sum, rounded down and up.
+// Util(m); lo equals hi exactly when the sum is on the 2^-20 grid or has a
+// smaller denominator. Both are rat.FromBig of the exact sum, rounded
+// down and up.
 func (s Set) UtilBounds(m Crit) (lo, hi rat.Rat) {
+	if lo, hi, ok := s.UtilBracket(m).Bounds(); ok {
+		return lo, hi
+	}
 	sum := s.UtilSum(m)
 	return sum.Round(false), sum.Round(true)
 }
 
+// UtilCmp compares the exact utilization Σ_i C_i(m)/T_i(m) with the
+// finite r: -1, 0 or +1.
+func (s Set) UtilCmp(m Crit, r rat.Rat) int {
+	if c, ok := s.UtilBracket(m).Cmp(r); ok {
+		return c
+	}
+	return s.UtilSum(m).Cmp(r)
+}
+
 // UtilCrit returns U_χ(m) = Σ_{χ_i = c} C_i(m)/T_i(m): the mode-m
 // utilization of the criticality-c subset, the U_χ notation of the
-// paper's Figs. 6–7. Like Util it is exact when representable and
-// otherwise rounded up by at most 2^-20.
+// paper's Figs. 6–7. Like Util it is exact when its denominator is at
+// most 2^20 and otherwise rounded up onto the 2^-20 grid.
 func (s Set) UtilCrit(c Crit, m Crit) rat.Rat {
-	return s.utilSum(m, func(t *Task) bool { return t.Crit == c }).Round(true)
+	if u, ok := s.utilBracket(m, critIs(c)).Round(true); ok {
+		return u
+	}
+	return s.UtilCritSum(c, m).Round(true)
 }
+
+// UtilCritSum returns the exact sum UtilCrit(c, m) rounds.
+func (s Set) UtilCritSum(c Crit, m Crit) rat.Sum { return s.utilSum(m, critIs(c)) }
+
+// critIs returns the filter of the criticality-c tasks.
+func critIs(c Crit) func(*Task) bool { return func(t *Task) bool { return t.Crit == c } }
 
 // TotalCHI returns Σ_i C_i(HI), the numerator of the closed-form
 // resetting-time bound (Lemma 7). Terminated LO tasks still contribute

@@ -45,6 +45,11 @@ go test -run Alloc ./internal/sim/ ./internal/fleet/
 # part of the suite above).
 go test -fuzz FuzzWalkEquivalence -fuzztime 10s -run '^$' ./internal/core/
 
+# Bracket fuzz smoke: whenever the 128-bit utilization bracket decides a
+# rounding, a comparison or a horizon bound, it must agree with the exact
+# big.Rat sum of the same terms.
+go test -fuzz FuzzBracketRound -fuzztime 10s -run '^$' ./internal/rat/
+
 # Delta fuzz smoke: random edit streams through a Session must reproduce
 # the cold analysis byte for byte (the incremental-analysis contract).
 go test -fuzz FuzzDeltaEquivalence -fuzztime 10s -run '^$' ./internal/core/
