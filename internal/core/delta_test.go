@@ -235,30 +235,18 @@ func TestSessionReportLifecycle(t *testing.T) {
 // are also checked against the exact rat.Sum folds, on the corpus and on
 // a 2000-task coprime-period set whose exact sums all go to big.Rat.
 func TestSetStateAggregatesMatchCold(t *testing.T) {
-	sets := append(deltaSets(t), coprimeSet(2000))
-	wide := 0 // bracket-decided utilizations whose exact sum is beyond fixed width
+	sets := append(deltaSets(t), coprimeSet(2000), cancellationSet(1000))
+	wide := 0      // bracket-decided utilizations whose exact sum is beyond fixed width
+	undecided := 0 // utilizations the bracket left to the exact fold
 	for si, s := range sets {
 		st, err := dbf.NewSetState(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Each NewSetState and fingerprint of the huge set is O(n).
-		edits := 15
-		if len(s) > 100 {
-			edits = 4
-		}
-		rnd := rand.New(rand.NewSource(int64(7000 + si)))
-		next := 0
-		applied := 0
-		for try := 0; try < 120 && applied < edits; try++ {
-			e, ok := randomEdit(rnd, st.Tasks(), &next)
-			if !ok {
-				continue
-			}
-			if _, err := st.Apply(e); err != nil {
-				t.Fatalf("set %d: apply %+v: %v", si, e, err)
-			}
-			applied++
+		// verify compares st, after applied edits, with a fresh state and
+		// the cold analyses of its tasks, and those with exact sums.
+		verify := func(applied int) {
+			t.Helper()
 			cold := st.Tasks().Clone()
 			fresh, err := dbf.NewSetState(cold)
 			if err != nil {
@@ -267,13 +255,13 @@ func TestSetStateAggregatesMatchCold(t *testing.T) {
 			check := func(what string, got, fromFresh, fromCold any) {
 				t.Helper()
 				if got != fromFresh || got != fromCold {
-					t.Fatalf("set %d: %s %v != fresh %v / cold %v", si, what, got, fromFresh, fromCold)
+					t.Fatalf("set %d after %d edits: %s %v != fresh %v / cold %v", si, applied, what, got, fromFresh, fromCold)
 				}
 			}
 			exactly := func(what string, got, fromExact any) {
 				t.Helper()
 				if got != fromExact {
-					t.Fatalf("set %d: %s %v != exact fold %v", si, what, got, fromExact)
+					t.Fatalf("set %d after %d edits: %s %v != exact fold %v", si, applied, what, got, fromExact)
 				}
 			}
 			for _, m := range []task.Crit{task.LO, task.HI} {
@@ -284,10 +272,14 @@ func TestSetStateAggregatesMatchCold(t *testing.T) {
 				check("UtilBounds", fmt.Sprint(st.UtilBounds(m)), fmt.Sprint(fresh.UtilBounds(m)), fmt.Sprint(cold.UtilBounds(m)))
 				exactly("UtilBounds", fmt.Sprint(st.UtilBounds(m)), fmt.Sprint(lo, hi))
 				exactly("UtilCmp(1)", cold.UtilCmp(m, rat.One), exact.Cmp(big.NewRat(1, 1)))
+				_, decided := cold.UtilBracket(m).Round(true)
 				if !exact.Num().IsInt64() || !exact.Denom().IsInt64() {
-					if _, ok := cold.UtilBracket(m).Round(true); ok {
+					if decided {
 						wide++
 					}
+				}
+				if !decided {
+					undecided++
 				}
 			}
 			closed := rat.PosInf
@@ -312,9 +304,29 @@ func TestSetStateAggregatesMatchCold(t *testing.T) {
 			if uLO.Cmp(rat.One) < 0 {
 				want := horizonQuotient(demand, uLO)
 				if h, ok := rat.HorizonBound(dbf.LODemandBracket(cold), cold.UtilBracket(task.LO)); ok && h < want {
-					t.Fatalf("set %d: bracket horizon %d below the exact %d", si, h, want)
+					t.Fatalf("set %d after %d edits: bracket horizon %d below the exact %d", si, applied, h, want)
 				}
 			}
+		}
+		verify(0)
+		// Each NewSetState and fingerprint of the huge sets is O(n).
+		edits := 15
+		if len(s) > 100 {
+			edits = 4
+		}
+		rnd := rand.New(rand.NewSource(int64(7000 + si)))
+		next := 0
+		applied := 0
+		for try := 0; try < 120 && applied < edits; try++ {
+			e, ok := randomEdit(rnd, st.Tasks(), &next)
+			if !ok {
+				continue
+			}
+			if _, err := st.Apply(e); err != nil {
+				t.Fatalf("set %d: apply %+v: %v", si, e, err)
+			}
+			applied++
+			verify(applied)
 		}
 		if applied < min(8, edits) {
 			t.Fatalf("set %d: only %d edits applied", si, applied)
@@ -322,6 +334,9 @@ func TestSetStateAggregatesMatchCold(t *testing.T) {
 	}
 	if wide == 0 {
 		t.Fatal("no bracket decided a utilization beyond fixed width")
+	}
+	if undecided == 0 {
+		t.Fatal("no bracket left a utilization to the exact fold")
 	}
 }
 
@@ -587,6 +602,59 @@ func coprimeSet(n int) task.Set {
 		}
 	}
 	return s
+}
+
+// cancellationSet returns 2·pairs tasks whose utilizations cancel in
+// pairs, as internal/rat's cancellation sums do: the pair for prime
+// period p (near 10^6) is a/p and (c·p − a·d)/(d·p), which add up to c/d
+// with d = 4096. U(LO) = Σ c/d, and U(HI) over the HI pairs (C(HI) =
+// 2·C(LO)), thus have denominators at most 4096, inside the bracket of
+// any inexact sum, so the bracket cannot decide them and the exact fold
+// runs. Every first task of a pair precedes every second one, so a
+// sequential fold's partial sums grow to a product of a thousand primes
+// before they cancel.
+func cancellationSet(pairs int) task.Set {
+	const d = 4096
+	firsts := make(task.Set, 0, pairs)
+	seconds := make(task.Set, 0, pairs)
+	for p := task.Time(1_000_003); len(firsts) < pairs; p += 2 {
+		prime := true
+		for q := task.Time(3); q*q <= p; q += 2 {
+			if p%q == 0 {
+				prime = false
+				break
+			}
+		}
+		if !prime {
+			continue
+		}
+		i := task.Time(len(firsts))
+		c := 1 + i%3
+		a := 1 + i%(c*p/d-1)
+		ca, cb, pb := a, c*p-a*d, d*p
+		if i%2 == 0 {
+			firsts = append(firsts, task.NewLO(fmt.Sprintf("a%d", i), p, p, ca))
+			seconds = append(seconds, task.NewLO(fmt.Sprintf("b%d", i), pb, pb, cb))
+		} else {
+			firsts = append(firsts, task.NewHI(fmt.Sprintf("a%d", i), p, p/2, p, ca, 2*ca))
+			seconds = append(seconds, task.NewHI(fmt.Sprintf("b%d", i), pb, pb/2, pb, cb, 2*cb))
+		}
+	}
+	return append(firsts, seconds...)
+}
+
+// BenchmarkExactFoldCancellationSet times the exact U(LO) fold the
+// brackets fall back to on cancellationSet(1000), whose partial sums
+// grow to a product of a thousand primes before they cancel.
+func BenchmarkExactFoldCancellationSet(b *testing.B) {
+	s := cancellationSet(1000)
+	if _, ok := s.UtilBracket(task.LO).Round(true); ok {
+		b.Fatal("the bracket decided the cancellation set's U(LO)")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.UtilSum(task.LO)
+	}
 }
 
 // treeSum returns the exact sum of terms, added pairwise: the value a

@@ -59,23 +59,21 @@ func gcd(a, b task.Time) task.Time {
 }
 
 // LODemandSum sums the LO-mode QPA horizon numerator Σ(T−D)·C/T exactly:
-// in fixed width while the terms and partial sums fit, in big.Rat after.
-// It is the fallback of LODemandBracket.
+// in fixed width while the terms and partial sums fit, pairwise in
+// big.Rat after (see rat.Folder). It is the fallback of LODemandBracket.
 func LODemandSum(s task.Set) rat.Sum {
-	var sum rat.Sum
+	var f rat.Folder
 	for i := range s {
 		ti, di, c := s[i].Period[task.LO], s[i].Deadline[task.LO], s[i].WCET[task.LO]
 		term, ok := rat.New(int64(c), int64(ti)).MulChecked(rat.FromInt64(int64(ti - di)))
 		if !ok {
-			// A term beyond fixed width: fold it, and the rest of the
-			// sum, in big.Rat.
-			b := new(big.Rat).Mul(big.NewRat(int64(ti-di), 1), big.NewRat(int64(c), int64(ti)))
-			sum = rat.BigSum(b.Add(b, sum.Big()))
+			// A term beyond fixed width moves the sum to big.Rat.
+			f.AddBig(new(big.Rat).Mul(big.NewRat(int64(ti-di), 1), big.NewRat(int64(c), int64(ti))))
 			continue
 		}
-		sum = sum.Plus(term)
+		f.Add(term)
 	}
-	return sum
+	return f.Sum()
 }
 
 // LODemandBracket returns the allocation-free bracket of LODemandSum (see
@@ -93,14 +91,15 @@ func LODemandBracket(s task.Set) rat.Bracket {
 // that some σ_i is infinite, in which case the sum is meaningless and the
 // closed-form speedup is +Inf. It is the fallback of SigmaBound.
 func SigmaSum(s task.Set) (sum rat.Sum, inf bool) {
+	var f rat.Folder
 	for i := range s {
 		sigma := TaskSigma(&s[i])
 		if sigma.IsInf() {
 			return rat.Sum{}, true
 		}
-		sum = sum.Plus(sigma)
+		f.Add(sigma)
 	}
-	return sum, false
+	return f.Sum(), false
 }
 
 // SigmaBound returns the Lemma-6 closed-form speedup bound: +Inf when some

@@ -3,7 +3,9 @@ package fleet
 import (
 	"testing"
 
+	"mcspeedup/internal/gen"
 	"mcspeedup/internal/rat"
+	"mcspeedup/internal/sim"
 )
 
 // BenchmarkRun times one single-worker fleet of 1024 runs on the
@@ -18,4 +20,22 @@ func BenchmarkRun(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSample times the replicate sampler alone on BenchmarkRun's
+// fleet: one replicate's workload per op, reported per released job.
+func BenchmarkSample(b *testing.B) {
+	set := preparedFMS(b)
+	p := Params{Set: set, Seed: 1, Horizon: 4 * set.MaxPeriod(), ACET: gen.DefaultACET()}
+	var (
+		sm   sampler
+		wl   sim.Workload
+		jobs int
+	)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		wl = sm.workload(wl[:0], &p, i)
+		jobs += len(wl)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(jobs), "ns/job")
 }

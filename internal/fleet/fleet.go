@@ -18,6 +18,7 @@ package fleet
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"mcspeedup/internal/core"
@@ -151,86 +152,136 @@ func Run(p Params) (*Summary, error) {
 // independent of scheduling order, and valid by construction for
 // sim.RunWorkload: sorted, demands within caps, T(LO) spacing.
 //
-// A task's releases ascend, and (At, Task) is a strict total order over
-// a workload, so the sampler merges the per-task release streams through
-// a min-heap of task indices instead of sorting: advancing each task's
-// stream only when its release is emitted yields exactly the sorted
-// sequence with the same per-task draws. Each chunk owns one sampler and
-// reuses it across its runs, so sampling allocates nothing once the
-// slices have grown.
+// The sampler draws each task's releases in one pass into a task-major
+// buffer, then orders them with a stable LSD radix sort on At. A task's
+// releases ascend and the tasks come in index order, so stability makes
+// ties come out in (At, Task) order: exactly the sorted sequence, with
+// the same per-task draws. Each chunk owns one sampler and reuses it
+// across its runs, so sampling allocates nothing once the buffers have
+// grown.
 type sampler struct {
-	streams []gen.Stream
-	heap    []release // each task's next release before the horizon
+	tasks  []taskDraws
+	buf    sim.Workload  // the radix sort's other buffer
+	counts []digitCounts // one digit histogram per pass
 }
 
-// release is a task's next release instant, keyed in the heap by
-// (at, task).
-type release struct {
-	at   task.Time
-	task int
+// taskDraws holds one task's precomputed per-job draws: its jitter in
+// [0, ⌊T/2⌋] and its ACET.
+type taskDraws struct {
+	jitter gen.Bound
+	acet   gen.TaskACET
 }
 
-func (a release) before(b release) bool {
-	return a.at < b.at || a.at == b.at && a.task < b.task
+// Radix geometry: a pass sorts at most maxDigitBits bits of At.
+const (
+	maxDigitBits = 11
+	digitMask    = 1<<maxDigitBits - 1
+)
+
+// digitCounts is one pass's digit histogram, then its output cursors.
+// Masking a digit with digitMask as well as the pass's own mask lets the
+// compiler drop the bounds checks.
+type digitCounts [1 << maxDigitBits]uint32
+
+// radixPasses returns the pass count and digit width that sort release
+// instants in [0, horizon): as few passes of at most maxDigitBits bits
+// as cover the bit length of horizon−1, the bits split evenly between
+// them. A horizon of 1 needs no pass.
+func radixPasses(horizon task.Time) (passes, width int) {
+	n := bits.Len64(uint64(horizon - 1))
+	passes = (n + maxDigitBits - 1) / maxDigitBits
+	if passes == 0 {
+		return 0, 0
+	}
+	return passes, (n + passes - 1) / passes
 }
 
 // workload generates replicate r's arrival sequence into dst (resliced,
 // capacity reused).
 func (sm *sampler) workload(dst sim.Workload, p *Params, r int) sim.Workload {
-	n := len(p.Set)
-	if cap(sm.streams) < n {
-		sm.streams = make([]gen.Stream, n)
-		sm.heap = make([]release, 0, n)
+	set, h := p.Set, p.Horizon
+	if cap(sm.tasks) < len(set) {
+		sm.tasks = make([]taskDraws, len(set))
 	}
-	sm.streams, sm.heap = sm.streams[:n], sm.heap[:0]
-	for ti := range p.Set {
-		rnd := &sm.streams[ti]
-		rnd.Reseed(p.Seed, r, ti)
-		if at := task.Time(rnd.Int63n(int64(p.Set[ti].Period[task.LO]))); at < p.Horizon {
-			sm.heap = append(sm.heap, release{at: at, task: ti})
-		}
-	}
-	for i := len(sm.heap)/2 - 1; i >= 0; i-- {
-		sm.down(i)
-	}
-	for len(sm.heap) > 0 {
-		next := &sm.heap[0]
-		tk := &p.Set[next.task]
-		rnd := &sm.streams[next.task]
-		d := p.ACET.Sample(rnd, tk.Crit, tk.WCET[task.LO], tk.WCET[task.HI])
-		dst = append(dst, sim.Arrival{Task: next.task, At: next.at, Demand: d})
+	sm.tasks = sm.tasks[:len(set)]
+	// Each task releases at most ⌊(H−1)/T⌋+1 jobs before H: its first
+	// release is at or after 0, the next ones at least T apart.
+	releases := 0
+	for ti := range set {
+		tk := &set[ti]
 		period := tk.Period[task.LO]
-		next.at += period
-		if jitter := int64(period / 2); jitter > 0 {
-			next.at += task.Time(rnd.Int63n(jitter + 1))
+		sm.tasks[ti] = taskDraws{
+			jitter: gen.NewBound(int64(period/2) + 1),
+			acet:   p.ACET.Draw(tk.Crit, tk.WCET[task.LO], tk.WCET[task.HI]),
 		}
-		if next.at >= p.Horizon {
-			last := len(sm.heap) - 1
-			sm.heap[0] = sm.heap[last]
-			sm.heap = sm.heap[:last]
-		}
-		sm.down(0)
+		releases += int((h-1)/period) + 1
 	}
-	return dst
+	if cap(dst) < releases {
+		dst = make(sim.Workload, 0, releases)
+	}
+	if cap(sm.buf) < releases {
+		sm.buf = make(sim.Workload, 0, releases)
+	}
+	passes, width := radixPasses(h)
+	// The passes alternate between the buffers; draw into the one that
+	// makes the last pass write dst.
+	src, other := dst[:0], sm.buf[:0]
+	if passes%2 == 1 {
+		src, other = other, src
+	}
+	var rnd gen.Stream
+	for ti := range set {
+		d := &sm.tasks[ti]
+		period := set[ti].Period[task.LO]
+		rnd.Reseed(p.Seed, r, ti)
+		at := task.Time(rnd.Int63n(int64(period)))
+		for at < h {
+			src = append(src, sim.Arrival{Task: ti, At: at, Demand: d.acet.Next(&rnd)})
+			at += period
+			if period > 1 { // a jitter of ⌊T/2⌋ = 0 draws nothing
+				at += task.Time(rnd.Below(&d.jitter))
+			}
+		}
+	}
+	return sm.radixSort(src, other[:len(src)], passes, width)
 }
 
-// down restores the heap order below index i.
-func (sm *sampler) down(i int) {
-	h := sm.heap
-	for {
-		m := 2*i + 1
-		if m >= len(h) {
-			return
-		}
-		if r := m + 1; r < len(h) && h[r].before(h[m]) {
-			m = r
-		}
-		if !h[m].before(h[i]) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+// radixSort stably sorts src by At, passes digits of width bits from
+// the least significant up, alternating between src and tmp (of src's
+// length); it returns the buffer the last pass wrote, src itself when
+// passes is 0. Every pass's digit histogram is counted from src before
+// the first scatter: a pass moves records, never changes their At.
+func (sm *sampler) radixSort(src, tmp sim.Workload, passes, width int) sim.Workload {
+	if passes == 0 {
+		return src
 	}
+	if len(sm.counts) < passes {
+		sm.counts = make([]digitCounts, passes)
+	}
+	counts, size := sm.counts[:passes], 1<<width
+	mask := uint64(size - 1)
+	for p := range counts {
+		c, shift := &counts[p], p*width
+		clear(c[:size])
+		for i := range src {
+			c[uint64(src[i].At)>>shift&mask&digitMask]++
+		}
+	}
+	for p := range counts {
+		// Each digit's first output index: the count of smaller digits.
+		c, next := &counts[p], uint32(0)
+		for d, n := range c[:size] {
+			c[d], next = next, next+n
+		}
+		shift := p * width
+		for i := range src {
+			d := uint64(src[i].At) >> shift & mask & digitMask
+			tmp[c[d]] = src[i]
+			c[d]++
+		}
+		src, tmp = tmp, src
+	}
+	return src
 }
 
 // agg is one chunk's (and, merged, the fleet's) streaming aggregate.

@@ -40,10 +40,29 @@ func randomSamplerSet(rnd *rand.Rand) task.Set {
 	return s
 }
 
-// TestSamplerMatchesReference checks the merged per-task sampler against
-// the sort-based reference on random sets, horizons and replicates. One
-// sampler and one buffer serve every case, so stale state from a larger
-// set would show up as a divergence.
+// stretch returns s with every finite period and deadline multiplied by
+// f, so a long horizon still releases only a few jobs per task.
+func stretch(s task.Set, f task.Time) task.Set {
+	out := s.Clone()
+	for i := range out {
+		for m := range out[i].Period {
+			if !out[i].Period[m].IsUnbounded() {
+				out[i].Period[m] *= f
+			}
+			if !out[i].Deadline[m].IsUnbounded() {
+				out[i].Deadline[m] *= f
+			}
+		}
+	}
+	return out
+}
+
+// TestSamplerMatchesReference checks the bulk-draw, radix-sorting
+// sampler against the sort-based reference on random sets, horizons and
+// replicates. The horizons make the radix sort run 0, 1, 2 and 3 or more
+// passes; long horizons come with stretched periods. One sampler and one
+// buffer serve every case, so stale state from a larger set or a
+// different pass count would show up as a divergence.
 func TestSamplerMatchesReference(t *testing.T) {
 	rnd := rand.New(rand.NewSource(20261017))
 	var (
@@ -52,6 +71,7 @@ func TestSamplerMatchesReference(t *testing.T) {
 		ties, empties  int
 		shortHorizons  int
 		periodOneTasks int
+		passCounts     [4]int // cases by radix pass count, 3 standing for 3 or more
 	)
 	for k := 0; k < 3000; k++ {
 		set := randomSamplerSet(rnd)
@@ -63,12 +83,18 @@ func TestSamplerMatchesReference(t *testing.T) {
 			}
 		}
 		var horizon task.Time
-		switch k % 4 {
+		switch k % 8 {
 		case 0:
 			horizon = 1
 		case 1:
 			horizon = max(1, minT-1) // shorter than every period but 1
 			shortHorizons++
+		case 2: // two passes: bit lengths 12 to 22
+			horizon = 1<<11 + 1 + task.Time(rnd.Int63n(1<<22-1<<11))
+			set = stretch(set, horizon/(4*maxT)+1)
+		case 3: // three or four passes: bit lengths 23 to 40
+			horizon = 1<<22 + 1 + task.Time(rnd.Int63n(1<<40-1<<22))
+			set = stretch(set, horizon/(4*maxT)+1)
 		default:
 			horizon = 1 + task.Time(rnd.Int63n(int64(6*maxT)))
 		}
@@ -82,6 +108,8 @@ func TestSamplerMatchesReference(t *testing.T) {
 		if !slices.Equal(want, got) {
 			t.Fatalf("case %d (%d tasks, horizon %d, r %d):\nref: %v\ngot: %v", k, len(set), horizon, r, want, got)
 		}
+		passes, _ := radixPasses(horizon)
+		passCounts[min(passes, 3)]++
 		if len(got) == 0 {
 			empties++
 		}
@@ -94,5 +122,10 @@ func TestSamplerMatchesReference(t *testing.T) {
 	if ties == 0 || empties == 0 || shortHorizons == 0 || periodOneTasks == 0 {
 		t.Fatalf("corpus misses an edge: %d tied releases, %d empty workloads, %d short horizons, %d period-1 tasks",
 			ties, empties, shortHorizons, periodOneTasks)
+	}
+	for passes, n := range passCounts {
+		if n == 0 {
+			t.Fatalf("no case sorted in %d passes (cases by pass count: %v)", passes, passCounts)
+		}
 	}
 }

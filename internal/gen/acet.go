@@ -61,25 +61,52 @@ func (a ACET) Validate() error {
 }
 
 // Sample draws one job's ACET from the band for crit, given the task's
-// per-mode WCETs, consuming the Rand stream (a *rand.Rand or a Stream).
-// The result is always a valid sim demand: at least 1, at most C(LO)
-// for non-overruns and at most C(HI) for overruns.
-func (a ACET) Sample(rnd Rand, crit task.Crit, cLO, cHI task.Time) task.Time {
-	floor, ceil := a.LOFloor, a.LOCeil
+// per-mode WCETs, consuming the stream. The result is always a valid sim
+// demand: at least 1, at most C(LO) for non-overruns and at most C(HI)
+// for overruns. It is a.Draw(crit, cLO, cHI).Next(rnd); loops drawing
+// many jobs of one task should keep the TaskACET.
+func (a ACET) Sample(rnd *Stream, crit task.Crit, cLO, cHI task.Time) task.Time {
+	d := a.Draw(crit, cLO, cHI)
+	return d.Next(rnd)
+}
+
+// TaskACET is an ACET model with one task's band constants folded in
+// (see ACET.Draw).
+type TaskACET struct {
+	floor, width float64 // the band: floor + width·u for a uniform u
+	scale        float64 // float64(C(LO))
+	cLO          task.Time
+	// canOverrun is false for tasks that cannot overrun (LO criticality,
+	// or C(HI) = C(LO)): Next spends no draw on their overrun test.
+	canOverrun bool
+	overrun    float64 // the overrun probability
+	cHI        task.Time
+}
+
+// Draw folds one task's criticality and WCETs into the model. Next on
+// the result draws exactly what Sample(rnd, crit, cLO, cHI) draws.
+func (a ACET) Draw(crit task.Crit, cLO, cHI task.Time) TaskACET {
+	d := TaskACET{floor: a.LOFloor, width: a.LOCeil - a.LOFloor, scale: float64(cLO), cLO: cLO, cHI: cHI}
 	if crit == task.HI {
-		if cHI > cLO && rnd.Float64() < a.OverrunProb {
-			// Overrun: uniform over the integers in (C(LO), C(HI)].
-			return cLO + 1 + task.Time(rnd.Int63n(int64(cHI-cLO)))
-		}
-		floor, ceil = a.HIFloor, a.HICeil
-	}
-	f := floor + (ceil-floor)*rnd.Float64()
-	d := task.Time(f * float64(cLO))
-	if d < 1 {
-		d = 1
-	}
-	if d > cLO {
-		d = cLO
+		d.floor, d.width = a.HIFloor, a.HICeil-a.HIFloor
+		d.canOverrun, d.overrun = cHI > cLO, a.OverrunProb
 	}
 	return d
+}
+
+// Next draws one job's ACET from rnd.
+func (d *TaskACET) Next(rnd *Stream) task.Time {
+	if d.canOverrun && rnd.Float64() < d.overrun {
+		// Overrun: uniform over the integers in (C(LO), C(HI)].
+		return d.cLO + 1 + task.Time(rnd.Int63n(int64(d.cHI-d.cLO)))
+	}
+	f := d.floor + d.width*rnd.Float64()
+	v := task.Time(f * d.scale)
+	if v < 1 {
+		v = 1
+	}
+	if v > d.cLO {
+		v = d.cLO
+	}
+	return v
 }

@@ -1,7 +1,6 @@
 package gen
 
 import (
-	"math/rand"
 	"testing"
 
 	"mcspeedup/internal/task"
@@ -12,16 +11,16 @@ func TestACETSampleBounds(t *testing.T) {
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	rnd := rand.New(rand.NewSource(7))
+	rnd := NewStream(7, 0, 0)
 	const cLO, cHI = 10, 25
 	overruns := 0
 	hot := a
 	hot.OverrunProb = 0.5
 	for i := 0; i < 20000; i++ {
-		if d := a.Sample(rnd, task.LO, cLO, cHI); d < 1 || d > cLO {
+		if d := a.Sample(&rnd, task.LO, cLO, cHI); d < 1 || d > cLO {
 			t.Fatalf("LO sample %d outside [1, %d]", d, cLO)
 		}
-		d := hot.Sample(rnd, task.HI, cLO, cHI)
+		d := hot.Sample(&rnd, task.HI, cLO, cHI)
 		if d < 1 || d > cHI {
 			t.Fatalf("HI sample %d outside [1, %d]", d, cHI)
 		}
@@ -37,13 +36,13 @@ func TestACETSampleBounds(t *testing.T) {
 	always := a
 	always.OverrunProb = 1
 	for i := 0; i < 100; i++ {
-		if d := always.Sample(rnd, task.HI, cLO, cLO); d > cLO {
+		if d := always.Sample(&rnd, task.HI, cLO, cLO); d > cLO {
 			t.Fatalf("overrun %d sampled from task with C(HI) = C(LO)", d)
 		}
 	}
 	// Tiny budgets clamp up to the minimum legal demand.
 	tiny := ACET{LOFloor: 0, LOCeil: 0, HIFloor: 0, HICeil: 0}
-	if d := tiny.Sample(rnd, task.LO, 1, 1); d != 1 {
+	if d := tiny.Sample(&rnd, task.LO, 1, 1); d != 1 {
 		t.Fatalf("clamped sample = %d, want 1", d)
 	}
 }
@@ -51,10 +50,10 @@ func TestACETSampleBounds(t *testing.T) {
 func TestACETSampleDeterministic(t *testing.T) {
 	a := DefaultACET()
 	draw := func() []task.Time {
-		rnd := rand.New(rand.NewSource(99))
+		rnd := NewStream(99, 0, 0)
 		out := make([]task.Time, 64)
 		for i := range out {
-			out[i] = a.Sample(rnd, task.Crit(i%2), 20, 37)
+			out[i] = a.Sample(&rnd, task.Crit(i%2), 20, 37)
 		}
 		return out
 	}

@@ -1,6 +1,10 @@
 package gen
 
-import "math/rand"
+import (
+	"math"
+	"math/bits"
+	"math/rand"
+)
 
 // The experiment sweeps are parallelized per task-set index (package
 // par), so every index needs a random stream that is (a) independent of
@@ -45,8 +49,7 @@ func SubRand(seed int64, point, index int) *rand.Rand {
 // expensive Lagged-Fibonacci warm-up, so hot loops (the fleet engine
 // seeds one stream per (replicate, task) — millions per fleet) can
 // reseed in a few instructions. The zero value is the (0,0,0) stream;
-// Reseed repositions it. Stream satisfies the Rand interface ACET
-// sampling consumes.
+// Reseed repositions it.
 type Stream struct {
 	state uint64
 }
@@ -80,25 +83,47 @@ func (s *Stream) Float64() float64 {
 
 // Int63n returns a uniform int64 in [0, n). It panics if n <= 0,
 // matching math/rand, and rejects the biased tail exactly as
-// math/rand.Int63n does.
+// math/rand.Int63n does. Loops drawing many values below one n should
+// build its Bound once and call Below.
 func (s *Stream) Int63n(n int64) int64 {
+	b := NewBound(n)
+	return s.Below(&b)
+}
+
+// Bound is Int63n(n) with its constants precomputed: the rejection
+// threshold and the reciprocal that turns the remainder into a multiply.
+// Below draws exactly the values, and consumes exactly the stream, that
+// Int63n(n) does, without a division.
+type Bound struct {
+	n   uint64
+	max uint64 // the largest accepted 63-bit draw: 2^63−1 − 2^63 mod n
+	m   uint64 // ⌊(2^64−1)/n⌋
+}
+
+// NewBound precomputes Int63n(n). It panics if n <= 0, as Int63n does.
+func NewBound(n int64) Bound {
 	if n <= 0 {
 		panic("gen: Stream.Int63n with n <= 0")
 	}
-	if n&(n-1) == 0 { // power of two
-		return int64(s.Uint64()>>1) & (n - 1)
-	}
-	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
-	v := int64(s.Uint64() >> 1)
-	for v > max {
-		v = int64(s.Uint64() >> 1)
-	}
-	return v % n
+	u := uint64(n)
+	return Bound{n: u, max: (1<<63 - 1) - (1<<63)%u, m: math.MaxUint64 / u}
 }
 
-// Rand is the sampling interface ACET draws through: both *rand.Rand
-// and *Stream satisfy it.
-type Rand interface {
-	Float64() float64
-	Int63n(n int64) int64
+// Below returns Int63n(b's n): 63-bit draws above the threshold are
+// rejected (for a power of two there are none, so its single draw
+// matches Int63n's masked one), and the remainder v mod n comes from
+// q = hi(v·m), r = v − q·n. For v < 2^63, m·n > 2^64 − 1 − n puts q at
+// ⌊v/n⌋ or one below it, so one conditional subtraction finishes the
+// remainder (Granlund–Montgomery invariant division).
+func (s *Stream) Below(b *Bound) int64 {
+	v := s.Uint64() >> 1
+	for v > b.max {
+		v = s.Uint64() >> 1
+	}
+	q, _ := bits.Mul64(v, b.m)
+	r := v - q*b.n
+	if r >= b.n {
+		r -= b.n
+	}
+	return int64(r)
 }

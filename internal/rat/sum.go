@@ -73,3 +73,64 @@ func (s Sum) Round(up bool) Rat {
 	}
 	return s.fixed().Round(up)
 }
+
+// Folder adds finite terms into an exact Sum: in fixed width,
+// allocation-free, while every partial sum fits int64/int64, and
+// pairwise in big.Rat from the first overflow on. Adding terms one by
+// one to a big.Rat grows its denominator with every term and
+// renormalizes the whole sum each time, which is quadratic in the term
+// count (seconds for a few thousand coprime periods); pairwise addition
+// adds operands of similar size, near-linear in the terms' total size.
+// The zero value is the empty sum.
+type Folder struct {
+	sum Sum // the running sum while it is fixed-width (tree is nil)
+	// tree is the binary-counter form of pairwise addition: tree[k] is
+	// nil or the sum of 2^k consecutive big terms.
+	tree []*big.Rat
+}
+
+// Add adds the finite v.
+func (f *Folder) Add(v Rat) {
+	if f.tree == nil {
+		if r, ok := f.sum.fixed().AddChecked(v); ok {
+			f.sum = Sum{r: r}
+			return
+		}
+	}
+	f.AddBig(v.Big())
+}
+
+// AddBig adds v, which must not change while f is in use.
+func (f *Folder) AddBig(v *big.Rat) {
+	if f.tree == nil {
+		// The sum leaves fixed width: its prefix is the first big term.
+		f.tree = []*big.Rat{f.sum.Big()}
+	}
+	for k := range f.tree {
+		if f.tree[k] == nil {
+			f.tree[k] = v
+			return
+		}
+		v = new(big.Rat).Add(f.tree[k], v)
+		f.tree[k] = nil
+	}
+	f.tree = append(f.tree, v)
+}
+
+// Sum returns the exact sum of the terms added so far.
+func (f *Folder) Sum() Sum {
+	if f.tree == nil {
+		return f.sum
+	}
+	var acc *big.Rat
+	for _, t := range f.tree {
+		switch {
+		case t == nil:
+		case acc == nil:
+			acc = t
+		default:
+			acc = new(big.Rat).Add(t, acc)
+		}
+	}
+	return BigSum(acc)
+}

@@ -3,6 +3,7 @@ package rat
 import (
 	"math"
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -100,6 +101,96 @@ func TestMulChecked(t *testing.T) {
 		}
 		if got != tc.a.Mul(tc.b) {
 			t.Fatalf("MulChecked(%v, %v) = %v but Mul = %v", tc.a, tc.b, got, tc.a.Mul(tc.b))
+		}
+	}
+}
+
+// TestFolderMatchesSum adds the TestSumMatchesBig corpus, plus terms
+// given as big.Rat, through a Folder: after every term its Sum must
+// equal the sequential Sum fold, in value and in representation (fixed
+// width exactly while the sequential fold is). Term counts up to 300
+// carry the pairwise tree over several levels.
+func TestFolderMatchesSum(t *testing.T) {
+	rnd := rand.New(rand.NewSource(12))
+	promoted := 0
+	for iter := 0; iter < 200; iter++ {
+		var (
+			f   Folder
+			seq Sum
+		)
+		for k := 0; k < 1+iter%4*100; k++ {
+			den := 1 + rnd.Int63n(12)
+			if iter%2 == 1 && rnd.Intn(4) == 0 {
+				den = 1e6 + rnd.Int63n(1e9)
+			}
+			v := New(rnd.Int63n(2*den)-den/2, den)
+			if iter%3 == 2 && rnd.Intn(8) == 0 {
+				b := new(big.Rat).Mul(v.Big(), big.NewRat(math.MaxInt64, 3))
+				f.AddBig(b)
+				seq = BigSum(new(big.Rat).Add(seq.Big(), b))
+			} else {
+				f.Add(v)
+				seq = seq.Plus(v)
+			}
+			got := f.Sum()
+			if got.Big().Cmp(seq.Big()) != 0 {
+				t.Fatalf("iter %d, term %d: Folder = %v, sequential fold %v", iter, k, got.Big(), seq.Big())
+			}
+			r, fixed := got.Rat()
+			if w, seqFixed := seq.Rat(); fixed != seqFixed || r != w {
+				t.Fatalf("iter %d, term %d: Folder.Rat = %v, %v; sequential %v, %v", iter, k, r, fixed, w, seqFixed)
+			}
+		}
+		if _, ok := f.Sum().Rat(); !ok {
+			promoted++
+		}
+	}
+	if promoted == 0 || promoted == 200 {
+		t.Fatalf("%d of 200 folds promoted to big.Rat: both paths must be covered", promoted)
+	}
+}
+
+// TestFolderFixedWidthAllocFree: while every partial sum fits, a Folder
+// allocates nothing.
+func TestFolderFixedWidthAllocFree(t *testing.T) {
+	terms := []Rat{New(1, 2), New(1, 3), New(5, 12), New(-7, 11), New(3, 8)}
+	var got Sum
+	allocs := testing.AllocsPerRun(100, func() {
+		var f Folder
+		for _, v := range terms {
+			f.Add(v)
+		}
+		got = f.Sum()
+	})
+	if _, ok := got.Rat(); !ok || allocs != 0 {
+		t.Fatalf("fixed-width fold: %v allocs/op, fixed width %v", allocs, ok)
+	}
+}
+
+// TestFolderPairwise pins the shape that makes the exact fold cheap:
+// after n big terms of value 1 on top of a fixed-width prefix of 1, slot
+// k of the counter holds a partial sum exactly when bit k of n+1 is set,
+// and it holds the sum of 2^k terms. So no partial sum is ever added to
+// one of much different size, and a term passes through at most
+// log2(n+1) additions; a running accumulator would fail here.
+func TestFolderPairwise(t *testing.T) {
+	var f Folder
+	f.Add(New(1, 1))
+	for n := 1; n <= 1000; n++ {
+		f.AddBig(big.NewRat(1, 1))
+		if len(f.tree) != bits.Len(uint(n+1)) {
+			t.Fatalf("after %d big terms: %d slots, want %d", n, len(f.tree), bits.Len(uint(n+1)))
+		}
+		for k, v := range f.tree {
+			switch {
+			case (n+1)>>k&1 == 0 && v != nil:
+				t.Fatalf("after %d big terms: slot %d holds %v, want empty", n, k, v)
+			case (n+1)>>k&1 == 1 && (v == nil || v.Cmp(big.NewRat(1<<k, 1)) != 0):
+				t.Fatalf("after %d big terms: slot %d holds %v, want %d", n, k, v, 1<<k)
+			}
+		}
+		if got := f.Sum().Big(); got.Cmp(big.NewRat(int64(n+1), 1)) != 0 {
+			t.Fatalf("after %d big terms: Sum = %v, want %d", n, got, n+1)
 		}
 	}
 }

@@ -217,15 +217,19 @@ const never = math.MaxInt64
 // the event loop never allocates per job. Its deadline and remaining
 // work are on the current phase's tick grid (see Scratch.tu/wu).
 type jobState struct {
-	deadline  int64 // absolute, in time ticks; never for parked jobs
-	rem       int64 // remaining work, in work ticks
-	arrival   task.Time
-	demand    task.Time
-	taskIdx   int32
-	seq       int32
-	missed    bool
-	parked    bool // terminated carry-over kept at infinite deadline
-	overrunOK bool // mode switch already triggered by this job
+	deadline int64 // absolute, in time ticks; never for parked jobs
+	rem      int64 // remaining work, in work ticks
+	// trig is the LO-mode remaining work at which the job's executed
+	// work reaches C(LO) — the overrun trigger, demand − C(LO) — or −1
+	// for a job that never triggers a switch: a LO-criticality job, a
+	// HI job within C(LO), or one whose trigger already fired. LO mode
+	// is the unit grid, so it compares with rem directly.
+	trig    int64
+	arrival task.Time
+	taskIdx int32
+	seq     int32
+	missed  bool
+	parked  bool // terminated carry-over kept at infinite deadline
 }
 
 // jobLess is the EDF total order: deadline, then arrival, then task
@@ -298,12 +302,10 @@ func (sc *Scratch) run(w Workload) {
 		// Next boundary. Running dt time ticks does dt work ticks, so the
 		// completion is rem ticks away.
 		bound := sc.now + cur.rem
-		if sc.mode == task.LO {
-			if tk := &sc.tasks[cur.taskIdx]; tk.Crit == task.HI && cur.demand > tk.WCET[task.LO] && !cur.overrunOK {
-				// The overrun trigger: executed work reaches C(LO), i.e.
-				// rem falls to demand − C(LO) (LO mode is the unit grid).
-				bound = min(bound, sc.now+cur.rem-int64(cur.demand-tk.WCET[task.LO]))
-			}
+		if sc.mode == task.LO && cur.trig >= 0 {
+			// The overrun trigger: executed work reaches C(LO), i.e.
+			// rem falls to trig.
+			bound = min(bound, sc.now+cur.rem-cur.trig)
 		}
 		if idx < len(w) {
 			bound = min(bound, int64(w[idx].At)*sc.tu)
@@ -318,9 +320,15 @@ func (sc *Scratch) run(w Workload) {
 		}
 
 		// Execute cur on [now, bound].
+		// Time never runs backwards, and a reset happens only right after
+		// a completion ends an execution step, so the latest execution
+		// end is the run's EndTime.
 		if dt := bound - sc.now; dt > 0 {
 			cur.rem -= dt
-			sc.trace(cur, sc.now, bound)
+			sc.endAt, sc.endUnit = bound, sc.tu
+			if sc.cfg.CollectTrace {
+				sc.trace(cur, sc.now, bound)
+			}
 		}
 		sc.now = bound
 
@@ -328,14 +336,9 @@ func (sc *Scratch) run(w Workload) {
 		// mutate pending, so cur is dead after either.
 		if cur.rem == 0 {
 			sc.complete(curIdx)
-		} else if sc.mode == task.LO {
-			tk := &sc.tasks[cur.taskIdx]
-			if tk.Crit == task.HI && !cur.overrunOK &&
-				cur.demand-task.Time(cur.rem) >= tk.WCET[task.LO] &&
-				cur.demand > tk.WCET[task.LO] {
-				cur.overrunOK = true
-				sc.switchToHI()
-			}
+		} else if sc.mode == task.LO && cur.rem <= cur.trig {
+			cur.trig = -1
+			sc.switchToHI()
 		}
 		if sc.mode == task.HI && sc.expiry != never && sc.now >= sc.expiry {
 			sc.tripBudget()
@@ -375,12 +378,16 @@ func (sc *Scratch) admit(a Arrival) {
 	}
 	sc.lastAdmitted[a.Task] = a.At
 	sc.seqs[a.Task]++
+	trig := int64(-1)
+	if tk.Crit == task.HI && a.Demand > tk.WCET[task.LO] {
+		trig = int64(a.Demand - tk.WCET[task.LO])
+	}
 	sc.pending = append(sc.pending, jobState{
 		taskIdx:  int32(a.Task),
 		seq:      sc.seqs[a.Task],
 		arrival:  a.At,
 		deadline: int64(a.At+tk.Deadline[mode]) * sc.tu,
-		demand:   a.Demand,
+		trig:     trig,
 		rem:      int64(a.Demand) * sc.wu,
 	})
 }
@@ -510,14 +517,8 @@ func (sc *Scratch) reset() {
 	sc.tu, sc.wu = 1, 1
 }
 
-// trace records that j ran on [from, to]. Time never runs backwards, and
-// a reset happens only right after a completion ends an execution step,
-// so the latest execution end is the run's EndTime.
+// trace records that j ran on [from, to] (Config.CollectTrace).
 func (sc *Scratch) trace(j *jobState, from, to int64) {
-	sc.endAt, sc.endUnit = to, sc.tu
-	if !sc.cfg.CollectTrace {
-		return
-	}
 	start, end := sc.instant(from), sc.instant(to)
 	n := len(sc.res.Trace)
 	if n > 0 {

@@ -75,17 +75,17 @@ func (s Set) ByCrit(c Crit) Set {
 func (s Set) UtilSum(m Crit) rat.Sum { return s.utilSum(m, anyTask) }
 
 // utilSum sums C_i(m)/T_i(m) exactly over tasks matching the filter:
-// allocation-free while every partial sum fits int64/int64, and in
-// big.Rat after the first overflow (see rat.Sum).
+// allocation-free while every partial sum fits int64/int64, and pairwise
+// in big.Rat after the first overflow (see rat.Folder).
 func (s Set) utilSum(m Crit, match func(*Task) bool) rat.Sum {
-	var sum rat.Sum
+	var f rat.Folder
 	for i := range s {
 		if !match(&s[i]) || s[i].Period[m].IsUnbounded() {
 			continue
 		}
-		sum = sum.Plus(rat.New(int64(s[i].WCET[m]), int64(s[i].Period[m])))
+		f.Add(rat.New(int64(s[i].WCET[m]), int64(s[i].Period[m])))
 	}
-	return sum
+	return f.Sum()
 }
 
 // UtilBracket returns the allocation-free bracket of UtilSum(m) (see
@@ -234,12 +234,19 @@ func (s Set) ShortenHIDeadlinesInto(dst Set, x rat.Rat) (Set, error) {
 	if x.Sign() <= 0 || x.Cmp(rat.One) >= 0 {
 		return nil, fmt.Errorf("task: deadline-shortening factor x = %v outside (0,1)", x)
 	}
+	// ⌊x·D(HI)⌋ = ⌊D(HI) / (1/x)⌋, which FloorDiv takes in 128 bits, so
+	// no D(HI) overflows; x < 1 keeps it below D(HI). A D(HI) ≤ 0 has no
+	// room whatever its floor, so it skips the division.
+	inv := x.Inv()
 	out := s.cloneInto(dst)
 	for i := range out {
 		if out[i].Crit != HI {
 			continue
 		}
-		d := Time(x.MulInt(int64(out[i].Deadline[HI])).Floor())
+		var d Time
+		if dHI := out[i].Deadline[HI]; dHI > 0 {
+			d = Time(rat.FloorDiv(int64(dHI), inv))
+		}
 		if d < out[i].WCET[LO] {
 			d = out[i].WCET[LO]
 		}

@@ -2,6 +2,8 @@ package task
 
 import (
 	"encoding/json"
+	"math/big"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -150,6 +152,33 @@ func TestShortenHIDeadlines(t *testing.T) {
 	for _, x := range []rat.Rat{rat.Zero, rat.One, rat.New(3, 2), rat.New(-1, 2)} {
 		if _, err := s.ShortenHIDeadlines(x); err == nil {
 			t.Errorf("x = %v accepted", x)
+		}
+	}
+}
+
+// TestShortenHIDeadlinesFloor checks eq. (13)'s ⌊x·D(HI)⌋ against
+// big.Rat over factors and deadlines up to 2^62, where x·D(HI) no longer
+// fits int64/int64, including the boundaries of the C(LO)/D(HI)−1 clamp.
+func TestShortenHIDeadlinesFloor(t *testing.T) {
+	rnd := rand.New(rand.NewSource(7))
+	for i := 0; i < 20000; i++ {
+		den := rnd.Int63n(1<<uint(rnd.Intn(62)+1)) + 2
+		x := rat.New(rnd.Int63n(den-1)+1, den)
+		dHI := Time(rnd.Int63n(1<<uint(rnd.Intn(62)+1)) + 2)
+		cLO := Time(rnd.Int63n(int64(dHI)-1) + 1)
+		if i%4 == 0 {
+			cLO = 1
+		}
+		s := Set{NewHI("h", dHI, dHI, dHI, cLO, cLO)}
+		out, err := s.ShortenHIDeadlines(x)
+		if err != nil {
+			t.Fatalf("x = %v, D(HI) = %d: %v", x, dHI, err)
+		}
+		f := new(big.Rat).Mul(big.NewRat(x.Num(), x.Den()), new(big.Rat).SetInt64(int64(dHI)))
+		want := Time(new(big.Int).Quo(f.Num(), f.Denom()).Int64())
+		want = min(max(want, cLO), dHI-1)
+		if got := out[0].Deadline[LO]; got != want {
+			t.Fatalf("x = %v, D(HI) = %d, C(LO) = %d: D(LO) = %d, want %d", x, dHI, cLO, got, want)
 		}
 	}
 }

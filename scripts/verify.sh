@@ -50,6 +50,10 @@ go test -fuzz FuzzWalkEquivalence -fuzztime 10s -run '^$' ./internal/core/
 # big.Rat sum of the same terms.
 go test -fuzz FuzzBracketRound -fuzztime 10s -run '^$' ./internal/rat/
 
+# Draw fuzz smoke: the division-free Bound must draw exactly the values,
+# and leave the stream exactly where, the division-based Int63n does.
+go test -fuzz FuzzBoundBelow -fuzztime 10s -run '^$' ./internal/gen/
+
 # Delta fuzz smoke: random edit streams through a Session must reproduce
 # the cold analysis byte for byte (the incremental-analysis contract).
 go test -fuzz FuzzDeltaEquivalence -fuzztime 10s -run '^$' ./internal/core/
