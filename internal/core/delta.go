@@ -61,9 +61,11 @@ import (
 //
 // Rule-1 omission. The canonical walk's early exit (stopping rule 1 in
 // minSpeedupWalk) is intentionally NOT checked here: if it fires at some
-// event with running maximum `best`, then every later ratio is strictly
-// below uHi + ΣC/Δ < uHi + ΣC/pos ≤ best, so best and its witness are
-// already final — continuing to the hyperperiod event returns the same
+// event with running maximum `best`, then every later ratio is at most
+// uHi + B/Δ ≤ uHi + B/pos ≤ best, with B the tight envelope intercept
+// (dbf.Plan.Intercept); the walk records only strict improvements, so
+// best and its witness are already final — continuing to the hyperperiod
+// event returns the same
 // (Speedup, LowerBound, Exact, WitnessDelta) through stopping rule 2's
 // best ≥ U_HI branch. Payloads are therefore identical; only the
 // Events/Jumps diagnostics differ, which the Report deliberately omits.

@@ -290,7 +290,8 @@ func TestSetStateAggregatesMatchCold(t *testing.T) {
 			exactly("closed-form speedup", st.SigmaBound(), closed)
 			check("closed-form reset", closedFormResetOf(st.TotalCHI(), rat.Two, st.SigmaBound()),
 				closedFormResetOf(fresh.TotalCHI(), rat.Two, fresh.SigmaBound()), ClosedFormReset(cold, rat.Two))
-			check("active ΣC(HI)", st.SumActiveCHI(), fresh.SumActiveCHI(), dbf.SumActiveCHI(cold))
+			check("envelope intercept", dbf.CompilePlan(st.Tasks(), dbf.KindDBF).Intercept(),
+				dbf.CompilePlan(fresh.Tasks(), dbf.KindDBF).Intercept(), referenceIntercept(cold))
 			check("total ΣC(HI)", st.TotalCHI(), fresh.TotalCHI(), cold.TotalCHI())
 			check("hyperperiod", fmt.Sprint(st.HIHyperperiod()), fmt.Sprint(fresh.HIHyperperiod()), fmt.Sprint(dbf.HIHyperperiod(cold)))
 			check("fingerprint", st.Fingerprint(), fresh.Fingerprint(), cold.Fingerprint())

@@ -171,15 +171,21 @@ func MinSpeedForResetOpts(s task.Set, budget task.Time, o Options) (SpeedForRese
 // WitnessDelta — an O(n) rejection certificate: the ratio at any single
 // Δ > 0 lower-bounds the Theorem-2 supremum, so a point already above
 // the threshold rejects the candidate without walking its events. Only
-// inconclusive certificates (and every accepted candidate) pay a walk,
-// and that walk decides rather than measures: it carries the threshold
-// as its Options.CapHint, so its bulk skips are certified against the
-// cap itself — value(b) ≤ ⌊cap·pos⌋ proves every ratio in (pos, b]
-// strictly below the cap, so no event above the cap is ever skipped —
-// and an accepting walk stops chasing the exact supremum. Decisions are
-// bit-identical to always walking the full supremum: the certificate
-// skips exactly the walks whose comparison outcome it has proved, and
-// the cap-certified skips discard only ratios that cannot flip it.
+// inconclusive certificates (and every accepted candidate) pay a
+// decision, and that decision does not measure the supremum: it is the
+// HI-mode QPA (qpaHI), which descends from the point where the tight
+// envelope U_HI + B/Δ (B = dbf.Plan.Intercept) meets the cap and checks
+// ΣDBF_HI(t) ≤ cap·t at a few integer points. Where QPA does not apply
+// (a cap within the utilization bracket, a start point beyond the skip
+// horizon, or more than MaxEvents iterations) the probe walks instead,
+// carrying the threshold as its Options.CapHint, so its bulk skips are
+// certified against the cap itself — value(b) ≤ ⌊cap·pos⌋ proves every
+// ratio in (pos, b] strictly below the cap, so no event above the cap is
+// ever skipped — and an accepting walk stops chasing the exact
+// supremum. Decisions are bit-identical to always walking the full
+// supremum: the certificate skips exactly the decisions whose outcome it
+// has proved, QPA is exact, and the cap-certified skips discard only
+// ratios that cannot flip the walk's.
 //
 // The LO-mode side of the x searches (MinimalX, which FeasibleXWindow
 // starts from) decides its probes the same way, without a capProbe: QPA
@@ -190,9 +196,11 @@ func MinSpeedForResetOpts(s task.Set, budget task.Time, o Options) (SpeedForRese
 type capProbe struct {
 	opts    Options
 	witness task.Time
-	// walks and pruned count full event walks and certificate
-	// rejections, for tests and benchmarks to assert pruning happens.
-	walks, pruned int
+	// decisions counts the probes the certificate left open (each a QPA
+	// decision or a walk, plus every objective walk), pruned the
+	// certificate rejections, for tests and benchmarks to assert pruning
+	// happens.
+	decisions, pruned int
 }
 
 // newCapProbe builds a probe over o, materializing a private Scratch
@@ -240,7 +248,7 @@ func (p *capProbe) atLeast(st *dbf.SetState, bound rat.Rat, strict bool) bool {
 // candidate, so the walk runs minSpeedupState over the state's cached
 // aggregates, bit-identical to a cold MinSpeedup of the same set values.
 func (p *capProbe) speedup(st *dbf.SetState) (SpeedupResult, error) {
-	p.walks++
+	p.decisions++
 	opts := p.opts
 	opts.WarmWitness = p.witness
 	// The objective needs the supremum itself, which a caller's CapHint
@@ -253,19 +261,31 @@ func (p *capProbe) speedup(st *dbf.SetState) (SpeedupResult, error) {
 	return res, err
 }
 
-// meets decides s_min ≤ cap for the state's current set, warm-starting at
-// the witness. The walk carries cap as its CapHint: it skips against the
-// cap and stops as soon as it has decided the supremum's side of it (see
-// Options.CapHint), and the result's Speedup ≤ cap decides the
-// comparison exactly as the full supremum would. An accepting walk's
-// WitnessDelta is the best position it examined, not necessarily the
-// supremum's; it still feeds the next certificate and warm start, whose
-// soundness holds for any position.
+// meets decides s_min ≤ cap for the state's current set: after the
+// witness certificate, by the HI-mode QPA over the candidate's plan,
+// compiled into the probe's Scratch, and only when QPA cannot decide by
+// a walk warm-started at the witness. The walk carries cap as its
+// CapHint: it skips against the cap and stops as soon as it has decided
+// the supremum's side of it (see Options.CapHint), and the result's
+// Speedup ≤ cap decides the comparison exactly as the full supremum
+// would. The refreshed witness is a violating point (reject) or the best
+// position examined (accept), not necessarily the supremum's; it still
+// feeds the next certificate and warm start, whose soundness holds for
+// any position.
 func (p *capProbe) meets(st *dbf.SetState, cap rat.Rat) (bool, error) {
 	if p.atLeast(st, cap, true) {
 		return false, nil
 	}
-	p.walks++
+	p.decisions++
+	plan := &p.opts.Scratch.plan
+	plan.Compile(st.Tasks(), dbf.KindDBF)
+	uLo, uHi := st.UtilBounds(task.HI)
+	if ok, decided, witness := qpaHI(plan, cap, uLo, uHi, p.opts.maxEvents()); decided {
+		if witness > 0 {
+			p.witness = witness
+		}
+		return ok, nil
+	}
 	opts := p.opts
 	opts.CapHint = cap
 	opts.WarmWitness = p.witness
@@ -480,8 +500,9 @@ func FeasibleXWindow(s task.Set, speedCap rat.Rat) (xLo, xHi rat.Rat, err error)
 // witness certificate and carries one dbf.SetState across the bisection
 // instead of materializing each candidate: consecutive candidates differ
 // only in the HI tasks' LO-mode virtual deadlines, and a D(LO) edit
-// leaves every HI-mode aggregate (utilization bounds, ΣC(HI),
-// hyperperiod) valid, so each probe pays only its warm-started walk.
+// leaves every cached HI-mode aggregate (utilization bounds,
+// hyperperiod) valid, so each probe pays only its compiled plan and its
+// decision.
 func FeasibleXWindowOpts(s task.Set, speedCap rat.Rat, o Options) (xLo, xHi rat.Rat, err error) {
 	if speedCap.Sign() <= 0 {
 		return rat.Rat{}, rat.Rat{}, fmt.Errorf("core: speed cap %v must be positive", speedCap)

@@ -335,7 +335,7 @@ func TestMinimalYTerminatedUtilAtCap(t *testing.T) {
 	if fmt.Sprint(err) != want {
 		t.Fatalf("MinimalY err %v, want %q", err, want)
 	}
-	if probe.walks+probe.pruned != 1 {
-		t.Fatalf("%d walks and %d certificate rejections, want the termination probe only", probe.walks, probe.pruned)
+	if probe.decisions+probe.pruned != 1 {
+		t.Fatalf("%d decisions and %d certificate rejections, want the termination probe only", probe.decisions, probe.pruned)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math/big"
 
+	"mcspeedup/internal/dbf"
 	"mcspeedup/internal/rat"
 	"mcspeedup/internal/task"
 )
@@ -83,6 +84,76 @@ func qpaLO(s task.Set, limit int64) bool {
 			t = prev
 		}
 	}
+}
+
+// qpaHI decides s_min ≤ cap for the set whose HI-mode demand plan
+// (dbf.KindDBF) is plan, given directed bounds uLo ≤ U_HI ≤ uHi — the
+// HI-mode counterpart of qpaLO behind the design searches' probes
+// (capProbe.meets). With h = plan.Value it iterates downward from
+//
+//	t₀ = ⌊B/(cap − uHi)⌋ ,   t ← min(t − 1, ⌈h(t)/cap⌉ − 1) ,
+//
+// B the plan's envelope intercept (dbf.Plan.Intercept), rejecting at the
+// first t with h(t) > cap·t and accepting when t reaches 0 with
+// h(0) = 0. decided is false when the iteration does not apply — uLo ≤
+// cap ≤ uHi, a t₀ beyond skipHorizon (or not representable), or more
+// than maxIter iterations — and the caller must walk instead. witness is
+// a Δ > 0 to warm the next probe at: on a reject the violating t, on an
+// accept the largest-ratio t evaluated; 0 when no point was evaluated.
+//
+// Soundness. s_min ≥ U_HI ≥ uLo (the ratio tends to U_HI as Δ → ∞), so
+// uLo > cap rejects outright. Otherwise cap > uHi, and every Δ ≥
+// B/(cap − uHi) has h(Δ) ≤ U_HI·Δ + B ≤ cap·Δ; every integer above t₀ is
+// such a Δ. Every slope-change and jump point of h is an integer
+// (periods, ramp starts and ramp ends are), so h is linear on each
+// [k, k+1) and its left limit at k+1 is at most h(k+1): h(Δ) ≤ cap·Δ at
+// two consecutive integers implies it on the whole unit interval between
+// them, and integer points suffice. An integer t with h(t) ≤ cap·t
+// clears every Δ in [h(t)/cap, t], because h is non-decreasing:
+// h(Δ) ≤ h(t) ≤ cap·Δ. The next point ⌈h(t)/cap⌉ − 1 is the largest
+// integer below that range, so no integer in (0, t₀] escapes the check,
+// and a reject names a point whose ratio exceeds cap, a lower bound of
+// s_min above it. The iteration is exact: it decides s_min ≤ cap the way
+// the full Theorem-2 walk does.
+func qpaHI(plan *dbf.Plan, cap, uLo, uHi rat.Rat, maxIter int) (meets, decided bool, witness task.Time) {
+	if uLo.Cmp(cap) > 0 {
+		return false, true, 0
+	}
+	if cap.Cmp(uHi) <= 0 {
+		return false, false, 0
+	}
+	gap, ok := cap.AddChecked(uHi.Neg())
+	if !ok {
+		return false, false, 0
+	}
+	t := task.Time(rat.FloorDiv(int64(plan.Intercept()), gap))
+	if t > skipHorizon {
+		return false, false, 0
+	}
+	capV, capP := task.Time(cap.Num()), task.Time(cap.Den())
+	bestV, bestP := task.Time(0), task.Time(1)
+	for iter := 0; t > 0; iter++ {
+		if iter == maxIter {
+			return false, false, witness
+		}
+		// h(t) ≤ cap·t ⇔ h(t) ≤ ⌊cap·t⌋ for integral h; the capped
+		// evaluation stops at the first row that settles a reject.
+		h, within := plan.ValueCapped(t, floorMulDiv(capV, t, capP))
+		if !within {
+			return false, true, t
+		}
+		if ratioGreater(h, t, bestV, bestP) {
+			bestV, bestP, witness = h, t, t
+		}
+		if h == 0 {
+			break // h vanishes on all of [0, t]
+		}
+		t = task.Time(rat.MaxIntBelowRatio(int64(h), cap, int64(t-1)))
+	}
+	if plan.Value(0) > 0 {
+		return false, true, witness // demand at Δ = 0: s_min = +Inf
+	}
+	return true, true, witness
 }
 
 // demandWalkLO is the straightforward processor-demand walk over every

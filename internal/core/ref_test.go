@@ -40,6 +40,29 @@ func sameSpeedForResetPayload(got, want SpeedForResetResult) bool {
 	return got.Speed.Eq(want.Speed) && got.Attained == want.Attained && got.WitnessDelta == want.WitnessDelta
 }
 
+// referenceIntercept is the tight DBF_HI envelope intercept
+// Σ ⌈C(HI)·(T(HI) − e)/T(HI)⌉ over active tasks, e = min(D(HI) − D(LO) +
+// C(LO), T(HI)) the carry-over ramp end, folded in big.Int from the task
+// fields rather than from a compiled plan.
+func referenceIntercept(s task.Set) task.Time {
+	var sum task.Time
+	for i := range s {
+		t := &s[i]
+		if t.Terminated() {
+			continue
+		}
+		period := t.Period[task.HI]
+		end := min(t.Deadline[task.HI]-t.Deadline[task.LO]+t.WCET[task.LO], period)
+		num := new(big.Int).Mul(big.NewInt(int64(t.WCET[task.HI])), big.NewInt(int64(period-end)))
+		q, r := new(big.Int).QuoRem(num, big.NewInt(int64(period)), new(big.Int))
+		if r.Sign() != 0 {
+			q.Add(q, big.NewInt(1))
+		}
+		sum += task.Time(q.Int64())
+	}
+	return sum
+}
+
 // referenceMinSpeedup is Theorem 2 by direct re-evaluation of the full
 // set at each event of eq. (8), with the same two stopping rules as the
 // production walk.
@@ -48,7 +71,7 @@ func referenceMinSpeedup(s task.Set, o Options) (SpeedupResult, error) {
 		return SpeedupResult{}, err
 	}
 	uLo, uHi := s.UtilBounds(task.HI)
-	totalC := dbf.SumActiveCHI(s)
+	icpt := referenceIntercept(s)
 	if v := dbf.SetHIMode(s, 0); v > 0 {
 		return SpeedupResult{Speedup: rat.PosInf, LowerBound: rat.PosInf, Exact: true}, nil
 	}
@@ -69,7 +92,7 @@ func referenceMinSpeedup(s task.Set, o Options) (SpeedupResult, error) {
 			best = ratio
 			witness = pos
 		}
-		if best.Cmp(uHi.Add(rat.New(int64(totalC), int64(pos)))) >= 0 {
+		if best.Cmp(uHi.Add(rat.New(int64(icpt), int64(pos)))) >= 0 {
 			return SpeedupResult{Speedup: best, LowerBound: best, Exact: true, WitnessDelta: witness, Events: events + 1}, nil
 		}
 		if hyperOK && pos >= hyper {
@@ -82,7 +105,7 @@ func referenceMinSpeedup(s task.Set, o Options) (SpeedupResult, error) {
 			return SpeedupResult{Speedup: uHi, LowerBound: rat.Max(best, uLo), Exact: false, Events: events + 1}, nil
 		}
 	}
-	envelope := uHi.Add(rat.New(int64(totalC), int64(pos)))
+	envelope := uHi.Add(rat.New(int64(icpt), int64(pos)))
 	return SpeedupResult{
 		Speedup: rat.Max(best, envelope), LowerBound: rat.Max(best, uLo),
 		Exact: false, WitnessDelta: witness, Events: events,

@@ -35,6 +35,11 @@ type Scratch struct {
 	// differ in one task) recompute only that task's column. Owned by
 	// the Scratch so a search stream stays allocation-free.
 	memo dbf.PointMemo
+
+	// plan is the design searches' HI-mode demand plan: capProbe.meets
+	// compiles each candidate into it for the HI-mode QPA (qpaHI), so
+	// decided probes reuse its columns instead of borrowing the walker.
+	plan dbf.Plan
 }
 
 // walkerPool recycles walker state across analyses that were not handed

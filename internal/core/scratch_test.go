@@ -140,7 +140,8 @@ func TestMinSpeedForResetRepeatable(t *testing.T) {
 
 // TestCapProbePrunes pins that the witness certificate actually fires:
 // probing a sequence of related sets against a cap below their speedup
-// must reject most of them without a full walk.
+// must reject most of them without a decision (QPA or walk): the first
+// decision's violating point rejects every later query.
 func TestCapProbePrunes(t *testing.T) {
 	rnd := rand.New(rand.NewSource(5))
 	s := randomSet(rnd, 8, 30)
@@ -169,9 +170,9 @@ func TestCapProbePrunes(t *testing.T) {
 			t.Fatalf("query %d: s_min %v reported within cap %v", i, base.Speedup, cap)
 		}
 	}
-	if probe.walks != 1 || probe.pruned != 4 {
-		t.Fatalf("walks=%d pruned=%d, want 1 full walk then 4 certificate rejections",
-			probe.walks, probe.pruned)
+	if probe.decisions != 1 || probe.pruned != 4 {
+		t.Fatalf("decisions=%d pruned=%d, want 1 decision then 4 certificate rejections",
+			probe.decisions, probe.pruned)
 	}
 }
 

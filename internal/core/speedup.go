@@ -12,7 +12,8 @@
 // dbf); both the speedup supremum and the resetting-time crossing are
 // located by walking their slope-change events in increasing order, which
 // terminates in pseudo-polynomial time by the linear upper bounds
-// DBF_HI(τ_i, Δ) ≤ U_i(HI)·Δ + C_i(HI) and
+// DBF_HI(τ_i, Δ) ≤ U_i(HI)·Δ + C_i(HI)·(T_i − e_i)/T_i, with e_i the
+// task's carry-over ramp end (dbf.Plan.Intercept), and
 // ADB_HI(τ_i, Δ) ≤ U_i(HI)·Δ + 2·C_i(HI).
 package core
 
@@ -53,8 +54,11 @@ type Options struct {
 	// side of the hint the supremum falls on, instead of locating the
 	// supremum itself. Once the running maximum exceeds the hint the
 	// result is a reject bracket (LowerBound > CapHint); once the tail
-	// envelope U_HI + ΣC(HI)/Δ drops to the hint every later ratio is at
-	// most CapHint and the walk accepts.
+	// envelope U_HI + B/Δ (B the plan's envelope intercept, see
+	// dbf.Plan.Intercept) drops to the hint every later ratio is at most
+	// CapHint and the walk accepts. The design searches' probes
+	// (capProbe.meets) reach this walk only when their HI-mode QPA
+	// (qpaHI) cannot decide.
 	//
 	// The bulk skips are certified against the hint itself rather than
 	// against the running maximum: value(b) ≤ ⌊CapHint·pos⌋ proves that
@@ -135,15 +139,17 @@ func MinSpeedup(s task.Set) (SpeedupResult, error) {
 // by walking the slope-change events of the summed piecewise-linear demand
 // curve. On any linear segment the ratio demand/Δ is monotone, so the
 // supremum over [0, Δ_last] is attained at an event point; and since
-// Σ_i DBF_HI(Δ) ≤ U_HI·Δ + ΣC_i(HI), no event beyond
-// ΣC_i(HI)/(best − U_HI) can improve a running maximum best > U_HI, which
-// bounds the walk. If the running maximum never exceeds the HI-mode
+// Σ_i DBF_HI(Δ) ≤ U_HI·Δ + B, with B = Σ_i ⌈C_i(HI)·(T_i − e_i)/T_i⌉
+// the intercept of the tight envelope (e_i the ramp end; see
+// dbf.Plan.Intercept, B ≤ ΣC_i(HI)), no event beyond B/(best − U_HI) can
+// improve a running maximum best > U_HI, which bounds the walk. If the
+// running maximum never exceeds the HI-mode
 // utilization U_HI (the ratio's Δ→∞ limit), the walk additionally stops
 // once Δ passes the hyperperiod of the HI-mode periods — by the exact
 // periodicity DBF_HI(Δ+T) = DBF_HI(Δ)+C(HI), the supremum is then
 // max(best, U_HI) exactly. Only if both stopping rules are out of reach
 // within MaxEvents is the result inexact, in which case Speedup is the
-// safe envelope max(best, U_HI + ΣC/Δ_last).
+// safe envelope max(best, U_HI + B/Δ_last).
 //
 // The walk additionally skips whole runs of events it can prove
 // irrelevant. Let bound ≤ s_min be a proven lower
@@ -175,7 +181,7 @@ func MinSpeedupOpts(s task.Set, o Options) (SpeedupResult, error) {
 	// They coincide except for very large sets with coprime periods.
 	uLo, uHi := s.UtilBounds(task.HI)
 	hyper, hyperOK := dbf.HIHyperperiod(s)
-	return minSpeedupWalk(s, uLo, uHi, dbf.SumActiveCHI(s), hyper, hyperOK, o)
+	return minSpeedupWalk(s, uLo, uHi, hyper, hyperOK, o)
 }
 
 // minSpeedupState is the Theorem-2 walk over a demand state: the
@@ -186,14 +192,14 @@ func MinSpeedupOpts(s task.Set, o Options) (SpeedupResult, error) {
 func minSpeedupState(st *dbf.SetState, o Options) (SpeedupResult, error) {
 	uLo, uHi := st.UtilBounds(task.HI)
 	hyper, hyperOK := st.HIHyperperiod()
-	return minSpeedupWalk(st.Tasks(), uLo, uHi, st.SumActiveCHI(), hyper, hyperOK, o)
+	return minSpeedupWalk(st.Tasks(), uLo, uHi, hyper, hyperOK, o)
 }
 
 // minSpeedupWalk is the shared body of MinSpeedupOpts and
 // minSpeedupState: the event walk of eq. (8) given the already-derived
-// aggregates (HI-utilization bounds, ΣC(HI) over active tasks, and the
-// HI hyperperiod).
-func minSpeedupWalk(s task.Set, uLo, uHi rat.Rat, totalC, hyper task.Time, hyperOK bool, o Options) (SpeedupResult, error) {
+// aggregates (HI-utilization bounds and the HI hyperperiod). The
+// envelope intercept comes from the walker's compiled plan.
+func minSpeedupWalk(s task.Set, uLo, uHi rat.Rat, hyper task.Time, hyperOK bool, o Options) (SpeedupResult, error) {
 	// Demand in a zero-length interval forces infinite speedup (the
 	// paper's discussion under eq. (8)). Validation rules this out
 	// (D(LO) < D(HI) for HI tasks), but guard anyway.
@@ -211,15 +217,17 @@ func minSpeedupWalk(s task.Set, uLo, uHi rat.Rat, totalC, hyper task.Time, hyper
 	var pos task.Time
 	w := o.acquireWalker(s, dbf.KindDBF)
 	defer o.releaseWalker(w)
-	// The walker's columnar plan backs the certificate probes below.
+	// The walker's columnar plan backs the certificate probes below and
+	// carries the envelope intercept B of the stopping rules.
 	plan := w.Plan()
+	icpt := plan.Intercept()
 	// The skip certificate's threshold, kept as a raw ratio cutV/cutP.
 	// Without a CapHint it is cutoff = max(best, seed), a proven lower
 	// bound on the supremum, refreshed only when best improves; with one
 	// it is the cap itself (see Options.CapHint), which is never below
 	// best while the walk runs (best above the cap rejects at once), so
 	// the seed probes would add nothing and are not taken.
-	// bestF/uHiF/totalCF are float64 screens for stopping rule 1 (see
+	// bestF/uHiF/icptF are float64 screens for stopping rule 1 (see
 	// below). Together they keep every per-event comparison in plain
 	// integer / float arithmetic.
 	var cutV, cutP task.Time
@@ -242,7 +250,7 @@ func minSpeedupWalk(s task.Set, uLo, uHi rat.Rat, totalC, hyper task.Time, hyper
 	}
 	bestF := 0.0
 	uHiF := uHi.Float64()
-	totalCF := float64(totalC)
+	icptF := float64(icpt)
 	events, jumps := 0, 0
 	var chunk task.Time
 	for ; events < o.maxEvents(); events++ {
@@ -268,9 +276,9 @@ func minSpeedupWalk(s task.Set, uLo, uHi rat.Rat, totalC, hyper task.Time, hyper
 			}
 			witness = pos
 		}
-		// Stopping rule 1: beyond the current Δ, every ratio is below
-		// U_HI + ΣC/Δ, so once best reaches that envelope no later
-		// event can improve it. (Equivalent to Δ ≥ ΣC/(best − U_HI),
+		// Stopping rule 1: beyond the current Δ, every ratio is at most
+		// U_HI + B/Δ, so once best reaches that envelope no later
+		// event can improve it. (Equivalent to Δ ≥ B/(best − U_HI),
 		// but stated without dividing by a potentially tiny
 		// difference, which keeps the int64 rationals in range.)
 		// The inequality is screened in float64 first — inputs are ≤ 2^40
@@ -278,9 +286,9 @@ func minSpeedupWalk(s task.Set, uLo, uHi rat.Rat, totalC, hyper task.Time, hyper
 		// a definite float "no" exact — and only near-misses pay the exact
 		// rational comparison, which still decides. The rule fires at most
 		// once per walk, so the exact path is off the per-event budget.
-		rhsF := uHiF + totalCF/float64(pos)
+		rhsF := uHiF + icptF/float64(pos)
 		if bestF+certMargin*(bestF+rhsF) >= rhsF {
-			if best := rat.New(int64(bestV), int64(bestP)); best.Cmp(uHi.Add(rat.New(int64(totalC), int64(pos)))) >= 0 {
+			if best := rat.New(int64(bestV), int64(bestP)); best.Cmp(uHi.Add(rat.New(int64(icpt), int64(pos)))) >= 0 {
 				if hasCap && best.Cmp(o.CapHint) <= 0 {
 					return capAccept(o.CapHint, best, witness, events+1, jumps), nil
 				}
@@ -321,7 +329,7 @@ func minSpeedupWalk(s task.Set, uLo, uHi rat.Rat, totalC, hyper task.Time, hyper
 		if hasCap {
 			if ratioGreater(bestV, bestP, capV, capP) {
 				best := rat.New(int64(bestV), int64(bestP))
-				env := uHi.Add(rat.New(int64(totalC), int64(pos)))
+				env := uHi.Add(rat.New(int64(icpt), int64(pos)))
 				return SpeedupResult{
 					Speedup: rat.Max(best, env), LowerBound: best, Exact: false,
 					WitnessDelta: witness, Events: events + 1, Jumps: jumps,
@@ -335,7 +343,7 @@ func minSpeedupWalk(s task.Set, uLo, uHi rat.Rat, totalC, hyper task.Time, hyper
 			// near-misses pay the rational confirmation at most a
 			// handful of times.
 			if rhsF <= capF+certMargin*(rhsF+capF) {
-				if env := uHi.Add(rat.New(int64(totalC), int64(pos))); env.Cmp(o.CapHint) <= 0 {
+				if env := uHi.Add(rat.New(int64(icpt), int64(pos))); env.Cmp(o.CapHint) <= 0 {
 					return capAccept(o.CapHint, rat.New(int64(bestV), int64(bestP)), witness, events+1, jumps), nil
 				}
 			}
@@ -383,7 +391,7 @@ func minSpeedupWalk(s task.Set, uLo, uHi rat.Rat, totalC, hyper task.Time, hyper
 	}
 	// Inexact: report the safe envelope.
 	best := rat.New(int64(bestV), int64(bestP))
-	envelope := uHi.Add(rat.New(int64(totalC), int64(pos)))
+	envelope := uHi.Add(rat.New(int64(icpt), int64(pos)))
 	return SpeedupResult{
 		Speedup:      rat.Max(best, envelope),
 		LowerBound:   rat.Max(best, uLo),

@@ -195,7 +195,11 @@ func TestMinSpeedupAgainstBruteForce(t *testing.T) {
 
 func TestMinSpeedupInexactFallbackIsSafe(t *testing.T) {
 	// Force the inexact path with a tiny event budget; the reported
-	// Speedup must still dominate the true supremum.
+	// Speedup must still dominate the true supremum. It is pinned too:
+	// after the events Δ = 2, 3, 5 (ratios 1, 4/3, 6/5) the walk reports
+	// the envelope U_HI + B/5 = 3/5 + 4/5 with the tight intercept
+	// B = ⌈4·5/10⌉ + ⌈2·8/10⌉ = 4 (ramp ends 5 and 2), where the loose
+	// ΣC(HI) = 6 gave 9/5.
 	s := examplesets.TableI()
 	res, err := MinSpeedupOpts(s, Options{MaxEvents: 3})
 	if err != nil {
@@ -203,6 +207,9 @@ func TestMinSpeedupInexactFallbackIsSafe(t *testing.T) {
 	}
 	if res.Exact {
 		t.Fatal("expected inexact result with MaxEvents=3")
+	}
+	if !res.Speedup.Eq(rat.New(7, 5)) || !res.LowerBound.Eq(rat.New(4, 3)) {
+		t.Errorf("capped walk %+v, want Speedup 7/5 and LowerBound 4/3", res)
 	}
 	exact, err := MinSpeedup(s)
 	if err != nil {
@@ -235,5 +242,42 @@ func TestMinSpeedupHyperperiodStop(t *testing.T) {
 	}
 	if want := bruteMinSpeedup(s); !res.Speedup.Eq(want) {
 		t.Errorf("s_min = %v, want %v", res.Speedup, want)
+	}
+}
+
+// TestSetStateDLOEditMovesIntercept: a D(LO) edit keeps every cached
+// HI-mode aggregate of a SetState, yet moves the ramp ends and so the
+// envelope intercept. The next walk over the state must read the new
+// intercept, which a capped walk's envelope exposes: on Table I, τ₁'s
+// D(LO) 6 → 7 moves its ramp end from 5 to 4 and its term from
+// ⌈4·5/10⌉ = 2 to ⌈4·6/10⌉ = 3.
+func TestSetStateDLOEditMovesIntercept(t *testing.T) {
+	st, err := dbf.NewSetState(examplesets.TableI())
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped := Options{MaxEvents: 1} // the first event is Δ = 2 before and after
+	before, err := minSpeedupState(st, capped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := task.Edit{Op: task.OpSet, Name: "tau1", Params: []task.ParamValue{{Param: task.ParamDLO, Value: 7}}}
+	if _, err := st.Apply(e); err != nil {
+		t.Fatal(err)
+	}
+	if b := dbf.CompilePlan(st.Tasks(), dbf.KindDBF).Intercept(); b != 5 {
+		t.Fatalf("intercept after the edit %d, want 5", b)
+	}
+	after, err := minSpeedupState(st, capped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := MinSpeedupOpts(st.Tasks().Clone(), capped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !before.Speedup.Eq(rat.New(13, 5)) || !after.Speedup.Eq(rat.New(31, 10)) || !after.Speedup.Eq(cold.Speedup) {
+		t.Errorf("capped envelopes %v → %v (cold %v), want 13/5 = 3/5 + 4/2 → 31/10 = 3/5 + 5/2",
+			before.Speedup, after.Speedup, cold.Speedup)
 	}
 }

@@ -21,6 +21,7 @@ package dbf
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mcspeedup/internal/task"
 )
@@ -43,6 +44,8 @@ type Plan struct {
 	dC     []task.Time // C(HI) − C(LO): the carry-over surplus
 	add    []task.Time // per-evaluation constant: C(HI) for KindADB, else 0
 	inv    []float64   // 1/float64(period): the divFloor reciprocal
+
+	intercept task.Time // Σ_i (add_i + ⌈C_i(HI)·(T_i − end_i)/T_i⌉); see Intercept
 }
 
 // CompilePlan lowers s's curves of the given kind into a fresh plan.
@@ -57,7 +60,7 @@ func CompilePlan(s task.Set, kind Kind) *Plan {
 func (p *Plan) Compile(s task.Set, kind Kind) {
 	p.grow(len(s), kind)
 	for i := range s {
-		p.compileRow(i, &s[i])
+		p.intercept += p.compileRow(i, &s[i])
 	}
 }
 
@@ -67,12 +70,12 @@ func (p *Plan) Compile(s task.Set, kind Kind) {
 func (p *Plan) CompileSubset(s task.Set, idx []int, kind Kind) {
 	p.grow(len(idx), kind)
 	for j, i := range idx {
-		p.compileRow(j, &s[i])
+		p.intercept += p.compileRow(j, &s[i])
 	}
 }
 
 func (p *Plan) grow(n int, kind Kind) {
-	p.kind, p.n = kind, n
+	p.kind, p.n, p.intercept = kind, n, 0
 	p.period = sizedCol(p.period, n)
 	p.off = sizedCol(p.off, n)
 	p.end = sizedCol(p.end, n)
@@ -94,8 +97,9 @@ func sizedCol(buf []task.Time, n int) []task.Time {
 }
 
 // compileRow lowers one task with exactly windowOffset's geometry: the
-// same offsets HIMode/ADB/RightSlope/NextEvent derive per call.
-func (p *Plan) compileRow(i int, t *task.Task) {
+// same offsets HIMode/ADB/RightSlope/NextEvent derive per call. It
+// returns the row's envelope intercept (see Intercept).
+func (p *Plan) compileRow(i int, t *task.Task) task.Time {
 	cHI := t.WCET[task.HI]
 	if t.Terminated() {
 		p.period[i] = 0
@@ -104,7 +108,7 @@ func (p *Plan) compileRow(i int, t *task.Task) {
 		if p.kind == KindADB {
 			p.add[i] = cHI // the carry-over job's residual demand
 		}
-		return
+		return p.add[i]
 	}
 	period := t.Period[task.HI]
 	cLO := t.WCET[task.LO]
@@ -130,7 +134,46 @@ func (p *Plan) compileRow(i int, t *task.Task) {
 	p.dC[i] = cHI - cLO
 	p.add[i] = add
 	p.inv[i] = 1 / float64(period)
+	return add + ceilMulDiv(cHI, period-end, period)
 }
+
+// ceilMulDiv returns ⌈a·b/d⌉ for non-negative a, b and 0 ≤ b ≤ d, d > 0.
+// The product is carried in 128 bits (C(HI)·(T − end) can pass 2^63);
+// b ≤ d keeps the quotient at most a.
+func ceilMulDiv(a, b, d task.Time) task.Time {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	q, r := bits.Div64(hi, lo, uint64(d))
+	if r != 0 {
+		q++
+	}
+	return task.Time(q)
+}
+
+// Intercept returns the intercept B of the tight linear envelope of the
+// summed curve: Value(Δ) ≤ U·Δ + B for every Δ ≥ 0, where U = Σ C(HI)/T
+// over the active rows (the HI-mode utilization of the compiled set) and
+//
+//	B = Σ_i add_i + Σ_active ⌈C_i(HI)·(T_i − end_i)/T_i⌉ ,
+//
+// with end_i the row's ramp end min(off_i + C_i(LO), T_i) (for KindDBF,
+// off_i = D(HI) − D(LO) and add_i = 0, so B sums over active rows only).
+//
+// Proof, per active row: within each period the row's curve is
+// q·C(HI) + add at phase 0, flat until off, steps up by C(HI) − C(LO)
+// at off, rises with slope 1 until end and stays flat to the next
+// period, so curve(Δ) − U_i·Δ is periodic, falls with slope −U_i on
+// the flat stretches and rises with slope 1 − U_i ≥ 0 on the ramp
+// (C(HI) ≤ T for a valid task). Its maximum is therefore at a ramp end
+// or at phase 0. At an unclipped ramp
+// end (end = off + C(LO)) the curve has reached (q+1)·C(HI) + add, so
+// the difference is add + C(HI)·(T − end)/T; at phase 0 it is add,
+// which the same formula also bounds; and a clipped ramp (end = T) ends
+// below (q+1)·C(HI) + add, at a difference below add. Terminated rows
+// are the constant add. Summing the rows gives the bound; rounding each
+// term up keeps it integral. It is tight up to the ceilings: every
+// unclipped row attains its term at its ramp ends. The loose envelope
+// U·Δ + Σ(add + C(HI)) this replaces is the special case end = 0.
+func (p *Plan) Intercept() task.Time { return p.intercept }
 
 // divFloorMax bounds the intervals divFloor handles on its multiply path:
 // below 2^51 the float64 quotient guess is within one of floor(Δ/T) (the

@@ -6,6 +6,8 @@ package dbf
 // plan-vs-legacy differential (internal/core pins the walk-level half).
 
 import (
+	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -261,4 +263,132 @@ func SetValue(s task.Set, kind Kind, delta task.Time) task.Time {
 		return SetHIMode(s, delta)
 	}
 	return SetADB(s, delta)
+}
+
+// interceptRow draws one task for the envelope-intercept tests, covering
+// every row shape the intercept formula distinguishes: HI rows, LO rows
+// (degraded or not), clipped ramps (off + C(LO) > T, so end = T; such a
+// row fails Validate, but the plan lowers it all the same), a zero gap
+// D(HI) = D(LO) with C(HI) = C(LO), and terminated rows.
+func interceptRow(rnd *rand.Rand) task.Task {
+	period := task.Time(rnd.Intn(60) + 2)
+	switch rnd.Intn(5) {
+	case 0: // clipped: D(LO) < C(LO) pushes the ramp end past T
+		cLO := task.Time(rnd.Intn(int(period))) + 1
+		dLO := task.Time(rnd.Intn(int(cLO)))
+		if dLO == 0 {
+			dLO = 1
+		}
+		cHI := cLO + task.Time(rnd.Intn(int(period-cLO)+1))
+		return task.Task{Name: "t", Crit: task.HI, Period: [2]task.Time{period, period},
+			Deadline: [2]task.Time{dLO, period}, WCET: [2]task.Time{cLO, cHI}}
+	case 1: // gap 0, C(HI) = C(LO)
+		c := task.Time(rnd.Intn(int(period))) + 1
+		d := c + task.Time(rnd.Intn(int(period-c)+1))
+		return task.NewLO("t", period, d, c)
+	case 2: // terminated
+		tk := task.NewLO("t", period, period, task.Time(rnd.Intn(int(period)))+1)
+		tk.Period[task.HI], tk.Deadline[task.HI] = task.Unbounded, task.Unbounded
+		return tk
+	default:
+		return quickTask(uint16(rnd.Uint32()), uint16(rnd.Uint32()), uint16(rnd.Uint32()),
+			uint16(rnd.Uint32()), rnd.Intn(2) == 0, uint8(rnd.Uint32()))
+	}
+}
+
+// TestPlanInterceptTight checks the envelope intercept row by row
+// against a brute-force scan of Δ ∈ [0, 3T]: T·curve(Δ) ≤ C(HI)·Δ + T·b
+// everywhere (the envelope), and b = ⌈max_Δ (T·curve(Δ) − C(HI)·Δ)/T⌉
+// (tight up to the ceiling; the maximum sits at an integer Δ, a ramp end
+// or a period start, and repeats every period). Terminated rows are the
+// constant b. Both curve kinds are checked.
+func TestPlanInterceptTight(t *testing.T) {
+	rnd := rand.New(rand.NewSource(20261019))
+	shapes := map[string]int{}
+	for iter := 0; iter < 3000; iter++ {
+		tk := interceptRow(rnd)
+		for _, kind := range []Kind{KindDBF, KindADB} {
+			p := CompilePlan(task.Set{tk}, kind)
+			b := p.Intercept()
+			if tk.Terminated() {
+				shapes["terminated"]++
+				for d := task.Time(0); d < 10; d++ {
+					if v := p.Value(d); v != b {
+						t.Fatalf("%+v kind %d: terminated row value %d at %d, intercept %d", tk, kind, v, d, b)
+					}
+				}
+				continue
+			}
+			T, c := tk.Period[task.HI], tk.WCET[task.HI]
+			if p.end[0] == T && p.off[0]+p.cLO[0] > T {
+				shapes["clipped"]++
+			}
+			if p.off[0] == 0 && p.dC[0] == 0 {
+				shapes["gap 0"]++
+			}
+			maxDiff := task.Time(math.MinInt64)
+			for d := task.Time(0); d <= 3*T; d++ {
+				diff := T*p.Value(d) - c*d
+				if diff > T*b {
+					t.Fatalf("%+v kind %d: T·curve(%d) − C·Δ = %d above T·b = %d", tk, kind, d, diff, T*b)
+				}
+				maxDiff = max(maxDiff, diff)
+			}
+			if want := (maxDiff + T - 1) / T; b != want {
+				t.Fatalf("%+v kind %d: intercept %d, want ⌈%d/%d⌉ = %d", tk, kind, b, maxDiff, T, want)
+			}
+		}
+	}
+	for _, shape := range []string{"clipped", "gap 0", "terminated"} {
+		if shapes[shape] == 0 {
+			t.Errorf("no %s row drawn", shape)
+		}
+	}
+}
+
+// TestPlanInterceptEnvelope checks the summed bound
+// Value(Δ) ≤ U·Δ + Intercept() over random sets, U = Σ C(HI)/T(HI) over
+// the active rows, exactly in big.Rat, and that Intercept equals the sum
+// of the rows' intercepts for full and subset compiles alike.
+func TestPlanInterceptEnvelope(t *testing.T) {
+	rnd := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 300; iter++ {
+		s := make(task.Set, rnd.Intn(6)+1)
+		for i := range s {
+			s[i] = interceptRow(rnd)
+		}
+		for _, kind := range []Kind{KindDBF, KindADB} {
+			p := CompilePlan(s, kind)
+			u := new(big.Rat)
+			var rows task.Time
+			var maxT task.Time
+			for i := range s {
+				rows += CompilePlan(s[i:i+1], kind).Intercept()
+				if !s[i].Terminated() {
+					u.Add(u, big.NewRat(int64(s[i].WCET[task.HI]), int64(s[i].Period[task.HI])))
+					maxT = max(maxT, s[i].Period[task.HI])
+				}
+			}
+			if p.Intercept() != rows {
+				t.Fatalf("set intercept %d, rows sum to %d", p.Intercept(), rows)
+			}
+			idx := rnd.Perm(len(s))[:rnd.Intn(len(s))+1]
+			var sub task.Time
+			for _, i := range idx {
+				sub += CompilePlan(s[i:i+1], kind).Intercept()
+			}
+			var q Plan
+			q.Compile(s, kind) // a stale intercept must not leak into the subset
+			if q.CompileSubset(s, idx, kind); q.Intercept() != sub {
+				t.Fatalf("subset intercept %d, rows sum to %d", q.Intercept(), sub)
+			}
+			for d := task.Time(0); d <= 3*maxT+1; d++ {
+				env := new(big.Rat).Mul(u, big.NewRat(int64(d), 1))
+				env.Add(env, big.NewRat(int64(p.Intercept()), 1))
+				if big.NewRat(int64(p.Value(d)), 1).Cmp(env) > 0 {
+					t.Fatalf("Value(%d) = %d above U·Δ + B = %v", d, p.Value(d), env)
+				}
+			}
+		}
+	}
 }

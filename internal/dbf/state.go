@@ -16,19 +16,6 @@ const hyperHorizon = task.Time(1) << 40
 // the analyses derive from a set: the cold entry points call them
 // directly, and SetState caches their results.
 
-// SumActiveCHI sums C_i(HI) over tasks that are not terminated
-// (terminated tasks contribute zero HI-mode demand, so they do not enter
-// the DBF envelope bound ΣDBF_HI(Δ) ≤ U_HI·Δ + ΣC(HI)).
-func SumActiveCHI(s task.Set) task.Time {
-	var total task.Time
-	for i := range s {
-		if !s[i].Terminated() {
-			total += s[i].WCET[task.HI]
-		}
-	}
-	return total
-}
-
 // HIHyperperiod returns the least common multiple of the HI-mode periods
 // of the non-terminated tasks, with ok=false on overflow or when it
 // exceeds the practical walking horizon. By the exact periodicity
@@ -127,7 +114,7 @@ func SigmaBound(s task.Set) rat.Rat {
 type cacheBit uint8
 
 const (
-	hiBit      cacheBit = 1 << iota // U_HI bounds, active and total ΣC(HI)
+	hiBit      cacheBit = 1 << iota // U_HI bounds and total ΣC(HI)
 	hyperBit                        // HIHyperperiod
 	loUtilBit                       // U_LO bounds
 	loSchedBit                      // LOSched's verdict
@@ -140,7 +127,7 @@ const (
 // derive from it: the state behind core's Analyze and Session reports and
 // the design searches' carried candidates. Each aggregate is refilled by
 // the same cold fold the non-incremental path calls
-// (task.Set.UtilBounds, SumActiveCHI, HIHyperperiod, SigmaBound,
+// (task.Set.UtilBounds, TotalCHI, HIHyperperiod, SigmaBound,
 // Fingerprint, and the caller's LO-mode test), so a cached value equals
 // the cold recomputation by construction. The utilizations and Σσ_i are
 // cached as the rounded values the analyses read, not as exact sums.
@@ -148,7 +135,9 @@ const (
 // Apply clears the validity bit of every aggregate a touched parameter
 // class feeds, and the next read refolds it: a D(LO)-only edit — the
 // TuneDeadlines hot path — keeps every HI-mode cache, and a C(HI) edit
-// keeps the hyperperiod and every LO-mode cache.
+// keeps the hyperperiod and every LO-mode cache. The walks' envelope
+// intercept (Plan.Intercept) reads D(LO) through each ramp end, so it is
+// folded into the plan every walk compiles rather than cached here.
 //
 // A SetState is not safe for concurrent use; callers (the server's
 // session layer) serialize access. All mutation goes through Apply —
@@ -158,13 +147,13 @@ type SetState struct {
 	set   task.Set // owned copy; exposed read-only via Tasks
 	valid cacheBit
 
-	util                   [2][2]rat.Rat // per-mode UtilBounds (hiBit, loUtilBit)
-	sumActiveCHI, totalCHI task.Time     // hiBit
-	hyper                  task.Time     // hyperBit
-	hyperOK                bool
-	loSched                bool    // loSchedBit
-	sigma                  rat.Rat // sigmaBit
-	fp                     string  // fpBit
+	util     [2][2]rat.Rat // per-mode UtilBounds (hiBit, loUtilBit)
+	totalCHI task.Time     // hiBit
+	hyper    task.Time     // hyperBit
+	hyperOK  bool
+	loSched  bool    // loSchedBit
+	sigma    rat.Rat // sigmaBit
+	fp       string  // fpBit
 }
 
 // NewSetState validates s and builds a state over a private copy of it.
@@ -226,7 +215,6 @@ func (st *SetState) noteChange(tc task.Touched) {
 func (st *SetState) fillHI() {
 	if st.valid&hiBit == 0 {
 		st.util[task.HI][0], st.util[task.HI][1] = st.set.UtilBounds(task.HI)
-		st.sumActiveCHI = SumActiveCHI(st.set)
 		st.totalCHI = st.set.TotalCHI()
 		st.valid |= hiBit
 	}
@@ -247,12 +235,6 @@ func (st *SetState) UtilBounds(m task.Crit) (lo, hi rat.Rat) {
 func (st *SetState) Util(m task.Crit) rat.Rat {
 	_, hi := st.UtilBounds(m)
 	return hi
-}
-
-// SumActiveCHI returns SumActiveCHI(Tasks()), cached.
-func (st *SetState) SumActiveCHI() task.Time {
-	st.fillHI()
-	return st.sumActiveCHI
 }
 
 // TotalCHI returns Tasks().TotalCHI() (Lemma 7's numerator), cached.

@@ -110,7 +110,8 @@ func Run(p Params) (*Summary, error) {
 		bound = rr.Reset
 	}
 	boundF := bound.Float64()
-	cfg := sim.Config{Speedup: p.Speedup, Budget: p.Budget}
+	// The aggregate reads only each run's miss count.
+	cfg := sim.Config{Speedup: p.Speedup, Budget: p.Budget, CountMissesOnly: true}
 	budgetF := p.Budget.Float64()
 
 	nChunks := (p.Runs + chunkSize - 1) / chunkSize
@@ -323,8 +324,8 @@ func (a *agg) observe(res *sim.Result, released int, boundF, budgetF float64) {
 	a.completed += int64(res.Completed)
 	a.dropped += int64(res.Dropped)
 	a.killed += int64(res.Killed)
-	a.misses += int64(len(res.Misses))
-	if len(res.Misses) > 0 {
+	a.misses += int64(res.MissCount)
+	if res.MissCount > 0 {
 		a.runsWithMiss++
 	}
 	for _, e := range res.Episodes {

@@ -66,6 +66,9 @@ func assertSameResult(t *testing.T, ctx string, want, got *Result) {
 		}
 	}
 	sameSlice("Misses", want.Misses, got.Misses, len(want.Misses), len(got.Misses))
+	if got.MissCount != len(got.Misses) {
+		t.Fatalf("%s: MissCount %d but %d miss records", ctx, got.MissCount, len(got.Misses))
+	}
 	sameSlice("Episodes", want.Episodes, got.Episodes, len(want.Episodes), len(got.Episodes))
 	sameSlice("Trace", want.Trace, got.Trace, len(want.Trace), len(got.Trace))
 	sameSlice("Jobs", want.Jobs, got.Jobs, len(want.Jobs), len(got.Jobs))

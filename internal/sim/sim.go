@@ -127,6 +127,11 @@ type Config struct {
 	CollectJobs bool
 	// CollectTrace records execution segments for Gantt rendering.
 	CollectTrace bool
+	// CountMissesOnly counts deadline misses in Result.MissCount without
+	// keeping a Miss record for each, so an overloaded run's memory does
+	// not grow with its misses. Result.Misses then stays empty. The
+	// Monte-Carlo fleet, which reads only the count, sets it.
+	CountMissesOnly bool
 }
 
 // Miss records one deadline miss.
@@ -173,7 +178,10 @@ type Segment struct {
 // overwrites every field, so a caller looping over many runs holds
 // buffer growth to the first iteration.
 type Result struct {
-	Misses    []Miss
+	Misses []Miss
+	// MissCount is the number of deadline misses: len(Misses), or the
+	// only record of them under Config.CountMissesOnly.
+	MissCount int
 	Episodes  []Episode
 	Completed int // jobs that ran to completion
 	Dropped   int // LO jobs rejected by termination or degraded admission
@@ -199,6 +207,7 @@ func (r *Result) MaxEpisode() rat.Rat {
 // counters, readying r for the next RunInto.
 func (r *Result) reset() {
 	r.Misses = r.Misses[:0]
+	r.MissCount = 0
 	r.Episodes = r.Episodes[:0]
 	r.Trace = r.Trace[:0]
 	r.Jobs = r.Jobs[:0]
@@ -276,7 +285,7 @@ func (sc *Scratch) run(w Workload) {
 			sc.admit(w[idx])
 			idx++
 		}
-		if sc.cfg.StopOnMiss && len(sc.res.Misses) > 0 {
+		if sc.cfg.StopOnMiss && sc.res.MissCount > 0 {
 			if sc.mode == task.HI {
 				sc.res.Episodes = append(sc.res.Episodes, Episode{
 					Start: rat.FromInt64(sc.episodeStart), BudgetTripped: sc.terminatedNow,
@@ -410,10 +419,13 @@ func (sc *Scratch) complete(i int) {
 	sc.res.Completed++
 	if !j.missed && !j.parked && sc.now > j.deadline {
 		j.missed = true
-		sc.res.Misses = append(sc.res.Misses, Miss{
-			Task: int(j.taskIdx), Arrival: j.arrival,
-			Deadline: sc.instant(j.deadline), DetectedAt: sc.instant(sc.now),
-		})
+		sc.res.MissCount++
+		if !sc.cfg.CountMissesOnly {
+			sc.res.Misses = append(sc.res.Misses, Miss{
+				Task: int(j.taskIdx), Arrival: j.arrival,
+				Deadline: sc.instant(j.deadline), DetectedAt: sc.instant(sc.now),
+			})
+		}
 	}
 	if sc.cfg.CollectJobs {
 		sc.res.Jobs = append(sc.res.Jobs, JobRecord{
@@ -432,10 +444,13 @@ func (sc *Scratch) detectMisses() {
 		j := &sc.pending[i]
 		if !j.missed && !j.parked && sc.now >= j.deadline {
 			j.missed = true
-			d := sc.instant(j.deadline)
-			sc.res.Misses = append(sc.res.Misses, Miss{
-				Task: int(j.taskIdx), Arrival: j.arrival, Deadline: d, DetectedAt: d,
-			})
+			sc.res.MissCount++
+			if !sc.cfg.CountMissesOnly {
+				d := sc.instant(j.deadline)
+				sc.res.Misses = append(sc.res.Misses, Miss{
+					Task: int(j.taskIdx), Arrival: j.arrival, Deadline: d, DetectedAt: d,
+				})
+			}
 		}
 	}
 }

@@ -359,3 +359,30 @@ func TestMaxEpisodeAccessor(t *testing.T) {
 		t.Error("empty MaxEpisode must be zero")
 	}
 }
+
+// TestCountMissesOnly: the count-only mode keeps no Miss records but
+// counts exactly the misses a recording run records, and changes nothing
+// else about the run.
+func TestCountMissesOnly(t *testing.T) {
+	s := task.Set{
+		task.NewLO("a", 2, 2, 1),
+		task.NewHI("b", 3, 2, 3, 1, 2),
+		task.NewLO("c", 4, 4, 1),
+	}
+	w := SynchronousPeriodic(s, 200, func(_, seq int) bool { return seq%3 == 0 })
+	for _, stop := range []bool{false, true} {
+		cfg := Config{Speedup: rat.One, StopOnMiss: stop}
+		want := mustRun(t, s, w, cfg)
+		cfg.CountMissesOnly = true
+		got := mustRun(t, s, w, cfg)
+		if len(want.Misses) == 0 || want.MissCount != len(want.Misses) {
+			t.Fatalf("stop=%v: recording run has %d misses, MissCount %d", stop, len(want.Misses), want.MissCount)
+		}
+		if len(got.Misses) != 0 || got.MissCount != want.MissCount {
+			t.Fatalf("stop=%v: count-only run kept %d records, counted %d, want 0 and %d",
+				stop, len(got.Misses), got.MissCount, want.MissCount)
+		}
+		got.Misses = want.Misses
+		assertSameResult(t, "count-only", want, got)
+	}
+}

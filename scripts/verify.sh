@@ -54,6 +54,11 @@ go test -fuzz FuzzBracketRound -fuzztime 10s -run '^$' ./internal/rat/
 # and leave the stream exactly where, the division-based Int63n does.
 go test -fuzz FuzzBoundBelow -fuzztime 10s -run '^$' ./internal/gen/
 
+# Cap-decision fuzz smoke: the HI-mode QPA behind the design searches'
+# probes must decide s_min ≤ cap exactly as the brute-force supremum and
+# the Theorem-2 walk do, and defer to the walk where it does not apply.
+go test -fuzz FuzzCapDecision -fuzztime 10s -run '^$' ./internal/core/
+
 # Delta fuzz smoke: random edit streams through a Session must reproduce
 # the cold analysis byte for byte (the incremental-analysis contract).
 go test -fuzz FuzzDeltaEquivalence -fuzztime 10s -run '^$' ./internal/core/
