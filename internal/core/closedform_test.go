@@ -55,7 +55,10 @@ func TestTaskSigmaEdgeCases(t *testing.T) {
 	}
 }
 
-// TestClosedFormSpeedupSound: Lemma 6 is an upper bound on Theorem 2.
+// TestClosedFormSpeedupSound: Lemma 6 is an upper bound on Theorem 2,
+// checked against both the exact walk and the brute-force supremum of
+// eq. (8), an oracle that shares no code with the walk (periods below 30
+// keep the scanned hyperperiods small).
 func TestClosedFormSpeedupSound(t *testing.T) {
 	rnd := rand.New(rand.NewSource(52))
 	tightCount := 0
@@ -72,6 +75,9 @@ func TestClosedFormSpeedupSound(t *testing.T) {
 		if bound.Eq(res.Speedup) {
 			tightCount++
 		}
+		if want := bruteMinSpeedup(s); bound.Cmp(want) < 0 {
+			t.Fatalf("closed form %v below brute-force s_min %v for:\n%s", bound, want, s.Table())
+		}
 	}
 	if tightCount == 0 {
 		t.Error("closed form never tight — suspicious")
@@ -79,7 +85,9 @@ func TestClosedFormSpeedupSound(t *testing.T) {
 }
 
 // TestClosedFormResetSound: Lemma 7 dominates the exact Corollary-5 value
-// whenever it is finite.
+// whenever it is finite, both the walk's and the brute-force scan's of
+// eq. (12). A finite Lemma-7 bound needs speed above the Lemma-6 bound,
+// hence above U_HI, so the scan always ends.
 func TestClosedFormResetSound(t *testing.T) {
 	rnd := rand.New(rand.NewSource(53))
 	finite := 0
@@ -98,6 +106,10 @@ func TestClosedFormResetSound(t *testing.T) {
 		if bound.Cmp(exact.Reset) < 0 {
 			t.Fatalf("closed-form Δ_R %v below exact %v (speed %v) for:\n%s",
 				bound, exact.Reset, speed, s.Table())
+		}
+		if want := bruteResetTime(s, speed); bound.Cmp(want) < 0 {
+			t.Fatalf("closed-form Δ_R %v below brute-force %v (speed %v) for:\n%s",
+				bound, want, speed, s.Table())
 		}
 	}
 	if finite == 0 {

@@ -11,11 +11,11 @@ import (
 // This file implements QPA — Quick Processor-demand Analysis (Zhang &
 // Burns, IEEE TC 2009) — as the production LO-mode EDF test behind
 // SchedulableLO. Instead of checking the processor demand criterion at
-// every absolute deadline up to the horizon L (the demandWalkLO below),
-// QPA iterates t ← h(t) (or the largest deadline below t) downward from
-// the last deadline before L, visiting only a tiny fraction of the
-// testing points. Both implementations are exact for U < 1; the walk is
-// kept as a differential-testing oracle and fallback.
+// every absolute deadline up to the horizon L, QPA iterates t ← h(t) (or
+// the largest deadline below t) downward from the last deadline before
+// L, visiting only a tiny fraction of the testing points. It is exact for
+// U < 1; the every-deadline walk it replaced (demandWalkLO, qpa_test.go)
+// is kept as its differential-testing oracle.
 
 // demandLO returns h(t) = Σ_i DBF_LO(τ_i, t).
 func demandLO(s task.Set, t task.Time) task.Time {
@@ -154,32 +154,6 @@ func qpaHI(plan *dbf.Plan, cap, uLo, uHi rat.Rat, maxIter int) (meets, decided b
 		return false, true, witness // demand at Δ = 0: s_min = +Inf
 	}
 	return true, true, witness
-}
-
-// demandWalkLO is the straightforward processor-demand walk over every
-// testing point (the pre-QPA implementation), kept as the differential
-// oracle for qpaLO.
-func demandWalkLO(s task.Set, limit int64) bool {
-	var h eventHeap
-	for i := range s {
-		h.push(s[i].Deadline[task.LO], i)
-	}
-	var demand task.Time
-	for h.Len() > 0 {
-		next := h.times[0]
-		if int64(next) > limit {
-			return true
-		}
-		for h.Len() > 0 && h.times[0] == next {
-			_, i := h.pop()
-			demand += s[i].WCET[task.LO]
-			h.push(next+s[i].Period[task.LO], i)
-		}
-		if demand > next {
-			return false
-		}
-	}
-	return true
 }
 
 // loHorizon computes the pseudo-polynomial PDC horizon

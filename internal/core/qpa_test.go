@@ -274,3 +274,30 @@ func FuzzCapDecision(f *testing.F) {
 		capOracle(t, s, smin, cap, uLo, uHi, maxIter)
 	})
 }
+
+// demandWalkLO is the straightforward processor-demand walk over every
+// testing point (the pre-QPA implementation), the differential oracle for
+// qpaLO.
+func demandWalkLO(s task.Set, limit int64) bool {
+	var h eventHeap
+	for i := range s {
+		h.append(s[i].Deadline[task.LO], i)
+	}
+	h.heapify()
+	var demand task.Time
+	for h.Len() > 0 {
+		next := h.times[0]
+		if int64(next) > limit {
+			return true
+		}
+		for h.Len() > 0 && h.times[0] == next {
+			i := h.tasks[0]
+			demand += s[i].WCET[task.LO]
+			h.replaceTop(next+s[i].Period[task.LO], i)
+		}
+		if demand > next {
+			return false
+		}
+	}
+	return true
+}

@@ -375,12 +375,24 @@ func minSpeedupWalk(s task.Set, uLo, uHi rat.Rat, hyper task.Time, hyperOK bool,
 		if b <= next {
 			continue
 		}
+		// O(1) screen: the curve is linear on [pos, next), jumps only
+		// upward at next and is non-decreasing after it, so every b > next
+		// has value(b) ≥ value(next) ≥ v + slope·(next − pos), the left
+		// limit at next. A left limit whose ratio to pos already exceeds
+		// the cutoff fails the certificate value(b) ≤ cutoff·pos without
+		// the O(n) evaluation (one 128-bit cross multiplication, no
+		// division), and the chunk halves exactly as a failed evaluation
+		// halves it, so the walk takes the same steps.
+		if ratioGreater(v+w.Slope()*(next-pos), pos, cutV, cutP) {
+			chunk /= 2
+			continue
+		}
 		// value(b) ≤ cutoff·pos, exactly, as an integer comparison
 		// against thr = floor(cutV·pos/cutP): value(b) is an integer, so
 		// the two predicates coincide. The capped evaluation exits the
 		// column pass the moment the running sum exceeds thr, which is
-		// where the (mostly failing) probes stop paying for the whole
-		// set.
+		// where the probes the screen lets through stop paying for the
+		// whole set.
 		if _, certified := plan.ValueCapped(b, floorMulDiv(cutV, pos, cutP)); certified {
 			w.SkipTo(b)
 			jumps++

@@ -56,80 +56,58 @@ func (h *eventHeap) reset(n int) {
 	h.times, h.tasks = h.times[:0], h.tasks[:0]
 }
 
-func (h *eventHeap) push(t task.Time, taskIdx int) {
-	h.times = append(h.times, t)
-	h.tasks = append(h.tasks, taskIdx)
-	i := len(h.times) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h.times[parent] <= h.times[i] {
-			break
-		}
-		h.times[parent], h.times[i] = h.times[i], h.times[parent]
-		h.tasks[parent], h.tasks[i] = h.tasks[i], h.tasks[parent]
-		i = parent
-	}
-}
-
 // append adds an entry without restoring heap order; callers batch
 // appends during Reset/SkipTo and fix the order with one heapify, which
-// is O(n) instead of the O(n log n) of n sifted pushes.
+// is O(n) instead of the O(n log n) of n sifted insertions.
 func (h *eventHeap) append(t task.Time, taskIdx int) {
 	h.times = append(h.times, t)
 	h.tasks = append(h.tasks, taskIdx)
 }
 
 // heapify restores the min-heap invariant over the appended entries by
-// the standard bottom-up sift-down build. Pop order among equal times is
-// unspecified either way: the walker drains all ties at a position before
-// acting, and its per-task updates commute, so walk results do not depend
-// on the construction method.
-func (h *eventHeap) heapify() {
-	n := len(h.times)
-	for i := n/2 - 1; i >= 0; i-- {
-		for {
-			l, r := 2*i+1, 2*i+2
-			smallest := i
-			if l < n && h.times[l] < h.times[smallest] {
-				smallest = l
-			}
-			if r < n && h.times[r] < h.times[smallest] {
-				smallest = r
-			}
-			if smallest == i {
-				break
-			}
-			h.times[i], h.times[smallest] = h.times[smallest], h.times[i]
-			h.tasks[i], h.tasks[smallest] = h.tasks[smallest], h.tasks[i]
-			i = smallest
-		}
+// the standard bottom-up sift-down build: each inner node, deepest first,
+// costs one step plus one per level it descends, and the node heights of
+// an n-entry heap sum to less than n, so the build takes fewer than
+// n/2 + n steps. It returns that step count. The order in which equal
+// times reach the top is unspecified either way: the walker drains all ties at a position
+// before acting, and its per-task updates commute, so walk results do
+// not depend on the construction method.
+func (h *eventHeap) heapify() (steps int) {
+	for i := len(h.times)/2 - 1; i >= 0; i-- {
+		steps += h.siftDown(i)
 	}
+	return steps
 }
 
-// pop removes and returns the minimum entry.
-func (h *eventHeap) pop() (task.Time, int) {
-	t, taskIdx := h.times[0], h.tasks[0]
-	n := len(h.times) - 1
-	h.times[0], h.tasks[0] = h.times[n], h.tasks[n]
-	h.times, h.tasks = h.times[:n], h.tasks[:n]
-	i := 0
+// replaceTop overwrites the minimum entry with (t, taskIdx) and restores
+// heap order in one sift-down, where a pop and a push would pay a
+// sift-down and a sift-up.
+func (h *eventHeap) replaceTop(t task.Time, taskIdx int) {
+	h.times[0], h.tasks[0] = t, taskIdx
+	h.siftDown(0)
+}
+
+// siftDown moves entry j down until neither child is smaller and returns
+// the number of nodes it visited (one more than the levels it descended).
+func (h *eventHeap) siftDown(j int) (steps int) {
+	n := len(h.times)
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
+		steps++
+		l, r := 2*j+1, 2*j+2
+		smallest := j
 		if l < n && h.times[l] < h.times[smallest] {
 			smallest = l
 		}
 		if r < n && h.times[r] < h.times[smallest] {
 			smallest = r
 		}
-		if smallest == i {
-			break
+		if smallest == j {
+			return steps
 		}
-		h.times[i], h.times[smallest] = h.times[smallest], h.times[i]
-		h.tasks[i], h.tasks[smallest] = h.tasks[smallest], h.tasks[i]
-		i = smallest
+		h.times[j], h.times[smallest] = h.times[smallest], h.times[j]
+		h.tasks[j], h.tasks[smallest] = h.tasks[smallest], h.tasks[j]
+		j = smallest
 	}
-	return t, taskIdx
 }
 
 // newHIWalker positions a fresh walker at Δ = 0 with all storage
@@ -244,17 +222,17 @@ func (w *hiWalker) Next() (ok bool) {
 	// ...then correct the tasks whose event fired: re-evaluate exactly,
 	// absorbing both slope changes and upward jumps.
 	for w.events.Len() > 0 && w.events.times[0] == next {
-		_, i := w.events.pop()
+		i := w.events.tasks[0]
 		predicted := w.taskVal[i] + w.taskSlope[i]*(next-w.taskPos[i])
-		exact, slope, nn, hasNext := w.plan.TaskStep(i, next)
+		// Only active rows enter the heap, and an active row always has
+		// a next event, so the fired task's successor takes its slot.
+		exact, slope, nn, _ := w.plan.TaskStep(i, next)
 		w.value += exact - predicted
 		w.slope += slope - w.taskSlope[i]
 		w.taskVal[i] = exact
 		w.taskPos[i] = next
 		w.taskSlope[i] = slope
-		if hasNext {
-			w.events.push(nn, i)
-		}
+		w.events.replaceTop(nn, i)
 	}
 	return true
 }

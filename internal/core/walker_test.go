@@ -191,6 +191,94 @@ func TestWalkerPropertyCoincidenceHeavy(t *testing.T) {
 	}
 }
 
+// TestProbeScreenBelowValue: the Theorem-2 walk's O(1) probe screen
+// rejects a skip probe b > next when the left limit at the next event,
+// Value + Slope·(next − Pos), exceeds the certificate threshold. That is
+// sound only if the left limit never exceeds Plan.Value(b) for any
+// b ≥ next; check it at walker positions reached by both Next and
+// SkipTo, for both curve kinds, on random and sweep-shaped sets.
+func TestProbeScreenBelowValue(t *testing.T) {
+	rnd := rand.New(rand.NewSource(26))
+	sets := []task.Set{}
+	for i := 0; i < 150; i++ {
+		sets = append(sets, randomSet(rnd, 1+rnd.Intn(6), 40))
+	}
+	for i := 0; i < 20; i++ {
+		sets = append(sets, sweepShapedSet(t, 2, i))
+	}
+	checked := 0
+	for _, s := range sets {
+		for _, kind := range []dbf.Kind{dbf.KindDBF, dbf.KindADB} {
+			w := newHIWalker(s, kind)
+			maxT := task.Time(1)
+			for i := range s {
+				if !s[i].Terminated() && s[i].Period[task.HI] > maxT {
+					maxT = s[i].Period[task.HI]
+				}
+			}
+			for step := 0; step < 60; step++ {
+				if rnd.Intn(4) == 0 {
+					w.SkipTo(w.Pos() + 1 + task.Time(rnd.Int63n(int64(4*maxT))))
+				} else if !w.Next() {
+					break
+				}
+				next, ok := w.PeekNext()
+				if !ok {
+					break
+				}
+				bound := w.Value() + w.Slope()*(next-w.Pos())
+				for j := 0; j < 8; j++ {
+					b := next + task.Time(rnd.Int63n(int64(3*maxT)))
+					if v := w.Plan().Value(b); bound > v {
+						t.Fatalf("kind %d: screen bound %d at pos %d (next %d) exceeds Value(%d) = %d\n%s",
+							kind, bound, w.Pos(), next, b, v, s.Table())
+					}
+					checked++
+				}
+			}
+		}
+	}
+	if checked < 10000 {
+		t.Fatalf("only %d screen checks ran", checked)
+	}
+}
+
+// TestHeapifyLinear counts the sift steps of eventHeap.heapify, one per
+// node visit during a sift-down, against the linear bound of the
+// bottom-up build: each of the ⌊n/2⌋ inner nodes costs one step plus one
+// per level it descends, and the node heights of an n-entry heap sum to
+// less than n, so a build takes at most ⌊n/2⌋ + n steps. Results alone
+// cannot catch a quadratic build — it still returns a valid heap — so
+// the step count is what this pins, on descending keys (every node sifts
+// to the bottom), ascending keys, ties and random keys.
+func TestHeapifyLinear(t *testing.T) {
+	rnd := rand.New(rand.NewSource(8000))
+	orders := map[string]func(i, n int) task.Time{
+		"descending": func(i, n int) task.Time { return task.Time(n - i) },
+		"ascending":  func(i, n int) task.Time { return task.Time(i) },
+		"ties":       func(i, n int) task.Time { return task.Time(i % 3) },
+		"random":     func(i, n int) task.Time { return task.Time(rnd.Int63n(1 << 20)) },
+	}
+	for name, key := range orders {
+		for _, n := range []int{0, 1, 2, 3, 7, 8, 100, 1023, 4096, 8000} {
+			var h eventHeap
+			h.reset(n)
+			for i := 0; i < n; i++ {
+				h.append(key(i, n), i)
+			}
+			steps := h.heapify()
+			if limit := n/2 + n; steps > limit {
+				t.Errorf("%s n=%d: heapify took %d sift steps, linear bound %d", name, n, steps, limit)
+			}
+			for i := 1; i < n; i++ {
+				if h.times[(i-1)/2] > h.times[i] {
+					t.Fatalf("%s n=%d: heap order broken at %d", name, n, i)
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkWalkerVsDirect(b *testing.B) {
 	rnd := rand.New(rand.NewSource(303))
 	s := randomSet(rnd, 12, 40)

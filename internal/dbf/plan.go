@@ -21,6 +21,7 @@ package dbf
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"mcspeedup/internal/task"
@@ -177,28 +178,45 @@ func (p *Plan) Intercept() task.Time { return p.intercept }
 
 // divFloorMax bounds the intervals divFloor handles on its multiply path:
 // below 2^51 the float64 quotient guess is within one of floor(Δ/T) (the
-// relative error of one rounded multiply is < 2^-52, so the absolute
-// error stays under 1), and the two fixup steps make it exact. Larger
-// intervals — beyond every walk horizon, but reachable through the
-// exported dbf API — fall back to the hardware division.
+// rounded reciprocal and the rounded product each carry a relative error
+// below 2^-53, so the absolute error stays under 2^51·2^-52 = 1/2 and the
+// truncated guess misses by at most one), and one remainder fix-up makes
+// it exact. Larger intervals — beyond every walk horizon, but reachable
+// through the exported dbf API — fall back to the hardware division.
 const divFloorMax = task.Time(1) << 51
 
 // divFloor returns Δ/period exactly, replacing the hardware division
-// with a float64 reciprocal multiply plus an integer fixup. The walks
-// evaluate every task at every examined event, so this single division
-// dominates the per-event cost on the columnar fast path.
+// with a float64 reciprocal multiply plus one integer fix-up of the
+// remainder r = Δ − q·T: a guess one too high leaves r < 0, so r>>63 is
+// −1; one too low leaves r ≥ T, so (T−1−r)>>63 is −1; the two sign
+// shifts correct q without a branch. The walks evaluate every task at
+// every examined event, so this single division dominates the per-event
+// cost on the columnar fast path.
 func divFloor(delta, period task.Time, inv float64) task.Time {
 	if delta >= divFloorMax {
 		return delta / period
 	}
 	q := task.Time(float64(delta) * inv)
-	for q > 0 && q*period > delta {
-		q--
-	}
-	for (q+1)*period <= delta {
-		q++
-	}
-	return q
+	r := delta - q*period
+	return q + r>>63 - (period-1-r)>>63
+}
+
+// rowAt is the row kernel every plan evaluator shares: an active row's
+// (period > 0) phase Δ − ⌊Δ/T⌋·T within its period and its curve value
+//
+//	⌊Δ/T⌋·C(HI) + add + ramp(w),  w = phase − off,
+//	ramp(w) = min(w, C(LO)) + C(HI) − C(LO) for w ≥ 0, 0 for w < 0,
+//
+// which is HIMode (KindDBF) or ADB (KindADB) on the compiled task. The
+// ramp term is branch-free: m = min(w, C(LO)) is negative exactly when w
+// is (C(LO) ≥ 0), m>>63 is then all ones, and &^ clears the term. rowAt
+// is small enough to inline into every caller (go build -gcflags=-m
+// ./internal/dbf reports it; the budget is 80 and rowAt costs 80).
+func rowAt(delta, period task.Time, inv float64, off, cLO, cHI, dC, add task.Time) (phase, v task.Time) {
+	q := divFloor(delta, period, inv)
+	phase = delta - q*period
+	m := min(phase-off, cLO)
+	return phase, q*cHI + add + (m+dC)&^(m>>63)
 }
 
 // Len returns the number of compiled rows.
@@ -217,21 +235,16 @@ func (p *Plan) TaskValue(i int, delta task.Time) task.Time {
 	if period == 0 {
 		return p.add[i]
 	}
-	q := divFloor(delta, period, p.inv[i])
-	v := q*p.cHI[i] + p.add[i]
-	if w := delta - q*period - p.off[i]; w >= 0 {
-		if w > p.cLO[i] {
-			w = p.cLO[i]
-		}
-		v += w + p.dC[i]
-	}
+	_, v := rowAt(delta, period, p.inv[i], p.off[i], p.cLO[i], p.cHI[i], p.dC[i], p.add[i])
 	return v
 }
 
 // TaskStep returns row i's value, right slope, and next event at Δ in a
 // single call — exactly TaskValue, RightSlope, and NextEvent on the
 // compiled task, sharing one phase decomposition instead of paying one
-// division each. The candidate event order matches NextEvent exactly.
+// division each. Within a period the row's events are the ramp start
+// off, the ramp end end ≥ off and the next period start, so the phase
+// alone picks the next one; the ramp [off, end) is where the slope is 1.
 // The walkers use it everywhere a task is (re)positioned: at reset, after
 // a fired event, and on bulk skips.
 func (p *Plan) TaskStep(i int, delta task.Time) (v, slope, next task.Time, ok bool) {
@@ -239,63 +252,25 @@ func (p *Plan) TaskStep(i int, delta task.Time) (v, slope, next task.Time, ok bo
 	if period == 0 {
 		return p.add[i], 0, 0, false
 	}
-	q := divFloor(delta, period, p.inv[i])
-	base := q * period
-	phase := delta - base
 	off, end := p.off[i], p.end[i]
-	v = q*p.cHI[i] + p.add[i]
-	if w := phase - off; w >= 0 {
-		if w > p.cLO[i] {
-			w = p.cLO[i]
-		}
-		v += w + p.dC[i]
+	phase, v := rowAt(delta, period, p.inv[i], off, p.cLO[i], p.cHI[i], p.dC[i], p.add[i])
+	base := delta - phase
+	switch {
+	case phase < off:
+		return v, 0, base + off, true
+	case phase < end:
+		return v, 1, base + end, true
+	default:
+		return v, 0, base + period, true
 	}
-	if phase >= off && phase < end {
-		slope = 1
-	}
-	for k := 0; k < 2; k++ {
-		if c := base + off; c > delta {
-			return v, slope, c, true
-		}
-		if c := base + end; c > delta {
-			return v, slope, c, true
-		}
-		base += period
-		if c := base; c > delta {
-			return v, slope, c, true
-		}
-	}
-	// Unreachable: base+2T > delta always.
-	panic("dbf: TaskStep found no candidate")
 }
 
 // Value returns the summed curve at Δ — exactly SetHIMode (KindDBF) or
 // SetADB (KindADB) over the compiled rows — via one pass over the
 // columns.
 func (p *Plan) Value(delta task.Time) task.Time {
-	if delta < 0 {
-		panic(fmt.Errorf("%w %d", ErrNegativeInterval, delta))
-	}
-	var sum task.Time
-	n := p.n
-	period, inv := p.period[:n], p.inv[:n]
-	off, cLO := p.off[:n], p.cLO[:n]
-	cHI, dC, add := p.cHI[:n], p.dC[:n], p.add[:n]
-	for i, T := range period {
-		if T == 0 {
-			sum += add[i]
-			continue
-		}
-		q := divFloor(delta, T, inv[i])
-		sum += q*cHI[i] + add[i]
-		if w := delta - q*T - off[i]; w >= 0 {
-			if w > cLO[i] {
-				w = cLO[i]
-			}
-			sum += w + dC[i]
-		}
-	}
-	return sum
+	v, _ := p.ValueCapped(delta, math.MaxInt64)
+	return v
 }
 
 // ValueCapped evaluates the summed curve at Δ against a limit: it returns
@@ -317,14 +292,8 @@ func (p *Plan) ValueCapped(delta, limit task.Time) (task.Time, bool) {
 		if T == 0 {
 			sum += add[i]
 		} else {
-			q := divFloor(delta, T, inv[i])
-			sum += q*cHI[i] + add[i]
-			if w := delta - q*T - off[i]; w >= 0 {
-				if w > cLO[i] {
-					w = cLO[i]
-				}
-				sum += w + dC[i]
-			}
+			_, v := rowAt(delta, T, inv[i], off[i], cLO[i], cHI[i], dC[i], add[i])
+			sum += v
 		}
 		if sum > limit {
 			return sum, false
@@ -353,18 +322,10 @@ func (p *Plan) BulkEval(dst, deltas []task.Time) []task.Time {
 			base += p.add[i]
 			continue
 		}
-		off, end0 := p.off[i], p.cLO[i]
+		inv, off, cLO := p.inv[i], p.off[i], p.cLO[i]
 		cHI, dC, add := p.cHI[i], p.dC[i], p.add[i]
-		inv := p.inv[i]
 		for j, d := range deltas {
-			q := divFloor(d, period, inv)
-			v := q*cHI + add
-			if w := d - q*period - off; w >= 0 {
-				if w > end0 {
-					w = end0
-				}
-				v += w + dC
-			}
+			_, v := rowAt(d, period, inv, off, cLO, cHI, dC, add)
 			dst[j] += v
 		}
 	}

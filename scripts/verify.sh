@@ -45,6 +45,13 @@ go test -run Alloc ./internal/sim/ ./internal/fleet/
 # part of the suite above).
 go test -fuzz FuzzWalkEquivalence -fuzztime 10s -run '^$' ./internal/core/
 
+# Plan-row fuzz smoke: every compiled-plan evaluator (the shared row
+# kernel behind TaskValue, TaskStep, Value, ValueCapped and BulkEval)
+# must match the scalar HIMode/ADB, RightSlope and NextEvent closed forms
+# for both curve kinds, at event points, their neighbours and around the
+# division's multiply-path cutoff.
+go test -fuzz FuzzPlanRows -fuzztime 10s -run '^$' ./internal/dbf/
+
 # Bracket fuzz smoke: whenever the 128-bit utilization bracket decides a
 # rounding, a comparison or a horizon bound, it must agree with the exact
 # big.Rat sum of the same terms.
