@@ -157,23 +157,28 @@ func cpuModel() string {
 	return ""
 }
 
-// compareBaseline diffs fresh benchmark results against the baseline
-// BENCH_core.json at path. Alloc-counter increases always count as
+// readBenchDoc reads the BENCH_core.json document at path.
+func readBenchDoc(path string) (benchDoc, error) {
+	var doc benchDoc
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return doc, err
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return doc, fmt.Errorf("%s is not a BENCH_core.json document: %v", path, err)
+	}
+	return doc, nil
+}
+
+// compareBaseline diffs fresh benchmark results against base, the
+// baseline read from path. Alloc-counter increases always count as
 // regressions — allocs/op is machine-independent, so any growth is a
 // real code change. ns/op slowdowns beyond tol count only when nsFail
 // is set; with nsFail false they are demoted to warnings (GitHub
 // ::warning annotations under Actions), which is how CI's perf-gate job
 // runs on noisy shared runners. Benchmarks present on only one side are
 // reported informationally and never fail the comparison.
-func compareBaseline(path string, fresh []benchEntry, tol float64, nsFail bool) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base benchDoc
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("%s is not a BENCH_core.json document: %v", path, err)
-	}
+func compareBaseline(path string, base benchDoc, fresh []benchEntry, tol float64, nsFail bool) error {
 	baseline := make(map[string]benchEntry, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
 		baseline[b.Name] = b
@@ -366,28 +371,98 @@ func genPrepared(seed int64, uBound float64) mcspeedup.Set {
 	}
 }
 
+// config is the parsed command line.
+type config struct {
+	out, trajectory, compare, cpuprofile string
+	grid, workers                        int
+	compareTol                           float64
+	compareNS                            bool
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mcs-bench: ")
-	var (
-		out        = flag.String("out", "BENCH_core.json", "output path (- = stdout)")
-		trajectory = flag.String("trajectory", "", "append a dated entry to this JSON-array history file")
-		grid       = flag.Int("grid", 9, "Fig.-5 sweep grid resolution")
-		workers    = flag.Int("workers", 0, "Fig.-5 sweep workers (0 = all cores)")
-		compare    = flag.String("compare", "", "baseline BENCH_core.json to diff against; exit nonzero on regression")
-		compareTol = flag.Float64("compare-tol", 0.15, "ns/op slowdown tolerated by -compare")
-		compareNS  = flag.Bool("compare-ns-fail", true, "fail -compare on ns/op regressions (false: warn only; allocs/op increases always fail)")
-		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the benchmark run to this file")
-	)
+	var c config
+	flag.StringVar(&c.out, "out", "BENCH_core.json", "output path (- = stdout)")
+	flag.StringVar(&c.trajectory, "trajectory", "", "append a dated entry to this JSON-array history file")
+	flag.IntVar(&c.grid, "grid", 9, "Fig.-5 sweep grid resolution")
+	flag.IntVar(&c.workers, "workers", 0, "Fig.-5 sweep workers (0 = all cores)")
+	flag.StringVar(&c.compare, "compare", "", "baseline BENCH_core.json to diff against; exit nonzero on regression")
+	flag.Float64Var(&c.compareTol, "compare-tol", 0.15, "ns/op slowdown tolerated by -compare")
+	flag.BoolVar(&c.compareNS, "compare-ns-fail", true, "fail -compare on ns/op regressions (false: warn only; allocs/op increases always fail)")
+	flag.StringVar(&c.cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the benchmark run to this file")
 	flag.Parse()
+	if err := run(c, benchmark); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run reads the -compare baseline, measures through bench, writes -out
+// and -trajectory, and then diffs the fresh numbers against the
+// baseline. The baseline is read before anything is written: -out
+// defaults to BENCH_core.json, the file a comparison usually names, and
+// reading it after the write would compare the run with itself.
+func run(c config, bench func(config) benchDoc) error {
+	var base benchDoc
+	if c.compare != "" {
+		var err error
+		if base, err = readBenchDoc(c.compare); err != nil {
+			return err
+		}
+	}
+	doc := bench(c)
+
+	rev := gitRev() // before -out rewrites a tracked file
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	data = append(data, '\n')
+	if c.out == "-" {
+		fmt.Print(string(data))
+	} else {
+		if err := os.WriteFile(c.out, data, 0o644); err != nil {
+			return err
+		}
+		log.Printf("wrote %s", c.out)
+	}
+
+	if c.trajectory != "" {
+		entry := trajectoryEntry{
+			Date:       doc.GeneratedAt,
+			GitRev:     rev,
+			GoVersion:  doc.GoVersion,
+			NumCPU:     doc.NumCPU,
+			GoMaxProcs: doc.GoMaxProcs,
+			CPUModel:   doc.CPUModel,
+			Benchmarks: doc.Benchmarks,
+			FMSEvents:  fmsEventCounts(fmsPrepared()),
+		}
+		if err := appendTrajectory(c.trajectory, entry); err != nil {
+			return err
+		}
+		log.Printf("appended %s @ %s to %s", entry.Date, entry.GitRev, c.trajectory)
+	}
+
+	if c.compare != "" {
+		if err := compareBaseline(c.compare, base, doc.Benchmarks, c.compareTol, c.compareNS); err != nil {
+			return err
+		}
+		log.Printf("compare: no regressions vs %s", c.compare)
+	}
+	return nil
+}
+
+// benchmark runs every benchmark and the timed Fig.-5 sweep, under a CPU
+// profile when c.cpuprofile is set.
+func benchmark(c config) benchDoc {
 	fms := fmsPrepared()
 	synth := genPrepared(77, 0.7)
 	scratch := new(mcspeedup.AnalysisScratch)
 	withScratch := mcspeedup.AnalysisOptions{Scratch: scratch}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	if c.cpuprofile != "" {
+		f, err := os.Create(c.cpuprofile)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -396,7 +471,7 @@ func main() {
 		}
 		// The profile covers the benchmark loops and the Fig.-5 sweep —
 		// the analysis hot paths — not the file writes;
-		// stopCPUProfile below is called right after the sweep.
+		// StopCPUProfile below is called right after the sweep.
 		defer f.Close()
 	}
 
@@ -519,53 +594,15 @@ func main() {
 		sessionEdit("SessionEditDLOFMS", fms, mcspeedup.ParamDLO))
 
 	start := time.Now()
-	if _, err := mcspeedup.ExperimentFig5(*grid, *workers); err != nil {
+	if _, err := mcspeedup.ExperimentFig5(c.grid, c.workers); err != nil {
 		log.Fatal(err)
 	}
-	doc.Fig5 = fig5Entry{Grid: *grid, Workers: *workers, Seconds: time.Since(start).Seconds()}
-	log.Printf("fig5 sweep (grid %d, workers %d): %.3fs", *grid, *workers, doc.Fig5.Seconds)
+	doc.Fig5 = fig5Entry{Grid: c.grid, Workers: c.workers, Seconds: time.Since(start).Seconds()}
+	log.Printf("fig5 sweep (grid %d, workers %d): %.3fs", c.grid, c.workers, doc.Fig5.Seconds)
 
-	if *cpuprofile != "" {
+	if c.cpuprofile != "" {
 		pprof.StopCPUProfile()
-		log.Printf("wrote CPU profile to %s", *cpuprofile)
+		log.Printf("wrote CPU profile to %s", c.cpuprofile)
 	}
-
-	rev := gitRev() // before -out rewrites a tracked file
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	data = append(data, '\n')
-	if *out == "-" {
-		fmt.Print(string(data))
-	} else {
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s", *out)
-	}
-
-	if *trajectory != "" {
-		entry := trajectoryEntry{
-			Date:       doc.GeneratedAt,
-			GitRev:     rev,
-			GoVersion:  doc.GoVersion,
-			NumCPU:     doc.NumCPU,
-			GoMaxProcs: doc.GoMaxProcs,
-			CPUModel:   doc.CPUModel,
-			Benchmarks: doc.Benchmarks,
-			FMSEvents:  fmsEventCounts(fms),
-		}
-		if err := appendTrajectory(*trajectory, entry); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("appended %s @ %s to %s", entry.Date, entry.GitRev, *trajectory)
-	}
-
-	if *compare != "" {
-		if err := compareBaseline(*compare, doc.Benchmarks, *compareTol, *compareNS); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("compare: no regressions vs %s", *compare)
-	}
+	return doc
 }

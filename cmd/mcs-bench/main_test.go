@@ -31,6 +31,10 @@ func TestCompareBaseline(t *testing.T) {
 		{Name: "Dropped", NsPerOp: 10, AllocsPerOp: 0},
 	}
 	path := writeBaseline(t, base)
+	doc, err := readBenchDoc(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name    string
@@ -87,7 +91,7 @@ func TestCompareBaseline(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := compareBaseline(path, tc.fresh, 0.15, tc.nsFail)
+			err := compareBaseline(path, doc, tc.fresh, 0.15, tc.nsFail)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected failure: %v", err)
@@ -105,14 +109,44 @@ func TestCompareBaseline(t *testing.T) {
 }
 
 func TestCompareBaselineBadInputs(t *testing.T) {
-	if err := compareBaseline(filepath.Join(t.TempDir(), "missing.json"), nil, 0.15, true); err == nil {
+	if _, err := readBenchDoc(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing baseline file: want error")
 	}
 	bad := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(bad, []byte("[1, 2]"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := compareBaseline(bad, nil, 0.15, true); err == nil {
+	if _, err := readBenchDoc(bad); err == nil {
 		t.Error("non-document baseline: want error")
+	}
+	// A missing baseline fails the run before any benchmark runs.
+	c := config{out: "-", compare: filepath.Join(t.TempDir(), "missing.json")}
+	err := run(c, func(config) benchDoc {
+		t.Fatal("benchmarks ran before the baseline was read")
+		return benchDoc{}
+	})
+	if err == nil {
+		t.Error("run with a missing baseline: want error")
+	}
+}
+
+// TestRunComparesAgainstBaselineBeforeOverwrite runs the command with
+// -out and -compare naming the same file, the default BENCH_core.json
+// case: the fresh numbers must be diffed against the file's old content,
+// not against themselves after -out rewrote it.
+func TestRunComparesAgainstBaselineBeforeOverwrite(t *testing.T) {
+	path := writeBaseline(t, []benchEntry{{Name: "MinimalY", NsPerOp: 5000, AllocsPerOp: 7}})
+	fresh := benchDoc{GoVersion: "go-test", Benchmarks: []benchEntry{{Name: "MinimalY", NsPerOp: 5000, AllocsPerOp: 8}}}
+	c := config{out: path, compare: path, compareTol: 0.15, compareNS: true}
+	err := run(c, func(config) benchDoc { return fresh })
+	if err == nil || !strings.Contains(err.Error(), "MinimalY: allocs/op 7 -> 8") {
+		t.Fatalf("run err %v, want the allocs/op regression against the old baseline", err)
+	}
+	written, rerr := readBenchDoc(path)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	if len(written.Benchmarks) != 1 || written.Benchmarks[0].AllocsPerOp != 8 {
+		t.Fatalf("-out holds %+v, want the fresh numbers", written.Benchmarks)
 	}
 }

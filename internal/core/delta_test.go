@@ -479,43 +479,6 @@ func BenchmarkSessionEdit(b *testing.B) {
 	}
 }
 
-// TestMinSpeedForResetWarmWitnessInvariance pins the warm-seed soundness
-// of the Corollary-5 inverse: any WarmResetWitness — the previous
-// decisive Δ, a random position, or the budget itself — must leave the
-// entire payload (Speed, Attained, WitnessDelta) bit-identical to the
-// reference walk, and never make the walk examine more events than it.
-func TestMinSpeedForResetWarmWitnessInvariance(t *testing.T) {
-	budgets := []task.Time{7, 64, 500}
-	for si, s := range deltaSets(t) {
-		for _, b := range budgets {
-			cold, errC := referenceMinSpeedForReset(s, b, Options{})
-			if _, errB := MinSpeedForResetOpts(s, b, Options{}); (errC == nil) != (errB == nil) {
-				t.Fatalf("set %d budget %d: error mismatch %v vs %v", si, b, errC, errB)
-			}
-			if errC != nil {
-				continue
-			}
-			for _, w := range []task.Time{1, b/2 + 1, b, 3*b + 7, cold.WitnessDelta} {
-				if w <= 0 {
-					continue
-				}
-				warm, err := MinSpeedForResetOpts(s, b, Options{WarmResetWitness: w})
-				if err != nil {
-					t.Fatalf("set %d budget %d witness %d: %v", si, b, w, err)
-				}
-				if !sameSpeedForResetPayload(warm, cold) {
-					t.Fatalf("set %d budget %d witness %d: warm %+v != cold %+v\n%s",
-						si, b, w, warm, cold, s.Table())
-				}
-				if warm.Events > cold.Events {
-					t.Fatalf("set %d budget %d witness %d: warm examined %d events > cold %d",
-						si, b, w, warm.Events, cold.Events)
-				}
-			}
-		}
-	}
-}
-
 // FuzzDeltaEquivalence fuzzes the whole delta pipeline: a random set, a
 // random edit stream, and after every applied edit the session's
 // incrementally re-analyzed Report must be byte-identical to the cold

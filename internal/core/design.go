@@ -32,8 +32,6 @@ type SpeedForResetResult struct {
 	Attained bool
 	// WitnessDelta is the position of the last strict improvement of the
 	// running infimum — the Δ whose ratio (or left limit) decided Speed.
-	// Feeding it back as Options.WarmResetWitness warm-starts an
-	// adjacent configuration's walk.
 	WitnessDelta task.Time
 	// Events is the number of slope-change events examined one by one.
 	// It is never higher — and usually far lower — than the plain walk
@@ -73,18 +71,11 @@ func MinSpeedForReset(s task.Set, budget task.Time) (SpeedForResetResult, error)
 // irrelevant: the curve is non-decreasing, so with v = ΣADB_HI(pos)
 // every position Δ in (pos, b] has ratio value(Δ)/Δ ≥ v/Δ ≥ v/b — and
 // the same holds for the left limits, whose values are also ≥ v. When b
-// is chosen so that b·cutoff < v (the largest such integer,
-// rat.MaxIntBelowRatio), every skipped ratio and left limit is therefore
-// strictly above the cutoff: with cutoff = best none can lower the
-// infimum or flip Attained (which only changes on ratios ≤ best), so the
-// result is bit-identical to a walk visiting every event. An
-// Options.WarmResetWitness tightens the cutoff to min(best, seed) before
-// the running infimum has caught up; the seed is itself a ratio of the
-// current curve at one position, hence ≥ the true infimum, and the skip
-// stays strict — every position whose ratio ties or beats the infimum
-// (in particular the decisive WitnessDelta and every Attained-deciding
-// point) is still examined, which is what keeps warm results
-// bit-identical to cold ones.
+// is chosen so that b·best < v (the largest such integer,
+// rat.MaxIntBelowRatio), with best the running infimum, every skipped
+// ratio and left limit is therefore strictly above best: none can lower
+// the infimum or flip Attained (which only changes on ratios ≤ best), so
+// the result is bit-identical to a walk visiting every event.
 //
 // The walk honors Options.MaxEvents: a budget dense enough to exceed the
 // event cap yields an error rather than an unbounded walk.
@@ -114,25 +105,15 @@ func MinSpeedForResetOpts(s task.Set, budget task.Time, o Options) (SpeedForRese
 			attained = attained || pointAttained
 		}
 	}
-	// Warm seed: the ratio at the prior decisive Δ (clamped to the
-	// budget) primes the skip cutoff; see the function comment.
-	cutoffSeed := rat.PosInf
-	if o.WarmResetWitness > 0 {
-		p := o.WarmResetWitness
-		if p > budget {
-			p = budget
-		}
-		cutoffSeed = rat.New(int64(dbf.SetADB(s, p)), int64(p))
-	}
 	for {
 		next, ok := w.PeekNext()
 		if !ok || next > budget {
 			break
 		}
 		// Incumbent bulk skip (see the function comment for the proof).
-		if cutoff := rat.Min(best, cutoffSeed); cutoff.Sign() > 0 && !cutoff.IsInf() {
+		if best.Sign() > 0 && !best.IsInf() {
 			if v := w.Value(); v > 0 {
-				b := task.Time(rat.MaxIntBelowRatio(int64(v), cutoff, int64(budget)))
+				b := task.Time(rat.MaxIntBelowRatio(int64(v), best, int64(budget)))
 				if b > next {
 					w.SkipTo(b)
 					jumps++
@@ -167,25 +148,21 @@ func MinSpeedForResetOpts(s task.Set, budget task.Time, o Options) (SpeedForRese
 // threshold?" for the stream of closely related sets a design search
 // generates. Adjacent bisection candidates differ by one scaling factor
 // and usually share their decisive witness Δ, so each query first
-// re-evaluates the summed DBF ratio at the previous full walk's
-// WitnessDelta — an O(n) rejection certificate: the ratio at any single
-// Δ > 0 lower-bounds the Theorem-2 supremum, so a point already above
-// the threshold rejects the candidate without walking its events. Only
+// re-evaluates the summed DBF ratio at the previous decision's witness
+// Δ — an O(n) rejection certificate: the ratio at any single Δ > 0
+// lower-bounds the Theorem-2 supremum, so a point already above the
+// threshold rejects the candidate without walking its events. Only
 // inconclusive certificates (and every accepted candidate) pay a
 // decision, and that decision does not measure the supremum: it is the
 // HI-mode QPA (qpaHI), which descends from the point where the tight
 // envelope U_HI + B/Δ (B = dbf.Plan.Intercept) meets the cap and checks
 // ΣDBF_HI(t) ≤ cap·t at a few integer points. Where QPA does not apply
 // (a cap within the utilization bracket, a start point beyond the skip
-// horizon, or more than MaxEvents iterations) the probe walks instead,
-// carrying the threshold as its Options.CapHint, so its bulk skips are
-// certified against the cap itself — value(b) ≤ ⌊cap·pos⌋ proves every
-// ratio in (pos, b] strictly below the cap, so no event above the cap is
-// ever skipped — and an accepting walk stops chasing the exact
-// supremum. Decisions are bit-identical to always walking the full
-// supremum: the certificate skips exactly the decisions whose outcome it
-// has proved, QPA is exact, and the cap-certified skips discard only
-// ratios that cannot flip the walk's.
+// horizon, or more than MaxEvents iterations) the probe runs the plain
+// warm-started Theorem-2 walk and compares its supremum with the cap.
+// Decisions are bit-identical to always walking the full supremum: the
+// certificate skips exactly the decisions whose outcome it has proved,
+// and QPA is exact.
 //
 // The LO-mode side of the x searches (MinimalX, which FeasibleXWindow
 // starts from) decides its probes the same way, without a capProbe: QPA
@@ -198,9 +175,10 @@ type capProbe struct {
 	witness task.Time
 	// decisions counts the probes the certificate left open (each a QPA
 	// decision or a walk, plus every objective walk), pruned the
-	// certificate rejections, for tests and benchmarks to assert pruning
-	// happens.
-	decisions, pruned int
+	// certificate rejections and walks the Theorem-2 walks among the
+	// decisions, for tests to assert pruning happens and to see which
+	// path decided.
+	decisions, pruned, walks int
 }
 
 // newCapProbe builds a probe over o, materializing a private Scratch
@@ -216,17 +194,12 @@ func newCapProbe(o Options) *capProbe {
 // atLeast reports whether the certificate proves s_min ≥ bound for the
 // state's current set (strict > when strict is set). An inconclusive
 // certificate reports false — it never decides acceptance, only
-// rejection. The summed DBF at the witness Δ is evaluated through the
-// cross-candidate memo: the Scratch-owned dbf.PointMemo caches each
-// task's curve value keyed by its parameter tuple, so the stream of
-// closely related candidates a design search probes recomputes only the
-// tasks the last edit touched — O(changed) instead of O(n) — with a sum
-// exactly equal to the direct evaluation.
+// rejection.
 func (p *capProbe) atLeast(st *dbf.SetState, bound rat.Rat, strict bool) bool {
 	if p.witness <= 0 {
 		return false
 	}
-	v := p.opts.Scratch.memo.Value(st.Tasks(), dbf.KindDBF, p.witness)
+	v := dbf.SetHIMode(st.Tasks(), p.witness)
 	c := bound.CmpRatio(int64(v), int64(p.witness))
 	if c < 0 || (c == 0 && !strict) {
 		p.pruned++
@@ -249,11 +222,9 @@ func (p *capProbe) atLeast(st *dbf.SetState, bound rat.Rat, strict bool) bool {
 // aggregates, bit-identical to a cold MinSpeedup of the same set values.
 func (p *capProbe) speedup(st *dbf.SetState) (SpeedupResult, error) {
 	p.decisions++
+	p.walks++
 	opts := p.opts
 	opts.WarmWitness = p.witness
-	// The objective needs the supremum itself, which a caller's CapHint
-	// would replace by the cap on every accepting walk.
-	opts.CapHint = rat.Rat{}
 	res, err := minSpeedupState(st, opts)
 	if err == nil && res.WitnessDelta > 0 {
 		p.witness = res.WitnessDelta
@@ -264,37 +235,27 @@ func (p *capProbe) speedup(st *dbf.SetState) (SpeedupResult, error) {
 // meets decides s_min ≤ cap for the state's current set: after the
 // witness certificate, by the HI-mode QPA over the candidate's plan,
 // compiled into the probe's Scratch, and only when QPA cannot decide by
-// a walk warm-started at the witness. The walk carries cap as its
-// CapHint: it skips against the cap and stops as soon as it has decided
-// the supremum's side of it (see Options.CapHint), and the result's
-// Speedup ≤ cap decides the comparison exactly as the full supremum
-// would. The refreshed witness is a violating point (reject) or the best
-// position examined (accept), not necessarily the supremum's; it still
+// the warm-started walk (speedup), whose supremum decides exactly. The
+// refreshed witness is QPA's witness (see qpaHI) or the walk's; either
 // feeds the next certificate and warm start, whose soundness holds for
 // any position.
 func (p *capProbe) meets(st *dbf.SetState, cap rat.Rat) (bool, error) {
 	if p.atLeast(st, cap, true) {
 		return false, nil
 	}
-	p.decisions++
 	plan := &p.opts.Scratch.plan
 	plan.Compile(st.Tasks(), dbf.KindDBF)
 	uLo, uHi := st.UtilBounds(task.HI)
 	if ok, decided, witness := qpaHI(plan, cap, uLo, uHi, p.opts.maxEvents()); decided {
+		p.decisions++
 		if witness > 0 {
 			p.witness = witness
 		}
 		return ok, nil
 	}
-	opts := p.opts
-	opts.CapHint = cap
-	opts.WarmWitness = p.witness
-	res, err := minSpeedupState(st, opts)
+	res, err := p.speedup(st)
 	if err != nil {
 		return false, err
-	}
-	if res.WitnessDelta > 0 {
-		p.witness = res.WitnessDelta
 	}
 	return res.Speedup.Cmp(cap) <= 0, nil
 }

@@ -12,7 +12,7 @@ import (
 
 // Brute-force oracle for the design searches. The production searches
 // decide their bisection probes with shortcuts — the witness
-// certificate, cap-certified bulk skips (Options.CapHint) and one QPA
+// certificate, the HI-mode QPA with its walk fallback, and one QPA
 // horizon per MinimalX search — and the differential tests compare them
 // with reference searches built on the same demand model. The oracle
 // here checks the answers against definitions instead: on small integer
@@ -243,9 +243,11 @@ func checkFeasibleXWindow(s task.Set, cap rat.Rat) error {
 
 // TestDesignSearchesAgainstBruteForce runs the oracle over the corpus at
 // caps {1, 5/4, 3/2, 2}, and requires the corpus to reach both answers
-// and errors of every search.
+// and errors of every search, and MinimalY's probes to reach the walk
+// capProbe.meets falls back to when QPA cannot decide (a cap inside the
+// utilization bracket), so that path stays under the oracle.
 func TestDesignSearchesAgainstBruteForce(t *testing.T) {
-	var xOK, xErr, yOK, yErr, wOK, wErr int
+	var xOK, xErr, yOK, yErr, wOK, wErr, walks int
 	for i, s := range oracleCorpus(t) {
 		if err := checkMinimalX(s); err != nil {
 			t.Fatalf("set %d: %v\n%s", i, err, s.Table())
@@ -262,11 +264,15 @@ func TestDesignSearchesAgainstBruteForce(t *testing.T) {
 			if err := checkFeasibleXWindow(s, cap); err != nil {
 				t.Fatalf("set %d cap %v: %v\n%s", i, cap, err, s.Table())
 			}
-			if _, _, err := MinimalY(s, cap); err == nil {
+			// The same search MinimalY runs, through a probe whose walks
+			// the test can count.
+			probe := newCapProbe(Options{})
+			if _, _, err := minimalY(s, cap, probe); err == nil {
 				yOK++
 			} else {
 				yErr++
 			}
+			walks += probe.walks
 			if _, _, err := FeasibleXWindow(s, cap); err == nil {
 				wOK++
 			} else {
@@ -278,6 +284,7 @@ func TestDesignSearchesAgainstBruteForce(t *testing.T) {
 		"MinimalX answers": xOK, "MinimalX errors": xErr,
 		"MinimalY answers": yOK, "MinimalY errors": yErr,
 		"FeasibleXWindow answers": wOK, "FeasibleXWindow errors": wErr,
+		"MinimalY probes decided by the walk": walks,
 	} {
 		if n == 0 {
 			t.Errorf("degenerate corpus: no %s", name)
@@ -285,29 +292,41 @@ func TestDesignSearchesAgainstBruteForce(t *testing.T) {
 	}
 }
 
-// TestCapHintAgainstBruteForce decides s_min ≤ cap with the cap-decision
-// walk on the oracle corpus, at the oracle caps and at caps pressed
-// against the brute-force supremum from both sides, where a skip
-// certificate one tick too generous would hide the deciding event.
-func TestCapHintAgainstBruteForce(t *testing.T) {
+// TestCapProbeMeetsAgainstBruteForce decides s_min ≤ cap with
+// capProbe.meets over a dbf.SetState on the oracle corpus, at the oracle
+// caps and at caps pressed against the brute-force supremum from both
+// sides, where an unsound certificate, QPA step or walk skip one tick
+// too generous would flip the decision. One probe serves all of a set's
+// caps, so later caps also run against the witness earlier ones left.
+func TestCapProbeMeetsAgainstBruteForce(t *testing.T) {
+	var walks int
 	for i, s := range oracleCorpus(t) {
 		sMin := bruteMinSpeedup(s)
 		caps := append([]rat.Rat(nil), oracleCaps...)
 		if sMin.Sign() > 0 {
 			caps = append(caps, sMin, sMin.Sub(rat.New(1, 1<<20)), sMin.Add(rat.New(1, 1<<20)))
 		}
+		st, err := dbf.NewSetState(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe := newCapProbe(Options{})
 		for _, cap := range caps {
 			if cap.Sign() <= 0 {
 				continue
 			}
-			res, err := MinSpeedupOpts(s, Options{CapHint: cap})
+			got, err := probe.meets(st, cap)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := res.Speedup.Cmp(cap) <= 0, sMin.Cmp(cap) <= 0; got != want {
-				t.Fatalf("set %d cap %v: hinted decision %v, brute force s_min = %v\n%s", i, cap, got, sMin, s.Table())
+			if want := sMin.Cmp(cap) <= 0; got != want {
+				t.Fatalf("set %d cap %v: probe decision %v, brute force s_min = %v\n%s", i, cap, got, sMin, s.Table())
 			}
 		}
+		walks += probe.walks
+	}
+	if walks == 0 {
+		t.Error("degenerate corpus: no probe reached the walk")
 	}
 }
 

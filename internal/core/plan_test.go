@@ -125,65 +125,6 @@ func TestDesignSearchesPlanScalarIdentical(t *testing.T) {
 	}
 }
 
-// TestCapHintNeverChangesDecision pins Options.CapHint's contract
-// directly: against arbitrary caps, the early cap-decision walk must
-// reach the same accept/reject verdict as the full exact walk, with a
-// truthful LowerBound. An accept reports Speedup = CapHint, inexact,
-// with LowerBound the ratio at WitnessDelta (skipped ratios are only
-// known to lie below the cap), and the hinted walk never examines more
-// events than the same walk without the hint.
-func TestCapHintNeverChangesDecision(t *testing.T) {
-	caps := []rat.Rat{rat.New(1, 2), rat.One, rat.New(5, 4), rat.New(3, 2), rat.Two, rat.FromInt64(4)}
-	accepts, rejects := 0, 0
-	for i, s := range prunedSets(t, 15) {
-		full, err := MinSpeedup(s)
-		if err != nil || !full.Exact {
-			continue
-		}
-		for _, cap := range caps {
-			want := full.Speedup.Cmp(cap) <= 0
-			res, err := MinSpeedupOpts(s, Options{CapHint: cap})
-			if err != nil {
-				t.Fatalf("set %d cap %v: %v", i, cap, err)
-			}
-			if got := res.Speedup.Cmp(cap) <= 0; got != want {
-				t.Fatalf("set %d cap %v: hinted decision %v != exact decision %v (hinted %+v, full %+v)",
-					i, cap, got, want, res, full)
-			}
-			if res.LowerBound.Cmp(full.Speedup) > 0 {
-				t.Fatalf("set %d cap %v: LowerBound %v exceeds exact supremum %v",
-					i, cap, res.LowerBound, full.Speedup)
-			}
-			if res.Speedup.Cmp(res.LowerBound) < 0 {
-				t.Fatalf("set %d cap %v: Speedup %v below LowerBound %v",
-					i, cap, res.Speedup, res.LowerBound)
-			}
-			if res.Events > full.Events {
-				t.Fatalf("set %d cap %v: hinted walk examined %d events > unhinted %d:\n%s",
-					i, cap, res.Events, full.Events, s.Table())
-			}
-			if !want {
-				rejects++
-				continue
-			}
-			accepts++
-			if !res.Speedup.Eq(cap) || res.Exact {
-				t.Fatalf("set %d cap %v: accept reported %+v, want Speedup = cap, inexact", i, cap, res)
-			}
-			if res.WitnessDelta > 0 {
-				at := rat.New(int64(dbf.SetHIMode(s, res.WitnessDelta)), int64(res.WitnessDelta))
-				if !at.Eq(res.LowerBound) {
-					t.Fatalf("set %d cap %v: LowerBound %v is not the ratio %v at WitnessDelta %d",
-						i, cap, res.LowerBound, at, res.WitnessDelta)
-				}
-			}
-		}
-	}
-	if accepts == 0 || rejects == 0 {
-		t.Fatalf("degenerate corpus: %d accepts, %d rejects", accepts, rejects)
-	}
-}
-
 // TestSessionMatchesScalarGroundTruth drives an edit stream through a
 // Session and checks each re-analysis against the reference walks —
 // tying the delta / session tier to the plainest possible evaluation of

@@ -5,7 +5,7 @@ package core
 // every event through the scalar dbf entry points (no compiled plan, no
 // incremental walker, no bulk skips), and each design search
 // materializes every candidate set and runs the full MinSpeedup on it
-// (no SetState, no witness certificate, no CapHint). The production
+// (no SetState, no witness certificate, no QPA). The production
 // paths must reproduce these payloads on every exact result while never
 // examining more events.
 

@@ -23,19 +23,6 @@ type Scratch struct {
 	walker hiWalker
 	inUse  bool
 
-	// candidate is the design searches' task-set buffer: the MinimalY
-	// search writes each probed degradation into it
-	// (task.Set.DegradeLOInto / TerminateLOInto) instead of cloning per
-	// candidate. Only the final winner is built as a caller-owned set.
-	candidate task.Set
-
-	// memo is the design searches' cross-candidate demand cache: the
-	// per-task curve values at the capProbe's witness Δ, keyed by each
-	// task's parameter tuple so adjacent bisection candidates (which
-	// differ in one task) recompute only that task's column. Owned by
-	// the Scratch so a search stream stays allocation-free.
-	memo dbf.PointMemo
-
 	// plan is the design searches' HI-mode demand plan: capProbe.meets
 	// compiles each candidate into it for the HI-mode QPA (qpaHI), so
 	// decided probes reuse its columns instead of borrowing the walker.
@@ -51,8 +38,8 @@ var walkerPool = sync.Pool{New: func() any { return new(hiWalker) }}
 // scratchPool recycles whole Scratch arenas for the design-space searches
 // (MinimalY, FeasibleXWindow, TuneDeadlines), whose capProbe needs one
 // arena for its entire run of walks. Pair every acquire with
-// releaseScratch, which drops task references so a pooled arena never
-// pins a caller's set.
+// releaseScratch. An arena keeps only compiled columns, never a
+// reference to a caller's set, so a pooled one pins nothing.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // borrowScratch attaches a Scratch to o when the caller did not bring
@@ -73,8 +60,6 @@ func releaseScratch(sc *Scratch) {
 	if sc == nil {
 		return
 	}
-	sc.candidate = sc.candidate[:0]
-	sc.memo.Invalidate()
 	scratchPool.Put(sc)
 }
 

@@ -48,47 +48,6 @@ type Options struct {
 	// (including WitnessDelta) is identical for every choice; a witness
 	// near the true supremum merely skips more.
 	WarmWitness task.Time
-
-	// CapHint, when positive, turns the Theorem-2 walk into a decision
-	// of s_min ≤ CapHint: the walk stops as soon as it has proven which
-	// side of the hint the supremum falls on, instead of locating the
-	// supremum itself. Once the running maximum exceeds the hint the
-	// result is a reject bracket (LowerBound > CapHint); once the tail
-	// envelope U_HI + B/Δ (B the plan's envelope intercept, see
-	// dbf.Plan.Intercept) drops to the hint every later ratio is at most
-	// CapHint and the walk accepts. The design searches' probes
-	// (capProbe.meets) reach this walk only when their HI-mode QPA
-	// (qpaHI) cannot decide.
-	//
-	// The bulk skips are certified against the hint itself rather than
-	// against the running maximum: value(b) ≤ ⌊CapHint·pos⌋ proves that
-	// every ratio in (pos, b] is strictly below the hint (value(Δ)/Δ ≤
-	// value(b)/Δ < value(b)/pos ≤ CapHint), so no event above the hint
-	// is ever skipped and every accept/reject decision is the one the
-	// full walk makes. What the skips lose is the supremum's value:
-	// skipped ratios are only known to lie below the hint. An accepting
-	// walk therefore reports Speedup = CapHint with Exact = false, while
-	// LowerBound is the best ratio it examined and WitnessDelta that
-	// ratio's position. A rejecting walk reports a safe bracket with
-	// Speedup ≥ s_min > CapHint and LowerBound a true witness ratio. Either
-	// way Speedup ≤ CapHint decides s_min ≤ CapHint exactly — the design
-	// searches' feasibility probes (capProbe.meets) set it to their speed
-	// cap and read only that boolean. Consumers of the supremum's value
-	// (TuneDeadlines' objective, the public MinSpeedup) leave it unset.
-	CapHint rat.Rat
-
-	// WarmResetWitness, when positive, is a position Δ whose
-	// arrived-demand ratio primes the pruned MinSpeedForReset walk's
-	// bulk-skip cutoff — typically the WitnessDelta of an adjacent
-	// configuration's walk (see SpeedForResetResult.WitnessDelta). Like
-	// WarmWitness, soundness is independent of the value: the ADB ratio
-	// at any single Δ ∈ (0, budget] upper-bounds nothing and
-	// lower-bounds nothing it shouldn't — it is itself one of the
-	// candidate ratios the infimum ranges over, so the seeded cutoff
-	// only ever skips positions whose ratio is strictly above the
-	// infimum, and the result (including Attained and WitnessDelta) is
-	// identical for every choice.
-	WarmResetWitness task.Time
 }
 
 func (o Options) maxEvents() int {
@@ -169,9 +128,6 @@ func MinSpeedup(s task.Set) (SpeedupResult, error) {
 // still fires at exactly the same event with exactly the same running
 // maximum as a walk visiting every event (seedBound's probe positions
 // stay below the hyperperiod for the same reason; see its comment).
-// With Options.CapHint the skips are certified against the cap instead
-// of bound, which trades the supremum's value for a cheaper decision;
-// see there.
 func MinSpeedupOpts(s task.Set, o Options) (SpeedupResult, error) {
 	if err := s.Validate(); err != nil {
 		return SpeedupResult{}, err
@@ -221,33 +177,17 @@ func minSpeedupWalk(s task.Set, uLo, uHi rat.Rat, hyper task.Time, hyperOK bool,
 	// carries the envelope intercept B of the stopping rules.
 	plan := w.Plan()
 	icpt := plan.Intercept()
-	// The skip certificate's threshold, kept as a raw ratio cutV/cutP.
-	// Without a CapHint it is cutoff = max(best, seed), a proven lower
-	// bound on the supremum, refreshed only when best improves; with one
-	// it is the cap itself (see Options.CapHint), which is never below
-	// best while the walk runs (best above the cap rejects at once), so
-	// the seed probes would add nothing and are not taken.
-	// bestF/uHiF/icptF are float64 screens for stopping rule 1 (see
-	// below). Together they keep every per-event comparison in plain
-	// integer / float arithmetic.
-	var cutV, cutP task.Time
+	// The skip certificate's threshold, kept as a raw ratio cutV/cutP:
+	// cutoff = max(best, seed), a proven lower bound on the supremum,
+	// refreshed only when best improves. bestF/uHiF/icptF are float64
+	// screens for stopping rule 1 (see below). Together they keep every
+	// per-event comparison in plain integer / float arithmetic.
+	seed := seedBound(plan, o.WarmWitness, hyper, hyperOK)
+	cutV, cutP := task.Time(seed.Num()), task.Time(seed.Den())
 	// The certificate needs a strictly positive cutoff (a zero lower
 	// bound certifies nothing); tracked as a bool so the hot loop never
 	// re-derives the sign from the raw numerator.
-	var cutPositive bool
-	// The cap-decision stopping rules (see Options.CapHint), as a raw
-	// ratio plus a float64 screen for the accept side.
-	hasCap := o.CapHint.Sign() > 0
-	var capV, capP task.Time
-	capF := 0.0
-	if hasCap {
-		capV, capP = task.Time(o.CapHint.Num()), task.Time(o.CapHint.Den())
-		capF = o.CapHint.Float64()
-		cutV, cutP, cutPositive = capV, capP, true
-	} else {
-		seed := seedBound(plan, o.WarmWitness, hyper, hyperOK)
-		cutV, cutP, cutPositive = task.Time(seed.Num()), task.Time(seed.Den()), seed.Sign() > 0
-	}
+	cutPositive := seed.Sign() > 0
 	bestF := 0.0
 	uHiF := uHi.Float64()
 	icptF := float64(icpt)
@@ -256,9 +196,6 @@ func minSpeedupWalk(s task.Set, uLo, uHi rat.Rat, hyper task.Time, hyperOK bool,
 	for ; events < o.maxEvents(); events++ {
 		if !w.Next() {
 			// Every task is terminated: no HI-mode demand at all.
-			if hasCap {
-				return capAccept(o.CapHint, rat.Zero, 0, events, jumps), nil
-			}
 			return SpeedupResult{Speedup: rat.Zero, LowerBound: rat.Zero, Exact: true, Events: events, Jumps: jumps}, nil
 		}
 		pos = w.Pos()
@@ -289,9 +226,6 @@ func minSpeedupWalk(s task.Set, uLo, uHi rat.Rat, hyper task.Time, hyperOK bool,
 		rhsF := uHiF + icptF/float64(pos)
 		if bestF+certMargin*(bestF+rhsF) >= rhsF {
 			if best := rat.New(int64(bestV), int64(bestP)); best.Cmp(uHi.Add(rat.New(int64(icpt), int64(pos)))) >= 0 {
-				if hasCap && best.Cmp(o.CapHint) <= 0 {
-					return capAccept(o.CapHint, best, witness, events+1, jumps), nil
-				}
 				return SpeedupResult{
 					Speedup: best, LowerBound: best, Exact: true,
 					WitnessDelta: witness, Events: events + 1, Jumps: jumps,
@@ -313,40 +247,8 @@ func minSpeedupWalk(s task.Set, uLo, uHi rat.Rat, hyper task.Time, hyperOK bool,
 				// U_HI itself is only known to 2^-20; report the bracket.
 				res = SpeedupResult{Speedup: uHi, LowerBound: rat.Max(best, uLo)}
 			}
-			if hasCap && res.Speedup.Cmp(o.CapHint) <= 0 {
-				return capAccept(o.CapHint, best, witness, events+1, jumps), nil
-			}
 			res.Events, res.Jumps = events+1, jumps
 			return res, nil
-		}
-		// Cap-decision stopping rules (Options.CapHint), reject checked
-		// first so the accept bracket always has best ≤ cap exactly.
-		// (They can never disagree: a supremum above the cap is attained
-		// at an event at or before the position where the tail envelope
-		// reaches the cap, so best crosses the cap no later than the
-		// accept rule could fire.) Reject needs no float screen — it is
-		// one 128-bit cross multiplication per event.
-		if hasCap {
-			if ratioGreater(bestV, bestP, capV, capP) {
-				best := rat.New(int64(bestV), int64(bestP))
-				env := uHi.Add(rat.New(int64(icpt), int64(pos)))
-				return SpeedupResult{
-					Speedup: rat.Max(best, env), LowerBound: best, Exact: false,
-					WitnessDelta: witness, Events: events + 1, Jumps: jumps,
-				}, nil
-			}
-			// Accept: the tail envelope has dropped to the cap, so every
-			// ratio beyond pos is at most CapHint; with best ≤ cap (the
-			// reject rule above) and every skipped ratio below the cap,
-			// s_min ≤ cap. Screened in float64 like stopping rule 1: a
-			// definite float "envelope above cap" is exact, and
-			// near-misses pay the rational confirmation at most a
-			// handful of times.
-			if rhsF <= capF+certMargin*(rhsF+capF) {
-				if env := uHi.Add(rat.New(int64(icpt), int64(pos))); env.Cmp(o.CapHint) <= 0 {
-					return capAccept(o.CapHint, rat.New(int64(bestV), int64(bestP)), witness, events+1, jumps), nil
-				}
-			}
 		}
 		// Incumbent bulk skip: probe b beyond the next event and certify
 		// the whole run (pos, b] irrelevant with a single O(n)
@@ -412,17 +314,6 @@ func minSpeedupWalk(s task.Set, uLo, uHi rat.Rat, hyper task.Time, hyperOK bool,
 		Events:       events,
 		Jumps:        jumps,
 	}, nil
-}
-
-// capAccept is the result of a CapHint walk that proved s_min ≤ cap.
-// Ratios the walk skipped are only known to lie below the cap, so the
-// cap is the only upper bound it can vouch for; best is the largest
-// ratio it examined and witness that ratio's position.
-func capAccept(cap, best rat.Rat, witness task.Time, events, jumps int) SpeedupResult {
-	return SpeedupResult{
-		Speedup: cap, LowerBound: best, Exact: false,
-		WitnessDelta: witness, Events: events, Jumps: jumps,
-	}
 }
 
 // floorMulDiv returns floor(a·b/d) for non-negative a, b and positive d,

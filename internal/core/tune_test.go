@@ -50,22 +50,6 @@ func TestTuneNeverWorseThanUniform(t *testing.T) {
 	t.Logf("tuning improved %d/%d sets", improved, verified)
 }
 
-// TestTuneIgnoresCapHint: TuneDeadlines' objective is the exact
-// supremum, so a CapHint in the caller's options must not change its
-// result (an accepting CapHint walk reports the cap, not s_min).
-func TestTuneIgnoresCapHint(t *testing.T) {
-	for i, s := range genSets(t, 10) {
-		want, errW := TuneDeadlines(s, rat.Rat{})
-		got, errG := TuneDeadlinesOpts(s, rat.Rat{}, Options{CapHint: rat.FromInt64(4)})
-		if (errW == nil) != (errG == nil) {
-			t.Fatalf("set %d: err %v with CapHint, %v without", i, errG, errW)
-		}
-		if errW == nil && (!got.Speedup.Eq(want.Speedup) || got.Rounds != want.Rounds || renderSet(got.Set) != renderSet(want.Set)) {
-			t.Fatalf("set %d: CapHint changed the result: %+v vs %+v", i, got, want)
-		}
-	}
-}
-
 // TestTuneHeterogeneousWins constructs a case where uniform x is
 // provably suboptimal: one HI task with a huge overrun next to one with
 // none. Uniform x must shorten both deadlines together (bounded by the

@@ -14,7 +14,7 @@ package dbf
 // layout the design searches and the delta re-walks fan out over.
 //
 // The columns are deliberately unexported. Everything outside this
-// package goes through Compile*/TaskValue/Value/BulkEval, so a plan can
+// package goes through Compile*/Value/BulkEval, so a plan can
 // never disagree with the set it was compiled from unless the caller
 // mutates the set afterwards — which the compile-per-walk discipline in
 // internal/core (enforced by the plancheck analyzer) rules out.
@@ -225,22 +225,8 @@ func (p *Plan) Len() int { return p.n }
 // Kind returns the curve kind the plan was compiled for.
 func (p *Plan) Kind() Kind { return p.kind }
 
-// TaskValue returns row i's curve value at Δ — identical to
-// HIMode/ADB on the compiled task, via the precompiled columns.
-func (p *Plan) TaskValue(i int, delta task.Time) task.Time {
-	if delta < 0 {
-		panic(fmt.Errorf("%w %d", ErrNegativeInterval, delta))
-	}
-	period := p.period[i]
-	if period == 0 {
-		return p.add[i]
-	}
-	_, v := rowAt(delta, period, p.inv[i], p.off[i], p.cLO[i], p.cHI[i], p.dC[i], p.add[i])
-	return v
-}
-
 // TaskStep returns row i's value, right slope, and next event at Δ in a
-// single call — exactly TaskValue, RightSlope, and NextEvent on the
+// single call — exactly HIMode or ADB, RightSlope, and NextEvent on the
 // compiled task, sharing one phase decomposition instead of paying one
 // division each. Within a period the row's events are the ramp start
 // off, the ramp end end ≥ off and the next period start, so the phase
@@ -335,68 +321,4 @@ func (p *Plan) BulkEval(dst, deltas []task.Time) []task.Time {
 		}
 	}
 	return dst
-}
-
-// PointMemo caches the per-task curve values of one (kind, Δ) probe
-// point across a stream of closely related task sets — the design
-// searches' cross-candidate memo. Each task's cached column entry is
-// keyed by the task's full parameter tuple, so a re-probe recomputes only
-// the tasks whose parameters changed since the previous call (O(changed)
-// instead of O(n)) and the running sum stays exact. A kind, Δ, or set
-// size change rebuilds the cache wholesale. The zero value is ready to
-// use; a PointMemo must not be shared between concurrent goroutines.
-type PointMemo struct {
-	kind  Kind
-	delta task.Time
-	keys  []task.Task
-	vals  []task.Time
-	sum   task.Time
-	valid bool
-}
-
-// Invalidate drops the cached point so the next Value rebuilds.
-func (m *PointMemo) Invalidate() { m.valid = false }
-
-// Value returns SetHIMode(s, delta) (KindDBF) or SetADB(s, delta)
-// (KindADB) exactly, recomputing only the tasks whose parameters differ
-// from the previous call's snapshot.
-func (m *PointMemo) Value(s task.Set, kind Kind, delta task.Time) task.Time {
-	if !m.valid || m.kind != kind || m.delta != delta || len(s) != len(m.keys) {
-		return m.rebuild(s, kind, delta)
-	}
-	for i := range s {
-		if s[i] != m.keys[i] {
-			v := taskValue(&s[i], kind, delta)
-			m.sum += v - m.vals[i]
-			m.vals[i] = v
-			m.keys[i] = s[i]
-		}
-	}
-	return m.sum
-}
-
-func (m *PointMemo) rebuild(s task.Set, kind Kind, delta task.Time) task.Time {
-	n := len(s)
-	if cap(m.keys) < n {
-		m.keys = make([]task.Task, n)
-		m.vals = make([]task.Time, n)
-	}
-	m.keys, m.vals = m.keys[:n], m.vals[:n]
-	m.kind, m.delta, m.sum = kind, delta, 0
-	for i := range s {
-		v := taskValue(&s[i], kind, delta)
-		m.keys[i] = s[i]
-		m.vals[i] = v
-		m.sum += v
-	}
-	m.valid = true
-	return m.sum
-}
-
-// taskValue is the scalar per-task evaluation of one curve kind.
-func taskValue(t *task.Task, kind Kind, delta task.Time) task.Time {
-	if kind == KindDBF {
-		return HIMode(t, delta)
-	}
-	return ADB(t, delta)
 }

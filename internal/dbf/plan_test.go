@@ -215,54 +215,35 @@ func TestDivFloorExact(t *testing.T) {
 	}
 }
 
-// TestPointMemoExactUnderEdits drives a PointMemo through an edit stream
-// and pins its sum against cold SetValue at every step, including kind
-// and Δ switches (wholesale rebuilds) and explicit invalidation.
-func TestPointMemoExactUnderEdits(t *testing.T) {
-	rnd := rand.New(rand.NewSource(31))
-	for iter := 0; iter < 50; iter++ {
-		s := quickSet(rnd, 2+rnd.Intn(5))
-		var m PointMemo
-		kind, delta := KindDBF, task.Time(rnd.Int63n(10_000))
-		for step := 0; step < 60; step++ {
-			switch rnd.Intn(10) {
-			case 0:
-				kind = Kind(rnd.Intn(2))
-			case 1:
-				delta = task.Time(rnd.Int63n(10_000))
-			case 2:
-				m.Invalidate()
-			default:
-				// Mutate one task: bump C(LO) within its window (and C(HI)
-				// in lockstep for LO-criticality tasks, preserving their
-				// C(HI) = C(LO) invariant).
-				i := rnd.Intn(len(s))
-				tk := &s[i]
-				if !tk.Terminated() && tk.WCET[task.LO] > 1 && rnd.Intn(2) == 0 {
-					tk.WCET[task.LO]--
-					if tk.Crit == task.LO {
-						tk.WCET[task.HI]--
-					}
-				} else if !tk.Terminated() && tk.Crit == task.HI && tk.WCET[task.HI] > tk.WCET[task.LO] {
-					tk.WCET[task.HI]--
-				}
-			}
-			if got, want := m.Value(s, kind, delta), SetValue(s, kind, delta); got != want {
-				t.Fatalf("step %d kind %d Δ=%d: memo %d != cold %d\n%s", step, kind, delta, got, want, s.Table())
-			}
-		}
-	}
-}
-
 // SetValue returns the summed kind-selected HI-mode curve at Δ:
 // Σ_i DBF_HI for KindDBF, Σ_i ADB_HI for KindADB — the scalar O(n)
-// single-point evaluation that Plan.Value and PointMemo.Value reproduce
-// exactly.
+// single-point evaluation that Plan.Value and BulkEval reproduce exactly.
 func SetValue(s task.Set, kind Kind, delta task.Time) task.Time {
 	if kind == KindDBF {
 		return SetHIMode(s, delta)
 	}
 	return SetADB(s, delta)
+}
+
+// TaskValue returns row i's curve value at Δ through the compiled
+// columns, the per-row view of Plan.Value the tests pin against
+// taskValue.
+func (p *Plan) TaskValue(i int, delta task.Time) task.Time {
+	period := p.period[i]
+	if period == 0 {
+		return p.add[i]
+	}
+	_, v := rowAt(delta, period, p.inv[i], p.off[i], p.cLO[i], p.cHI[i], p.dC[i], p.add[i])
+	return v
+}
+
+// taskValue is the scalar per-task evaluation of one curve kind, the
+// reference for Plan.TaskValue.
+func taskValue(t *task.Task, kind Kind, delta task.Time) task.Time {
+	if kind == KindDBF {
+		return HIMode(t, delta)
+	}
+	return ADB(t, delta)
 }
 
 // interceptRow draws one task for the envelope-intercept tests, covering

@@ -5,20 +5,18 @@
 // rests on two invariants that types alone cannot carry across packages,
 // and the walks' termination on a third, so this analyzer pins them:
 //
-//  1. No hand-built plans: a dbf.Plan (or dbf.PointMemo) composite
-//     literal outside internal/dbf bypasses CompilePlan/Compile and can
+//  1. No hand-built plans: a dbf.Plan composite literal outside
+//     internal/dbf bypasses CompilePlan/Compile and can
 //     leave the columns mutually inconsistent (lengths, carry geometry,
 //     reciprocal cache). Plans must be produced by the compile entry
 //     points. Raw column *indexing* is already impossible outside
 //     internal/dbf — the columns are unexported — so flagging raw
 //     construction closes the remaining hole.
-//  2. Confined API: Plan/PointMemo methods (and dbf.CompilePlan) may be
-//     called only from internal/core, the analysis layer that owns the
-//     walkers. Higher layers (server, experiments, cmd) consume demand
-//     through core's analyses; letting them hold plans would decouple a
-//     plan from the set fingerprint that keyed it, breaking the
-//     "plan reuse requires fingerprint match" rule that PointMemo.Value
-//     checks internally.
+//  2. Confined API: Plan methods (and dbf.CompilePlan) may be called
+//     only from internal/core, the analysis layer that owns the walkers.
+//     Higher layers (server, experiments, cmd) consume demand through
+//     core's analyses; letting them hold plans would decouple a plan
+//     from the set it was compiled from.
 //  3. Bounded walks: inside internal/core, every function that starts a
 //     walk — calls Options.acquireWalker — must consult the event budget
 //     (Options.MaxEvents or the maxEvents helper). An uncapped
@@ -76,8 +74,7 @@ func run(pass *lint.Pass) error {
 	return nil
 }
 
-// checkLiterals flags dbf.Plan / dbf.PointMemo composite literals (rule
-// 1): outside internal/dbf the only way to obtain a usable plan is the
+// checkLiterals flags dbf.Plan composite literals (rule 1): outside internal/dbf the only way to obtain a usable plan is the
 // compile entry points. Embedding the zero value as a struct field is
 // fine and not a literal.
 func checkLiterals(pass *lint.Pass, f *ast.File) {
@@ -86,14 +83,14 @@ func checkLiterals(pass *lint.Pass, f *ast.File) {
 		if !ok {
 			return true
 		}
-		if name := dbfPlanTypeName(pass, cl); name != "" {
-			pass.Reportf(cl.Pos(), "dbf.%s composite literal: construct plans with dbf.CompilePlan or (*dbf.Plan).Compile so the columns stay mutually consistent", name)
+		if isDBFPlan(pass, cl) {
+			pass.Reportf(cl.Pos(), "dbf.Plan composite literal: construct plans with dbf.CompilePlan or (*dbf.Plan).Compile so the columns stay mutually consistent")
 		}
 		return true
 	})
 }
 
-// checkConfinement flags Plan/PointMemo method calls and dbf.CompilePlan
+// checkConfinement flags Plan method calls and dbf.CompilePlan
 // outside internal/core (rule 2).
 func checkConfinement(pass *lint.Pass, f *ast.File) {
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -106,7 +103,7 @@ func checkConfinement(pass *lint.Pass, f *ast.File) {
 			return true
 		}
 		recv := recvTypeName(fn)
-		if recv == "Plan" || recv == "PointMemo" || (recv == "" && fn.Name() == "CompilePlan") {
+		if recv == "Plan" || (recv == "" && fn.Name() == "CompilePlan") {
 			pass.Reportf(sel.Pos(), "the columnar demand-plan API (%s) is confined to internal/core: evaluate demand through the core analyses so plan reuse stays keyed by set fingerprint", sel.Sel.Name)
 		}
 		return true
@@ -183,24 +180,17 @@ func recvTypeName(fn *types.Func) string {
 	return ""
 }
 
-// dbfPlanTypeName returns "Plan" or "PointMemo" when the composite
-// literal's type is the corresponding dbf type, "" otherwise.
-func dbfPlanTypeName(pass *lint.Pass, cl *ast.CompositeLit) string {
+// isDBFPlan reports whether the composite literal's type is dbf.Plan.
+func isDBFPlan(pass *lint.Pass, cl *ast.CompositeLit) bool {
 	tv, ok := pass.TypesInfo.Types[cl]
 	if !ok {
-		return ""
+		return false
 	}
 	t := tv.Type
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
 	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil || lint.CanonicalPath(named.Obj().Pkg().Path()) != dbfPkgPath {
-		return ""
-	}
-	switch name := named.Obj().Name(); name {
-	case "Plan", "PointMemo":
-		return name
-	}
-	return ""
+	return ok && named.Obj().Pkg() != nil &&
+		lint.CanonicalPath(named.Obj().Pkg().Path()) == dbfPkgPath && named.Obj().Name() == "Plan"
 }

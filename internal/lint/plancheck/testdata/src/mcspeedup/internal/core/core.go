@@ -81,11 +81,6 @@ func unbudgetedWalk(o Options, s []int) {
 	}
 }
 
-// memoProbe is clean: core may consult the fingerprint-keyed memo.
-func memoProbe(m *dbf.PointMemo, s []int) int64 {
-	return m.Value(s, 0, 8)
-}
-
 // handRolled builds a plan by literal, bypassing the compile entry
 // points (flagged in every package outside internal/dbf).
 func handRolled() dbf.Plan {

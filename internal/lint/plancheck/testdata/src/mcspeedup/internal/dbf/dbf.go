@@ -28,14 +28,3 @@ func (p *Plan) ValueCapped(delta, limit int64) (int64, bool) { return 0, true }
 
 // BulkEval evaluates a batch of points.
 func (p *Plan) BulkEval(dst, deltas []int64) []int64 { return dst }
-
-// PointMemo is the cross-candidate memo stub.
-type PointMemo struct {
-	valid bool
-}
-
-// Invalidate drops the cached plan.
-func (m *PointMemo) Invalidate() { m.valid = false }
-
-// Value evaluates through the fingerprint-keyed memo.
-func (m *PointMemo) Value(s []int, kind Kind, delta int64) int64 { return 0 }

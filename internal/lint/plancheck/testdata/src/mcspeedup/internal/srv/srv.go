@@ -4,9 +4,9 @@ package srv
 
 import "mcspeedup/internal/dbf"
 
-// memo at package scope is fine: declaring the zero value is not a
+// plan at package scope is fine: declaring the zero value is not a
 // composite literal and calls are what leak plans.
-var memo dbf.PointMemo
+var plan dbf.Plan
 
 // leak compiles and probes a plan outside the analysis layer.
 func leak(s []int) int64 {
@@ -14,12 +14,12 @@ func leak(s []int) int64 {
 	return p.Value(3)          // want `the columnar demand-plan API \(Value\) is confined to internal/core`
 }
 
-// leakMemo consults the memo outside the analysis layer.
-func leakMemo(s []int) int64 {
-	return memo.Value(s, 0, 2) // want `the columnar demand-plan API \(Value\) is confined to internal/core`
+// leakVar recompiles the package-scope plan outside the analysis layer.
+func leakVar(s []int) {
+	plan.Compile(s, 0) // want `the columnar demand-plan API \(Compile\) is confined to internal/core`
 }
 
-// leakLiteral hand-builds a memo.
-func leakLiteral() dbf.PointMemo {
-	return dbf.PointMemo{} // want `dbf.PointMemo composite literal`
+// leakLiteral hand-builds a plan.
+func leakLiteral() *dbf.Plan {
+	return &dbf.Plan{} // want `dbf.Plan composite literal`
 }

@@ -267,9 +267,10 @@ func (s *Server) serveSessionReport(w http.ResponseWriter, r *http.Request, sn *
 // set: from the shared result cache when the state was analyzed before
 // (by any session or a one-shot call), otherwise by running the
 // session's incremental re-analysis under an admission slot. The slot is
-// acquired with no session lock held (metricscheck: admission blocks);
-// the state is re-keyed after the wait in case edits raced in — the
-// report served is always the session's state at analysis time.
+// acquired with no session lock held (lockcheck: no blocking admission
+// under a mutex); the state is re-keyed after the wait in case edits
+// raced in — the report served is always the session's state at
+// analysis time.
 func (s *Server) sessionReport(ctx context.Context, sn *session) (body []byte, hit, recomputed bool, err error) {
 	// The key is the one an untransformed /v1/analyze of the current set
 	// uses, so session reports and one-shot analyses share cache entries.

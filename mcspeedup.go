@@ -134,7 +134,11 @@ var (
 // SpeedupResult is the Theorem-2 outcome; see MinSpeedup.
 type SpeedupResult = core.SpeedupResult
 
-// AnalysisOptions tunes the pseudo-polynomial event walks.
+// AnalysisOptions tunes the pseudo-polynomial event walks: an event
+// budget (MaxEvents), a reusable walker arena (Scratch) and a warm-start
+// position for the Theorem-2 walk's skip cutoff (WarmWitness). Scratch
+// and WarmWitness never change an answer; a MaxEvents budget that runs
+// out yields a safe inexact result or an error.
 type AnalysisOptions = core.Options
 
 // AnalysisScratch is a reusable walker arena: thread one through

@@ -63,7 +63,9 @@ go test -fuzz FuzzBoundBelow -fuzztime 10s -run '^$' ./internal/gen/
 
 # Cap-decision fuzz smoke: the HI-mode QPA behind the design searches'
 # probes must decide s_min ≤ cap exactly as the brute-force supremum and
-# the Theorem-2 walk do, and defer to the walk where it does not apply.
+# the Theorem-2 walk do, and report itself undecided where it does not
+# apply (the probes' walk fallback is checked against brute force by
+# TestCapProbeMeetsAgainstBruteForce and TestDesignSearchesAgainstBruteForce).
 go test -fuzz FuzzCapDecision -fuzztime 10s -run '^$' ./internal/core/
 
 # Delta fuzz smoke: random edit streams through a Session must reproduce
