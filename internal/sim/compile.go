@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"mcspeedup/internal/core"
 	"mcspeedup/internal/rat"
 	"mcspeedup/internal/task"
 )
@@ -18,26 +19,33 @@ type Compiled struct {
 	// maxDeadline is the largest finite relative deadline in set, for
 	// the tick-grid span check.
 	maxDeadline task.Time
+	// schedLO is core.SchedulableLO's verdict on set: the exact LO-mode
+	// processor-demand test that licenses skipping overrun-free busy
+	// periods (see Scratch.skipLO).
+	schedLO bool
 }
 
 // Compile validates the set and workload and returns the reusable pair.
 func Compile(s task.Set, w Workload) (*Compiled, error) {
-	if err := s.Validate(); err != nil {
+	c, err := CompileSet(s)
+	if err != nil {
 		return nil, err
 	}
 	if err := w.Validate(s); err != nil {
 		return nil, err
 	}
-	return &Compiled{set: s, w: w, maxDeadline: maxDeadline(s)}, nil
+	c.w = w
+	return c, nil
 }
 
 // CompileSet validates the set alone, for callers that generate their
 // workloads per run (see RunWorkload).
 func CompileSet(s task.Set) (*Compiled, error) {
-	if err := s.Validate(); err != nil {
+	schedLO, err := core.SchedulableLO(s)
+	if err != nil {
 		return nil, err
 	}
-	return &Compiled{set: s, maxDeadline: maxDeadline(s)}, nil
+	return &Compiled{set: s, maxDeadline: maxDeadline(s), schedLO: schedLO}, nil
 }
 
 // maxDeadline is the largest finite relative deadline in s. A terminated
@@ -72,6 +80,12 @@ func (c *Compiled) RunInto(res *Result, sc *Scratch, cfg Config) error {
 // per-criticality WCET caps, per-task spacing of at least T(LO)) —
 // validation is skipped. This is the fleet engine's hot path: one
 // Compiled per task set, one sampled workload per run.
+//
+// When the set passed core.SchedulableLO and the run collects neither
+// jobs nor a trace, every LO-mode busy period without an overrunning
+// arrival is committed without stepping EDF (see the package comment).
+// That shortcut is exact only because of the precondition above: an
+// invalid workload may make the result differ from the EDF loop's.
 func (c *Compiled) RunWorkload(res *Result, sc *Scratch, w Workload, cfg Config) error {
 	if cfg.Speedup.Sign() <= 0 || cfg.Speedup.IsInf() {
 		return fmt.Errorf("sim: speedup %v must be positive and finite", cfg.Speedup)
@@ -83,6 +97,7 @@ func (c *Compiled) RunWorkload(res *Result, sc *Scratch, w Workload, cfg Config)
 	sc, pooled := borrow(sc)
 	res.reset()
 	sc.begin(c.set, cfg, t, res)
+	sc.skip = c.schedLO && !cfg.CollectJobs && !cfg.CollectTrace
 	sc.run(w)
 	res.EndTime = rat.New(sc.endAt, sc.endUnit)
 	sc.finish()

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mcspeedup/internal/core"
 	"mcspeedup/internal/gen"
 	"mcspeedup/internal/rat"
 	"mcspeedup/internal/task"
@@ -123,30 +124,97 @@ func TestRunIntoMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRunWorkloadMatchesReference exercises the validation-skipping
-// fleet entry point on workloads that are valid by construction.
-func TestRunWorkloadMatchesReference(t *testing.T) {
+// uncollected is cfg with job and trace collection off, the setting
+// under which a LO-schedulable set's runs skip overrun-free busy periods
+// (Scratch.skipLO).
+func uncollected(cfg Config) Config {
+	cfg.CollectJobs, cfg.CollectTrace = false, false
+	return cfg
+}
+
+// simCase is one (set, workload) input of the RunWorkload differential.
+type simCase struct {
+	name string
+	set  task.Set
+	w    Workload
+}
+
+// workloadCorpus is the RunWorkload differential's input: generator sets
+// (most LO-schedulable, some not), the same sets at their minimal x (the
+// fleet's case: virtual deadlines as short as LO-mode schedulability
+// allows), and the hand-built edge cases of skipEdgeCases.
+func workloadCorpus(t *testing.T) []simCase {
+	t.Helper()
 	rnd := rand.New(rand.NewSource(2))
+	var cases []simCase
+	for i, s := range diffSets(t, 8) {
+		for r := 0; r < 4; r++ {
+			cases = append(cases, simCase{fmt.Sprintf("set %d run %d", i, r), s,
+				RandomSporadic(rnd, s, 3*s.MaxPeriod(), 0.25)})
+		}
+		_, sx, err := core.MinimalX(s)
+		if err != nil {
+			continue // not LO-schedulable at any x
+		}
+		for r, p := range []float64{0.05, 0.01} {
+			cases = append(cases, simCase{fmt.Sprintf("set %d at minimal x run %d", i, r), sx,
+				RandomSporadic(rnd, sx, 6*sx.MaxPeriod(), p)})
+		}
+	}
+	return append(cases, skipEdgeCases()...)
+}
+
+// skipEdgeCases are hand-built workloads on a LO-schedulable set that put
+// the busy-period shortcut's boundaries under the differential: a release
+// exactly at a busy period's finish (H at 28), an overrun that opens a
+// busy period (H at 38), a degraded LO arrival in HI mode that only the
+// arrival the shortcut admitted can drop (L at 41, 16 < T(HI) after L at
+// 25 but 41 ≥ T(HI) after time 0), an overrun as the workload's last
+// arrival (H at 65), and an empty workload.
+func skipEdgeCases() []simCase {
+	s := task.Set{
+		task.NewHI("H", 10, 5, 10, 2, 5),
+		{Name: "L", Crit: task.LO, Period: [2]task.Time{10, 30}, Deadline: [2]task.Time{10, 30}, WCET: [2]task.Time{3, 3}},
+	}
+	return []simCase{
+		{"edges", s, Workload{
+			{Task: 1, At: 25, Demand: 3},
+			{Task: 0, At: 28, Demand: 2},
+			{Task: 0, At: 38, Demand: 4},
+			{Task: 1, At: 41, Demand: 3},
+			{Task: 1, At: 55, Demand: 3},
+			{Task: 0, At: 65, Demand: 5},
+		}},
+		{"empty", s, Workload{}},
+	}
+}
+
+// TestRunWorkloadMatchesReference exercises the validation-skipping
+// fleet entry point on workloads that are valid by construction, over
+// the whole Config matrix with collection as configured and with it off
+// (where LO-schedulable sets skip overrun-free busy periods).
+func TestRunWorkloadMatchesReference(t *testing.T) {
 	var (
 		res Result
 		sc  Scratch
 	)
-	for i, s := range diffSets(t, 8) {
-		c, err := CompileSet(s)
+	for _, cs := range workloadCorpus(t) {
+		c, err := CompileSet(cs.set)
 		if err != nil {
-			t.Fatalf("set %d: compile: %v", i, err)
+			t.Fatalf("%s: compile: %v", cs.name, err)
 		}
-		cfg := Config{Speedup: rat.Two, CollectJobs: true}
-		for r := 0; r < 4; r++ {
-			w := RandomSporadic(rnd, s, 3*s.MaxPeriod(), 0.25)
-			want, err := refRun(s, w, cfg)
-			if err != nil {
-				t.Fatalf("set %d run %d: reference: %v", i, r, err)
+		for k, cfg := range diffConfigs(cs.set) {
+			for _, cfg := range []Config{cfg, uncollected(cfg)} {
+				ctx := fmt.Sprintf("%s, cfg %d (jobs %v, trace %v)", cs.name, k, cfg.CollectJobs, cfg.CollectTrace)
+				want, err := refRun(cs.set, cs.w, cfg)
+				if err != nil {
+					t.Fatalf("%s: reference: %v", ctx, err)
+				}
+				if err := c.RunWorkload(&res, &sc, cs.w, cfg); err != nil {
+					t.Fatalf("%s: RunWorkload: %v", ctx, err)
+				}
+				assertSameResult(t, ctx, want, &res)
 			}
-			if err := c.RunWorkload(&res, &sc, w, cfg); err != nil {
-				t.Fatalf("set %d run %d: RunWorkload: %v", i, r, err)
-			}
-			assertSameResult(t, fmt.Sprintf("set %d run %d", i, r), want, &res)
 		}
 	}
 }
@@ -190,11 +258,9 @@ var fuzzSimSeeds = []struct {
 	{11, 70, 5, 5, true, false, 7},
 }
 
-// simEquivalence runs one fuzz input through the reference and RunInto,
-// fails on any divergence, and returns the RunInto result (nil when both
-// engines rejected the input).
-func simEquivalence(t *testing.T, seed int64, uRaw, speedRaw, budgetRaw uint8, park, stop bool, probRaw uint8) *Result {
-	t.Helper()
+// fuzzInput decodes one fuzz input into a set, a workload and a policy
+// that collects jobs and a trace.
+func fuzzInput(seed int64, uRaw, speedRaw, budgetRaw uint8, park, stop bool, probRaw uint8) (task.Set, Workload, Config) {
 	rnd := rand.New(rand.NewSource(seed))
 	u := 0.35 + 0.55*float64(uRaw%100)/100
 	s := gen.Defaults().MustSet(rnd, u)
@@ -212,22 +278,37 @@ func simEquivalence(t *testing.T, seed int64, uRaw, speedRaw, budgetRaw uint8, p
 	if budgetRaw > 0 {
 		cfg.Budget = rat.New(int64(budgetRaw), 4)
 	}
-	want, errRef := refRun(s, w, cfg)
+	return s, w, cfg
+}
+
+// simEquivalence runs one fuzz input through the reference and RunInto,
+// with collection on and off, fails on any divergence, and returns the
+// collecting RunInto result (nil when both engines rejected the input).
+func simEquivalence(t *testing.T, seed int64, uRaw, speedRaw, budgetRaw uint8, park, stop bool, probRaw uint8) *Result {
+	t.Helper()
+	s, w, cfg := fuzzInput(seed, uRaw, speedRaw, budgetRaw, park, stop, probRaw)
 	c, errC := Compile(s, w)
 	if errC != nil {
 		t.Fatalf("compile failed on refRun-accepted input: %v", errC)
 	}
-	res := new(Result)
 	var sc Scratch
-	errNew := c.RunInto(res, &sc, cfg)
-	if (errRef == nil) != (errNew == nil) {
-		t.Fatalf("error mismatch: ref %v, new %v\n%s", errRef, errNew, s.Table())
+	var collected *Result
+	for _, cfg := range []Config{cfg, uncollected(cfg)} {
+		want, errRef := refRun(s, w, cfg)
+		res := new(Result)
+		errNew := c.RunInto(res, &sc, cfg)
+		if (errRef == nil) != (errNew == nil) {
+			t.Fatalf("error mismatch: ref %v, new %v\n%s", errRef, errNew, s.Table())
+		}
+		if errRef != nil {
+			return nil
+		}
+		assertSameResult(t, fmt.Sprintf("fuzz (jobs %v, trace %v)", cfg.CollectJobs, cfg.CollectTrace), want, res)
+		if collected == nil {
+			collected = res
+		}
 	}
-	if errRef != nil {
-		return nil
-	}
-	assertSameResult(t, "fuzz", want, res)
-	return res
+	return collected
 }
 
 // FuzzSimEquivalence drives randomized sets, workloads, and policies

@@ -35,6 +35,11 @@ type Scratch struct {
 	tasks task.Set
 	cfg   Config
 	res   *Result
+	// skip enables skipLO: the set is LO-schedulable and the run
+	// collects neither jobs nor a trace. skipped counts the jobs skipLO
+	// committed in this run, so tests can see that the shortcut ran.
+	skip    bool
+	skipped int
 
 	// The clock runs on the integer grid of rat.Ticks: now, expiry and
 	// every pending deadline are in time ticks of tu per unit, and
@@ -77,6 +82,7 @@ func (sc *Scratch) begin(s task.Set, cfg Config, t rat.Ticks, res *Result) {
 	sc.cfg = cfg
 	sc.res = res
 	sc.pending = sc.pending[:0]
+	sc.skipped = 0
 	if cap(sc.lastAdmitted) < len(s) {
 		sc.lastAdmitted = make([]task.Time, len(s))
 		sc.seqs = make([]int32, len(s))

@@ -19,6 +19,16 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+# Every binary the script builds goes into this temp directory, removed
+# on exit, so a run leaves nothing outside the checkout.
+tmp=$(mktemp -d)
+serve_pid=""
+cleanup() {
+    [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true
+    rm -rf "$tmp"
+}
+trap cleanup EXIT INT TERM
+
 go build ./...
 go vet ./...
 
@@ -27,9 +37,8 @@ go vet ./...
 # lockcheck) — fact-based and interprocedural; see
 # docs/STATIC_ANALYSIS.md. It runs under the cmd/go vettool protocol
 # and also fails on stale or unjustified //lint:ignore directives.
-gobin="$(go env GOPATH)/bin"
-go build -o "$gobin/mcs-vet" ./cmd/mcs-vet
-go vet -vettool="$gobin/mcs-vet" ./...
+go build -o "$tmp/mcs-vet" ./cmd/mcs-vet
+go vet -vettool="$tmp/mcs-vet" ./...
 
 # The -race run is the canonical full suite; the extra plain runs cover
 # internal/core's, internal/sim's and internal/fleet's //go:build !race
@@ -74,7 +83,8 @@ go test -fuzz FuzzDeltaEquivalence -fuzztime 10s -run '^$' ./internal/core/
 
 # Simulator fuzz smoke: the zero-allocation RunInto hot path must stay
 # byte-identical to the frozen reference simulator on random task sets,
-# workloads, and configs.
+# workloads, and configs, with job and trace collection on and off (off,
+# LO-schedulable sets skip their overrun-free busy periods).
 go test -fuzz FuzzSimEquivalence -fuzztime 10s -run '^$' ./internal/sim/
 
 # Bench smoke: every core, sim, fleet and generator benchmark must still
@@ -88,14 +98,6 @@ go test -bench=. -benchtime=1x -run='^$' ./internal/core/... ./internal/sim/ ./i
 (cd perfbench && go test -race ./...)
 
 # --- mcs-serve smoke test -------------------------------------------------
-tmp=$(mktemp -d)
-serve_pid=""
-cleanup() {
-    [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT INT TERM
-
 go build -o "$tmp/mcs-gen" ./cmd/mcs-gen
 go build -o "$tmp/mcs-serve" ./cmd/mcs-serve
 
