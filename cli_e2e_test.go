@@ -134,6 +134,15 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Errorf("mcs-sim miss exit: %v", err)
 	}
 
+	// mcs-sim -fleet refuses a horizon whose release bound the sampler
+	// cannot index, with the reason, before it samples anything.
+	_, errOut, err = runCLI(t, bin("mcs-sim"), []byte(example), "-fleet", "4", "-horizon", "4611686018427387904", "-")
+	if err == nil {
+		t.Error("mcs-sim -fleet accepted a 2^62-tick horizon")
+	} else if !strings.Contains(errOut, "jobs per run") {
+		t.Errorf("mcs-sim -fleet horizon refusal: %v\n%s", err, errOut)
+	}
+
 	// mcs-experiments: table1 in both formats.
 	expOut, _, err := runCLI(t, bin("mcs-experiments"), nil, "-run", "table1")
 	if err != nil {

@@ -27,6 +27,10 @@ func BenchmarkRun(b *testing.B) {
 func BenchmarkSample(b *testing.B) {
 	set := preparedFMS(b)
 	p := Params{Set: set, Seed: 1, Horizon: 4 * set.MaxPeriod(), ACET: gen.DefaultACET()}
+	dp, err := newDrawPlan(&p, denseBucketBits)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var (
 		sm   sampler
 		wl   sim.Workload
@@ -34,7 +38,7 @@ func BenchmarkSample(b *testing.B) {
 	)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		wl = sm.workload(wl[:0], &p, i)
+		wl = sm.workload(wl[:0], &dp, i)
 		jobs += len(wl)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(jobs), "ns/job")

@@ -18,6 +18,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 
@@ -114,16 +115,24 @@ func Run(p Params) (*Summary, error) {
 	cfg := sim.Config{Speedup: p.Speedup, Budget: p.Budget, CountMissesOnly: true}
 	budgetF := p.Budget.Float64()
 
+	dp, err := newDrawPlan(&p, denseBucketBits)
+	if err != nil {
+		return nil, err
+	}
+
 	nChunks := (p.Runs + chunkSize - 1) / chunkSize
 	m := newMerger(nChunks)
 	err = par.ForEach(nChunks, par.Workers(p.Workers), func(ci int) error {
 		a := aggPool.Get().(*agg)
 		a.reset()
+		// dp is copied onto the chunk's stack: taking the address of the
+		// captured plan itself would move it to the heap.
 		var (
 			res sim.Result
 			sc  sim.Scratch
 			wl  sim.Workload
 			sm  sampler
+			dp  = dp
 		)
 		lo := ci * chunkSize
 		hi := lo + chunkSize
@@ -131,7 +140,7 @@ func Run(p Params) (*Summary, error) {
 			hi = p.Runs
 		}
 		for r := lo; r < hi; r++ {
-			wl = sm.workload(wl[:0], &p, r)
+			wl = sm.workload(wl[:0], &dp, r)
 			if err := c.RunWorkload(&res, &sc, wl, cfg); err != nil {
 				return err
 			}
@@ -146,6 +155,85 @@ func Run(p Params) (*Summary, error) {
 	return m.total.summary(p, bound), nil
 }
 
+// denseBucketBits bounds the sampler's table at one bucket per release:
+// up to 2^18 uint32 offsets (1 MiB). Past that a bucket covers about
+// 2^crowdBits releases, so the table stays at 4 bytes per 8 releases
+// beside the two workload buffers' 48 bytes per release.
+const (
+	denseBucketBits = 18
+	crowdBits       = 3
+)
+
+// drawPlan is what every replicate of one fleet draws from: each task's
+// draw constants, the release bound, and the bucket geometry. It is
+// built once per Run; every chunk's sampler reads its task table.
+type drawPlan struct {
+	seed    int64
+	horizon task.Time
+	tasks   []taskDraws
+	// releases is Σ(⌊(H−1)/T_i⌋+1), the most releases a replicate draws.
+	releases int
+	// A release at t counts in bucket t>>shift, one of buckets.
+	shift   uint
+	buckets int
+}
+
+// taskDraws holds one task's precomputed draws: its period, its first
+// release in [0, T), its jitter in [0, ⌊T/2⌋] and its ACET.
+type taskDraws struct {
+	period        task.Time
+	first, jitter gen.Bound
+	acet          gen.TaskACET
+}
+
+// releaseBound returns Σ(⌊(H−1)/T_i⌋+1) for horizon h: a task's first
+// release is at or after 0 and the next ones at least T(LO) apart, so
+// no replicate releases more. A bound the bucket table's uint32 offsets
+// cannot index, or that overflows int, is an error.
+func releaseBound(s task.Set, h task.Time) (int, error) {
+	const limit = min(math.MaxUint32, math.MaxInt)
+	var n uint64
+	for i := range s {
+		// n ≤ limit before the addition and each term is below 2^63, so
+		// the sum cannot wrap.
+		n += uint64((h-1)/s[i].Period[task.LO]) + 1
+		if n > limit {
+			return 0, fmt.Errorf("fleet: horizon %d releases more than %d jobs per run", h, uint64(limit))
+		}
+	}
+	return int(n), nil
+}
+
+// newDrawPlan prepares p's replicates. The bucket table has the release
+// bound's entries rounded up to a power of two while that is at most
+// 2^denseBits, and 2^crowdBits times fewer (but at least 2^denseBits)
+// beyond. p's set must have passed sim.CompileSet.
+func newDrawPlan(p *Params, denseBits int) (drawPlan, error) {
+	h := p.Horizon
+	releases, err := releaseBound(p.Set, h)
+	if err != nil {
+		return drawPlan{}, err
+	}
+	dp := drawPlan{seed: p.Seed, horizon: h, tasks: make([]taskDraws, len(p.Set)), releases: releases}
+	for ti := range p.Set {
+		tk := &p.Set[ti]
+		period := tk.Period[task.LO]
+		dp.tasks[ti] = taskDraws{
+			period: period,
+			first:  gen.NewBound(int64(period)),
+			jitter: gen.NewBound(int64(period/2) + 1),
+			acet:   p.ACET.Draw(tk.Crit, tk.WCET[task.LO], tk.WCET[task.HI]),
+		}
+	}
+	tableBits := bits.Len(uint(releases - 1))
+	if tableBits > denseBits {
+		tableBits = max(denseBits, tableBits-crowdBits)
+	}
+	dp.shift = uint(max(0, bits.Len64(uint64(h-1))-tableBits))
+	dp.buckets = int((h-1)>>dp.shift) + 1
+	return dp, nil
+}
+
 // sampler draws replicate workloads. Each task draws from its own
 // (seed, replicate, task) substream: jittered sporadic releases at T(LO)
 // spacing plus up to half a period of jitter, demands from the ACET
@@ -153,136 +241,109 @@ func Run(p Params) (*Summary, error) {
 // independent of scheduling order, and valid by construction for
 // sim.RunWorkload: sorted, demands within caps, T(LO) spacing.
 //
-// The sampler draws each task's releases in one pass into a task-major
-// buffer, then orders them with a stable LSD radix sort on At. A task's
-// releases ascend and the tasks come in index order, so stability makes
-// ties come out in (At, Task) order: exactly the sorted sequence, with
-// the same per-task draws. Each chunk owns one sampler and reuses it
-// across its runs, so sampling allocates nothing once the buffers have
-// grown.
+// The sampler draws each task's releases in one loop into a task-major
+// buffer, counting each in a bucket on the high bits of its release
+// instant. One prefix sum turns the counts into offsets, and one stable
+// scatter moves the releases into dst by bucket. A task's releases
+// ascend and the tasks come in index order, so inside a bucket ties
+// stay in task order; an insertion fix-up on At within the buckets then
+// yields exactly the (At, Task) order, with the same per-task draws. The
+// table is sized from the release bound (see newDrawPlan), so a bucket
+// holds about one release, or about eight past the dense cap, and the
+// fix-up moves each record past few others. Each chunk owns one sampler
+// and reuses it across its runs, so sampling allocates nothing once the
+// buffers have grown.
 type sampler struct {
-	tasks  []taskDraws
-	buf    sim.Workload  // the radix sort's other buffer
-	counts []digitCounts // one digit histogram per pass
-}
-
-// taskDraws holds one task's precomputed per-job draws: its jitter in
-// [0, ⌊T/2⌋] and its ACET.
-type taskDraws struct {
-	jitter gen.Bound
-	acet   gen.TaskACET
-}
-
-// Radix geometry: a pass sorts at most maxDigitBits bits of At.
-const (
-	maxDigitBits = 11
-	digitMask    = 1<<maxDigitBits - 1
-)
-
-// digitCounts is one pass's digit histogram, then its output cursors.
-// Masking a digit with digitMask as well as the pass's own mask lets the
-// compiler drop the bounds checks.
-type digitCounts [1 << maxDigitBits]uint32
-
-// radixPasses returns the pass count and digit width that sort release
-// instants in [0, horizon): as few passes of at most maxDigitBits bits
-// as cover the bit length of horizon−1, the bits split evenly between
-// them. A horizon of 1 needs no pass.
-func radixPasses(horizon task.Time) (passes, width int) {
-	n := bits.Len64(uint64(horizon - 1))
-	passes = (n + maxDigitBits - 1) / maxDigitBits
-	if passes == 0 {
-		return 0, 0
-	}
-	return passes, (n + passes - 1) / passes
+	buf    sim.Workload // the draws, task-major
+	counts []uint32     // per bucket: releases, then scatter cursors
+	moves  int          // records the last fix-up moved
 }
 
 // workload generates replicate r's arrival sequence into dst (resliced,
 // capacity reused).
-func (sm *sampler) workload(dst sim.Workload, p *Params, r int) sim.Workload {
-	set, h := p.Set, p.Horizon
-	if cap(sm.tasks) < len(set) {
-		sm.tasks = make([]taskDraws, len(set))
+func (sm *sampler) workload(dst sim.Workload, dp *drawPlan, r int) sim.Workload {
+	n, h, shift := dp.releases, dp.horizon, dp.shift
+	if cap(dst) < n {
+		dst = make(sim.Workload, 0, n)
 	}
-	sm.tasks = sm.tasks[:len(set)]
-	// Each task releases at most ⌊(H−1)/T⌋+1 jobs before H: its first
-	// release is at or after 0, the next ones at least T apart.
-	releases := 0
-	for ti := range set {
-		tk := &set[ti]
-		period := tk.Period[task.LO]
-		sm.tasks[ti] = taskDraws{
-			jitter: gen.NewBound(int64(period/2) + 1),
-			acet:   p.ACET.Draw(tk.Crit, tk.WCET[task.LO], tk.WCET[task.HI]),
+	if cap(sm.buf) < n {
+		sm.buf = make(sim.Workload, 0, n)
+	}
+	if cap(sm.counts) < dp.buckets {
+		sm.counts = make([]uint32, dp.buckets)
+	}
+	counts := sm.counts[:dp.buckets]
+	clear(counts)
+	src := sm.buf[:n]
+	i := 0
+	for ti := range dp.tasks {
+		d := &dp.tasks[ti]
+		period := d.period
+		// Stream.Int63n, TaskACET.Next and Stream.Below, written out from
+		// their pieces so that the loop makes no call and rnd's address is
+		// never taken: it can then stay in a register.
+		rnd := gen.NewStream(dp.seed, r, ti)
+		v := rnd.Uint64() >> 1
+		for !d.first.Accepts(v) {
+			v = rnd.Uint64() >> 1
 		}
-		releases += int((h-1)/period) + 1
-	}
-	if cap(dst) < releases {
-		dst = make(sim.Workload, 0, releases)
-	}
-	if cap(sm.buf) < releases {
-		sm.buf = make(sim.Workload, 0, releases)
-	}
-	passes, width := radixPasses(h)
-	// The passes alternate between the buffers; draw into the one that
-	// makes the last pass write dst.
-	src, other := dst[:0], sm.buf[:0]
-	if passes%2 == 1 {
-		src, other = other, src
-	}
-	var rnd gen.Stream
-	for ti := range set {
-		d := &sm.tasks[ti]
-		period := set[ti].Period[task.LO]
-		rnd.Reseed(p.Seed, r, ti)
-		at := task.Time(rnd.Int63n(int64(period)))
+		at := task.Time(d.first.Reduce(v))
 		for at < h {
-			src = append(src, sim.Arrival{Task: ti, At: at, Demand: d.acet.Next(&rnd)})
+			var c task.Time
+			if d.acet.CanOverrun() && d.acet.Overruns(rnd.Uint64()) {
+				// The rare overrun draws through a copy of rnd.
+				o := rnd
+				c = d.acet.Overrun(&o)
+				rnd = o
+			} else {
+				c = d.acet.Band(rnd.Uint64())
+			}
+			src[i] = sim.Arrival{Task: ti, At: at, Demand: c}
+			i++
+			counts[uint64(at)>>shift]++
 			at += period
 			if period > 1 { // a jitter of ⌊T/2⌋ = 0 draws nothing
-				at += task.Time(rnd.Below(&d.jitter))
+				v := rnd.Uint64() >> 1
+				for !d.jitter.Accepts(v) {
+					v = rnd.Uint64() >> 1
+				}
+				at += task.Time(d.jitter.Reduce(v))
 			}
 		}
 	}
-	return sm.radixSort(src, other[:len(src)], passes, width)
+	src = src[:i]
+	// Each bucket's first output index: the count of earlier buckets.
+	next := uint32(0)
+	for b, c := range counts {
+		counts[b], next = next, next+c
+	}
+	dst = dst[:i]
+	for k := range src {
+		b := uint64(src[k].At) >> shift
+		dst[counts[b]] = src[k]
+		counts[b]++
+	}
+	sm.moves = fixup(dst)
+	return dst
 }
 
-// radixSort stably sorts src by At, passes digits of width bits from
-// the least significant up, alternating between src and tmp (of src's
-// length); it returns the buffer the last pass wrote, src itself when
-// passes is 0. Every pass's digit histogram is counted from src before
-// the first scatter: a pass moves records, never changes their At.
-func (sm *sampler) radixSort(src, tmp sim.Workload, passes, width int) sim.Workload {
-	if passes == 0 {
-		return src
-	}
-	if len(sm.counts) < passes {
-		sm.counts = make([]digitCounts, passes)
-	}
-	counts, size := sm.counts[:passes], 1<<width
-	mask := uint64(size - 1)
-	for p := range counts {
-		c, shift := &counts[p], p*width
-		clear(c[:size])
-		for i := range src {
-			c[uint64(src[i].At)>>shift&mask&digitMask]++
+// fixup insertion-sorts w on At, moving a record only past records with
+// a strictly later At, so ties keep their order. It returns the number
+// of moves. After the bucket scatter only records that share a bucket
+// are out of order, so only they move.
+func fixup(w sim.Workload) (moves int) {
+	for i := 1; i < len(w); i++ {
+		if w[i].At >= w[i-1].At {
+			continue
 		}
-	}
-	for p := range counts {
-		// Each digit's first output index: the count of smaller digits.
-		c, next := &counts[p], uint32(0)
-		for d, n := range c[:size] {
-			c[d], next = next, next+n
+		x, j := w[i], i
+		for ; j > 0 && w[j-1].At > x.At; j-- {
+			w[j] = w[j-1]
 		}
-		shift := p * width
-		for i := range src {
-			d := uint64(src[i].At) >> shift & mask & digitMask
-			tmp[c[d]] = src[i]
-			c[d]++
-		}
-		src, tmp = tmp, src
+		w[j] = x
+		moves += i - j
 	}
-	return src
+	return moves
 }
 
 // agg is one chunk's (and, merged, the fleet's) streaming aggregate.

@@ -9,7 +9,9 @@ package fleet
 // race-instrumented runs, whose shadow bookkeeping inflates TotalAlloc.
 
 import (
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -60,5 +62,28 @@ func TestOverloadedRunMemory(t *testing.T) {
 	}
 	if got > limit {
 		t.Fatalf("allocated %.1f MiB, want at most %.1f MiB", float64(got)/(1<<20), float64(limit)/(1<<20))
+	}
+}
+
+// TestHorizonRefusedBeforeSampling runs fleets whose release bound
+// Σ(⌊(H−1)/T⌋+1) exceeds what the sampler's uint32 bucket offsets can
+// index. Run must refuse them with an error before it allocates a
+// workload buffer; at a horizon of 2^62 the buffers would not even fit
+// the address space.
+func TestHorizonRefusedBeforeSampling(t *testing.T) {
+	set := overloadedSet()
+	for _, horizon := range []task.Time{1 << 62, 1 << 33, math.MaxUint32} {
+		p := Params{Set: set, Runs: 4, Seed: 1, Speedup: rat.Two, Horizon: horizon, Workers: 1}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := Run(p)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "jobs per run") {
+			t.Fatalf("horizon %d: error %v, want a release-bound refusal", horizon, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Fatalf("horizon %d: allocated %d bytes before refusing", horizon, got)
+		}
 	}
 }

@@ -1,8 +1,9 @@
 package fleet
 
-// This file keeps the sort-based replicate sampler the fleet shipped
-// before the merged per-task sampler, verbatim apart from its name, as
-// the oracle for the sampler differential tests in sampler_test.go.
+// This file keeps the fleet's first replicate sampler, which drew each
+// release with ACET.Sample and Stream.Int63n and ordered the workload
+// with a comparison sort, verbatim apart from its name, as the oracle for
+// the sampler differential tests in sampler_test.go.
 
 import (
 	"sort"

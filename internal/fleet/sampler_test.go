@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -57,12 +59,13 @@ func stretch(s task.Set, f task.Time) task.Set {
 	return out
 }
 
-// TestSamplerMatchesReference checks the bulk-draw, radix-sorting
-// sampler against the sort-based reference on random sets, horizons and
-// replicates. The horizons make the radix sort run 0, 1, 2 and 3 or more
-// passes; long horizons come with stretched periods. One sampler and one
-// buffer serve every case, so stale state from a larger set or a
-// different pass count would show up as a divergence.
+// TestSamplerMatchesReference checks the bucket-scattering sampler
+// against the sort-based reference on random sets, horizons, table caps
+// and replicates. The corpus must reach the scatter's edges: a capped
+// table, buckets holding several releases, and a fix-up that moves
+// records. Long horizons come with stretched periods. One sampler and
+// one buffer serve every case, so stale state from a larger set or a
+// larger table would show up as a divergence.
 func TestSamplerMatchesReference(t *testing.T) {
 	rnd := rand.New(rand.NewSource(20261017))
 	var (
@@ -71,7 +74,8 @@ func TestSamplerMatchesReference(t *testing.T) {
 		ties, empties  int
 		shortHorizons  int
 		periodOneTasks int
-		passCounts     [4]int // cases by radix pass count, 3 standing for 3 or more
+		capped, moved  int
+		crowded        int // cases with a bucket of several releases
 	)
 	for k := 0; k < 3000; k++ {
 		set := randomSamplerSet(rnd)
@@ -89,10 +93,10 @@ func TestSamplerMatchesReference(t *testing.T) {
 		case 1:
 			horizon = max(1, minT-1) // shorter than every period but 1
 			shortHorizons++
-		case 2: // two passes: bit lengths 12 to 22
+		case 2: // bit lengths 12 to 22
 			horizon = 1<<11 + 1 + task.Time(rnd.Int63n(1<<22-1<<11))
 			set = stretch(set, horizon/(4*maxT)+1)
-		case 3: // three or four passes: bit lengths 23 to 40
+		case 3: // bit lengths 23 to 40
 			horizon = 1<<22 + 1 + task.Time(rnd.Int63n(1<<40-1<<22))
 			set = stretch(set, horizon/(4*maxT)+1)
 		default:
@@ -102,30 +106,160 @@ func TestSamplerMatchesReference(t *testing.T) {
 		acet.OverrunProb = rnd.Float64()
 		p := Params{Set: set, Seed: rnd.Int63() - rnd.Int63(), Horizon: horizon, ACET: acet}
 		r := rnd.Intn(1 << 20)
+		// Every other round of the horizon kinds uses the production
+		// table, the rest a dense cap small enough to bind on most
+		// horizons.
+		denseBits := denseBucketBits
+		if k/8%2 == 1 {
+			denseBits = rnd.Intn(5)
+		}
+		dp, err := newDrawPlan(&p, denseBits)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		want = refSampleWorkload(want[:0], p, r)
-		got = sm.workload(got[:0], &p, r)
+		got = sm.workload(got[:0], &dp, r)
 		if !slices.Equal(want, got) {
-			t.Fatalf("case %d (%d tasks, horizon %d, r %d):\nref: %v\ngot: %v", k, len(set), horizon, r, want, got)
+			t.Fatalf("case %d (%d tasks, horizon %d, dense cap 2^%d, r %d):\nref: %v\ngot: %v",
+				k, len(set), horizon, denseBits, r, want, got)
 		}
-		passes, _ := radixPasses(horizon)
-		passCounts[min(passes, 3)]++
+		if bits.Len(uint(dp.releases-1)) > denseBits {
+			capped++
+		}
+		if sm.moves > 0 {
+			moved++
+		}
 		if len(got) == 0 {
 			empties++
 		}
+		shared := false
 		for i := 1; i < len(got); i++ {
 			if got[i].At == got[i-1].At {
 				ties++
 			}
+			shared = shared || got[i].At>>dp.shift == got[i-1].At>>dp.shift
+		}
+		if shared {
+			crowded++
 		}
 	}
-	if ties == 0 || empties == 0 || shortHorizons == 0 || periodOneTasks == 0 {
-		t.Fatalf("corpus misses an edge: %d tied releases, %d empty workloads, %d short horizons, %d period-1 tasks",
-			ties, empties, shortHorizons, periodOneTasks)
-	}
-	for passes, n := range passCounts {
+	for name, n := range map[string]int{
+		"tied releases": ties, "empty workloads": empties, "short horizons": shortHorizons,
+		"period-1 tasks": periodOneTasks, "capped tables": capped, "fix-ups that move records": moved,
+		"buckets holding several releases": crowded,
+	} {
 		if n == 0 {
-			t.Fatalf("no case sorted in %d passes (cases by pass count: %v)", passes, passCounts)
+			t.Errorf("corpus has no %s", name)
 		}
 	}
+}
+
+// TestReleaseBoundLimit pins the release bound's edge: with a period-1
+// task a horizon of 2^32−1 ticks releases exactly math.MaxUint32 jobs,
+// the most the bucket offsets index, and one tick more is refused, as is
+// a bound whose sum would overflow.
+func TestReleaseBoundLimit(t *testing.T) {
+	one := task.Set{{Name: "a", Crit: task.LO, Period: [2]task.Time{1, task.Unbounded},
+		Deadline: [2]task.Time{1, task.Unbounded}, WCET: [2]task.Time{1, 1}}}
+	if n, err := releaseBound(one, math.MaxUint32); err != nil || n != math.MaxUint32 {
+		t.Fatalf("releaseBound(2^32−1) = %d, %v; want %d", n, err, uint64(math.MaxUint32))
+	}
+	if _, err := releaseBound(one, math.MaxUint32+1); err == nil {
+		t.Fatal("releaseBound accepted 2^32 releases")
+	}
+	many := task.Set{one[0], one[0], one[0], one[0]}
+	if _, err := releaseBound(many, math.MaxInt64); err == nil {
+		t.Fatal("releaseBound accepted a sum beyond int64")
+	}
+}
+
+// FuzzSamplerMatchesReference holds the sampler to the sort-based
+// reference on random sets, horizons, table caps, seeds and replicates.
+// Periods are stretched so that a task releases at most about 2^12 jobs,
+// however long the horizon.
+func FuzzSamplerMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint64(100), uint8(18), int64(7), uint32(3), uint8(128))
+	f.Add(int64(2), uint64(1), uint8(0), int64(-5), uint32(0), uint8(0))
+	f.Add(int64(3), uint64(5000), uint8(2), int64(11), uint32(1<<20), uint8(255))
+	f.Add(int64(4), uint64(1)<<39, uint8(4), int64(1)<<40, uint32(9), uint8(40))
+	var (
+		sm        sampler
+		got, want sim.Workload
+	)
+	f.Fuzz(func(t *testing.T, setSeed int64, horizonRaw uint64, denseRaw uint8, seed int64, r uint32, probRaw uint8) {
+		set := randomSamplerSet(rand.New(rand.NewSource(setSeed)))
+		horizon := 1 + task.Time(horizonRaw%(1<<40))
+		if n, err := releaseBound(set, horizon); err != nil || n > 1<<12 {
+			set = stretch(set, horizon>>12+1)
+		}
+		acet := gen.DefaultACET()
+		acet.OverrunProb = float64(probRaw) / 255
+		p := Params{Set: set, Seed: seed, Horizon: horizon, ACET: acet}
+		dp, err := newDrawPlan(&p, int(denseRaw)%(denseBucketBits+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = refSampleWorkload(want[:0], p, int(r))
+		got = sm.workload(got[:0], &dp, int(r))
+		if !slices.Equal(want, got) {
+			t.Fatalf("%d tasks, horizon %d, shift %d:\nref: %v\ngot: %v", len(set), horizon, dp.shift, want, got)
+		}
+	})
+}
+
+// crowdedSet draws n HI tasks with periods from periods.
+func crowdedSet(rnd *rand.Rand, n int, periods []task.Time) task.Set {
+	s := make(task.Set, n)
+	for i := range s {
+		t := periods[rnd.Intn(len(periods))]
+		s[i] = task.Task{
+			Name: fmt.Sprintf("t%d", i), Crit: task.HI,
+			Period: [2]task.Time{t, t}, Deadline: [2]task.Time{t, t}, WCET: [2]task.Time{1, t},
+		}
+	}
+	return s
+}
+
+// TestFixupLinear bounds the fix-up's record moves by 4 per release on
+// crowded sets: many period-1 and period-2 tasks, and sets mixing them
+// with longer periods, at horizons where the table is dense and where it
+// is past its dense cap (lowered here, so the sets stay small). The
+// table keeps about eight releases or fewer per bucket, so a record moves
+// past a few others at most, whatever the number of tasks. A table held
+// at its dense cap instead would move each record past hundreds (770 per
+// release for 16 tasks of periods 1 and 2 over 40 000 ticks in 2^8
+// buckets).
+func TestFixupLinear(t *testing.T) {
+	rnd := rand.New(rand.NewSource(20261019))
+	var (
+		sm    sampler
+		wl    sim.Workload
+		worst float64
+	)
+	for _, periods := range [][]task.Time{{1, 2}, {1, 1, 2}, {2, 3}, {1, 2, 3, 5, 8, 13, 40, 97}, {5, 7, 11, 64, 100}} {
+		for _, n := range []int{4, 16, 32} {
+			for _, h := range []task.Time{1000, 5000, 10000} {
+				for _, denseBits := range []int{denseBucketBits, 10, 6} {
+					set := crowdedSet(rnd, n, periods)
+					p := Params{Set: set, Seed: rnd.Int63(), Horizon: h, ACET: gen.DefaultACET()}
+					dp, err := newDrawPlan(&p, denseBits)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wl = sm.workload(wl[:0], &dp, rnd.Intn(1000))
+					ratio := float64(sm.moves) / float64(len(wl))
+					worst = max(worst, ratio)
+					if ratio > 4 {
+						t.Errorf("periods %v, %d tasks, horizon %d, dense cap 2^%d: %d moves for %d releases",
+							periods, n, h, denseBits, sm.moves, len(wl))
+					}
+				}
+			}
+		}
+	}
+	if worst < 1 {
+		t.Fatalf("at most %.2f moves per release: the sets no longer crowd the buckets", worst)
+	}
+	t.Logf("at most %.2f moves per release", worst)
 }

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"math"
 
 	"mcspeedup/internal/task"
 )
@@ -71,7 +72,9 @@ func (a ACET) Sample(rnd *Stream, crit task.Crit, cLO, cHI task.Time) task.Time 
 }
 
 // TaskACET is an ACET model with one task's band constants folded in
-// (see ACET.Draw).
+// (see ACET.Draw). Next draws one job; loops that cannot afford its call
+// draw with the pieces it is made of, CanOverrun, Overruns, Overrun and
+// Band, in the same order, and so draw exactly what Next draws.
 type TaskACET struct {
 	floor, width float64 // the band: floor + width·u for a uniform u
 	scale        float64 // float64(C(LO))
@@ -79,34 +82,56 @@ type TaskACET struct {
 	// canOverrun is false for tasks that cannot overrun (LO criticality,
 	// or C(HI) = C(LO)): Next spends no draw on their overrun test.
 	canOverrun bool
-	overrun    float64 // the overrun probability
-	cHI        task.Time
+	// overrun is ⌈p·2^53⌉ for the overrun probability p (see Overruns).
+	overrun uint64
+	excess  Bound // Int63n(C(HI) − C(LO)), the overrun's excess over C(LO)+1
 }
 
 // Draw folds one task's criticality and WCETs into the model. Next on
 // the result draws exactly what Sample(rnd, crit, cLO, cHI) draws.
 func (a ACET) Draw(crit task.Crit, cLO, cHI task.Time) TaskACET {
-	d := TaskACET{floor: a.LOFloor, width: a.LOCeil - a.LOFloor, scale: float64(cLO), cLO: cLO, cHI: cHI}
+	d := TaskACET{floor: a.LOFloor, width: a.LOCeil - a.LOFloor, scale: float64(cLO), cLO: cLO}
 	if crit == task.HI {
 		d.floor, d.width = a.HIFloor, a.HICeil-a.HIFloor
-		d.canOverrun, d.overrun = cHI > cLO, a.OverrunProb
+		if cHI > cLO {
+			d.canOverrun = true
+			// p·2^53 is exact (a power-of-two scaling), so its ceiling is
+			// the least integer not below it.
+			d.overrun = uint64(math.Ceil(a.OverrunProb * (1 << 53)))
+			d.excess = NewBound(int64(cHI - cLO))
+		}
 	}
 	return d
 }
 
 // Next draws one job's ACET from rnd.
 func (d *TaskACET) Next(rnd *Stream) task.Time {
-	if d.canOverrun && rnd.Float64() < d.overrun {
-		// Overrun: uniform over the integers in (C(LO), C(HI)].
-		return d.cLO + 1 + task.Time(rnd.Int63n(int64(d.cHI-d.cLO)))
+	if d.canOverrun && d.Overruns(rnd.Uint64()) {
+		return d.Overrun(rnd)
 	}
-	f := d.floor + d.width*rnd.Float64()
-	v := task.Time(f * d.scale)
-	if v < 1 {
-		v = 1
-	}
-	if v > d.cLO {
-		v = d.cLO
-	}
-	return v
+	return d.Band(rnd.Uint64())
+}
+
+// CanOverrun reports whether a job's draw opens with the overrun test: a
+// HI-criticality task with C(HI) > C(LO).
+func (d *TaskACET) CanOverrun() bool { return d.canOverrun }
+
+// Overruns is the overrun test on the stream's next Uint64 u: the job
+// overruns when u>>11 < ⌈p·2^53⌉. Float64 returns (u>>11)/2^53, and an
+// integer lies below p·2^53 exactly when it lies below its ceiling, so
+// this is exactly Float64() < p without the conversion.
+func (d *TaskACET) Overruns(u uint64) bool { return u>>11 < d.overrun }
+
+// Overrun draws an overrunning job's demand: uniform over the integers in
+// (C(LO), C(HI)].
+func (d *TaskACET) Overrun(rnd *Stream) task.Time {
+	return d.cLO + 1 + task.Time(rnd.Below(&d.excess))
+}
+
+// Band returns the demand of a job that does not overrun, from the
+// stream's next Uint64 u: floor + width·Unit(u) of C(LO), clamped to
+// [1, C(LO)].
+func (d *TaskACET) Band(u uint64) task.Time {
+	v := task.Time((d.floor + d.width*Unit(u)) * d.scale)
+	return min(max(v, 1), d.cLO)
 }

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math"
 	"testing"
 
 	"mcspeedup/internal/task"
@@ -74,6 +75,30 @@ func TestACETValidateRejects(t *testing.T) {
 	} {
 		if err := a.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", name, a)
+		}
+	}
+}
+
+// TestOverrunsMatchesFloat64 holds the integer overrun test to the
+// float comparison it replaces, Float64() < p, at probabilities on and
+// next to multiples of 2^-53 and at draws on either side of the cut.
+func TestOverrunsMatchesFloat64(t *testing.T) {
+	rnd := NewStream(5, 0, 0)
+	probs := []float64{0, 1, 0.001, 0.5, 1.0 / 3, 0x1p-53, 0x1p-60, math.Nextafter(0.001, 1), math.Nextafter(1, 0)}
+	for i := 0; i < 64; i++ {
+		probs = append(probs, rnd.Float64())
+	}
+	for _, p := range probs {
+		d := ACET{LOCeil: 1, HICeil: 1, OverrunProb: p}.Draw(task.HI, 2, 5)
+		cut := uint64(math.Ceil(p*(1<<53))) << 11 // the smallest u the test calls no overrun
+		draws := []uint64{0, math.MaxUint64, cut, cut - 1, cut + 1<<11 - 1, cut - 1<<11}
+		for i := 0; i < 256; i++ {
+			draws = append(draws, rnd.Uint64())
+		}
+		for _, u := range draws {
+			if got, want := d.Overruns(u), Unit(u) < p; got != want {
+				t.Fatalf("p %v, u %#x: Overruns %v, Float64() < p %v", p, u, got, want)
+			}
 		}
 	}
 }

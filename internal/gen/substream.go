@@ -77,9 +77,13 @@ func (s *Stream) Uint64() uint64 {
 }
 
 // Float64 returns a uniform float64 in [0, 1).
-func (s *Stream) Float64() float64 {
-	return float64(s.Uint64()>>11) / (1 << 53)
-}
+func (s *Stream) Float64() float64 { return Unit(s.Uint64()) }
+
+// Unit maps one Uint64 draw u to Float64's value: the top 53 bits of u
+// over 2^53, a uniform float64 in [0, 1). The 53 bits convert through
+// int64, the same value by a single instruction where an unsigned
+// conversion needs a branch.
+func Unit(u uint64) float64 { return float64(int64(u>>11)) / (1 << 53) }
 
 // Int63n returns a uniform int64 in [0, n). It panics if n <= 0,
 // matching math/rand, and rejects the biased tail exactly as
@@ -117,9 +121,19 @@ func NewBound(n int64) Bound {
 // remainder (Granlund–Montgomery invariant division).
 func (s *Stream) Below(b *Bound) int64 {
 	v := s.Uint64() >> 1
-	for v > b.max {
+	for !b.Accepts(v) {
 		v = s.Uint64() >> 1
 	}
+	return b.Reduce(v)
+}
+
+// Accepts reports whether the 63-bit draw v lies at or below the
+// rejection threshold; Below redraws until it does.
+func (b *Bound) Accepts(v uint64) bool { return v <= b.max }
+
+// Reduce returns v mod n for an accepted 63-bit draw v: the value Below
+// returns for it.
+func (b *Bound) Reduce(v uint64) int64 {
 	q, _ := bits.Mul64(v, b.m)
 	r := v - q*b.n
 	if r >= b.n {

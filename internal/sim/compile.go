@@ -16,9 +16,9 @@ import (
 type Compiled struct {
 	set task.Set
 	w   Workload
-	// maxDeadline is the largest finite relative deadline in set, for
-	// the tick-grid span check.
-	maxDeadline task.Time
+	// maxDeadline is the largest finite relative deadline in set, and
+	// maxWCET the largest C(HI), for the tick-grid span check.
+	maxDeadline, maxWCET task.Time
 	// schedLO is core.SchedulableLO's verdict on set: the exact LO-mode
 	// processor-demand test that licenses skipping overrun-free busy
 	// periods (see Scratch.skipLO).
@@ -45,7 +45,11 @@ func CompileSet(s task.Set) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Compiled{set: s, maxDeadline: maxDeadline(s), schedLO: schedLO}, nil
+	c := &Compiled{set: s, maxDeadline: maxDeadline(s), schedLO: schedLO}
+	for i := range s {
+		c.maxWCET = max(c.maxWCET, s[i].WCET[task.HI])
+	}
+	return c, nil
 }
 
 // maxDeadline is the largest finite relative deadline in s. A terminated
@@ -112,19 +116,28 @@ func (c *Compiled) RunWorkload(res *Result, sc *Scratch, w Workload, cfg Config)
 // grid derives the run's tick grid (see rat.Ticks) and checks, before
 // the loop starts, that every instant and work amount the run can reach
 // fits it, so the loop's int64 arithmetic can neither wrap nor panic.
+// The workload is sorted, so its last arrival is its latest. Its work is
+// at most len(w)·max C(HI); Fits is monotone in the work, so only when
+// that bound does not fit does the exact sum of the demands decide.
 func (c *Compiled) grid(w Workload, cfg Config) (rat.Ticks, error) {
 	t, ok := rat.NewTicks(cfg.Speedup, cfg.Budget)
 	if ok {
-		var last, work task.Time
-		for i := range w {
-			last = max(last, w[i].At)
-			if w[i].Demand > math.MaxInt64-work {
-				ok = false
-				break
-			}
-			work += w[i].Demand
+		last, n := int64(0), int64(len(w))
+		if n > 0 {
+			last = int64(w[n-1].At)
 		}
-		ok = ok && t.Fits(int64(last), int64(work), int64(c.maxDeadline))
+		wcet, dl := int64(c.maxWCET), int64(c.maxDeadline)
+		if n > math.MaxInt64/max(wcet, 1) || !t.Fits(last, n*wcet, dl) {
+			var work int64
+			for i := range w {
+				if int64(w[i].Demand) > math.MaxInt64-work {
+					ok = false
+					break
+				}
+				work += int64(w[i].Demand)
+			}
+			ok = ok && t.Fits(last, work, dl)
+		}
 	}
 	if !ok {
 		budget := "no budget"

@@ -8,6 +8,7 @@ import (
 	"mcspeedup/internal/fms"
 	"mcspeedup/internal/gen"
 	"mcspeedup/internal/rat"
+	"mcspeedup/internal/task"
 )
 
 // fineSpeed is a speed on the 2^24 scale, as FromFloat produces for a
@@ -78,5 +79,44 @@ func TestFineSpeedMatchesReference(t *testing.T) {
 		if cfg.Budget.Sign() > 0 && !got.Episodes[0].BudgetTripped {
 			t.Fatalf("budget %v: the first episode did not trip", cfg.Budget)
 		}
+	}
+}
+
+// TestGridExactWorkFallback pins the grid check's exact fallback: a run
+// whose work bound len(w)·max C(HI) does not fit the fine grid, but whose
+// summed demand does, must run, and match the reference. One HI task has
+// a large C(HI); every job but its one small overrun is a unit LO job.
+func TestGridExactWorkFallback(t *testing.T) {
+	set := task.Set{task.NewHI("H", 6000, 3000, 6000, 1, 5000), task.NewLO("L", 2, 2, 1)}
+	w := Workload{{Task: 0, At: 0, Demand: 2}}
+	for at := task.Time(0); at < 400; at += 2 {
+		w = append(w, Arrival{Task: 1, At: at, Demand: 1})
+	}
+	cfg := Config{Speedup: fineSpeed, Budget: rat.New(7, 3)}
+	tk, ok := rat.NewTicks(cfg.Speedup, cfg.Budget)
+	last, n := int64(w[len(w)-1].At), int64(len(w))
+	if !ok || tk.Fits(last, n*5000, 6000) || !tk.Fits(last, n+1, 6000) {
+		t.Fatal("fixture drifted: the work bound must fail the grid and the exact work fit it")
+	}
+	c, err := Compile(set, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		res Result
+		sc  Scratch
+	)
+	for _, cfg := range []Config{cfg, {Speedup: fineSpeed, Budget: cfg.Budget, CollectJobs: true, CollectTrace: true}} {
+		want, err := refRun(set, w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RunInto(&res, &sc, cfg); err != nil {
+			t.Fatalf("RunInto: %v", err)
+		}
+		if len(res.Episodes) == 0 {
+			t.Fatal("no mode switch: the run never reached the fine grid")
+		}
+		assertSameResult(t, "exact work fallback", want, &res)
 	}
 }

@@ -29,6 +29,8 @@ type Scratch struct {
 	pending      []jobState
 	lastAdmitted []task.Time
 	seqs         []int32
+	// cLO[i] is task i's C(LO), the overrun threshold skipLO reads.
+	cLO []task.Time
 
 	// Per-run state, reset by begin and cleared by finish so a pooled
 	// arena never pins a caller's task set or result.
@@ -83,16 +85,21 @@ func (sc *Scratch) begin(s task.Set, cfg Config, t rat.Ticks, res *Result) {
 	sc.res = res
 	sc.pending = sc.pending[:0]
 	sc.skipped = 0
-	if cap(sc.lastAdmitted) < len(s) {
-		sc.lastAdmitted = make([]task.Time, len(s))
-		sc.seqs = make([]int32, len(s))
+	if n := len(s); cap(sc.lastAdmitted) < n {
+		times := make([]task.Time, 2*n)
+		sc.lastAdmitted, sc.cLO = times[:n:n], times[n:]
+		sc.seqs = make([]int32, n)
 	} else {
 		sc.lastAdmitted = sc.lastAdmitted[:len(s)]
 		sc.seqs = sc.seqs[:len(s)]
+		sc.cLO = sc.cLO[:len(s)]
 		for i := range sc.seqs {
 			sc.lastAdmitted[i] = 0
 			sc.seqs[i] = 0
 		}
+	}
+	for i := range s {
+		sc.cLO[i] = s[i].WCET[task.LO]
 	}
 	sc.now, sc.tu, sc.wu = 0, 1, 1
 	sc.mode = task.LO

@@ -383,37 +383,41 @@ func (sc *Scratch) run(w Workload) {
 // holds the next overrun, or len(w). Only LO-schedulable sets get here
 // (Scratch.skip), where such a busy period runs as EDF would run it with
 // no miss and no mode switch (see the package comment).
+//
+// Each job is admitted as it is scanned. The busy period that holds the
+// overrun is handed back to EDF with its jobs' seqs taken back out; their
+// lastAdmitted entries may stay, because EDF re-admits those jobs in LO
+// mode, in the same order, before any HI-mode admission reads them.
 func (sc *Scratch) skipLO(w Workload, idx int) int {
 	start := idx    // first arrival of the open busy period w[start:k]
 	var f task.Time // its finish; the period is closed at any arrival at or after f
-	for k := idx; k < len(w); k++ {
+	end := f        // the finish of the last closed busy period
+	last, seqs, cLO := sc.lastAdmitted, sc.seqs, sc.cLO
+	k := idx
+	for ; k < len(w); k++ {
 		a := &w[k]
-		if a.At >= f {
-			sc.commitLO(w[start:k], f)
-			start = k
+		if a.At >= f { // a no-op at k = idx, where f = 0
+			start, end = k, f
 		}
-		if a.Demand > sc.tasks[a.Task].WCET[task.LO] {
-			return start
+		if a.Demand > cLO[a.Task] {
+			for i := start; i < k; i++ {
+				seqs[w[i].Task]--
+			}
+			break
 		}
+		last[a.Task] = a.At
+		seqs[a.Task]++
 		f = max(f, a.At) + a.Demand
 	}
-	sc.commitLO(w[start:], f)
-	return len(w)
-}
-
-// commitLO records the jobs of one LO-mode busy period that finished at
-// f as EDF would have: all admitted and completed, none missed.
-func (sc *Scratch) commitLO(jobs Workload, f task.Time) {
-	if len(jobs) == 0 {
-		return
+	if k == len(w) {
+		start, end = k, f
 	}
-	for i := range jobs {
-		sc.lastAdmitted[jobs[i].Task] = jobs[i].At
-		sc.seqs[jobs[i].Task]++
+	if n := start - idx; n > 0 {
+		sc.res.Completed += n
+		sc.skipped += n
+		sc.endAt, sc.endUnit = int64(end), 1
 	}
-	sc.res.Completed += len(jobs)
-	sc.skipped += len(jobs)
-	sc.endAt, sc.endUnit = int64(f), 1
+	return start
 }
 
 // instant converts a time-tick value of the current phase to a Rat.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"mcspeedup/internal/core"
@@ -172,5 +173,54 @@ func TestUnschedulableLOSetSteppedByEDF(t *testing.T) {
 				k, len(want.Misses), len(want.Episodes))
 		}
 		assertSameResult(t, "LO-unschedulable", want, &res)
+	}
+}
+
+// TestSkipLeavesEDFAdmissionState checks the per-task admission state a
+// run leaves behind: a run that skips busy periods must end with the seqs
+// and lastAdmitted of the same run stepped through EDF. skipLO admits
+// jobs as it scans them and takes the seqs of a busy period it hands back
+// to EDF out again, so a missing or double correction shows up here even
+// where no result field reads the seqs.
+func TestSkipLeavesEDFAdmissionState(t *testing.T) {
+	var (
+		res       Result
+		skip, edf Scratch
+		handed    int
+	)
+	for _, cs := range workloadCorpus(t) {
+		c, err := CompileSet(cs.set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !c.schedLO {
+			continue
+		}
+		for _, cfg := range diffConfigs(cs.set) {
+			if err := c.RunWorkload(&res, &skip, cs.w, uncollected(cfg)); err != nil {
+				t.Fatal(err)
+			}
+			stepped := uncollected(cfg)
+			stepped.CollectJobs = true // collection turns the shortcut off
+			if err := c.RunWorkload(&res, &edf, cs.w, stepped); err != nil {
+				t.Fatal(err)
+			}
+			if edf.skipped != 0 {
+				t.Fatalf("%s: a collecting run skipped %d jobs", cs.name, edf.skipped)
+			}
+			// The first hand-back takes seqs out when the busy period at
+			// w[h] holds jobs before its first overrun.
+			h, _ := loPrefix(cs.set, cs.w)
+			if h < len(cs.w) && !overruns(cs.set, cs.w[h]) {
+				handed++
+			}
+			if !slices.Equal(skip.seqs, edf.seqs) || !slices.Equal(skip.lastAdmitted, edf.lastAdmitted) {
+				t.Fatalf("%s: skipping run left seqs %v, lastAdmitted %v; EDF left %v, %v",
+					cs.name, skip.seqs, skip.lastAdmitted, edf.seqs, edf.lastAdmitted)
+			}
+		}
+	}
+	if handed == 0 {
+		t.Fatal("no run handed back a busy period with jobs before its overrun")
 	}
 }

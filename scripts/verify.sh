@@ -70,6 +70,11 @@ go test -fuzz FuzzBracketRound -fuzztime 10s -run '^$' ./internal/rat/
 # and leave the stream exactly where, the division-based Int63n does.
 go test -fuzz FuzzBoundBelow -fuzztime 10s -run '^$' ./internal/gen/
 
+# Sampler fuzz smoke: the fleet's bucket-scattering replicate sampler
+# must draw exactly the workload of the sort-based reference sampler,
+# including past the bucket table's dense cap.
+go test -fuzz FuzzSamplerMatchesReference -fuzztime 10s -run '^$' ./internal/fleet/
+
 # Cap-decision fuzz smoke: the HI-mode QPA behind the design searches'
 # probes must decide s_min ≤ cap exactly as the brute-force supremum and
 # the Theorem-2 walk do, and report itself undecided where it does not
