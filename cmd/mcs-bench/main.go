@@ -585,10 +585,10 @@ func benchmark(c config) benchDoc {
 	}
 
 	// SessionDeltaEditFMS: one single-parameter C(HI) edit plus the
-	// delta re-analysis it triggers (served by the recorded event curve),
-	// against AnalyzeColdFMS above — the delta-vs-cold ratio docs/PERF.md
-	// quotes. SessionEditDLOFMS: the same for a D(LO) edit, which moves
-	// event positions and so takes the warm walk.
+	// warm re-analysis it triggers, against AnalyzeColdFMS above — the
+	// delta-vs-cold ratio docs/PERF.md quotes. SessionEditDLOFMS: the
+	// same for a D(LO) edit. Both run the warm Theorem-2 walk; the row
+	// names predate that and stay for -compare continuity.
 	doc.Benchmarks = append(doc.Benchmarks,
 		sessionEdit("SessionDeltaEditFMS", fms, mcspeedup.ParamCHI),
 		sessionEdit("SessionEditDLOFMS", fms, mcspeedup.ParamDLO))

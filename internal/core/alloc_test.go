@@ -89,8 +89,8 @@ func TestPooledPathZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestSessionEditAllocs pins the per-edit allocation budget of a Session
-// on the prepared FMS set: a C(HI) flip (served by the recorded curve) or
-// a D(LO) flip (the warm walk), plus the report it invalidates. The one
+// on the prepared FMS set: a C(HI) flip or a D(LO) flip, each served by
+// the warm Theorem-2 walk, plus the report it invalidates. The one
 // allocation is the report's copy of the set: every demand aggregate
 // refolds, and the Lemma-6 sum rounds, without allocating.
 func TestSessionEditAllocs(t *testing.T) {

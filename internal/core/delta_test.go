@@ -17,6 +17,7 @@ import (
 
 	"mcspeedup/internal/dbf"
 	"mcspeedup/internal/fms"
+	"mcspeedup/internal/gen"
 	"mcspeedup/internal/rat"
 	"mcspeedup/internal/task"
 )
@@ -323,7 +324,7 @@ func TestSetStateAggregatesMatchCold(t *testing.T) {
 			if !ok {
 				continue
 			}
-			if _, err := st.Apply(e); err != nil {
+			if err := st.Apply(e); err != nil {
 				t.Fatalf("set %d: apply %+v: %v", si, e, err)
 			}
 			applied++
@@ -389,75 +390,14 @@ func editReport(tb testing.TB, ss *Session, edits ...task.Edit) {
 	}
 }
 
-// beyondCapSet is a set whose Theorem-2 event stream does not reach its
-// HI hyperperiod (31·37·41·43) within curveRecordCap events, so a
-// Session can never record its curve.
-func beyondCapSet() task.Set {
-	var s task.Set
-	for i, p := range []task.Time{31, 37, 41, 43} {
-		s = append(s, task.NewHI(benchName(i), p, p/2, p, 2, 4))
-	}
-	return s
-}
-
-// TestSessionCurveRecordingPolicy pins when a Session records its event
-// curve: never on a stream without C(HI) edits, once when a C(HI) edit
-// meets an unrecorded curve, and — for a set whose stream exceeds the
-// recording cap — once per position stream, not on every report. A
-// recording leaves positions in curve.pos, so a nil pos means none ran.
-func TestSessionCurveRecordingPolicy(t *testing.T) {
-	fmsSet := fmsPreparedSet(t)
-	ss := reportedSession(t, fmsSet)
-	dDown, dUp := flipEdits(t, fmsSet, task.ParamDLO)
-	for i := 0; i < 4; i++ {
-		editReport(t, ss, dDown, dUp)
-	}
-	if ss.curve.pos != nil {
-		t.Fatal("D(LO)-only stream recorded the curve")
-	}
-	cDown, cUp := flipEdits(t, fmsSet, task.ParamCHI)
-	editReport(t, ss, cDown)
-	if !ss.curve.valid {
-		t.Fatal("C(HI) edit on an unrecorded curve did not record it")
-	}
-	// A re-recording would clear the edited-task list the flip builds.
-	editReport(t, ss, cUp)
-	if !ss.curve.valid || len(ss.curve.edited) != 1 {
-		t.Fatalf("later C(HI) flip: valid %v, edited %v; want the first recording to serve it",
-			ss.curve.valid, ss.curve.edited)
-	}
-
-	s := beyondCapSet()
-	if hyper, ok := dbf.HIHyperperiod(s); !ok || hyper != 31*37*41*43 {
-		t.Fatalf("beyondCapSet hyperperiod %d, %v", hyper, ok)
-	}
-	ss = reportedSession(t, s)
-	cDown, cUp = flipEdits(t, s, task.ParamCHI)
-	editReport(t, ss, cDown)
-	if ss.curve.valid || !ss.curve.failed || ss.curve.pos == nil {
-		t.Fatalf("beyond-cap C(HI) edit: valid %v, failed %v, recorded %v; want one failed recording",
-			ss.curve.valid, ss.curve.failed, ss.curve.pos != nil)
-	}
-	ss.curve.pos = nil // unread while the curve is invalid; a retry refills it
-	for i := 0; i < 3; i++ {
-		editReport(t, ss, cUp, cDown)
-	}
-	if ss.curve.pos != nil || !ss.curve.failed {
-		t.Fatal("beyond-cap C(HI) stream retried the failed recording")
-	}
-	dDown, _ = flipEdits(t, s, task.ParamDLO)
-	editReport(t, ss, dDown, cUp)
-	if ss.curve.pos == nil {
-		t.Fatal("C(HI) edit after a D(LO) edit did not retry the recording")
-	}
-}
-
 // BenchmarkSessionEdit measures one single-parameter edit plus the
-// report it invalidates, per edit kind — a C(HI) flip (served by the
-// recorded curve where it fits) and a D(LO) flip (the warm walk) — on the
-// prepared FMS set (mcs-bench's SessionDeltaEditFMS configuration), the
-// unprepared FMS set, and a 12-task random set whose event stream exceeds
-// the curve's recording cap.
+// report it invalidates, per edit kind — a C(HI) flip and a D(LO) flip,
+// both served by the warm Theorem-2 walk — on the prepared FMS set
+// (mcs-bench's SessionDeltaEditFMS configuration), the unprepared FMS
+// set, and a 12-task random set with a long event stream. The
+// prepared-gen case measures the first edits of fresh sessions instead
+// of a steady flip: it cycles through MinimalX-prepared generator sets,
+// opening a session (untimed) and timing three C(HI) edits on each.
 func BenchmarkSessionEdit(b *testing.B) {
 	raw, err := fms.Tasks(rat.Two)
 	if err != nil {
@@ -477,6 +417,29 @@ func BenchmarkSessionEdit(b *testing.B) {
 			})
 		}
 	}
+	b.Run("prepared-gen/"+task.ParamCHI, func(b *testing.B) {
+		rnd := rand.New(rand.NewSource(7))
+		var gens []task.Set
+		for len(gens) < 32 {
+			if _, prepared, err := MinimalX(gen.Defaults().MustSet(rnd, 0.7)); err == nil {
+				gens = append(gens, prepared)
+			}
+		}
+		var ss *Session
+		var flips [2]task.Edit
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%3 == 0 {
+				b.StopTimer()
+				s := gens[i/3%len(gens)]
+				ss = reportedSession(b, s)
+				flips[0], flips[1] = flipEdits(b, s, task.ParamCHI)
+				b.StartTimer()
+			}
+			editReport(b, ss, flips[i%3%2])
+		}
+	})
 }
 
 // FuzzDeltaEquivalence fuzzes the whole delta pipeline: a random set, a
@@ -489,10 +452,9 @@ func FuzzDeltaEquivalence(f *testing.F) {
 	f.Add(int64(42), uint8(1), uint8(5), uint8(1))
 	f.Add(int64(20260805), uint8(5), uint8(80), uint8(8))
 	f.Add(int64(-99), uint8(3), uint8(11), uint8(3))
-	// A stream of five D(LO)-only edits: the curve must never record.
+	// A stream of five D(LO)-only edits: every HI-mode cache is kept.
 	f.Add(int64(33827), uint8(4), uint8(60), uint8(7))
-	// A set whose event stream exceeds curveRecordCap, with C(HI) edits:
-	// the recording fails once and the warm walk serves the reports.
+	// A set whose event stream runs past 65 536 events, with C(HI) edits.
 	f.Add(int64(5), uint8(4), uint8(79), uint8(7))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, maxPRaw, editsRaw uint8) {
 		rnd := rand.New(rand.NewSource(seed))

@@ -336,8 +336,7 @@ func minimalY(s task.Set, speedCap rat.Rat, probe *capProbe) (rat.Rat, task.Set,
 		e.Name = name
 		e.Params[0].Value = d
 		e.Params[1].Value = t
-		_, err := st.Apply(e)
-		return err
+		return st.Apply(e)
 	}
 
 	// Feasibility ceiling: termination is the demand limit of y → ∞.
@@ -520,7 +519,7 @@ func FeasibleXWindowOpts(s task.Set, speedCap rat.Rat, o Options) (xLo, xHi rat.
 		for _, ht := range his {
 			e.Name = ht.name
 			e.Params[0].Value = ht.d
-			if _, err := st.Apply(e); err != nil {
+			if err := st.Apply(e); err != nil {
 				return false, err
 			}
 		}

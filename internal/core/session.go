@@ -11,17 +11,17 @@ import (
 // design-space exploration surface, and the engine behind the server's
 // /v1/session endpoint. It couples a dbf.SetState (the cached demand
 // aggregates, of which an edit drops only those its parameter classes
-// feed), a recorded Theorem-2 event curve for value-only C(HI) edits
-// (delta.go), a private Scratch arena (so the session's walks are
+// feed), a private Scratch arena (so the session's walks are
 // allocation-free after the first), and the decisive witness Δ of the
 // previous analysis (so the next analysis's Theorem-2 walk starts with a
-// near-supremum skip cutoff).
+// near-supremum skip cutoff). Every re-analysis runs the same Theorem-2
+// walk as Analyze; only the cached aggregates and the warm witness are
+// carried across edits.
 //
 // Reports are bit-identical to Analyze on the same set and speed: both
-// run the same report body over a state, the curve walk returns the
-// canonical walk's payload (delta.go), and the warm witness never changes
-// a walk's result (see Options.WarmWitness). The differential and fuzz
-// tests pin this.
+// run the same report body over a state, and the warm witness never
+// changes a walk's result (see Options.WarmWitness). The differential
+// and fuzz tests pin this.
 //
 // A Session is not safe for concurrent use; callers serialize access.
 type Session struct {
@@ -29,7 +29,6 @@ type Session struct {
 	speed   rat.Rat
 	scratch Scratch
 	witness task.Time // prior decisive Theorem-2 Δ, 0 before the first analysis
-	curve   speedupCurve
 
 	report Report
 	fresh  bool // report describes the current state
@@ -75,11 +74,9 @@ func (ss *Session) DeltaAnalyses() int { return ss.deltas }
 // with task.Set.ApplyEdits first).
 func (ss *Session) Apply(edits ...task.Edit) error {
 	for i := range edits {
-		tc, err := ss.st.Apply(edits[i])
-		if err != nil {
+		if err := ss.st.Apply(edits[i]); err != nil {
 			return err
 		}
-		ss.curve.noteEdit(tc)
 		ss.edits++
 		ss.fresh = false
 	}
@@ -103,10 +100,10 @@ func (ss *Session) Report() (r Report, recomputed bool, err error) {
 	return ss.report, true, nil
 }
 
-// reanalyze runs the report body over the state with the Theorem-2
-// result of minSpeedup, cloning the set the state keeps editing.
+// reanalyze runs the warm Theorem-2 walk and the report body over the
+// state, cloning the set the state keeps editing.
 func (ss *Session) reanalyze() error {
-	sp, err := ss.minSpeedup()
+	sp, err := minSpeedupState(ss.st, Options{Scratch: &ss.scratch, WarmWitness: ss.witness})
 	if err != nil {
 		return err
 	}
@@ -121,28 +118,4 @@ func (ss *Session) reanalyze() error {
 		ss.witness = sp.WitnessDelta
 	}
 	return nil
-}
-
-// minSpeedup runs the Theorem-2 analysis the cheapest sound way
-// available: over the session's recorded event curve when the edits since
-// recording were value-only (O(examined events), most of them
-// block-skipped), otherwise the canonical warm walk; delta.go states when
-// the curve is recorded. All paths return bit-identical payloads
-// (delta.go proves the curve paths; WarmWitness never changes a result by
-// Options' contract).
-func (ss *Session) minSpeedup() (SpeedupResult, error) {
-	o := Options{Scratch: &ss.scratch, WarmWitness: ss.witness}
-	c := &ss.curve
-	if !c.valid && c.pending && !c.failed {
-		hyper, hyperOK := ss.st.HIHyperperiod()
-		c.failed = !hyperOK || !c.record(ss.st.Tasks(), hyper, o)
-	}
-	c.pending = false
-	if c.valid {
-		if r, ok := c.walk(ss.st, o); ok {
-			return r, nil
-		}
-		c.valid, c.failed = false, true
-	}
-	return minSpeedupState(ss.st, o)
 }

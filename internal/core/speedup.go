@@ -340,6 +340,15 @@ func floorMulDiv(a, b, d task.Time) task.Time {
 // event walks already inhabit.
 const skipHorizon = task.Time(1) << 40
 
+// certMargin is the relative slack of stopping rule 1's float64 screen.
+// The inequality is evaluated in float64 (a handful of ops on inputs
+// ≤ 2^40, so the accumulated relative error is < 10^-14) and counts as a
+// definite "no" only when it fails by this much room — five orders of
+// magnitude beyond the worst-case float error, so a float "no" implies
+// the exact one. Near-misses go to the exact rational comparison, which
+// always decides.
+const certMargin = 1e-9
+
 // seedBound returns a proven lower bound on the Theorem-2 supremum used
 // to prime the pruned walk's skip cutoff before the running maximum has
 // caught up: the largest demand/length ratio over a handful of probe
@@ -389,6 +398,15 @@ func seedBound(plan *dbf.Plan, warm task.Time, hyper task.Time, hyperOK bool) ra
 		}
 	}
 	return rat.New(int64(bv), int64(bp))
+}
+
+// ratioGreater reports a/b > x/y for non-negative a, x and positive b, y
+// via 128-bit cross multiplication (positions and values fit in 2^40·2^40
+// products, beyond int64).
+func ratioGreater(a, b, x, y task.Time) bool {
+	hi1, lo1 := bits.Mul64(uint64(a), uint64(y))
+	hi2, lo2 := bits.Mul64(uint64(x), uint64(b))
+	return hi1 > hi2 || (hi1 == hi2 && lo1 > lo2)
 }
 
 func gcdTime(a, b task.Time) task.Time {

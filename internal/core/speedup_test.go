@@ -262,7 +262,7 @@ func TestSetStateDLOEditMovesIntercept(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := task.Edit{Op: task.OpSet, Name: "tau1", Params: []task.ParamValue{{Param: task.ParamDLO, Value: 7}}}
-	if _, err := st.Apply(e); err != nil {
+	if err := st.Apply(e); err != nil {
 		t.Fatal(err)
 	}
 	if b := dbf.CompilePlan(st.Tasks(), dbf.KindDBF).Intercept(); b != 5 {

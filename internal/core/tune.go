@@ -86,8 +86,7 @@ func TuneDeadlinesOpts(s task.Set, step rat.Rat, o Options) (TuneResult, error) 
 	setDLO := func(name string, d task.Time) error {
 		e.Name = name
 		e.Params[0].Value = d
-		_, err := st.Apply(e)
-		return err
+		return st.Apply(e)
 	}
 	n := len(cur)
 	for rounds := 0; rounds < 64*n; rounds++ {

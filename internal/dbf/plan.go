@@ -11,7 +11,7 @@ package dbf
 // columns indexed by task position: an evaluation is then a handful of
 // arithmetic ops over sequential memory, and a batch of evaluations
 // (BulkEval) walks each column exactly once per task — the cache-friendly
-// layout the design searches and the delta re-walks fan out over.
+// layout the event walks and the design searches fan out over.
 //
 // The columns are deliberately unexported. Everything outside this
 // package goes through Compile*/Value/BulkEval, so a plan can
@@ -30,9 +30,9 @@ import (
 // Plan is a task set's HI-mode demand curve of one Kind, lowered to
 // struct-of-arrays int64 columns. Row i describes s[i]; a zero period
 // encodes a terminated task (constant curve, no events). The zero value
-// is empty; (re)fill it with Compile or CompileSubset. Plans are cheap to
-// compile — O(n) with no allocation once the columns have grown — and are
-// recompiled per walk rather than cached across set mutations.
+// is empty; (re)fill it with Compile. Plans are cheap to compile — O(n)
+// with no allocation once the columns have grown — and are recompiled
+// per walk rather than cached across set mutations.
 type Plan struct {
 	kind Kind
 	n    int
@@ -62,16 +62,6 @@ func (p *Plan) Compile(s task.Set, kind Kind) {
 	p.grow(len(s), kind)
 	for i := range s {
 		p.intercept += p.compileRow(i, &s[i])
-	}
-}
-
-// CompileSubset fills the plan with the rows of s selected by idx (in
-// idx order): row j of the plan describes s[idx[j]]. The delta re-walks
-// use this to evaluate only the edited tasks' demand columns.
-func (p *Plan) CompileSubset(s task.Set, idx []int, kind Kind) {
-	p.grow(len(idx), kind)
-	for j, i := range idx {
-		p.intercept += p.compileRow(j, &s[i])
 	}
 }
 

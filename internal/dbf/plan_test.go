@@ -143,39 +143,6 @@ func TestPlanBulkEvalMatchesPointwise(t *testing.T) {
 	}
 }
 
-// TestPlanCompileSubset pins the delta path's partial compile: a subset
-// plan must evaluate exactly the selected rows, in idx order, and
-// recompiling a grown plan down to a smaller subset must not leak stale
-// rows.
-func TestPlanCompileSubset(t *testing.T) {
-	rnd := rand.New(rand.NewSource(21))
-	for iter := 0; iter < 100; iter++ {
-		s := quickSet(rnd, 2+rnd.Intn(5))
-		var p Plan
-		p.Compile(s, KindDBF) // full compile first: subset must shrink cleanly
-		idx := rnd.Perm(len(s))[:1+rnd.Intn(len(s))]
-		p.CompileSubset(s, idx, KindDBF)
-		if p.Len() != len(idx) {
-			t.Fatalf("subset Len %d != %d", p.Len(), len(idx))
-		}
-		for j := 0; j < 20; j++ {
-			d := task.Time(rnd.Int63n(50_000))
-			var want task.Time
-			for _, i := range idx {
-				want += HIMode(&s[i], d)
-			}
-			if got := p.Value(d); got != want {
-				t.Fatalf("idx %v Δ=%d: subset Value %d != %d\n%s", idx, d, got, want, s.Table())
-			}
-			for j, i := range idx {
-				if got, want := p.TaskValue(j, d), HIMode(&s[i], d); got != want {
-					t.Fatalf("idx %v row %d Δ=%d: TaskValue %d != %d", idx, j, d, got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestDivFloorExact exercises the reciprocal-multiply division across its
 // edges: quotient boundaries (k·T−1, k·T, k·T+1), periods near the
 // fixup-sensitive sizes, and intervals at and beyond divFloorMax where
@@ -330,7 +297,7 @@ func TestPlanInterceptTight(t *testing.T) {
 // TestPlanInterceptEnvelope checks the summed bound
 // Value(Δ) ≤ U·Δ + Intercept() over random sets, U = Σ C(HI)/T(HI) over
 // the active rows, exactly in big.Rat, and that Intercept equals the sum
-// of the rows' intercepts for full and subset compiles alike.
+// of the rows' intercepts for full and subset-set compiles alike.
 func TestPlanInterceptEnvelope(t *testing.T) {
 	rnd := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 300; iter++ {
@@ -355,12 +322,14 @@ func TestPlanInterceptEnvelope(t *testing.T) {
 			}
 			idx := rnd.Perm(len(s))[:rnd.Intn(len(s))+1]
 			var sub task.Time
+			var subset task.Set
 			for _, i := range idx {
 				sub += CompilePlan(s[i:i+1], kind).Intercept()
+				subset = append(subset, s[i])
 			}
 			var q Plan
 			q.Compile(s, kind) // a stale intercept must not leak into the subset
-			if q.CompileSubset(s, idx, kind); q.Intercept() != sub {
+			if q.Compile(subset, kind); q.Intercept() != sub {
 				t.Fatalf("subset intercept %d, rows sum to %d", q.Intercept(), sub)
 			}
 			for d := task.Time(0); d <= 3*maxT+1; d++ {

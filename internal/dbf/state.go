@@ -169,18 +169,15 @@ func NewSetState(s task.Set) (*SetState, error) {
 func (st *SetState) Tasks() task.Set { return st.set }
 
 // Apply applies one edit and invalidates the caches its parameter classes
-// feed, returning the edit's task.Touched impact record for callers that
-// maintain derived structures of their own (core's Session follows
-// value-only C(HI) edits on its recorded event curve). A failing edit
-// leaves the state unchanged.
-func (st *SetState) Apply(e task.Edit) (task.Touched, error) {
+// feed. A failing edit leaves the state unchanged.
+func (st *SetState) Apply(e task.Edit) error {
 	out, tc, err := e.ApplyTo(st.set)
 	if err != nil {
-		return task.Touched{}, err
+		return err
 	}
 	st.set = out
 	st.noteChange(tc)
-	return tc, nil
+	return nil
 }
 
 // noteChange clears the cache bit of every aggregate whose inputs the

@@ -18,7 +18,6 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"sync"
 
@@ -186,19 +185,23 @@ type taskDraws struct {
 	acet          gen.TaskACET
 }
 
+// maxReleases caps the release bound of one replicate. The sampler
+// keeps two workload buffers of that many 24-byte arrivals, so the cap
+// holds them to 1.5 GiB; it is far below what the bucket table's uint32
+// offsets index.
+const maxReleases = 1 << 25
+
 // releaseBound returns Σ(⌊(H−1)/T_i⌋+1) for horizon h: a task's first
 // release is at or after 0 and the next ones at least T(LO) apart, so
-// no replicate releases more. A bound the bucket table's uint32 offsets
-// cannot index, or that overflows int, is an error.
+// no replicate releases more. A bound above maxReleases is an error.
 func releaseBound(s task.Set, h task.Time) (int, error) {
-	const limit = min(math.MaxUint32, math.MaxInt)
 	var n uint64
 	for i := range s {
-		// n ≤ limit before the addition and each term is below 2^63, so
-		// the sum cannot wrap.
+		// n ≤ maxReleases before the addition and each term is below
+		// 2^63, so the sum cannot wrap.
 		n += uint64((h-1)/s[i].Period[task.LO]) + 1
-		if n > limit {
-			return 0, fmt.Errorf("fleet: horizon %d releases more than %d jobs per run", h, uint64(limit))
+		if n > maxReleases {
+			return 0, fmt.Errorf("fleet: horizon %d releases more than %d jobs per run (the per-replicate release limit)", h, maxReleases)
 		}
 	}
 	return int(n), nil

@@ -9,6 +9,7 @@ package fleet
 // race-instrumented runs, whose shadow bookkeeping inflates TotalAlloc.
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -66,24 +67,35 @@ func TestOverloadedRunMemory(t *testing.T) {
 }
 
 // TestHorizonRefusedBeforeSampling runs fleets whose release bound
-// Σ(⌊(H−1)/T⌋+1) exceeds what the sampler's uint32 bucket offsets can
-// index. Run must refuse them with an error before it allocates a
-// workload buffer; at a horizon of 2^62 the buffers would not even fit
-// the address space.
+// Σ(⌊(H−1)/T⌋+1) exceeds maxReleases. Run must refuse them with an error
+// naming the limit before it allocates a workload buffer. At a horizon
+// of 2^62 the buffers would not even fit the address space; the
+// overloaded set at 2^31 ticks (about 2.8·10^9 releases) and the FMS set
+// at 2^36 ticks (about 2·10^8) fit the bucket offsets but would ask for
+// tens of gigabytes.
 func TestHorizonRefusedBeforeSampling(t *testing.T) {
-	set := overloadedSet()
-	for _, horizon := range []task.Time{1 << 62, 1 << 33, math.MaxUint32} {
-		p := Params{Set: set, Runs: 4, Seed: 1, Speedup: rat.Two, Horizon: horizon, Workers: 1}
+	cases := []struct {
+		set     task.Set
+		horizon task.Time
+	}{
+		{overloadedSet(), 1 << 62},
+		{overloadedSet(), 1 << 33},
+		{overloadedSet(), math.MaxUint32},
+		{overloadedSet(), 1 << 31},
+		{preparedFMS(t), 1 << 36},
+	}
+	for _, c := range cases {
+		p := Params{Set: c.set, Runs: 4, Seed: 1, Speedup: rat.Two, Horizon: c.horizon, Workers: 1}
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		_, err := Run(p)
 		runtime.ReadMemStats(&after)
-		if err == nil || !strings.Contains(err.Error(), "jobs per run") {
-			t.Fatalf("horizon %d: error %v, want a release-bound refusal", horizon, err)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("more than %d jobs per run", maxReleases)) {
+			t.Fatalf("horizon %d: error %v, want a refusal naming the %d-release limit", c.horizon, err, maxReleases)
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-			t.Fatalf("horizon %d: allocated %d bytes before refusing", horizon, got)
+			t.Fatalf("horizon %d: allocated %d bytes before refusing", c.horizon, got)
 		}
 	}
 }

@@ -156,17 +156,17 @@ func TestSamplerMatchesReference(t *testing.T) {
 }
 
 // TestReleaseBoundLimit pins the release bound's edge: with a period-1
-// task a horizon of 2^32−1 ticks releases exactly math.MaxUint32 jobs,
-// the most the bucket offsets index, and one tick more is refused, as is
-// a bound whose sum would overflow.
+// task a horizon of maxReleases ticks releases exactly maxReleases jobs,
+// the most a replicate may draw, and one tick more is refused, as is a
+// bound whose sum would overflow.
 func TestReleaseBoundLimit(t *testing.T) {
 	one := task.Set{{Name: "a", Crit: task.LO, Period: [2]task.Time{1, task.Unbounded},
 		Deadline: [2]task.Time{1, task.Unbounded}, WCET: [2]task.Time{1, 1}}}
-	if n, err := releaseBound(one, math.MaxUint32); err != nil || n != math.MaxUint32 {
-		t.Fatalf("releaseBound(2^32−1) = %d, %v; want %d", n, err, uint64(math.MaxUint32))
+	if n, err := releaseBound(one, maxReleases); err != nil || n != maxReleases {
+		t.Fatalf("releaseBound(%d) = %d, %v; want %d", maxReleases, n, err, maxReleases)
 	}
-	if _, err := releaseBound(one, math.MaxUint32+1); err == nil {
-		t.Fatal("releaseBound accepted 2^32 releases")
+	if _, err := releaseBound(one, maxReleases+1); err == nil {
+		t.Fatalf("releaseBound accepted %d releases", maxReleases+1)
 	}
 	many := task.Set{one[0], one[0], one[0], one[0]}
 	if _, err := releaseBound(many, math.MaxInt64); err == nil {

@@ -1,11 +1,11 @@
 // Package borrowcheck is the unified, interprocedural escape analysis
 // for the module's two scratch arenas: core.Scratch (the analysis
-// walker arena, PR 3) and sim.Scratch (the simulation arena, PR 8).
-// Both types serialize the walks/runs that borrow them and must never
-// outlive the call that threaded them through — the per-package halves
-// of this rule used to live in scratchcheck and simcheck; borrowcheck
-// replaces them with one analyzer that also sees across package
-// boundaries, via the facts layer.
+// walker arena) and sim.Scratch (the simulation arena). Both types
+// serialize the walks/runs that borrow them and must never outlive the
+// call that threaded them through; one analyzer checks both, and sees
+// across package boundaries via the facts layer. It also keeps the
+// owner-side discipline of core's walker borrow inside internal/core
+// (walker.go).
 //
 // Per function, the analyzer computes which arena-typed parameters the
 // function *retains* — stores into a struct field, container element or
@@ -146,6 +146,9 @@ func run(pass *lint.Pass) error {
 			continue
 		}
 		checkStructFields(pass, f, self)
+		if self == corePkgPath {
+			checkBorrowDiscipline(pass, f)
+		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

@@ -27,6 +27,13 @@ func TestBorrowcheckOwnerPackagesExempt(t *testing.T) {
 	linttest.Run(t, "testdata", "mcspeedup/internal/sim", borrowcheck.Analyzer)
 }
 
+// TestBorrowcheckWalkerDiscipline pins the owner-side rules inside
+// internal/core: acquireWalker chased by defer releaseWalker, and no
+// nested use of the borrowed Options.
+func TestBorrowcheckWalkerDiscipline(t *testing.T) {
+	linttest.Run(t, "testdata", "mcspeedup/internal/core", borrowcheck.Analyzer)
+}
+
 // TestBorrowcheckFactsGolden pins the wire encoding of the facts the
 // laundering package exports: the modular-analysis contract consumed
 // by every dependent package's pass (and by the on-disk cache).

@@ -1,7 +1,7 @@
 // Package a exercises borrowcheck's retention and sharing rules for
 // the analysis arena (core.Scratch) from outside internal/core —
-// including the cross-package escapes through package keep that the
-// old per-package scratchcheck could not see.
+// including the cross-package escapes through package keep that a
+// per-package check could not see.
 package a
 
 import (

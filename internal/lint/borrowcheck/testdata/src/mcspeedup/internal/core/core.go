@@ -1,7 +1,8 @@
 // Package core is a minimal stub of mcspeedup/internal/core for the
 // borrowcheck testdata. The owner package manages its own arena freely:
 // pools hold Scratch fields, helpers retain arenas in package state —
-// none of it may produce diagnostics or Borrows facts.
+// none of it may produce diagnostics or Borrows facts. The only
+// diagnostics here are walker.go's owner-side discipline cases.
 package core
 
 // Scratch mirrors the real single-goroutine walker arena.

@@ -1,8 +1,8 @@
 // Package deltacheck enforces the two conventions that keep the
-// incremental (delta) analysis path sound — see the "Incremental
-// analysis" section of docs/PERF.md. The delta machinery caches demand
-// aggregates next to mutable task state, so its correctness rests on
-// discipline the compiler cannot see:
+// incremental (session) analysis path sound — see the "Incremental
+// analysis" section of docs/PERF.md, "Per-class aggregate cache". A
+// dbf.SetState caches demand aggregates next to mutable task state, so
+// its correctness rests on discipline the compiler cannot see:
 //
 //  1. Locked sessions (mcspeedup/internal/server): a server session
 //     wraps a core.Session, which is not safe for concurrent use and is

@@ -17,9 +17,6 @@ func CompilePlan(s []int, kind Kind) *Plan { return &Plan{n: len(s)} }
 // Compile lowers a set into the receiver.
 func (p *Plan) Compile(s []int, kind Kind) { p.n = len(s) }
 
-// CompileSubset recompiles only the listed rows.
-func (p *Plan) CompileSubset(s []int, idx []int, kind Kind) {}
-
 // Value evaluates the summed curve.
 func (p *Plan) Value(delta int64) int64 { return 0 }
 

@@ -12,7 +12,6 @@ import (
 	"mcspeedup/internal/lint/metricscheck"
 	"mcspeedup/internal/lint/plancheck"
 	"mcspeedup/internal/lint/ratcheck"
-	"mcspeedup/internal/lint/scratchcheck"
 )
 
 // Analyzers is the suite, in reporting-name order within each theme:
@@ -21,7 +20,6 @@ import (
 var Analyzers = []*lint.Analyzer{
 	ratcheck.Analyzer,
 	determcheck.Analyzer,
-	scratchcheck.Analyzer,
 	metricscheck.Analyzer,
 	plancheck.Analyzer,
 	deltacheck.Analyzer,

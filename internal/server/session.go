@@ -5,9 +5,9 @@ package server
 // A session holds an analyzed task-set state (core.Session) across
 // requests: instead of re-posting the whole set after each design tweak,
 // clients create a session once and stream edits to it; each edit drops
-// only the cached demand aggregates it touches, and the next report is a
-// warm (delta) re-analysis rather than a cold one. One endpoint,
-// dispatched on "action":
+// only the cached demand aggregates it touches, and the next report runs
+// the same Theorem-2 walk as /v1/analyze, warm-started from the previous
+// report's witness. One endpoint, dispatched on "action":
 //
 //	{"action":"create","tasks":[...],"speed":2,...}  → id + report
 //	{"action":"edit","session":id,"edits":[...]}     → report after edits

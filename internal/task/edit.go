@@ -58,25 +58,22 @@ func SetParam(name, param string, v Time) Edit {
 	return Edit{Op: OpSet, Name: name, Params: []ParamValue{{Param: param, Value: v}}}
 }
 
-// Touched describes an edit's impact: which task changed and which
-// parameter classes moved. Consumers invalidate only what a flagged class
-// feeds — dbf.SetState its cached aggregates, core's Session its recorded
-// event curve (which follows value-only C(HI) edits by Index).
+// Touched describes an edit's impact: which parameter classes moved.
+// dbf.SetState invalidates only the cached aggregates a flagged class
+// feeds.
 type Touched struct {
-	// Index is the task's position: post-append for OpAdd, pre-removal
-	// for OpRemove, unchanged for OpSet.
-	Index int
-	// Added and Removed flag the structural operations.
-	Added, Removed bool
 	// CLO .. THI report which parameters actually changed value (all six
-	// are set for structural edits). An OpSet that rewrites a parameter
-	// to its current value touches nothing.
+	// are set for structural edits: an add or a remove). An OpSet that
+	// rewrites a parameter to its current value touches nothing.
 	CLO, CHI, DLO, DHI, TLO, THI bool
 }
 
+// structural is the impact of an add or a remove: every class moves.
+var structural = Touched{CLO: true, CHI: true, DLO: true, DHI: true, TLO: true, THI: true}
+
 // Any reports whether the edit changed anything at all.
 func (tc Touched) Any() bool {
-	return tc.Added || tc.Removed || tc.CLO || tc.CHI || tc.DLO || tc.DHI || tc.TLO || tc.THI
+	return tc.CLO || tc.CHI || tc.DLO || tc.DHI || tc.TLO || tc.THI
 }
 
 // index returns the position of the named task, or -1.
@@ -142,13 +139,12 @@ func (e Edit) ApplyTo(s Set) (Set, Touched, error) {
 			return s, Touched{}, err
 		}
 		tc := Touched{
-			Index: idx,
-			CLO:   old.WCET[LO] != nt.WCET[LO],
-			CHI:   old.WCET[HI] != nt.WCET[HI],
-			DLO:   old.Deadline[LO] != nt.Deadline[LO],
-			DHI:   old.Deadline[HI] != nt.Deadline[HI],
-			TLO:   old.Period[LO] != nt.Period[LO],
-			THI:   old.Period[HI] != nt.Period[HI],
+			CLO: old.WCET[LO] != nt.WCET[LO],
+			CHI: old.WCET[HI] != nt.WCET[HI],
+			DLO: old.Deadline[LO] != nt.Deadline[LO],
+			DHI: old.Deadline[HI] != nt.Deadline[HI],
+			TLO: old.Period[LO] != nt.Period[LO],
+			THI: old.Period[HI] != nt.Period[HI],
 		}
 		*old = nt
 		return s, tc, nil
@@ -166,11 +162,7 @@ func (e Edit) ApplyTo(s Set) (Set, Touched, error) {
 		if s.index(nt.Name) >= 0 {
 			return s, Touched{}, fmt.Errorf("task: duplicate task name %q", nt.Name)
 		}
-		s = append(s, nt)
-		return s, Touched{
-			Index: len(s) - 1, Added: true,
-			CLO: true, CHI: true, DLO: true, DHI: true, TLO: true, THI: true,
-		}, nil
+		return append(s, nt), structural, nil
 	case OpRemove:
 		if e.Task != nil || len(e.Params) > 0 {
 			return s, Touched{}, fmt.Errorf("task: %s edit must carry only a name", OpRemove)
@@ -183,11 +175,7 @@ func (e Edit) ApplyTo(s Set) (Set, Touched, error) {
 			return s, Touched{}, fmt.Errorf("task: cannot remove the last task (empty sets are invalid)")
 		}
 		copy(s[idx:], s[idx+1:])
-		s = s[:len(s)-1]
-		return s, Touched{
-			Index: idx, Removed: true,
-			CLO: true, CHI: true, DLO: true, DHI: true, TLO: true, THI: true,
-		}, nil
+		return s[:len(s)-1], structural, nil
 	default:
 		return s, Touched{}, fmt.Errorf("task: unknown edit op %q", e.Op)
 	}

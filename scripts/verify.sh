@@ -33,8 +33,8 @@ go build ./...
 go vet ./...
 
 # mcs-vet: the custom analyzer suite (ratcheck, determcheck,
-# scratchcheck, metricscheck, plancheck, deltacheck, borrowcheck,
-# lockcheck) — fact-based and interprocedural; see
+# metricscheck, plancheck, deltacheck, borrowcheck, lockcheck) —
+# fact-based and interprocedural; see
 # docs/STATIC_ANALYSIS.md. It runs under the cmd/go vettool protocol
 # and also fails on stale or unjustified //lint:ignore directives.
 go build -o "$tmp/mcs-vet" ./cmd/mcs-vet
@@ -85,6 +85,12 @@ go test -fuzz FuzzCapDecision -fuzztime 10s -run '^$' ./internal/core/
 # Delta fuzz smoke: random edit streams through a Session must reproduce
 # the cold analysis byte for byte (the incremental-analysis contract).
 go test -fuzz FuzzDeltaEquivalence -fuzztime 10s -run '^$' ./internal/core/
+
+# Request-decoder fuzz smoke: arbitrary bodies posted to every endpoint
+# that decodes a request (/v1/analyze, /v1/session create and edit,
+# /v1/batch, /v1/simulate, /v1/fleet) must be answered without a panic
+# and without a 500.
+go test -fuzz FuzzRequestDecode -fuzztime 10s -run '^$' ./internal/server/
 
 # Simulator fuzz smoke: the zero-allocation RunInto hot path must stay
 # byte-identical to the frozen reference simulator on random task sets,
