@@ -1,9 +1,8 @@
-// Package borrowcheck is the unified, interprocedural escape analysis
-// for the module's two scratch arenas: core.Scratch (the analysis
-// walker arena) and sim.Scratch (the simulation arena). Both types
-// serialize the walks/runs that borrow them and must never outlive the
-// call that threaded them through; one analyzer checks both, and sees
-// across package boundaries via the facts layer. It also keeps the
+// Package borrowcheck is the escape analysis for the module's two
+// scratch arenas: core.Scratch (the analysis walker arena) and
+// sim.Scratch (the simulation arena). Both types serialize the
+// walks/runs that borrow them and must never outlive the call that
+// threaded them through; one analyzer checks both. It also keeps the
 // owner-side discipline of core's walker borrow inside internal/core
 // (walker.go).
 //
@@ -11,38 +10,37 @@
 // function *retains* — stores into a struct field, container element or
 // package-level variable, sends on a channel, hands to a go statement,
 // captures in a concurrently-launched callback, or passes on to another
-// retaining function — and exports the result as a Borrows fact on the
-// function object. Dependent packages import those facts, so a
-// laundering helper in another package is as visible as a local store:
+// retaining function of the same package. A fixed point over the
+// package's own call graph closes the last case, so a helper that
+// launders an arena several calls deep is flagged at the call:
 //
-//	// package keep
-//	func Hold(s *core.Scratch) { global = s }   // fact: Borrows{Retains:[0]}
+//	func Hold(s *core.Scratch) { global = s }   // diagnostic at the store
+//	func HoldVia(s *core.Scratch) { Hold(s) }   // diagnostic here
 //
-//	// package user
-//	keep.Hold(sc)                               // diagnostic here
+// A retaining helper in another package is reported where it stores
+// the arena, which is the one place a fix can go.
 //
 // Direct retention events are reported where they happen; passing an
-// arena to a function whose fact says it retains that position is
-// reported at the call. Returning a borrowed arena *parameter* is
-// reported too (a passthrough alias extends the borrow), but does not
-// mark the parameter retained — a discarded passthrough result escapes
-// nothing, and a stored one is flagged at the store. Constructors
-// returning locally allocated arenas stay clean.
+// arena to a function that retains that position is reported at the
+// call. Returning a borrowed arena *parameter* is reported too (a
+// passthrough alias extends the borrow), but does not mark the
+// parameter retained — a discarded passthrough result escapes nothing,
+// and a stored one is flagged at the store. Constructors returning
+// locally allocated arenas stay clean.
 //
 // Exemptions: each arena's owner package manages its own arena freely
-// (pools, Options plumbing), so no facts or diagnostics are produced
-// for an arena inside its owner; stores into fields *declared by* the
-// owner package (core.Options.Scratch, the sanctioned per-call
-// channel) are clean everywhere; and test files are exempt — the
-// arenas' own tests deliberately construct sharing patterns to pin
-// their runtime behavior.
+// (pools, Options plumbing), so no diagnostics are produced for an
+// arena inside its owner; stores into fields *declared by* the owner
+// package (core.Options.Scratch, the sanctioned per-call channel) are
+// clean everywhere; and test files are exempt — the arenas' own tests
+// deliberately construct sharing patterns to pin their runtime
+// behavior.
 package borrowcheck
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 
 	"mcspeedup/internal/lint"
 )
@@ -55,21 +53,11 @@ var owners = map[string]string{
 
 const parPkgPath = "mcspeedup/internal/par"
 
-// Borrows is the per-function fact: the 0-based signature parameter
-// indexes whose arena argument is retained beyond the call.
-type Borrows struct {
-	Retains []int `json:"retains"`
-}
-
-// AFact marks Borrows as a lint fact.
-func (*Borrows) AFact() {}
-
 // Analyzer is the borrowcheck analyzer.
 var Analyzer = &lint.Analyzer{
-	Name:      "borrowcheck",
-	Doc:       "forbid core.Scratch/sim.Scratch arenas outliving their borrow, across package boundaries via Borrows facts",
-	FactTypes: []lint.Fact{(*Borrows)(nil)},
-	Run:       run,
+	Name: "borrowcheck",
+	Doc:  "forbid core.Scratch/sim.Scratch arenas outliving their borrow",
+	Run:  run,
 }
 
 // arenaOwner returns the owner package path when t is an arena type
@@ -112,13 +100,11 @@ func arenaLabel(owner string) string {
 type event struct {
 	pos     token.Pos
 	message string
-	param   int    // implicated parameter index, -1 for locals
 	owner   string // arena owner package of the retained value
-	factual bool   // contributes to the Borrows fact (returns do not)
 }
 
 // callArg is one arena-typed argument at a call site, resolved later
-// against the callee's Borrows summary or fact.
+// against the callee's retains summary.
 type callArg struct {
 	pos       token.Pos
 	callee    *types.Func
@@ -130,7 +116,6 @@ type callArg struct {
 
 // funcInfo is the per-function analysis state.
 type funcInfo struct {
-	fn      *types.Func
 	events  []event
 	calls   []callArg
 	retains map[int]string // parameter index -> arena owner package
@@ -164,23 +149,13 @@ func run(pass *lint.Pass) error {
 		}
 	}
 
-	// Interprocedural fixed point: a parameter passed to a retaining
-	// callee (same-package summary or imported fact) is itself
-	// retained. The package's call graph is finite and retains only
-	// grows, so this terminates.
+	// Fixed point: a parameter passed to a retaining same-package
+	// callee is itself retained. The package's call graph is finite and
+	// retains only grows, so this terminates.
 	calleeRetains := func(c callArg) bool {
 		if fi, ok := byFunc[c.callee]; ok {
 			_, ok := fi.retains[c.calleeIdx]
 			return ok
-		}
-		var fact Borrows
-		if !pass.ImportObjectFact(c.callee, &fact) {
-			return false
-		}
-		for _, idx := range fact.Retains {
-			if idx == c.calleeIdx {
-				return true
-			}
 		}
 		return false
 	}
@@ -199,21 +174,6 @@ func run(pass *lint.Pass) error {
 		}
 	}
 
-	// Facts: retained parameters, minus each arena's owner package
-	// managing its own type.
-	for _, fi := range infos {
-		var idxs []int
-		for idx, owner := range fi.retains {
-			if owner != self {
-				idxs = append(idxs, idx)
-			}
-		}
-		if len(idxs) > 0 {
-			sort.Ints(idxs)
-			pass.ExportObjectFact(fi.fn, &Borrows{Retains: idxs})
-		}
-	}
-
 	// Diagnostics: direct events, plus arena arguments escaping into
 	// retaining callees. The owner package is exempt for its own arena.
 	for _, fi := range infos {
@@ -227,12 +187,8 @@ func run(pass *lint.Pass) error {
 			if c.owner == self || !calleeRetains(c) {
 				continue
 			}
-			calleePkg := ""
-			if c.callee.Pkg() != nil {
-				calleePkg = lint.CanonicalPath(c.callee.Pkg().Path())
-			}
-			pass.Reportf(c.pos, "%s %s escapes into %s.%s, which retains its parameter %d beyond the call (Borrows fact): the arena outlives this borrow; pass a value the callee may keep, or fix the callee",
-				arenaLabel(c.owner), c.argText, calleePkg, c.callee.Name(), c.calleeIdx)
+			pass.Reportf(c.pos, "%s %s escapes into %s.%s, which retains its parameter %d beyond the call: the arena outlives this borrow; pass a value the callee may keep, or fix the callee",
+				arenaLabel(c.owner), c.argText, self, c.callee.Name(), c.calleeIdx)
 		}
 	}
 	return nil
@@ -259,7 +215,7 @@ func checkStructFields(pass *lint.Pass, f *ast.File, self string) {
 // walkFunc collects one function's direct retention events and the
 // arena-typed arguments of its call sites.
 func walkFunc(pass *lint.Pass, fd *ast.FuncDecl, fn *types.Func) *funcInfo {
-	fi := &funcInfo{fn: fn, retains: make(map[int]string)}
+	fi := &funcInfo{retains: make(map[int]string)}
 	sig := fn.Type().(*types.Signature)
 	paramIdx := make(map[types.Object]int, sig.Params().Len())
 	for i := 0; i < sig.Params().Len(); i++ {
@@ -275,9 +231,9 @@ func walkFunc(pass *lint.Pass, fd *ast.FuncDecl, fn *types.Func) *funcInfo {
 		}
 		return -1
 	}
-	record := func(pos token.Pos, owner string, param int, factual bool, message string) {
-		fi.events = append(fi.events, event{pos: pos, message: message, param: param, owner: owner, factual: factual})
-		if factual && param >= 0 {
+	record := func(pos token.Pos, owner string, param int, retains bool, message string) {
+		fi.events = append(fi.events, event{pos: pos, message: message, owner: owner})
+		if retains && param >= 0 {
 			fi.retains[param] = owner
 		}
 	}
@@ -400,8 +356,6 @@ func checkCompositeLit(pass *lint.Pass, fi *funcInfo, paramOf func(ast.Expr) int
 		fi.events = append(fi.events, event{
 			pos:     val.Pos(),
 			owner:   owner,
-			param:   paramOf(val),
-			factual: true,
 			message: arenaLabel(owner) + " stored in a composite literal: the containing value outlives the borrow; thread the arena through the owner's per-call Options instead",
 		})
 		if p := paramOf(val); p >= 0 {
@@ -503,8 +457,6 @@ func checkLitCapture(pass *lint.Pass, fi *funcInfo, paramIdx map[types.Object]in
 			fi.events = append(fi.events, event{
 				pos:     id.Pos(),
 				owner:   owner,
-				param:   param,
-				factual: true,
 				message: arenaLabel(owner) + " " + id.Name + " captured by a concurrently-launched function: a Scratch must not be shared between goroutines; allocate one per worker",
 			})
 			if param >= 0 {

@@ -1,12 +1,12 @@
 // Package a exercises borrowcheck's retention and sharing rules for
-// the analysis arena (core.Scratch) from outside internal/core —
-// including the cross-package escapes through package keep that a
-// per-package check could not see.
+// the analysis arena (core.Scratch) from outside internal/core. A
+// retaining helper in another package (package keep) is reported at
+// its own store, not at the callers here, so this package needs no
+// import of it.
 package a
 
 import (
 	"mcspeedup/internal/core"
-	"mcspeedup/internal/keep"
 	"mcspeedup/internal/par"
 )
 
@@ -76,25 +76,6 @@ type holder struct {
 
 func build(sc *core.Scratch) holder {
 	return holder{s: sc} // want `stored in a composite literal`
-}
-
-// launder hands a locally borrowed arena to another package that
-// retains it — invisible to any per-package check, caught through the
-// keep.Hold Borrows fact.
-func launder() {
-	sc := new(core.Scratch)
-	keep.Hold(sc) // want `escapes into mcspeedup/internal/keep.Hold`
-}
-
-// launderTransitive goes through keep.HoldVia, whose retention is
-// itself derived by keep's intra-package fixed point.
-func launderTransitive(s *core.Scratch) {
-	keep.HoldVia(s) // want `escapes into mcspeedup/internal/keep.HoldVia`
-}
-
-// borrowOK calls a helper that only borrows: clean.
-func borrowOK(s *core.Scratch) {
-	keep.Use(s)
 }
 
 func perWorker(n int) {

@@ -5,13 +5,11 @@
 //
 // It hosts the mcs-vet analyzer suite — see docs/STATIC_ANALYSIS.md —
 // which turns this repository's correctness conventions into
-// compiler-grade checks. Analyzers export typed, JSON-serialized facts
-// attached to package-level objects (fact.go), and dependent packages
-// import those facts during their own pass, so an arena laundered
-// through a helper in another package, or a pool admission two calls
-// below a locked call site, is still visible. The suite has one
-// driver, the cmd/go vet-tool protocol (unitchecker.go): cmd/go orders
-// the packages and carries the facts between them in vetx files.
+// compiler-grade checks. Every analyzer is per-package: it sees one
+// type-checked package at a time, and the interprocedural rules close
+// over that package's own call graph with a fixed point, so a pool
+// admission two calls below a locked call site is still visible. The
+// suite has one driver, the cmd/go vet-tool protocol (unitchecker.go).
 //
 // A diagnostic on a given line is suppressed by a directive comment
 //
@@ -38,12 +36,6 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
-	// FactTypes declares the fact types this analyzer may export and
-	// import — one zero value per type, each a pointer to a struct.
-	// Analyzers with facts are run on dependency packages too (to
-	// produce the facts dependents consume), so their Run must be cheap
-	// on packages that merely pass through.
-	FactTypes []Fact
 	// Run inspects one package and reports findings via pass.Reportf.
 	Run func(*Pass) error
 }
@@ -56,7 +48,6 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	store       *FactStore
 	diagnostics []Diagnostic
 }
 
@@ -147,34 +138,23 @@ func NewInfo() *types.Info {
 	}
 }
 
-// RunPass applies the analyzers, in the given order, to pkg against the
-// facts in store, exporting new facts into it. When factsOnly is set,
-// only the fact-exporting analyzers run and no diagnostics are
-// returned — the dependency-package mode in which only fact production
-// matters. Otherwise it returns the diagnostics that survive the
-// package's //lint:ignore directives, plus one for every malformed or
-// stale directive, sorted by position.
-func RunPass(pkg *Package, store *FactStore, factsOnly bool, analyzers ...*Analyzer) ([]Diagnostic, error) {
+// RunPass applies the analyzers, in the given order, to pkg. It returns
+// the diagnostics that survive the package's //lint:ignore directives,
+// plus one for every malformed or stale directive, sorted by position.
+func RunPass(pkg *Package, analyzers ...*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		if factsOnly && len(a.FactTypes) == 0 {
-			continue
-		}
 		pass := &Pass{
 			Analyzer:  a,
 			Fset:      pkg.Fset,
 			Files:     pkg.Files,
 			Pkg:       pkg.Pkg,
 			TypesInfo: pkg.TypesInfo,
-			store:     store,
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
 		diags = append(diags, pass.diagnostics...)
-	}
-	if factsOnly {
-		return nil, nil
 	}
 	diags = applyIgnores(pkg, diags)
 	sort.Slice(diags, func(i, j int) bool {

@@ -29,17 +29,14 @@ type expectation struct {
 }
 
 // Run loads root/src/<path> (including its _test.go files) and checks
-// the analyzer's diagnostics against the package's want comments. The
-// analyzer's fact-producing passes run over every in-tree dependency
-// first (lint.LoadDirFacts), so cross-package fact import is exercised
-// exactly as under the vet-tool driver.
+// the analyzer's diagnostics against the package's want comments.
 func Run(t *testing.T, root, path string, a *lint.Analyzer) {
 	t.Helper()
-	pkg, store, err := lint.LoadDirFacts(root, path, true, []*lint.Analyzer{a})
+	pkg, err := loadDir(root, path)
 	if err != nil {
 		t.Fatalf("loading %s: %v", path, err)
 	}
-	diags, err := lint.RunPass(pkg, store, false, a)
+	diags, err := lint.RunPass(pkg, a)
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}
@@ -87,19 +84,4 @@ func consume(wants []*expectation, d lint.Diagnostic) bool {
 		}
 	}
 	return false
-}
-
-// Facts loads root/src/<path> like Run and returns the indented JSON
-// wire encoding of the facts the analyzer exports for that package —
-// the form the analyzers' golden files pin (lint.FactsJSON).
-func Facts(t *testing.T, root, path string, a *lint.Analyzer) []byte {
-	t.Helper()
-	pkg, store, err := lint.LoadDirFacts(root, path, true, []*lint.Analyzer{a})
-	if err != nil {
-		t.Fatalf("loading %s: %v", path, err)
-	}
-	if _, err := lint.RunPass(pkg, store, false, a); err != nil {
-		t.Fatalf("running %s: %v", a.Name, err)
-	}
-	return lint.FactsJSON(store, path)
 }

@@ -15,8 +15,8 @@ import (
 )
 
 // Analyzers is the suite, in reporting-name order within each theme:
-// the determinism and theorem-shape analyzers first (per-package),
-// then the fact-based interprocedural ones.
+// the determinism and theorem-shape analyzers first, then the two
+// whose rules close over the package's own call graph.
 var Analyzers = []*lint.Analyzer{
 	ratcheck.Analyzer,
 	determcheck.Analyzer,

@@ -1,6 +1,6 @@
 // Package core is the arena owner of the round-trip fixture module — a
 // minimal stand-in for the real mcspeedup/internal/core, free to manage
-// its own Scratch without diagnostics or facts.
+// its own Scratch without diagnostics.
 package core
 
 // Scratch mirrors the real single-goroutine walker arena.

@@ -1,19 +1,19 @@
-// Package keep launders arenas into package state: the Borrows fact it
-// exports on Hold is what the round-trip test watches crossing between
-// packages, and so between unit invocations of the tool under go vet.
+// Package keep launders arenas into package state: the round-trip
+// test's direct escape, in a package the ignores package imports, so
+// go vet runs the tool on it both as a dependency and on its own.
 package keep
 
 import "mcspeedup/internal/core"
 
 var parked *core.Scratch
 
-// Hold retains its parameter: fact Borrows{Retains:[0]}, plus a
-// diagnostic at the store itself.
+// Hold retains its parameter: the go vet run reports the store
+// itself.
 func Hold(s *core.Scratch) {
 	parked = s
 }
 
-// Borrow only reads its parameter: no fact, callers stay clean.
+// Borrow only reads its parameter: callers stay clean.
 func Borrow(s *core.Scratch) int {
 	return core.Walk(s)
 }

@@ -13,7 +13,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 )
 
@@ -33,15 +32,10 @@ import (
 // speaks; this is a stdlib-only reimplementation (the module carries no
 // third-party dependencies). cmd/go discovers the packages, orders them
 // by dependency, builds the test variants and supplies the export data.
-// Facts travel exactly as in the original: cmd/go hands each unit the
-// vetx files of its direct dependencies (PackageVetx) and a path to
-// write its own (VetxOutput); a unit writes the union of its
-// dependencies' facts and its own, so the direct-dep vetx files always
-// carry the transitive closure. Standard-library dependency units
-// (VetxOnly with cfg.Standard set) are answered with an empty facts
-// file — the suite's fact vocabulary is about module code only. Module
-// dependency units run the fact-exporting analyzers so their facts
-// exist, and report nothing, as the protocol requires.
+// The analyzers are per-package and carry no facts between units, so a
+// dependency-only unit (VetxOnly) or a standard-library unit is
+// answered at once with the empty vetx file cmd/go expects at
+// VetxOutput, with no parse or type-check.
 
 // Config mirrors cmd/go's vetConfig (the JSON it writes to vet.cfg).
 // Fields the suite does not consult are omitted; encoding/json ignores
@@ -55,7 +49,6 @@ type Config struct {
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
 	Standard                  map[string]bool
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
 	GoVersion                 string
@@ -130,55 +123,31 @@ func runUnit(cfgPath string, analyzers []*Analyzer) ([]Diagnostic, error) {
 		return nil, fmt.Errorf("parsing %s: %w", cfgPath, err)
 	}
 
-	// Standard-library dependency units carry no suite facts:
-	// acknowledge with an empty facts file, skipping the expensive
-	// type-check of the entire standard library.
-	if cfg.Standard[CanonicalPath(cfg.ImportPath)] || len(cfg.GoFiles) == 0 {
-		return nil, writeVetx(&cfg, nil)
+	// Dependency-only and standard-library units have nothing to report.
+	if cfg.VetxOnly || cfg.Standard[CanonicalPath(cfg.ImportPath)] || len(cfg.GoFiles) == 0 {
+		return nil, writeVetx(&cfg)
 	}
-
-	// Dependency facts: cmd/go supplies the vetx file of every direct
-	// dependency; each file already carries its transitive closure.
-	store := NewFactStore()
-	deps := make([]string, 0, len(cfg.PackageVetx))
-	for dep := range cfg.PackageVetx {
-		deps = append(deps, dep)
-	}
-	sort.Strings(deps)
-	for _, dep := range deps {
-		vetx, err := os.ReadFile(cfg.PackageVetx[dep])
-		if err != nil {
-			return nil, fmt.Errorf("reading facts of %s: %w", dep, err)
-		}
-		facts, err := DecodeWire(vetx)
-		if err != nil {
-			return nil, fmt.Errorf("facts of %s: %w", dep, err)
-		}
-		store.AddWire(facts)
-	}
-
 	pkg, typecheckFailed, err := typecheckUnit(&cfg)
 	if err != nil {
 		return nil, err
 	}
 	if typecheckFailed { // SucceedOnTypecheckFailure
-		return nil, writeVetx(&cfg, nil)
+		return nil, writeVetx(&cfg)
 	}
-
-	diags, err := RunPass(pkg, store, cfg.VetxOnly, analyzers...)
+	diags, err := RunPass(pkg, analyzers...)
 	if err != nil {
 		return nil, err
 	}
-	// Re-export the closure: dependencies' facts plus our own.
-	return diags, writeVetx(&cfg, EncodeWire(store.Wire(nil)))
+	return diags, writeVetx(&cfg)
 }
 
-// writeVetx writes the unit's facts file, if cmd/go asked for one.
-func writeVetx(cfg *Config, data []byte) error {
+// writeVetx writes the unit's empty facts file, if cmd/go asked for
+// one: cmd/go requires the file before it caches the unit's result.
+func writeVetx(cfg *Config) error {
 	if cfg.VetxOutput == "" {
 		return nil
 	}
-	return os.WriteFile(cfg.VetxOutput, data, 0o666)
+	return os.WriteFile(cfg.VetxOutput, nil, 0o666)
 }
 
 // typecheckUnit parses and type-checks the unit's files against the

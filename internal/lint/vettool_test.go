@@ -12,87 +12,94 @@ import (
 )
 
 // The fixture module under testdata/module seeds one diagnostic per
-// mechanism the driver must carry: a direct borrowcheck escape (keep),
-// a cross-package escape visible only through an imported Borrows fact
-// (use), and one //lint:ignore directive per state (ignores): used,
-// stale, and malformed.
+// mechanism the driver must handle: a direct borrowcheck escape (keep)
+// in a package cmd/go also hands the tool as a dependency-only unit,
+// and one //lint:ignore directive per state (ignores): used, stale, and
+// malformed.
 const fixtureModule = "testdata/module"
 
 // diagLine matches one diagnostic as the tool prints it:
 // "<file>:<line>:<col>: <message> (<analyzer>)".
 var diagLine = regexp.MustCompile(`^(\S+\.go):(\d+):\d+: (.*) \((\w+)\)$`)
 
-// vetRun is the single `go vet -vettool` run over the fixture module
-// that every test in this file inspects.
+// vetRun is one `go vet -vettool` run and the diagnostics it printed.
 type vetRun struct {
 	out   []byte
 	err   error
 	diags []string // "<base>:<line> <analyzer>: <message>", sorted
-	skip  string   // non-empty when the run cannot happen here
-	fatal string   // non-empty when setting up the run failed
+}
+
+// vetTool is cmd/mcs-vet, built once per test binary and shared by
+// every test that runs go vet with it.
+var vetTool struct {
+	once  sync.Once
+	goCmd string // the go command
+	root  string // the repository root
+	bin   string // the built tool
+	skip  string // non-empty when go vet cannot run here
+	fatal string // non-empty when building the tool failed
+	tmp   string // holds bin; removed by TestMain
 }
 
 var (
-	vetOnce   sync.Once
-	vetResult vetRun
-	vetTmp    string
+	fixtureOnce sync.Once
+	fixtureRun  vetRun
+	fixtureErr  string
 )
 
 func TestMain(m *testing.M) {
 	code := m.Run()
-	if vetTmp != "" {
-		os.RemoveAll(vetTmp)
+	if vetTool.tmp != "" {
+		os.RemoveAll(vetTool.tmp)
 	}
 	os.Exit(code)
 }
 
-// vetFixture builds cmd/mcs-vet and runs `go vet -vettool` once over a
-// copy of the fixture module, sharing the result across tests.
-func vetFixture(t *testing.T) *vetRun {
+// buildVetTool builds cmd/mcs-vet on first use and returns the go
+// command, the repository root and the tool.
+func buildVetTool(t *testing.T) (goCmd, root, bin string) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("builds a binary and runs go vet")
 	}
-	vetOnce.Do(func() { vetResult = runVet() })
-	if vetResult.skip != "" {
-		t.Skip(vetResult.skip)
+	vt := &vetTool
+	vt.once.Do(func() {
+		var err error
+		if vt.goCmd, err = exec.LookPath("go"); err != nil {
+			vt.skip = "go not on PATH: " + err.Error()
+			return
+		}
+		if vt.root, err = filepath.Abs(filepath.Join("..", "..")); err != nil {
+			vt.fatal = err.Error()
+			return
+		}
+		if vt.tmp, err = os.MkdirTemp("", "mcs-vet-test"); err != nil {
+			vt.fatal = err.Error()
+			return
+		}
+		vt.bin = filepath.Join(vt.tmp, "mcs-vet")
+		build := exec.Command(vt.goCmd, "build", "-o", vt.bin, "mcspeedup/cmd/mcs-vet")
+		build.Dir = vt.root
+		if out, err := build.CombinedOutput(); err != nil {
+			vt.fatal = "building mcs-vet: " + err.Error() + "\n" + string(out)
+		}
+	})
+	if vt.skip != "" {
+		t.Skip(vt.skip)
 	}
-	if vetResult.fatal != "" {
-		t.Fatal(vetResult.fatal)
+	if vt.fatal != "" {
+		t.Fatal(vt.fatal)
 	}
-	return &vetResult
+	return vt.goCmd, vt.root, vt.bin
 }
 
-func runVet() vetRun {
-	goTool, err := exec.LookPath("go")
-	if err != nil {
-		return vetRun{skip: "go not on PATH: " + err.Error()}
-	}
-	repoRoot, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		return vetRun{fatal: err.Error()}
-	}
-	vetTmp, err = os.MkdirTemp("", "mcs-vet-test")
-	if err != nil {
-		return vetRun{fatal: err.Error()}
-	}
-
-	bin := filepath.Join(vetTmp, "mcs-vet")
-	build := exec.Command(goTool, "build", "-o", bin, "mcspeedup/cmd/mcs-vet")
-	build.Dir = repoRoot
-	if out, err := build.CombinedOutput(); err != nil {
-		return vetRun{fatal: "building mcs-vet: " + err.Error() + "\n" + string(out)}
-	}
-
-	mod := filepath.Join(vetTmp, "module")
-	if err := copyTree(fixtureModule, mod); err != nil {
-		return vetRun{fatal: "copying fixture module: " + err.Error()}
-	}
-	cmd := exec.Command(goTool, "vet", "-vettool="+bin, "./...")
-	cmd.Dir = mod
+// runVet runs `go vet -vettool=<bin> <args>` in dir and collects the
+// diagnostics it prints.
+func runVet(goCmd, bin, dir string, args ...string) vetRun {
+	cmd := exec.Command(goCmd, append([]string{"vet", "-vettool=" + bin}, args...)...)
+	cmd.Dir = dir
 	cmd.Env = append(os.Environ(), "GOFLAGS=", "GOWORK=off", "GOPROXY=off")
 	out, err := cmd.CombinedOutput()
-
 	var diags []string
 	for _, line := range strings.Split(string(out), "\n") {
 		m := diagLine.FindStringSubmatch(line)
@@ -103,6 +110,25 @@ func runVet() vetRun {
 	}
 	sort.Strings(diags)
 	return vetRun{out: out, err: err, diags: diags}
+}
+
+// vetFixture runs `go vet -vettool` once over a copy of the fixture
+// module, sharing the result across tests.
+func vetFixture(t *testing.T) *vetRun {
+	t.Helper()
+	goCmd, _, bin := buildVetTool(t)
+	fixtureOnce.Do(func() {
+		mod := filepath.Join(vetTool.tmp, "module")
+		if err := copyTree(fixtureModule, mod); err != nil {
+			fixtureErr = "copying fixture module: " + err.Error()
+			return
+		}
+		fixtureRun = runVet(goCmd, bin, mod, "./...")
+	})
+	if fixtureErr != "" {
+		t.Fatal(fixtureErr)
+	}
+	return &fixtureRun
 }
 
 // matching returns the run's diagnostics whose analyzer passes keep.
@@ -131,14 +157,12 @@ func expectPrefixes(t *testing.T, r *vetRun, got, want []string) {
 	}
 }
 
-// wantFindings are the analyzer findings over the fixture module, sorted.
-// use.go's finding needs keep's Borrows fact to cross between unit
-// invocations in a vetx file; ignores.go:15 is absent because the used
-// directive above it suppresses it.
+// wantFindings are the analyzer findings over the fixture module,
+// sorted. ignores.go:15 is absent because the used directive above it
+// suppresses it.
 var wantFindings = []string{
 	"ignores.go:28 borrowcheck: core.Scratch stored in a package-level variable",
 	"keep.go:13 borrowcheck: core.Scratch stored in a package-level variable",
-	"use.go:15 borrowcheck: core.Scratch s escapes into mcspeedup/internal/keep.Hold, which retains its parameter 0 beyond the call (Borrows fact)",
 }
 
 // wantIgnores are the //lint:ignore directive findings, sorted: the used

@@ -34,7 +34,7 @@ go vet ./...
 
 # mcs-vet: the custom analyzer suite (ratcheck, determcheck,
 # metricscheck, plancheck, deltacheck, borrowcheck, lockcheck) —
-# fact-based and interprocedural; see
+# per-package, with interprocedural rules inside each package; see
 # docs/STATIC_ANALYSIS.md. It runs under the cmd/go vettool protocol
 # and also fails on stale or unjustified //lint:ignore directives.
 go build -o "$tmp/mcs-vet" ./cmd/mcs-vet
