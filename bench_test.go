@@ -174,7 +174,10 @@ func BenchmarkMinSpeedupSynthetic(b *testing.B) {
 	}
 }
 
-func BenchmarkMinSpeedupFMS(b *testing.B) {
+// fmsPrepared is the §VI.A flight-management set degraded by y = 2 and
+// minimally prepared: the set of cmd/mcs-bench's FMS rows.
+func fmsPrepared(b *testing.B) mcspeedup.Set {
+	b.Helper()
 	set, err := mcspeedup.FMSTasks(mcspeedup.RatTwo)
 	if err != nil {
 		b.Fatal(err)
@@ -187,12 +190,60 @@ func BenchmarkMinSpeedupFMS(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return prepared
+}
+
+func BenchmarkMinSpeedupFMS(b *testing.B) {
+	set := fmsPrepared(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mcspeedup.MinSpeedup(prepared); err != nil {
+		if _, err := mcspeedup.MinSpeedup(set); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFMS times the other exact analyses and design searches on
+// BenchmarkMinSpeedupFMS's set, one sub-benchmark each. The three walks
+// share one AnalysisScratch arena.
+func BenchmarkFMS(b *testing.B) {
+	set := fmsPrepared(b)
+	opts := mcspeedup.AnalysisOptions{Scratch: new(mcspeedup.AnalysisScratch)}
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"MinSpeedupScratch", func() error {
+			_, err := mcspeedup.MinSpeedupOpts(set, opts)
+			return err
+		}},
+		{"ResetTime", func() error {
+			_, err := mcspeedup.ResetTimeOpts(set, mcspeedup.RatTwo, opts)
+			return err
+		}},
+		{"MinSpeedForReset", func() error {
+			_, err := mcspeedup.MinSpeedForResetOpts(set, 50_000, opts)
+			return err
+		}},
+		{"FeasibleXWindow", func() error {
+			_, _, err := mcspeedup.FeasibleXWindow(set, mcspeedup.RatTwo)
+			return err
+		}},
+		{"AnalyzeCold", func() error {
+			_, err := mcspeedup.AnalyzeSet(set, mcspeedup.RatTwo)
+			return err
+		}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -309,14 +360,5 @@ func BenchmarkSimulateOverrunBursts(b *testing.B) {
 		if len(res.Misses) != 0 {
 			b.Fatal("unexpected miss")
 		}
-	}
-}
-
-func BenchmarkGenerateTaskSet(b *testing.B) {
-	g := mcspeedup.DefaultGenerator()
-	rnd := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = g.MustSet(rnd, 0.8)
 	}
 }

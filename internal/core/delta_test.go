@@ -393,11 +393,12 @@ func editReport(tb testing.TB, ss *Session, edits ...task.Edit) {
 // BenchmarkSessionEdit measures one single-parameter edit plus the
 // report it invalidates, per edit kind — a C(HI) flip and a D(LO) flip,
 // both served by the warm Theorem-2 walk — on the prepared FMS set
-// (mcs-bench's SessionDeltaEditFMS configuration), the unprepared FMS
-// set, and a 12-task random set with a long event stream. The
-// prepared-gen case measures the first edits of fresh sessions instead
-// of a steady flip: it cycles through MinimalX-prepared generator sets,
-// opening a session (untimed) and timing three C(HI) edits on each.
+// (cmd/mcs-bench's SessionDeltaEditFMS and SessionEditDLOFMS rows), the
+// unprepared FMS set, and a 12-task random set with a long event
+// stream. The prepared-gen case measures the first edits of fresh
+// sessions instead of a steady flip: it cycles through MinimalX-prepared
+// generator sets, opening a session (untimed) and timing three C(HI)
+// edits on each.
 func BenchmarkSessionEdit(b *testing.B) {
 	raw, err := fms.Tasks(rat.Two)
 	if err != nil {

@@ -176,9 +176,9 @@ func TestCapProbePrunes(t *testing.T) {
 	}
 }
 
-// benchTuneSet builds a deterministic mid-size set for the design-search
-// benchmarks (harmonic periods keep the hyperperiod small, so walks are
-// exact and the benchmark measures steady-state search cost).
+// benchTuneSet builds a deterministic mid-size set for the allocation
+// tests (harmonic periods keep the hyperperiod small, so walks are exact
+// and the tests measure the steady-state searches).
 func benchTuneSet() task.Set {
 	periods := []task.Time{20, 40, 80, 160, 320}
 	s := make(task.Set, 0, 10)
@@ -198,38 +198,3 @@ func benchTuneSet() task.Set {
 }
 
 func benchName(i int) string { return string(rune('a' + i)) }
-
-func BenchmarkMinimalY(b *testing.B) {
-	s := benchTuneSet()
-	cap := rat.New(5, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := MinimalY(s, cap); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTuneDeadlines(b *testing.B) {
-	s := benchTuneSet()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := TuneDeadlines(s, rat.New(1, 8)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMinSpeedupScratch(b *testing.B) {
-	s := benchTuneSet()
-	o := Options{Scratch: new(Scratch)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MinSpeedupOpts(s, o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

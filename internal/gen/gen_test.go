@@ -347,7 +347,8 @@ func TestTaskNames(t *testing.T) {
 }
 
 // BenchmarkSet draws sets at the sweep's utilization bounds with Set's
-// running sums and with the re-summing reference.
+// running sums and with the re-summing reference. The running arm is
+// cmd/mcs-bench's GenSetSweep row.
 func BenchmarkSet(b *testing.B) {
 	arms := []struct {
 		name string

@@ -2,8 +2,10 @@ package sim
 
 // Benchmarks for the simulation hot path. BenchmarkRefRun drives the
 // frozen pre-refactor engine from ref_test.go, so `go test -bench Run`
-// prints the before/after pair that docs/PERF.md quotes; the tracked
-// cross-run numbers live in BENCH_core.json via cmd/mcs-bench.
+// prints the before/after pair that docs/PERF.md quotes. BenchmarkRunInto
+// is also the SimRunFMS row of BENCH_core.json: cmd/mcs-bench runs it
+// five times under go test and records the samples, so renaming it
+// fails cmd/mcs-bench's TestRowsMatchOneBenchmark.
 
 import (
 	"math/rand"

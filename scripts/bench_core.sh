@@ -1,23 +1,18 @@
 #!/bin/sh
 # Regenerate BENCH_core.json, the tracked benchmark trajectory of the
-# analysis engine (see docs/PERF.md). Run on an otherwise idle machine;
-# ns/op is hardware-dependent, allocs/op should be stable anywhere.
+# analysis engine (see docs/PERF.md): five `go test -bench` samples of
+# every row, with their median and MAD. Run on an otherwise idle
+# machine; ns/op is hardware-dependent, allocs/op should be stable
+# anywhere. A full run takes about two minutes on two cores.
 #
-# Usage: scripts/bench_core.sh [-cpuprofile] [extra mcs-bench flags...]
+# Usage: scripts/bench_core.sh [extra mcs-bench flags...]
 #
-# -cpuprofile additionally captures a pprof CPU profile of the benchmark
-# run into artifacts/bench_cpu.pprof — see the "reading the profile"
-# walkthrough in docs/PERF.md. Any remaining arguments pass through to
-# mcs-bench (e.g. -grid 5, -compare BENCH_core.json).
+# Arguments pass through to mcs-bench (e.g. -compare BENCH_core.json).
+# For a CPU profile, run the row's benchmark under go test, e.g.
+# go test -run '^$' -bench '^BenchmarkMinSpeedupFMS$' -cpuprofile cpu.pprof .
 set -eux
 
 cd "$(dirname "$0")/.."
-
-if [ "${1:-}" = "-cpuprofile" ]; then
-	shift
-	mkdir -p artifacts
-	set -- -cpuprofile artifacts/bench_cpu.pprof "$@"
-fi
 
 # Every run also appends a dated entry (git rev, per-benchmark numbers,
 # FMS pruned-vs-unpruned event counters) to BENCH_trajectory.json, the

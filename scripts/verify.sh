@@ -98,10 +98,11 @@ go test -fuzz FuzzRequestDecode -fuzztime 10s -run '^$' ./internal/server/
 # LO-schedulable sets skip their overrun-free busy periods).
 go test -fuzz FuzzSimEquivalence -fuzztime 10s -run '^$' ./internal/sim/
 
-# Bench smoke: every core, sim, fleet and generator benchmark must still
-# compile and complete one iteration (allocation regressions are pinned
-# by the zero-allocation tests; this guards the benchmarks themselves).
-go test -bench=. -benchtime=1x -run='^$' ./internal/core/... ./internal/sim/ ./internal/fleet/ ./internal/gen/
+# Bench smoke: every root, core, sim, fleet and generator benchmark (the
+# BENCH_core.json rows among them) must still compile and complete one
+# iteration (allocation regressions are pinned by the zero-allocation
+# tests; this guards the benchmarks themselves).
+go test -bench=. -benchtime=1x -run='^$' . ./internal/core/... ./internal/sim/ ./internal/fleet/ ./internal/gen/
 
 # The repository benchmark is a nested module that `go test ./...` at the
 # root does not reach: run its own tests, which check its correctness
