@@ -43,8 +43,8 @@ import (
 )
 
 // samples is the number of `go test` samples taken of every row, and
-// procs the GOMAXPROCS they run at: the Fig.-5 sweep's worker count and
-// the fleet's pool misses, so their allocs/op, depend on it.
+// procs the GOMAXPROCS they run at: the Fig.-5 sweep's worker count, so
+// its allocs/op, depends on it.
 const samples, procs = 5, 2
 
 // row is one BENCH_core.json row: the package of the _test.go benchmark
@@ -68,6 +68,8 @@ var rows = []row{
 	{"GenSetSweep", "mcspeedup/internal/gen", "Set/running"},
 	{"SimRunFMS", "mcspeedup/internal/sim", "RunInto"},
 	{"FleetThroughput", "mcspeedup/internal/fleet", "Run"},
+	{"FleetSample", "mcspeedup/internal/fleet", "Sample"},
+	{"SimSkipSporadic", "mcspeedup/internal/sim", "RunWorkloadSporadic"},
 	{"SessionDeltaEditFMS", "mcspeedup/internal/core", "SessionEdit/fms-prepared/cHI"},
 	{"SessionEditDLOFMS", "mcspeedup/internal/core", "SessionEdit/fms-prepared/dLO"},
 	{"Fig5Sweep", "mcspeedup", "Fig5"},

@@ -15,12 +15,6 @@ import (
 func BenchmarkRun(b *testing.B) {
 	set := preparedFMS(b)
 	p := Params{Set: set, Runs: 1024, Seed: 1, Speedup: rat.Two, Horizon: 4 * set.MaxPeriod(), Workers: 1}
-	// One untimed fleet refills the pools that the testing package's
-	// runtime.GC before each b.N round empties; at about 40 ops per
-	// round, their refill would otherwise add up to one alloc/op.
-	if _, err := Run(p); err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -32,6 +26,7 @@ func BenchmarkRun(b *testing.B) {
 
 // BenchmarkSample times the replicate sampler alone on BenchmarkRun's
 // fleet: one replicate's workload per op, reported per released job.
+// It is cmd/mcs-bench's FleetSample row.
 func BenchmarkSample(b *testing.B) {
 	set := preparedFMS(b)
 	p := Params{Set: set, Seed: 1, Horizon: 4 * set.MaxPeriod(), ACET: gen.DefaultACET()}

@@ -13,7 +13,9 @@
 // order-sensitive, so index order is what makes the output byte-identical
 // for any -workers). Each chunk holds O(1) state, reused across its runs:
 // one sim.Scratch, one sim.Result, one workload buffer, one sampler, and
-// one chunk aggregate recycled through a pool via stats.Histogram.Reset.
+// one chunk aggregate. Run allocates every aggregate itself, so a
+// fleet's allocation count depends on its chunk count only, not on
+// scheduling or on what a garbage collection freed.
 package fleet
 
 import (
@@ -104,9 +106,11 @@ func Run(p Params) (*Summary, error) {
 	}
 	// The analytic Δ_R bound the observed episode lengths are judged
 	// against. A speed outside the Corollary-5 domain (or ≤ U_HI) has no
-	// finite bound; episodes are then unjudged rather than violating.
+	// finite bound; episodes are then unjudged rather than violating. The
+	// walk gets its own arena rather than one from core's pool, so this
+	// call's allocations do not depend on what a collection freed.
 	bound := rat.PosInf
-	if rr, err := core.ResetTime(p.Set, p.Speedup); err == nil {
+	if rr, err := core.ResetTimeOpts(p.Set, p.Speedup, core.Options{Scratch: new(core.Scratch)}); err == nil {
 		bound = rr.Reset
 	}
 	boundF := bound.Float64()
@@ -122,8 +126,7 @@ func Run(p Params) (*Summary, error) {
 	nChunks := (p.Runs + chunkSize - 1) / chunkSize
 	m := newMerger(nChunks)
 	err = par.ForEach(nChunks, par.Workers(p.Workers), func(ci int) error {
-		a := aggPool.Get().(*agg)
-		a.reset()
+		a := newAgg()
 		// dp is copied onto the chunk's stack: taking the address of the
 		// captured plan itself would move it to the heap.
 		var (
@@ -244,18 +247,19 @@ func newDrawPlan(p *Params, denseBits int) (drawPlan, error) {
 // independent of scheduling order, and valid by construction for
 // sim.RunWorkload: sorted, demands within caps, T(LO) spacing.
 //
-// The sampler draws each task's releases in one loop into a task-major
-// buffer, counting each in a bucket on the high bits of its release
-// instant. One prefix sum turns the counts into offsets, and one stable
-// scatter moves the releases into dst by bucket. A task's releases
-// ascend and the tasks come in index order, so inside a bucket ties
-// stay in task order; an insertion fix-up on At within the buckets then
-// yields exactly the (At, Task) order, with the same per-task draws. The
-// table is sized from the release bound (see newDrawPlan), so a bucket
-// holds about one release, or about eight past the dense cap, and the
-// fix-up moves each record past few others. Each chunk owns one sampler
-// and reuses it across its runs, so sampling allocates nothing once the
-// buffers have grown.
+// The sampler draws each task's releases in one loop per task
+// (drawTask) into a task-major buffer. A second pass counts them in
+// buckets on the high bits of their release instants, one prefix sum
+// turns the counts into offsets, and one stable scatter moves the
+// releases into dst by bucket. A task's releases ascend and the tasks
+// come in index order, so inside a bucket ties stay in task order; an
+// insertion fix-up on At within the buckets then yields exactly the
+// (At, Task) order, with the same per-task draws. The table is sized
+// from the release bound (see newDrawPlan), so a bucket holds about one
+// release, or about eight past the dense cap, and the fix-up moves each
+// record past few others. Each chunk owns one sampler and reuses it
+// across its runs, so sampling allocates nothing once the buffers have
+// grown.
 type sampler struct {
 	buf    sim.Workload // the draws, task-major
 	counts []uint32     // per bucket: releases, then scatter cursors
@@ -265,7 +269,7 @@ type sampler struct {
 // workload generates replicate r's arrival sequence into dst (resliced,
 // capacity reused).
 func (sm *sampler) workload(dst sim.Workload, dp *drawPlan, r int) sim.Workload {
-	n, h, shift := dp.releases, dp.horizon, dp.shift
+	n, shift := dp.releases, dp.shift
 	if cap(dst) < n {
 		dst = make(sim.Workload, 0, n)
 	}
@@ -275,52 +279,21 @@ func (sm *sampler) workload(dst sim.Workload, dp *drawPlan, r int) sim.Workload 
 	if cap(sm.counts) < dp.buckets {
 		sm.counts = make([]uint32, dp.buckets)
 	}
+	src := sm.buf[:0]
+	for ti := range dp.tasks {
+		src = drawTask(src, &dp.tasks[ti], dp.seed, r, ti, dp.horizon)
+	}
 	counts := sm.counts[:dp.buckets]
 	clear(counts)
-	src := sm.buf[:n]
-	i := 0
-	for ti := range dp.tasks {
-		d := &dp.tasks[ti]
-		period := d.period
-		// Stream.Int63n, TaskACET.Next and Stream.Below, written out from
-		// their pieces so that the loop makes no call and rnd's address is
-		// never taken: it can then stay in a register.
-		rnd := gen.NewStream(dp.seed, r, ti)
-		v := rnd.Uint64() >> 1
-		for !d.first.Accepts(v) {
-			v = rnd.Uint64() >> 1
-		}
-		at := task.Time(d.first.Reduce(v))
-		for at < h {
-			var c task.Time
-			if d.acet.CanOverrun() && d.acet.Overruns(rnd.Uint64()) {
-				// The rare overrun draws through a copy of rnd.
-				o := rnd
-				c = d.acet.Overrun(&o)
-				rnd = o
-			} else {
-				c = d.acet.Band(rnd.Uint64())
-			}
-			src[i] = sim.Arrival{Task: ti, At: at, Demand: c}
-			i++
-			counts[uint64(at)>>shift]++
-			at += period
-			if period > 1 { // a jitter of ⌊T/2⌋ = 0 draws nothing
-				v := rnd.Uint64() >> 1
-				for !d.jitter.Accepts(v) {
-					v = rnd.Uint64() >> 1
-				}
-				at += task.Time(d.jitter.Reduce(v))
-			}
-		}
+	for k := range src {
+		counts[uint64(src[k].At)>>shift]++
 	}
-	src = src[:i]
 	// Each bucket's first output index: the count of earlier buckets.
 	next := uint32(0)
 	for b, c := range counts {
 		counts[b], next = next, next+c
 	}
-	dst = dst[:i]
+	dst = dst[:len(src)]
 	for k := range src {
 		b := uint64(src[k].At) >> shift
 		dst[counts[b]] = src[k]
@@ -328,6 +301,46 @@ func (sm *sampler) workload(dst sim.Workload, dp *drawPlan, r int) sim.Workload 
 	}
 	sm.moves = fixup(dst)
 	return dst
+}
+
+// drawTask appends task ti's releases before h in replicate r to buf, in
+// release order. buf's capacity is the release bound, so append never
+// grows it. Stream.Int63n, TaskACET.Next and Stream.Below are written
+// out from their pieces and the stream advances only through its value
+// method Next, so the loop makes no call and rnd's address is never
+// taken: its state stays in a register. Bucket counting is left to the
+// caller, so that the loop keeps few values live.
+func drawTask(buf sim.Workload, d *taskDraws, seed int64, r, ti int, h task.Time) sim.Workload {
+	rnd, u := gen.NewStream(seed, r, ti).Next()
+	for !d.first.Accepts(u >> 1) {
+		rnd, u = rnd.Next()
+	}
+	for at := task.Time(d.first.Reduce(u >> 1)); at < h; {
+		var c task.Time
+		rnd, u = rnd.Next()
+		if d.acet.CanOverrun() && d.acet.Overruns(u) {
+			rnd, u = rnd.Next()
+			for !d.acet.OverrunAccepts(u >> 1) {
+				rnd, u = rnd.Next()
+			}
+			c = d.acet.Overrun(u >> 1)
+		} else {
+			if d.acet.CanOverrun() { // u went to the overrun test
+				rnd, u = rnd.Next()
+			}
+			c = d.acet.Band(u)
+		}
+		buf = append(buf, sim.Arrival{Task: ti, At: at, Demand: c})
+		at += d.period
+		if d.period > 1 { // a jitter of ⌊T/2⌋ = 0 draws nothing
+			rnd, u = rnd.Next()
+			for !d.jitter.Accepts(u >> 1) {
+				rnd, u = rnd.Next()
+			}
+			at += task.Time(d.jitter.Reduce(u >> 1))
+		}
+	}
+	return buf
 }
 
 // fixup insertion-sorts w on At, moving a record only past records with
@@ -373,13 +386,8 @@ type agg struct {
 	episodeLen  *stats.Histogram
 }
 
-var aggPool = sync.Pool{New: func() any {
+func newAgg() *agg {
 	return &agg{episodeLen: stats.NewHistogram(histMin, histMax, histPerDecade)}
-}}
-
-func (a *agg) reset() {
-	*a = agg{episodeLen: a.episodeLen}
-	a.episodeLen.Reset()
 }
 
 func (a *agg) observe(res *sim.Result, released int, boundF, budgetF float64) {
@@ -442,8 +450,7 @@ func (a *agg) merge(b *agg) {
 // merger folds chunk aggregates into a running total in strict chunk
 // order: out-of-order deliveries park in their slot (the window is small
 // — par claims indices in increasing order) until the next expected
-// chunk lands, then drain in sequence. Delivered aggregates recycle
-// through aggPool once merged.
+// chunk lands, then drain in sequence.
 type merger struct {
 	mu    sync.Mutex
 	next  int
@@ -452,9 +459,7 @@ type merger struct {
 }
 
 func newMerger(nChunks int) *merger {
-	t := aggPool.Get().(*agg)
-	t.reset()
-	return &merger{slots: make([]*agg, nChunks), total: t}
+	return &merger{slots: make([]*agg, nChunks), total: newAgg()}
 }
 
 // deliver hands chunk ci's aggregate to the merger. Safe for concurrent
@@ -468,6 +473,5 @@ func (m *merger) deliver(ci int, a *agg) {
 		m.slots[m.next] = nil
 		m.next++
 		m.total.merge(ready)
-		aggPool.Put(ready)
 	}
 }

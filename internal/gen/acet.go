@@ -73,8 +73,9 @@ func (a ACET) Sample(rnd *Stream, crit task.Crit, cLO, cHI task.Time) task.Time 
 
 // TaskACET is an ACET model with one task's band constants folded in
 // (see ACET.Draw). Next draws one job; loops that cannot afford its call
-// draw with the pieces it is made of, CanOverrun, Overruns, Overrun and
-// Band, in the same order, and so draw exactly what Next draws.
+// draw with the pieces it is made of, CanOverrun, Overruns,
+// OverrunAccepts, Overrun and Band, in the same order, and so draw
+// exactly what Next draws.
 type TaskACET struct {
 	floor, width float64 // the band: floor + width·u for a uniform u
 	scale        float64 // float64(C(LO))
@@ -107,7 +108,11 @@ func (a ACET) Draw(crit task.Crit, cLO, cHI task.Time) TaskACET {
 // Next draws one job's ACET from rnd.
 func (d *TaskACET) Next(rnd *Stream) task.Time {
 	if d.canOverrun && d.Overruns(rnd.Uint64()) {
-		return d.Overrun(rnd)
+		v := rnd.Uint64() >> 1
+		for !d.OverrunAccepts(v) {
+			v = rnd.Uint64() >> 1
+		}
+		return d.Overrun(v)
 	}
 	return d.Band(rnd.Uint64())
 }
@@ -122,10 +127,16 @@ func (d *TaskACET) CanOverrun() bool { return d.canOverrun }
 // this is exactly Float64() < p without the conversion.
 func (d *TaskACET) Overruns(u uint64) bool { return u>>11 < d.overrun }
 
-// Overrun draws an overrunning job's demand: uniform over the integers in
-// (C(LO), C(HI)].
-func (d *TaskACET) Overrun(rnd *Stream) task.Time {
-	return d.cLO + 1 + task.Time(rnd.Below(&d.excess))
+// OverrunAccepts and Overrun draw an overrunning job's demand, uniform
+// over the integers in (C(LO), C(HI)], as Stream.Below draws it: 63-bit
+// draws v = Uint64()>>1 are redrawn until OverrunAccepts(v), and
+// Overrun(v) is then the demand.
+func (d *TaskACET) OverrunAccepts(v uint64) bool { return d.excess.Accepts(v) }
+
+// Overrun returns the demand of an overrunning job from an accepted
+// 63-bit draw v (see OverrunAccepts).
+func (d *TaskACET) Overrun(v uint64) task.Time {
+	return d.cLO + 1 + task.Time(d.excess.Reduce(v))
 }
 
 // Band returns the demand of a job that does not overrun, from the

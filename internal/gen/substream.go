@@ -76,6 +76,16 @@ func (s *Stream) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
+// Next returns the stream advanced by one draw, and that draw: after
+// s, u = s.Next(), u is what s.Uint64() would have returned. A pointer
+// method such as Uint64 takes the stream's address even when inlined,
+// which keeps the state in memory; a loop that draws only through Next
+// can keep it in a register.
+func (s Stream) Next() (Stream, uint64) {
+	u := s.Uint64()
+	return s, u
+}
+
 // Float64 returns a uniform float64 in [0, 1).
 func (s *Stream) Float64() float64 { return Unit(s.Uint64()) }
 

@@ -99,3 +99,16 @@ func TestStreamFloat64Range(t *testing.T) {
 		t.Errorf("Float64 mean %g far from 0.5", mean)
 	}
 }
+
+// TestStreamNextMatchesUint64: drawing through Next yields the Uint64
+// sequence of the same stream.
+func TestStreamNextMatchesUint64(t *testing.T) {
+	a, b := NewStream(7, 3, 1), NewStream(7, 3, 1)
+	for i := range 1000 {
+		var u uint64
+		b, u = b.Next()
+		if want := a.Uint64(); u != want {
+			t.Fatalf("draw %d: Next %#x, Uint64 %#x", i, u, want)
+		}
+	}
+}

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
 )
 
 // Rat is an exact rational number num/den, always normalized so that
@@ -128,15 +129,20 @@ func (r Rat) Float64() float64 {
 // "+Inf"/"-Inf".
 func (r Rat) String() string {
 	switch {
-	case r.den == 1:
-		return fmt.Sprintf("%d", r.num)
 	case r.den == 0 && r.num > 0:
 		return "+Inf"
 	case r.den == 0:
 		return "-Inf"
-	default:
-		return fmt.Sprintf("%d/%d", r.num, r.den)
 	}
+	// strconv rather than fmt: fmt's printer pool would make the
+	// allocation count of a caller depend on garbage collections.
+	var buf [41]byte // "-9223372036854775808/9223372036854775807"
+	b := strconv.AppendInt(buf[:0], r.num, 10)
+	if r.den != 1 {
+		b = append(b, '/')
+		b = strconv.AppendInt(b, r.den, 10)
+	}
+	return string(b)
 }
 
 // mul128 computes |a|*|b| as a 128-bit (hi, lo) pair plus the product sign.

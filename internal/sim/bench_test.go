@@ -62,7 +62,8 @@ func BenchmarkRefRun(b *testing.B) {
 // passes core.SchedulableLO, under random sporadic workloads of 20
 // largest periods whose HI jobs overrun with probability 0.001. Most busy
 // periods are then committed by skipLO; BenchmarkRunInto times the EDF
-// loop alone. Reported per released job.
+// loop alone. Reported per released job. It is cmd/mcs-bench's
+// SimSkipSporadic row.
 func BenchmarkRunWorkloadSporadic(b *testing.B) {
 	set, err := fms.Tasks(fms.DefaultGamma)
 	if err != nil {

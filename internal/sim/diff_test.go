@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mcspeedup/internal/core"
@@ -284,6 +285,9 @@ func fuzzInput(seed int64, uRaw, speedRaw, budgetRaw uint8, park, stop bool, pro
 // simEquivalence runs one fuzz input through the reference and RunInto,
 // with collection on and off, fails on any divergence, and returns the
 // collecting RunInto result (nil when both engines rejected the input).
+// On a LO-schedulable set the run with collection off skips busy periods
+// while the collecting run steps every job, so the per-task admission
+// state (seqs, lastAdmitted) the two leave must also be equal.
 func simEquivalence(t *testing.T, seed int64, uRaw, speedRaw, budgetRaw uint8, park, stop bool, probRaw uint8) *Result {
 	t.Helper()
 	s, w, cfg := fuzzInput(seed, uRaw, speedRaw, budgetRaw, park, stop, probRaw)
@@ -291,12 +295,14 @@ func simEquivalence(t *testing.T, seed int64, uRaw, speedRaw, budgetRaw uint8, p
 	if errC != nil {
 		t.Fatalf("compile failed on refRun-accepted input: %v", errC)
 	}
-	var sc Scratch
-	var collected *Result
-	for _, cfg := range []Config{cfg, uncollected(cfg)} {
+	var (
+		scs       [2]Scratch // the collecting run's, then the other's
+		collected *Result
+	)
+	for k, cfg := range []Config{cfg, uncollected(cfg)} {
 		want, errRef := refRun(s, w, cfg)
 		res := new(Result)
-		errNew := c.RunInto(res, &sc, cfg)
+		errNew := c.RunInto(res, &scs[k], cfg)
 		if (errRef == nil) != (errNew == nil) {
 			t.Fatalf("error mismatch: ref %v, new %v\n%s", errRef, errNew, s.Table())
 		}
@@ -307,6 +313,11 @@ func simEquivalence(t *testing.T, seed int64, uRaw, speedRaw, budgetRaw uint8, p
 		if collected == nil {
 			collected = res
 		}
+	}
+	stepped, skipping := &scs[0], &scs[1]
+	if c.schedLO && (!slices.Equal(skipping.seqs, stepped.seqs) || !slices.Equal(skipping.lastAdmitted, stepped.lastAdmitted)) {
+		t.Fatalf("skipping run left seqs %v, lastAdmitted %v; EDF left %v, %v\n%s",
+			skipping.seqs, skipping.lastAdmitted, stepped.seqs, stepped.lastAdmitted, s.Table())
 	}
 	return collected
 }

@@ -384,15 +384,17 @@ func (sc *Scratch) run(w Workload) {
 // (Scratch.skip), where such a busy period runs as EDF would run it with
 // no miss and no mode switch (see the package comment).
 //
-// Each job is admitted as it is scanned. The busy period that holds the
-// overrun is handed back to EDF with its jobs' seqs taken back out; their
-// lastAdmitted entries may stay, because EDF re-admits those jobs in LO
-// mode, in the same order, before any HI-mode admission reads them.
+// A first pass finds the committed prefix w[idx:start]. It tracks only
+// the open busy period's start and finish and the last closed finish.
+// A second pass admits exactly the committed arrivals, as EDF would
+// (lastAdmitted, seqs). The busy period that holds the overrun is handed
+// back to EDF untouched: EDF admits its jobs in LO mode, in the same
+// order, before any HI-mode admission reads their lastAdmitted entries.
 func (sc *Scratch) skipLO(w Workload, idx int) int {
 	start := idx    // first arrival of the open busy period w[start:k]
 	var f task.Time // its finish; the period is closed at any arrival at or after f
 	end := f        // the finish of the last closed busy period
-	last, seqs, cLO := sc.lastAdmitted, sc.seqs, sc.cLO
+	cLO := sc.cLO
 	k := idx
 	for ; k < len(w); k++ {
 		a := &w[k]
@@ -400,17 +402,17 @@ func (sc *Scratch) skipLO(w Workload, idx int) int {
 			start, end = k, f
 		}
 		if a.Demand > cLO[a.Task] {
-			for i := start; i < k; i++ {
-				seqs[w[i].Task]--
-			}
 			break
 		}
-		last[a.Task] = a.At
-		seqs[a.Task]++
 		f = max(f, a.At) + a.Demand
 	}
 	if k == len(w) {
 		start, end = k, f
+	}
+	last, seqs := sc.lastAdmitted, sc.seqs
+	for _, a := range w[idx:start] {
+		last[a.Task] = a.At
+		seqs[a.Task]++
 	}
 	if n := start - idx; n > 0 {
 		sc.res.Completed += n
