@@ -165,11 +165,8 @@ func MinSpeedForResetOpts(s task.Set, budget task.Time, o Options) (SpeedForRese
 // and QPA is exact.
 //
 // The LO-mode side of the x searches (MinimalX, which FeasibleXWindow
-// starts from) decides its probes the same way, without a capProbe: QPA
-// over one horizon fixed for the whole search, sound because the PDC
-// horizon is monotone in x — shorter virtual deadlines only raise
-// Σ(T−D)·U_i/(1−U) — and QPA stays exact over any horizon at or above
-// a set's own.
+// starts from) decides its probes the same way, without a capProbe: each
+// probe runs SchedulableLO's QPA over the probe's own bracketed horizon.
 type capProbe struct {
 	opts    Options
 	witness task.Time

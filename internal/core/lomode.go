@@ -40,10 +40,16 @@ func SchedulableLO(s task.Set) (bool, error) {
 // brackets (rat.Bracket), and runs the exact folds of
 // schedulableLOWithSums only where a bracket cannot decide. The bracket
 // horizon is an upper bound on the exact one, and QPA is exact over any
-// horizon at or above a set's own (see MinimalX), so the verdict is the
-// exact fold's.
+// horizon at or above a set's own — the points beyond it are still
+// genuine demand checks, none of which a schedulable set fails — so the
+// verdict is the exact fold's.
 func schedulableLO(s task.Set) bool {
-	u := s.UtilBracket(task.LO)
+	return schedulableLOUtil(s, s.UtilBracket(task.LO))
+}
+
+// schedulableLOUtil is schedulableLO given u, the bracket of s's LO
+// utilization.
+func schedulableLOUtil(s task.Set, u rat.Bracket) bool {
 	c, ok := u.Cmp(rat.One)
 	if !ok {
 		return schedulableLOWithSums(s, s.UtilSum(task.LO), dbf.LODemandSum(s))
@@ -105,13 +111,11 @@ func loUtilVerdict(s task.Set, c int) (ok, decided bool) {
 // grid x = k/D_max (the coarsest grid on which every floor(x·D_i) value is
 // realized) is exact.
 //
-// Every probe runs QPA over one horizon computed before the search (see
-// minimalXHorizon) rather than its own: the candidates share U(LO), and
-// the horizon only grows as deadlines shrink, so the horizon of the
-// shortest deadlines any candidate can have bounds every candidate's.
-// QPA is exact over any horizon at or above a set's own — the points
-// beyond it are still genuine demand checks, none of which a
-// schedulable set fails — so every verdict is the per-probe one.
+// Every probe runs SchedulableLO's own decision (schedulableLOUtil), so
+// each QPA starts from the probe's own bracketed horizon and the exact
+// folds run only where a bracket cannot decide. Eq. (13) only shortens
+// deadlines, so U(LO) is the same for every x and its bracket is taken
+// once.
 func MinimalX(s task.Set) (rat.Rat, task.Set, error) {
 	if err := s.Validate(); err != nil {
 		return rat.Rat{}, nil, err
@@ -134,34 +138,21 @@ func MinimalX(s task.Set) (rat.Rat, task.Set, error) {
 		return rat.One, s.Clone(), nil
 	}
 
-	// Eq. (13) only shortens deadlines, so U(LO) is the same for every
-	// x. A probe's set needs no validation: s is valid, and
+	// A probe's set needs no validation: s is valid, and
 	// ShortenHIDeadlines keeps C(LO) ≤ D(LO) < D(HI) or fails.
 	//
 	// Probes write into spare; a feasible probe's set becomes best and
 	// best's old buffer the next spare, so the search allocates two sets
 	// however many probes it takes.
 	u := s.UtilBracket(task.LO)
-	c, ok := u.Cmp(rat.One)
-	if !ok {
-		c = s.UtilSum(task.LO).Cmp(rat.One)
-	}
 	var best, spare task.Set
-	var horizon int64
-	if c < 0 {
-		spare, horizon = minimalXHorizon(s, u, spare)
-	}
 	feasible := func(k int64) bool {
 		out, err := s.ShortenHIDeadlinesInto(spare, rat.New(k, int64(dMax)))
 		if err != nil {
 			return false
 		}
 		spare = out
-		ok, decided := loUtilVerdict(out, c)
-		if !decided {
-			ok = qpaLO(out, horizon)
-		}
-		if !ok {
+		if !schedulableLOUtil(out, u) {
 			return false
 		}
 		best, spare = out, best
@@ -184,41 +175,4 @@ func MinimalX(s task.Set) (rat.Rat, task.Set, error) {
 		}
 	}
 	return rat.New(hi, int64(dMax)), best, nil
-}
-
-// minimalXHorizon returns a QPA horizon valid for every MinimalX
-// candidate of s, whose LO utilization, bracketed by u, must be below 1.
-// A candidate gives each HI task a virtual deadline
-// D(LO) ∈ [C(LO), D(HI)−1] and leaves every LO task as it is, so with
-// D_min the shortest of those deadlines,
-//
-//	H = max(max D over LO tasks, max D(HI)−1 over HI tasks,
-//	        ⌈Σ_i (T_i−D_min,i)·U_i/(1−U)⌉)
-//
-// bounds each candidate's own horizon term by term. The quotient is the
-// brackets' upper bound where they give one (rat.HorizonBound) and the
-// exact fold's otherwise. The shortest-deadline set is built in buf's
-// backing array, which is returned for reuse.
-func minimalXHorizon(s task.Set, u rat.Bracket, buf task.Set) (task.Set, int64) {
-	shortest := append(buf[:0], s...)
-	var maxD task.Time
-	for i := range shortest {
-		d := shortest[i].Deadline[task.LO]
-		if shortest[i].Crit == task.HI {
-			d = shortest[i].Deadline[task.HI] - 1
-			shortest[i].Deadline[task.LO] = shortest[i].WCET[task.LO]
-		}
-		if d > maxD {
-			maxD = d
-		}
-	}
-	horizon, ok := rat.HorizonBound(dbf.LODemandBracket(shortest), u)
-	if !ok {
-		// Shortening deadlines leaves U(LO) as it is in s.
-		horizon = horizonQuotient(dbf.LODemandSum(shortest), s.UtilSum(task.LO))
-	}
-	if int64(maxD) > horizon {
-		horizon = int64(maxD)
-	}
-	return shortest, horizon
 }

@@ -178,10 +178,11 @@ func figSets(t *testing.T) []task.Set {
 	return sets
 }
 
-// TestMinimalXOneHorizonIdentical: MinimalX's one-horizon search must
-// return the x, set bytes and error of referenceMinimalX, which refolds
-// each probe's own horizon.
-func TestMinimalXOneHorizonIdentical(t *testing.T) {
+// TestMinimalXProbeHorizonsMatchExactFolds: MinimalX, whose probes take
+// their own bracketed QPA horizon (rat.HorizonBound), must return the x,
+// set bytes and error of referenceMinimalX, whose probes take their own
+// exact-fold horizon.
+func TestMinimalXProbeHorizonsMatchExactFolds(t *testing.T) {
 	sets := append(genSets(t, 40), prunedSets(t, 20)...)
 	sets = append(sets, figSets(t)...)
 	ok := 0

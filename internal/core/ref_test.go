@@ -201,11 +201,12 @@ func referenceMinSpeedForReset(s task.Set, budget task.Time, o Options) (SpeedFo
 	return SpeedForResetResult{Speed: best, Attained: attained, WitnessDelta: witness, Events: events}, nil
 }
 
-// referenceMinimalX is MinimalX with the QPA horizon refolded per probe:
-// every candidate's own LO demand sum Σ(T−D)·C/T and loHorizon,
-// decided by schedulableLOWithSums. Production computes one horizon for
-// the whole search (minimalXHorizon) and must return the same x, set and
-// error.
+// referenceMinimalX is MinimalX with each probe decided by the exact
+// folds: every candidate's own exact U(LO), LO demand sum Σ(T−D)·C/T and
+// loHorizon, through schedulableLOWithSums. Production takes each probe's
+// U(LO) bracket from the input set and its horizon from the probe's own
+// brackets (schedulableLOUtil, rat.HorizonBound), and must return the
+// same x, set and error.
 func referenceMinimalX(s task.Set) (rat.Rat, task.Set, error) {
 	if err := s.Validate(); err != nil {
 		return rat.Rat{}, nil, err

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"mcspeedup/internal/dbf"
 	"mcspeedup/internal/rat"
@@ -349,12 +350,19 @@ const skipHorizon = task.Time(1) << 40
 // always decides.
 const certMargin = 1e-9
 
+// seedRampRows is how many rows' first ramp ends seedBound probes.
+const seedRampRows = 8
+
 // seedBound returns a proven lower bound on the Theorem-2 supremum used
 // to prime the pruned walk's skip cutoff before the running maximum has
 // caught up: the largest demand/length ratio over a handful of probe
-// points — the caller's WarmWitness plus, when the hyperperiod is known,
-// seven evenly spaced interior points. Soundness: the ratio at any single
-// Δ > 0 never exceeds the supremum. Witness safety needs one refinement
+// points — the caller's WarmWitness; when the hyperperiod is known,
+// seven evenly spaced interior points; and the first ramp ends
+// (dbf.Plan.RampEnd) of the seedRampRows rows whose own ratio is largest
+// there. A row's HI-mode demand rises fastest up to the end of its
+// carry-over job's ramp, so the summed curve's early peaks sit at ramp
+// ends. Soundness: the ratio at any single Δ > 0 never exceeds the
+// supremum. Witness safety needs one refinement
 // when the hyperperiod walk (stopping rule 2) applies: the supremum over
 // (0, hyper] is attained at an event (the ratio is monotone between
 // events), so any probe strictly inside (0, hyper) is bounded by the
@@ -366,7 +374,7 @@ const certMargin = 1e-9
 // The probes are batched through the plan's BulkEval (one column-major
 // pass over the compiled DBF_HI columns).
 func seedBound(plan *dbf.Plan, warm task.Time, hyper task.Time, hyperOK bool) rat.Rat {
-	var probes, vals [8]task.Time
+	var probes, vals [8 + seedRampRows]task.Time
 	n := 0
 	consider := func(p task.Time) {
 		if p <= 0 || p > skipHorizon {
@@ -383,6 +391,32 @@ func seedBound(plan *dbf.Plan, warm task.Time, hyper task.Time, hyperOK bool) ra
 		for j := task.Time(1); j < 8; j++ {
 			consider(j * hyper / 8)
 		}
+	}
+	// Keep the seedRampRows largest own ratios value/at at distinct
+	// positions. Once all slots are full, a row must beat the smallest
+	// kept ratio (slot low) to replace it, so most rows cost one
+	// comparison.
+	var rampAt, rampVal [seedRampRows]task.Time
+	m, low := 0, 0
+	for i := 0; i < plan.Len(); i++ {
+		at, v, ok := plan.RampEnd(i)
+		if !ok || m == seedRampRows && !ratioGreater(v, at, rampVal[low], rampAt[low]) ||
+			slices.Contains(rampAt[:m], at) {
+			continue
+		}
+		j := low
+		if m < seedRampRows {
+			j, m = m, m+1
+		}
+		rampAt[j], rampVal[j] = at, v
+		for k := range m {
+			if ratioGreater(rampVal[low], rampAt[low], rampVal[k], rampAt[k]) {
+				low = k
+			}
+		}
+	}
+	for j := 0; j < m; j++ {
+		consider(rampAt[j])
 	}
 	if n == 0 {
 		return rat.Zero

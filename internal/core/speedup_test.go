@@ -193,6 +193,80 @@ func TestMinSpeedupAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// TestSeedBoundBelowSupremum: the walk's seed is a proven lower bound on
+// the Theorem-2 supremum, and every probe it keeps lies strictly inside
+// the hyperperiod H, so the seed never exceeds the largest ratio over
+// Δ ∈ [1, H−1] either. The corpus mixes random small sets (terminated
+// and degraded LO rows included) with rows whose ramp is clipped at the
+// period (D(HI) − D(LO) + C(LO) = T) and one-task sets, whose clipped
+// ramp ends exactly at H — the probe seedBound must discard, since the
+// ratio there is U_HI, above every ratio in [1, H−1].
+func TestSeedBoundBelowSupremum(t *testing.T) {
+	rnd := rand.New(rand.NewSource(34))
+	var sets []task.Set
+	for range 400 {
+		sets = append(sets, randomSet(rnd, 1+rnd.Intn(4), 12))
+	}
+	for range 200 {
+		// A ramp clipped at the period: off + C(LO) = D(HI) − D(LO) +
+		// C(LO) reaches T exactly when D(LO) = C(LO) and D(HI) = T (it
+		// cannot pass T with constrained deadlines).
+		period := task.Time(3 + rnd.Intn(10))
+		cLO := task.Time(1 + rnd.Intn(int(period)/2))
+		cHI := cLO + task.Time(rnd.Intn(int(period-cLO)+1))
+		s := task.Set{task.NewHI("c", period, cLO, period, cLO, cHI)}
+		if rnd.Intn(2) == 0 {
+			s = append(s, randomSet(rnd, 1+rnd.Intn(3), 12)...)
+			for i := range s {
+				s[i].Name = string(rune('a' + i))
+			}
+		}
+		sets = append(sets, s)
+	}
+	clipped, atHyper, terminated := 0, 0, 0
+	for i, s := range sets {
+		if err := s.Validate(); err != nil {
+			t.Fatalf("set %d: generator bug: %v", i, err)
+		}
+		plan := dbf.CompilePlan(s, dbf.KindDBF)
+		hyper, ok := dbf.HIHyperperiod(s)
+		if !ok {
+			t.Fatalf("set %d: no hyperperiod", i)
+		}
+		for r := 0; r < plan.Len(); r++ {
+			at, _, active := plan.RampEnd(r)
+			switch {
+			case !active:
+				terminated++
+			case at == s[r].Period[task.HI]:
+				clipped++
+				if at == hyper {
+					atHyper++
+				}
+			}
+		}
+		inside := rat.Zero
+		for d := task.Time(1); d < hyper; d++ {
+			if v := dbf.SetHIMode(s, d); inside.CmpRatio(int64(v), int64(d)) < 0 {
+				inside = rat.New(int64(v), int64(d))
+			}
+		}
+		sup := bruteMinSpeedup(s)
+		for _, warm := range []task.Time{0, 1 + task.Time(rnd.Int63n(int64(2*hyper)))} {
+			seed := seedBound(plan, warm, hyper, true)
+			if seed.Cmp(sup) > 0 {
+				t.Fatalf("set %d, warm %d: seed %v above the supremum %v\n%s", i, warm, seed, sup, s.Table())
+			}
+			if seed.Cmp(inside) > 0 {
+				t.Fatalf("set %d, warm %d: seed %v above every ratio in [1, %d): %v\n%s", i, warm, seed, hyper, inside, s.Table())
+			}
+		}
+	}
+	if clipped == 0 || atHyper == 0 || terminated == 0 {
+		t.Fatalf("degenerate corpus: %d clipped ramps, %d at the hyperperiod, %d terminated rows", clipped, atHyper, terminated)
+	}
+}
+
 func TestMinSpeedupInexactFallbackIsSafe(t *testing.T) {
 	// Force the inexact path with a tiny event budget; the reported
 	// Speedup must still dominate the true supremum. It is pinned too:

@@ -209,6 +209,22 @@ func rowAt(delta, period task.Time, inv float64, off, cLO, cHI, dC, add task.Tim
 	return phase, q*cHI + add + (m+dC)&^(m>>63)
 }
 
+// RampEnd returns row i's first ramp end end_i = min(off_i + C_i(LO), T_i)
+// and the row's own curve value there, C_i(HI) + add_i, or ok = false for
+// a terminated row, which has no ramp. An unclipped ramp end has phase
+// end_i in the first period, where the ramp has added C(LO) to the
+// C(HI) − C(LO) step; a clipped one (end_i = T_i) is the second period's
+// phase 0, one full C(HI) with the ramp not yet started. For KindDBF an
+// unclipped ramp end is the shortest interval in which the row's demand
+// reaches its full C(HI): the carry-over job of Lemma 1 has run to
+// completion there.
+func (p *Plan) RampEnd(i int) (at, value task.Time, ok bool) {
+	if p.period[i] == 0 {
+		return 0, 0, false
+	}
+	return p.end[i], p.cHI[i] + p.add[i], true
+}
+
 // Len returns the number of compiled rows.
 func (p *Plan) Len() int { return p.n }
 

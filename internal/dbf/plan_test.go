@@ -89,6 +89,59 @@ func TestPlanMatchesScalarPointwise(t *testing.T) {
 	}
 }
 
+// TestPlanRampEnd: RampEnd's position is the row's first ramp end
+// min(off + C(LO), T) and its value the scalar curve of that one task
+// there, clipped ramps (off + C(LO) ≥ T) included; terminated rows report
+// no ramp.
+func TestPlanRampEnd(t *testing.T) {
+	rnd := rand.New(rand.NewSource(34))
+	clipped, terminated := 0, 0
+	for iter := 0; iter < 500; iter++ {
+		s := quickSet(rnd, 1+rnd.Intn(6))
+		if iter%4 == 0 {
+			// D(LO) = C(LO) and D(HI) = T put the ramp end at T.
+			tk := &s[0]
+			if tk.Crit == task.HI {
+				tk.Deadline[task.LO] = tk.WCET[task.LO]
+				tk.Deadline[task.HI] = tk.Period[task.HI]
+			}
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("generator bug: %v", err)
+		}
+		for _, kind := range []Kind{KindDBF, KindADB} {
+			p := CompilePlan(s, kind)
+			for i := range s {
+				tk := &s[i]
+				at, v, ok := p.RampEnd(i)
+				if tk.Terminated() {
+					if ok {
+						t.Fatalf("kind %d task %d: terminated row reports a ramp end", kind, i)
+					}
+					terminated++
+					continue
+				}
+				T := tk.Period[task.HI]
+				off := tk.Deadline[task.HI] - tk.Deadline[task.LO]
+				if kind == KindADB {
+					off = T - tk.Deadline[task.LO]
+				}
+				want := min(off+tk.WCET[task.LO], T)
+				if want == T {
+					clipped++
+				}
+				if !ok || at != want || v != taskValue(tk, kind, at) {
+					t.Fatalf("kind %d task %d: RampEnd (%d, %d, %v), want (%d, %d)\n%s",
+						kind, i, at, v, ok, want, taskValue(tk, kind, want), s.Table())
+				}
+			}
+		}
+	}
+	if clipped == 0 || terminated == 0 {
+		t.Fatalf("degenerate corpus: %d clipped ramps, %d terminated rows", clipped, terminated)
+	}
+}
+
 func TestPlanValueCappedMatchesValue(t *testing.T) {
 	rnd := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 100; iter++ {

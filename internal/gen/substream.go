@@ -39,9 +39,129 @@ func Substream(seed int64, point, index int) int64 {
 }
 
 // SubRand returns an independent *rand.Rand for coordinate
-// (point, index) of the sweep keyed by seed.
+// (point, index) of the sweep keyed by seed. Its draws are exactly those
+// of rand.New(rand.NewSource(Substream(seed, point, index))); only the
+// seeding is cheaper (see lfSource).
 func SubRand(seed int64, point, index int) *rand.Rand {
-	return rand.New(rand.NewSource(Substream(seed, point, index)))
+	src := new(lfSource)
+	src.Seed(Substream(seed, point, index))
+	return rand.New(src)
+}
+
+// The parameters of math/rand's additive lagged Fibonacci generator
+// (rngSource): register length, tap distance, and the modulus of the
+// Lehmer generator x ← 48271·x mod (2^31−1) that seeds the register.
+const (
+	lfLen    = 607
+	lfTap    = 273
+	lfMask   = 1<<63 - 1
+	lehmerM  = 1<<31 - 1
+	lehmerA  = 48271
+	lfWarmup = 20 // Lehmer steps rngSource.Seed discards before vec[0]
+)
+
+// lfSource is a rand.Source64 that reproduces math/rand's rngSource
+// exactly — the same register, tap, Seed normalisation and Uint64/Int63
+// loop — with a cheaper Seed. rngSource.Seed steps the Lehmer generator
+// 1841 times in one dependent chain; the three values behind register
+// word i are seed·A^(21+3i+j) mod M for j = 0, 1, 2, so with the powers
+// tabled (lfPow) every word is three independent multiplications.
+type lfSource struct {
+	tap  int
+	feed int
+	vec  [lfLen]int64
+}
+
+// lfPow[i][j] = A^(lfWarmup+1+3i+j) mod M, and lfCooked is math/rand's
+// rngCooked table, the constant XORed into each register word at seeding.
+var lfPow, lfCooked = lfTables()
+
+// Seed initialises the register as rngSource.Seed does.
+func (r *lfSource) Seed(seed int64) {
+	r.tap = 0
+	r.feed = lfLen - lfTap
+	seed %= lehmerM
+	if seed < 0 {
+		seed += lehmerM
+	}
+	if seed == 0 {
+		seed = 89482311
+	}
+	s := uint64(seed)
+	for i := range r.vec {
+		r.vec[i] = lfWord(s, &lfPow[i]) ^ lfCooked[i]
+	}
+}
+
+// lfWord is rngSource.Seed's word before the cooked XOR: the three
+// Lehmer values x0, x1, x2 packed as x0<<40 ^ x1<<20 ^ x2, bits above
+// 63 dropped.
+func lfWord(seed uint64, pow *[3]uint64) int64 {
+	x0 := seed * pow[0] % lehmerM
+	x1 := seed * pow[1] % lehmerM
+	x2 := seed * pow[2] % lehmerM
+	return int64(x0<<40 ^ x1<<20 ^ x2)
+}
+
+// Int63 returns a non-negative pseudo-random 63-bit integer.
+func (r *lfSource) Int63() int64 {
+	return int64(r.Uint64() & lfMask)
+}
+
+// Uint64 returns the next register sum, as rngSource.Uint64 does.
+func (r *lfSource) Uint64() uint64 {
+	r.tap--
+	if r.tap < 0 {
+		r.tap += lfLen
+	}
+	r.feed--
+	if r.feed < 0 {
+		r.feed += lfLen
+	}
+	x := r.vec[r.feed] + r.vec[r.tap]
+	r.vec[r.feed] = x
+	return uint64(x)
+}
+
+// lfTables computes lfPow and recovers rngCooked from math/rand itself:
+// the first lfLen outputs of rand.NewSource(1) determine its initial
+// register, and XORing off seed 1's Lehmer words leaves the cooked
+// table. Output k adds register words feed = 333−k and tap = 606−k (mod
+// lfLen), each updated in place, so
+//
+//	out_k = orig[333−k] + orig[606−k]      for k < 273,
+//	out_k = orig[(333−k) mod 607] + out_{k−273}  for 273 ≤ k < 607,
+//
+// because the tap word read at step k ≥ 273 is the one step k−273 wrote.
+// The second line gives orig[60..0] and orig[606..334]; the first then
+// gives orig[333..61].
+func lfTables() (pow [lfLen][3]uint64, cooked [lfLen]int64) {
+	x := uint64(1)
+	for range lfWarmup {
+		x = x * lehmerA % lehmerM
+	}
+	for i := range pow {
+		for j := range pow[i] {
+			x = x * lehmerA % lehmerM
+			pow[i][j] = x
+		}
+	}
+	ref := rand.NewSource(1).(rand.Source64)
+	var out, orig [lfLen]int64
+	for k := range out {
+		out[k] = int64(ref.Uint64())
+	}
+	const feed0 = lfLen - lfTap - 1 // 333: the first feed index
+	for k := lfTap; k < lfLen; k++ {
+		orig[(feed0-k+lfLen)%lfLen] = out[k] - out[k-lfTap]
+	}
+	for k := 0; k < lfTap; k++ {
+		orig[feed0-k] = out[k] - orig[lfLen-1-k]
+	}
+	for i := range cooked {
+		cooked[i] = orig[i] ^ lfWord(1, &pow[i])
+	}
+	return pow, cooked
 }
 
 // Stream is a SplitMix64 sequence generator over a Substream coordinate:

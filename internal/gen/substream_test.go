@@ -1,6 +1,10 @@
 package gen
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
 
 func TestSubstreamDeterministic(t *testing.T) {
 	if Substream(2015, 3, 7) != Substream(2015, 3, 7) {
@@ -110,5 +114,89 @@ func TestStreamNextMatchesUint64(t *testing.T) {
 		if want := a.Uint64(); u != want {
 			t.Fatalf("draw %d: Next %#x, Uint64 %#x", i, u, want)
 		}
+	}
+}
+
+// subRandSeeds are the stream seeds TestSubRandMatchesMathRand checks:
+// the Seed normalisation's edge cases (zero, ±1, multiples of 2^31−1
+// that reduce to zero, the substitute seed 89482311 itself, the int64
+// extremes) and 2000 Substream seeds.
+func subRandSeeds() []int64 {
+	const m = 1<<31 - 1
+	seeds := []int64{0, 1, -1, m, -m, 2 * m, -2 * m, m * m, m - 1, m + 1, -m + 1,
+		89482311, -89482311, math.MinInt64, math.MaxInt64, math.MinInt64 + 1}
+	for i := range 2000 {
+		seeds = append(seeds, Substream(int64(i/40), i%40, i))
+	}
+	return seeds
+}
+
+// sameDraws reads n rounds through both generators' *rand.Rand methods
+// and fails at the first difference. Each round takes one of Int63,
+// Uint64, Float64, Intn and Perm, so n = 3000 reads past outputs 273,
+// 334 and 607, where the register's tap and feed wrap.
+func sameDraws(t testing.TB, seed int64, got, want *rand.Rand, n int) {
+	t.Helper()
+	for k := range n {
+		var g, w uint64
+		switch k % 5 {
+		case 0:
+			g, w = uint64(got.Int63()), uint64(want.Int63())
+		case 1:
+			g, w = got.Uint64(), want.Uint64()
+		case 2:
+			g, w = math.Float64bits(got.Float64()), math.Float64bits(want.Float64())
+		case 3:
+			g, w = uint64(got.Intn(1+k)), uint64(want.Intn(1+k))
+		case 4:
+			for _, v := range want.Perm(4) {
+				w = w<<8 | uint64(v)
+			}
+			for _, v := range got.Perm(4) {
+				g = g<<8 | uint64(v)
+			}
+		}
+		if g != w {
+			t.Fatalf("seed %d, round %d: %#x, math/rand %#x", seed, k, g, w)
+		}
+	}
+}
+
+// TestSubRandMatchesMathRand: lfSource draws exactly what math/rand's
+// own source draws, from a fresh seed and again after Rand.Seed.
+func TestSubRandMatchesMathRand(t *testing.T) {
+	seeds := subRandSeeds()
+	for i, seed := range seeds {
+		src := new(lfSource)
+		src.Seed(seed)
+		got, want := rand.New(src), rand.New(rand.NewSource(seed))
+		sameDraws(t, seed, got, want, 3000)
+		reseed := seeds[(i+1)%len(seeds)]
+		got.Seed(reseed)
+		want.Seed(reseed)
+		sameDraws(t, reseed, got, want, 3000)
+	}
+	a, b := SubRand(2015, 3, 7), rand.New(rand.NewSource(Substream(2015, 3, 7)))
+	sameDraws(t, Substream(2015, 3, 7), a, b, 3000)
+}
+
+func FuzzSubRandMatchesMathRand(f *testing.F) {
+	for _, seed := range []int64{0, 1, -1, 1<<31 - 1, 89482311, math.MinInt64, math.MaxInt64} {
+		f.Add(seed, seed+1)
+	}
+	f.Fuzz(func(t *testing.T, seed, reseed int64) {
+		src := new(lfSource)
+		src.Seed(seed)
+		got, want := rand.New(src), rand.New(rand.NewSource(seed))
+		sameDraws(t, seed, got, want, 700)
+		got.Seed(reseed)
+		want.Seed(reseed)
+		sameDraws(t, reseed, got, want, 700)
+	})
+}
+
+func BenchmarkSubRand(b *testing.B) {
+	for i := range b.N {
+		SubRand(1, 13, i).Int63()
 	}
 }

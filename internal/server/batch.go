@@ -76,7 +76,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			items[i].err = err
 			continue
 		}
-		key, fn, err := analyzeJob(itemReq)
+		key, fn, err := s.analyzeJob(itemReq)
 		if err != nil {
 			items[i].err = err
 			continue

@@ -194,11 +194,11 @@ func analyzeCacheKey(fingerprint string, speed rat.Rat, transformKey string) str
 }
 
 // analyzeJob validates an analyze request and returns its cache key and
-// its compute closure.
+// its compute closure, which records its Theorem-2 walk in the metrics.
 // /v1/analyze and each /v1/batch item go through this one path, so a
 // batch item's key — and therefore its cached bytes — is identical to
 // the equivalent individual call's.
-func analyzeJob(req analyzeRequest) (string, func() ([]byte, error), error) {
+func (s *Server) analyzeJob(req analyzeRequest) (string, func() ([]byte, error), error) {
 	if err := req.validate(); err != nil {
 		return "", nil, err
 	}
@@ -220,6 +220,7 @@ func analyzeJob(req analyzeRequest) (string, func() ([]byte, error), error) {
 		if err != nil {
 			return nil, err
 		}
+		s.metrics.recordWalk(report.Speedup)
 		return report.MarshalIndent()
 	}, nil
 }
@@ -229,7 +230,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !decodeRequest(w, r, &req) {
 		return
 	}
-	key, fn, err := analyzeJob(req)
+	key, fn, err := s.analyzeJob(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -254,7 +255,6 @@ type speedupDoc struct {
 	LowerBound   rat.Rat   `json:"lowerBound"`
 	Exact        bool      `json:"exact"`
 	WitnessDelta task.Time `json:"witnessDelta"`
-	Events       int       `json:"events"`
 }
 
 func (s *Server) handleSpeedup(w http.ResponseWriter, r *http.Request) {
@@ -281,6 +281,7 @@ func (s *Server) handleSpeedup(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
+		s.metrics.recordWalk(sp)
 		return json.MarshalIndent(speedupResponse{
 			Fingerprint: transformed.Fingerprint(),
 			Speedup: speedupDoc{
@@ -288,7 +289,6 @@ func (s *Server) handleSpeedup(w http.ResponseWriter, r *http.Request) {
 				LowerBound:   sp.LowerBound,
 				Exact:        sp.Exact,
 				WitnessDelta: sp.WitnessDelta,
-				Events:       sp.Events,
 			},
 		}, "", "  ")
 	})

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mcspeedup/internal/cache"
+	"mcspeedup/internal/core"
 )
 
 // latencyBuckets are the histogram upper bounds in seconds. The analyses
@@ -59,6 +60,10 @@ type metrics struct {
 	sessionCacheHits                 uint64
 	// Monte-Carlo replicates computed by /v1/fleet (cache hits excluded).
 	fleetRuns uint64
+	// Accounting of the Theorem-2 walks run for /v1/speedup, /v1/analyze
+	// and /v1/batch items on cache misses: events examined, bulk skips
+	// taken, and walks whose result is inexact (a safe bracket).
+	walkEvents, walkJumps, walkInexact uint64
 }
 
 func newMetrics() *metrics {
@@ -142,6 +147,17 @@ func (m *metrics) recordFleet(runs int64) {
 	m.fleetRuns += uint64(runs)
 }
 
+// recordWalk registers one Theorem-2 walk's accounting.
+func (m *metrics) recordWalk(sp core.SpeedupResult) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.walkEvents += uint64(sp.Events)
+	m.walkJumps += uint64(sp.Jumps)
+	if !sp.Exact {
+		m.walkInexact++
+	}
+}
+
 // render emits the Prometheus text exposition format. Families and label
 // values are emitted in sorted order so the output is deterministic.
 func (m *metrics) render(cs cache.Stats, poolInFlight, poolCapacity, sessionsLive int, gs flightStats, ready bool) string {
@@ -195,6 +211,16 @@ func (m *metrics) render(cs cache.Stats, poolInFlight, poolCapacity, sessionsLiv
 	b.WriteString("# HELP mcs_fleet_runs_total Monte-Carlo replicates computed by /v1/fleet (cache hits excluded).\n")
 	b.WriteString("# TYPE mcs_fleet_runs_total counter\n")
 	fmt.Fprintf(&b, "mcs_fleet_runs_total %d\n", m.fleetRuns)
+
+	b.WriteString("# HELP mcs_walk_events_total Slope-change events examined by Theorem-2 walks run on cache misses of /v1/speedup, /v1/analyze and /v1/batch.\n")
+	b.WriteString("# TYPE mcs_walk_events_total counter\n")
+	fmt.Fprintf(&b, "mcs_walk_events_total %d\n", m.walkEvents)
+	b.WriteString("# HELP mcs_walk_jumps_total Bulk skips taken by those walks.\n")
+	b.WriteString("# TYPE mcs_walk_jumps_total counter\n")
+	fmt.Fprintf(&b, "mcs_walk_jumps_total %d\n", m.walkJumps)
+	b.WriteString("# HELP mcs_walk_inexact_total Those walks whose result is a safe bracket rather than the exact supremum.\n")
+	b.WriteString("# TYPE mcs_walk_inexact_total counter\n")
+	fmt.Fprintf(&b, "mcs_walk_inexact_total %d\n", m.walkInexact)
 
 	b.WriteString("# HELP mcs_sessions_live Incremental-analysis sessions currently registered.\n")
 	b.WriteString("# TYPE mcs_sessions_live gauge\n")

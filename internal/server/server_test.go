@@ -137,6 +137,22 @@ func TestSpeedupAndResetEndpoints(t *testing.T) {
 	if sp.Speedup.Value != "4/3" || !sp.Speedup.Exact || len(sp.Fingerprint) != 64 {
 		t.Errorf("speedup response %+v", sp)
 	}
+	// The served document carries the answer only: how many events the
+	// walk examined depends on its pruning, so it goes to /metrics
+	// (mcs_walk_events_total) instead of the body.
+	const wantSpeedup = `{
+  "fingerprint": "9762ee383b3d0e6b2cc3fcbb48a9370c448ae90d4da006cff31a31348d3b81fd",
+  "speedup": {
+    "value": "4/3",
+    "lowerBound": "4/3",
+    "exact": true,
+    "witnessDelta": 3
+  }
+}
+`
+	if string(body) != wantSpeedup {
+		t.Errorf("speedup body:\n%s\nwant\n%s", body, wantSpeedup)
+	}
 
 	resp, body = post(t, ts.URL+"/v1/reset", `{"tasks":`+tableIJSON+`,"speed":"2"}`)
 	if resp.StatusCode != http.StatusOK {
@@ -399,6 +415,14 @@ func TestMetricsExposition(t *testing.T) {
 	post(t, ts.URL+"/v1/analyze", `{"bad json`)
 	_, body := get(t, ts.URL+"/metrics")
 	text := string(body)
+	set, err := parseTasks(json.RawMessage(tableIJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk, err := core.MinSpeedup(set)
+	if err != nil || walk.Events == 0 {
+		t.Fatalf("Table I walk: %+v, %v", walk, err)
+	}
 	for _, want := range []string{
 		`mcs_requests_total{endpoint="/v1/analyze",code="200"} 2`,
 		`mcs_requests_total{endpoint="/v1/analyze",code="400"} 1`,
@@ -420,6 +444,10 @@ func TestMetricsExposition(t *testing.T) {
 		// after bind; the bare handler test never does).
 		"mcs_ready 0",
 		"mcs_uptime_seconds",
+		// One cache miss ran one Theorem-2 walk.
+		fmt.Sprintf("mcs_walk_events_total %d", walk.Events),
+		fmt.Sprintf("mcs_walk_jumps_total %d", walk.Jumps),
+		"mcs_walk_inexact_total 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)

@@ -70,6 +70,11 @@ go test -fuzz FuzzBracketRound -fuzztime 10s -run '^$' ./internal/rat/
 # and leave the stream exactly where, the division-based Int63n does.
 go test -fuzz FuzzBoundBelow -fuzztime 10s -run '^$' ./internal/gen/
 
+# Substream fuzz smoke: SubRand's source must draw exactly what
+# math/rand's own source draws for the same seed, before and after
+# Rand.Seed.
+go test -fuzz FuzzSubRandMatchesMathRand -fuzztime 10s -run '^$' ./internal/gen/
+
 # Sampler fuzz smoke: the fleet's bucket-scattering replicate sampler
 # must draw exactly the workload of the sort-based reference sampler,
 # including past the bucket table's dense cap.
